@@ -30,7 +30,7 @@ class BackendError(Exception):
 
 
 class TransportError(BackendError):
-    """Network failure or HTTP >= 500; retriable."""
+    """Network failure, HTTP >= 500 or a body that is not JSON; retriable."""
 
 
 class RejectedError(BackendError):
@@ -170,8 +170,10 @@ class HttpChatBackend:
     """Client for a chat-completions endpoint.
 
     The credential is read from the environment variable named in config
-    (never stored). Transport failures are retried up to max_retries times
-    with capped exponential backoff; rejections (4xx) are not retried.
+    (never stored). Transport failures, including a 200 whose body is not
+    JSON, are retried up to max_retries times with capped exponential
+    backoff; rejections (4xx) are not retried. attempts_logged counts
+    attempts across every thread that shares the client.
     """
 
     def __init__(
@@ -192,6 +194,7 @@ class HttpChatBackend:
         self.backoff_cap_s = backoff_cap_s
         self.timeout_s = timeout_s
         self.attempts_logged = 0
+        self._attempts_lock = threading.Lock()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -220,7 +223,8 @@ class HttpChatBackend:
         for attempt in range(1 + self.max_retries):
             if attempt:
                 time.sleep(min(self.backoff_cap_s, self.backoff_s * 2 ** (attempt - 1)))
-            self.attempts_logged += 1
+            with self._attempts_lock:
+                self.attempts_logged += 1
             try:
                 http_response = requests.post(
                     url, json=payload, headers=self._headers(), timeout=self.timeout_s
@@ -237,8 +241,14 @@ class HttpChatBackend:
                 continue
             if http_response.status_code >= 400:
                 raise RejectedError(http_response.status_code, http_response.text[:500])
+            try:
+                body = http_response.json()
+            except requests.JSONDecodeError as exc:
+                last_error = TransportError(f"non-JSON body with HTTP {http_response.status_code}")
+                logger.warning("chat call attempt %d got a non-JSON body: %s", attempt + 1, exc)
+                continue
             wall_time_ms = int((time.monotonic() - started) * 1000)
-            return self._parse(http_response.json(), wall_time_ms, attempt + 1)
+            return self._parse(body, wall_time_ms, attempt + 1)
         raise last_error if last_error is not None else TransportError("no attempts made")
 
     def _parse(self, body: dict, wall_time_ms: int, attempts: int) -> ChatResponse:

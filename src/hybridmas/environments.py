@@ -10,10 +10,12 @@ failure becomes an observation.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import TaskInstance, ToolCall
 from .prompting import load_asset
@@ -78,16 +80,21 @@ class WikiPage:
 
 
 class WikiCorpus:
-    """Immutable page store keyed by normalized title; shareable across
-    concurrent episodes."""
+    """Immutable page store keyed by normalized title, with an inverted
+    index from each title token to the keys containing it; shareable
+    across concurrent episodes."""
 
     def __init__(self, pages: Iterable[WikiPage]):
         self._pages: dict[str, WikiPage] = {}
+        postings: defaultdict[str, list[str]] = defaultdict(list)
         for page in pages:
             key = normalize_title(page.title)
             if key in self._pages:
                 raise ValueError(f"duplicate normalized title {key!r}")
             self._pages[key] = page
+            for token in set(key.split()):
+                postings[token].append(key)
+        self._postings: dict[str, list[str]] = dict(postings)
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, str]]) -> "WikiCorpus":
@@ -97,20 +104,8 @@ class WikiCorpus:
 
     @classmethod
     def load(cls, path) -> "WikiCorpus":
-        records = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaViolationError(line_no, f"invalid JSON: {exc}")
-                if not isinstance(rec, dict) or "title" not in rec or "text" not in rec:
-                    raise SchemaViolationError(line_no, "corpus lines need title and text")
-                records.append(rec)
-        return cls.from_records(records)
+            return cls.from_records(_corpus_records(fh))
 
     def get(self, title: str) -> Optional[WikiPage]:
         return self._pages.get(normalize_title(title))
@@ -133,16 +128,33 @@ class WikiCorpus:
 
     def similar_titles(self, query: str, k: int = 5) -> list[str]:
         """Titles ranked by shared normalized-token count with the query,
-        ties broken lexicographically."""
-        query_tokens = set(normalize_title(query).split())
-        ranked = sorted(
-            self._pages.values(),
-            key=lambda page: (
-                -len(query_tokens & set(normalize_title(page.title).split())),
-                normalize_title(page.title),
-            ),
-        )
-        return [page.title for page in ranked[:k]]
+        ties broken lexicographically by normalized title."""
+        shared: Counter[str] = Counter()
+        for token in set(normalize_title(query).split()):
+            shared.update(self._postings.get(token, ()))
+        ranked = heapq.nsmallest(k, shared, key=lambda key: (-shared[key], key))
+        if len(ranked) < k:
+            # Fewer than k pages share a token: the rest are the smallest
+            # keys sharing none. Of the k smallest keys overall at most
+            # len(shared) share a token, so enough of them remain.
+            ranked += [key for key in heapq.nsmallest(k, self._pages) if key not in shared]
+        return [self._pages[key].title for key in ranked[:k]]
+
+
+def _corpus_records(lines: Iterable[str]) -> Iterator[dict]:
+    """Yield the JSON object of each non-blank corpus line, rejecting a
+    malformed one with its line number."""
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaViolationError(line_no, f"invalid JSON: {exc}")
+        if not isinstance(rec, dict) or "title" not in rec or "text" not in rec:
+            raise SchemaViolationError(line_no, "corpus lines need title and text")
+        yield rec
 
 
 @dataclass

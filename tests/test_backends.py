@@ -2,7 +2,9 @@
 mock server."""
 
 import json
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -112,7 +114,8 @@ class _PlannedHandler(BaseHTTPRequestHandler):
         index = min(self.server.hits, len(plan) - 1)
         status, body = plan[index]
         self.server.hits += 1
-        payload = json.dumps(body).encode("utf-8")
+        # bytes go out as they are, so a test can send a body that is not JSON
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -207,6 +210,36 @@ class TestHttpBackend:
         assert body["max_tokens"] == 64
         assert body["seed"] == 7
         assert body["messages"][0] == {"role": "system", "content": "be brief"}
+
+    def test_non_json_body_is_retried_as_transport_error(self, mock_server):
+        mock_server.plan = [(200, b"<html>upstream busy</html>"), (200, _ok_body())]
+        backend = _backend(mock_server)
+        response = backend.complete(user_request("hi"))
+        assert response.text == "hello"
+        assert mock_server.hits == 2
+        assert backend.attempts_logged == 2
+
+    def test_non_json_body_exhausts_retries(self, mock_server):
+        mock_server.plan = [(200, b"not json")]
+        backend = _backend(mock_server, max_retries=2)
+        with pytest.raises(TransportError):
+            backend.complete(user_request("hi"))
+        assert mock_server.hits == 3
+
+    def test_concurrent_calls_count_every_attempt(self, mock_server):
+        mock_server.plan = [(200, _ok_body())]
+        backend = _backend(mock_server)
+        calls = 64
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                futures = [pool.submit(backend.complete, user_request("hi")) for _ in range(calls)]
+                texts = [future.result(timeout=30).text for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == ["hello"] * calls
+        assert backend.attempts_logged == calls
 
     def test_count_tokens_unknown(self, mock_server):
         backend = _backend(mock_server)

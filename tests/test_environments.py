@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hybridmas.core import ToolCall
 from hybridmas.environments import (
@@ -13,7 +14,9 @@ from hybridmas.environments import (
     ScriptedEnvironment,
     WikiCorpus,
     WikiEnvironment,
+    WikiPage,
     load_tasks,
+    normalize_title,
     split_sentences,
     truncate_observation,
 )
@@ -71,6 +74,55 @@ class TestWikiSearch:
         env.step(ToolCall("search", "No Such Page"))
         obs = env.step(ToolCall("lookup", "radioactivity"))
         assert "(Result 1 / 1)" in obs.text
+
+
+def reference_similar_titles(titles, query, k=5):
+    """The full sort over every title that the inverted index replaced."""
+    query_tokens = set(normalize_title(query).split())
+    ranked = sorted(
+        titles,
+        key=lambda title: (
+            -len(query_tokens & set(normalize_title(title).split())),
+            normalize_title(title),
+        ),
+    )
+    return ranked[:k]
+
+
+# Case variants of a few tokens so that titles share tokens after
+# normalization; "zircon" and "quartz" never occur in a title.
+_TITLE_TOKENS = ["amber", "Amber", "AMBER", "basalt", "Basalt", "cedar", "delta", "Ember"]
+_GAPS = st.sampled_from([" ", "  ", "\t", " \n ", "\u3000"])
+
+
+@st.composite
+def _titles(draw):
+    tokens = draw(st.lists(st.sampled_from(_TITLE_TOKENS), max_size=4))
+    title = draw(st.sampled_from(["", " "]))
+    for token in tokens:
+        title += token + draw(_GAPS)
+    return title + draw(st.sampled_from(["", "  "]))
+
+
+_queries = st.one_of(
+    st.just(""),
+    st.lists(st.sampled_from(_TITLE_TOKENS + ["zircon", "Quartz"]), max_size=5).map(" ".join),
+    _titles(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_titles(), min_size=1, max_size=25, unique_by=normalize_title),
+    _queries,
+    st.integers(0, 30),
+)
+@example(["Amber Amber Basalt", "amber  cedar", "Basalt"], "amber AMBER basalt", 2)
+@example(["Amber Amber Basalt", "Cedar\tDelta", "ember"], "zircon quartz", 5)
+@example(["Delta", "cedar", "Amber"], "", 10)
+def test_similar_titles_matches_full_sort(titles, query, k):
+    corpus = WikiCorpus(WikiPage(title, ("A sentence.",)) for title in titles)
+    assert corpus.similar_titles(query, k) == reference_similar_titles(titles, query, k)
 
 
 class TestWikiLookup:
@@ -277,6 +329,20 @@ class TestCorpusLoading:
         path.write_text(json.dumps({"title": "T"}), encoding="utf-8")
         with pytest.raises(SchemaViolationError):
             WikiCorpus.load(path)
+
+    def test_malformed_line_after_valid_ones_reports_its_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        rows = [
+            json.dumps({"title": "Richard Feynman", "text": " ".join(FEYNMAN_SENTENCES)}),
+            "",
+            json.dumps({"title": "Marie Curie", "text": " ".join(CURIE_SENTENCES)}),
+            '{"title": "Ada Lovelace", "text": ',
+        ]
+        path.write_text("\n".join(rows), encoding="utf-8")
+        with pytest.raises(SchemaViolationError) as exc_info:
+            WikiCorpus.load(path)
+        assert exc_info.value.line_no == 4
+        assert "invalid JSON" in str(exc_info.value)
 
     def test_environment_binds_full_corpus_fixture(self):
         corpus = make_corpus()
