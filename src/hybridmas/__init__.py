@@ -28,12 +28,6 @@ from .core import (
     read_trajectories,
     write_trajectories,
 )
-from .orchestrator import (
-    run_audit,
-    run_eva,
-    run_monolithic,
-    run_pevr,
-    run_trajectory,
-)
+from .orchestrator import run_trajectory
 
 __version__ = "0.1.0"

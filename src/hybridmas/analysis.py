@@ -1,6 +1,6 @@
-"""Answer scoring, success labeling, Pareto frontiers, and the study
-statistics: intervention distributions, verifier confusion rates on audit
-runs, and solve-set overlaps.
+"""Answer scoring, success labeling, per-condition statistics, Pareto
+frontiers, and the study statistics: intervention distributions, verifier
+confusion rates on audit runs, and solve-set overlaps.
 
 All functions here are pure over immutable inputs.
 """
@@ -12,6 +12,7 @@ import statistics
 import string
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -98,6 +99,51 @@ def trajectory_score(benchmark_tag: str, record: TrajectoryRecord, golds: Sequen
     if benchmark_tag in ("hotpotqa", "fanoutqa"):
         return rouge1_f1(record.final_answer, golds)
     return float(exact_match(record.final_answer, golds))
+
+
+@dataclass(frozen=True)
+class ConditionStats:
+    """Statistics over one condition's records. mean_score averages the
+    scored records only; performance averages every record, counting its
+    score, else its success label, else 0. success_rate averages the
+    labeled records."""
+
+    records: int
+    mean_score: float
+    success_rate: float
+    performance: float
+    cost_usd: Decimal
+    energy_joules: float
+    mean_max_context_tokens: float
+    mean_max_kv_bytes: float
+    max_max_kv_bytes: int
+
+
+def _mean(values: Sequence) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+def _performance(record: TrajectoryRecord) -> float:
+    if record.score is not None:
+        return record.score
+    if record.success is not None:
+        return 1.0 if record.success else 0.0
+    return 0.0
+
+
+def condition_stats(records: Sequence[TrajectoryRecord]) -> ConditionStats:
+    """The one place each per-condition statistic is computed."""
+    return ConditionStats(
+        records=len(records),
+        mean_score=_mean([r.score for r in records if r.score is not None]),
+        success_rate=_mean([r.success for r in records if r.success is not None]),
+        performance=_mean([_performance(r) for r in records]),
+        cost_usd=sum((r.totals.cost_usd for r in records), Decimal(0)),
+        energy_joules=sum(r.totals.energy_joules for r in records),
+        mean_max_context_tokens=_mean([r.totals.max_context_tokens for r in records]),
+        mean_max_kv_bytes=_mean([r.totals.max_kv_bytes for r in records]),
+        max_max_kv_bytes=max((r.totals.max_kv_bytes for r in records), default=0),
+    )
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ class BackendError(Exception):
 
 
 class TransportError(BackendError):
-    """Network failure, HTTP >= 500 or a body that is not JSON; retriable."""
+    """Network failure, HTTP >= 500, or a body that is not JSON or has no
+    choices; retriable."""
 
 
 class RejectedError(BackendError):
@@ -42,7 +43,8 @@ class RejectedError(BackendError):
 
 
 class UsageMissingError(BackendError):
-    """The endpoint returned a completion without a usage block."""
+    """The endpoint returned a completion without a well-formed usage
+    block; never retried."""
 
 
 class ScriptExhaustedError(BackendError):
@@ -166,14 +168,37 @@ class ScriptedBackend:
             return sum(1 for c in self._consumed if not c)
 
 
+def _parse_usage(block) -> TokenUsage:
+    """Token counts from a chat-completions usage block, with cached tokens
+    capped at the prompt. A block that is absent, not a mapping, or holds
+    a count that is not a non-negative integer raises UsageMissingError."""
+    if not block:
+        raise UsageMissingError("endpoint returned no usage block")
+    malformed = UsageMissingError(f"malformed usage block: {str(block)[:300]}")
+    try:
+        details = block.get("prompt_tokens_details") or {}
+        counts = (
+            block.get("prompt_tokens", 0),
+            details.get("cached_tokens") or 0,
+            block.get("completion_tokens", 0),
+        )
+    except AttributeError:  # the block or its details is not a mapping
+        raise malformed from None
+    if not all(type(count) is int and count >= 0 for count in counts):
+        raise malformed
+    prompt, cached, generated = counts
+    return TokenUsage(prompt, min(cached, prompt), generated)
+
+
 class HttpChatBackend:
     """Client for a chat-completions endpoint.
 
     The credential is read from the environment variable named in config
     (never stored). Transport failures, including a 200 whose body is not
-    JSON, are retried up to max_retries times with capped exponential
-    backoff; rejections (4xx) are not retried. attempts_logged counts
-    attempts across every thread that shares the client.
+    JSON or has no choices, are retried up to max_retries times with capped
+    exponential backoff; rejections (4xx) and malformed usage are not
+    retried. attempts_logged counts attempts across every thread that
+    shares the client.
     """
 
     def __init__(
@@ -243,41 +268,27 @@ class HttpChatBackend:
                 raise RejectedError(http_response.status_code, http_response.text[:500])
             try:
                 body = http_response.json()
+                text = body["choices"][0]["message"]["content"] or ""
             except requests.JSONDecodeError as exc:
                 last_error = TransportError(f"non-JSON body with HTTP {http_response.status_code}")
                 logger.warning("chat call attempt %d got a non-JSON body: %s", attempt + 1, exc)
                 continue
+            except (KeyError, IndexError, TypeError):
+                last_error = TransportError(f"malformed completion body: {str(body)[:300]}")
+                logger.warning("chat call attempt %d got a body without choices", attempt + 1)
+                continue
+            usage = _parse_usage(body.get("usage"))
             wall_time_ms = int((time.monotonic() - started) * 1000)
-            return self._parse(body, wall_time_ms, attempt + 1)
+            logger.info(
+                "chat call to %s completed in %d ms after %d attempt(s): %d prompt / %d generated tokens",
+                self.base_url,
+                wall_time_ms,
+                attempt + 1,
+                usage.prompt_tokens,
+                usage.generated_tokens,
+            )
+            return ChatResponse(text, usage, wall_time_ms)
         raise last_error if last_error is not None else TransportError("no attempts made")
-
-    def _parse(self, body: dict, wall_time_ms: int, attempts: int) -> ChatResponse:
-        try:
-            text = body["choices"][0]["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError):
-            raise TransportError(f"malformed completion body: {str(body)[:300]}")
-        usage_block = body.get("usage")
-        if not usage_block:
-            raise UsageMissingError("endpoint returned no usage block")
-        prompt_tokens = int(usage_block.get("prompt_tokens", 0))
-        generated_tokens = int(usage_block.get("completion_tokens", 0))
-        details = usage_block.get("prompt_tokens_details") or {}
-        cached_tokens = int(details.get("cached_tokens", 0) or 0)
-        usage = TokenUsage(prompt_tokens, min(cached_tokens, prompt_tokens), generated_tokens)
-        logger.info(
-            "chat call to %s completed in %d ms after %d attempt(s): %d prompt / %d generated tokens",
-            self.base_url,
-            wall_time_ms,
-            attempts,
-            prompt_tokens,
-            generated_tokens,
-        )
-        return ChatResponse(text, usage, wall_time_ms)
 
     def count_tokens(self, text: str) -> Optional[int]:
         return None
-
-
-def complete(backend, request: ChatRequest) -> ChatResponse:
-    """Uniform entry point over any backend object with a complete method."""
-    return backend.complete(request)

@@ -28,8 +28,7 @@ import csv
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
-from decimal import Decimal
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -49,36 +48,6 @@ EXIT_RUNTIME = 2
 
 def _condition_dir(cfg: ExperimentConfig, verify_interval: int) -> Path:
     return cfg.output / f"{cfg.run.architecture}-tv{verify_interval}"
-
-
-def _record_performance(record: TrajectoryRecord) -> float:
-    if record.score is not None:
-        return record.score
-    if record.success is not None:
-        return 1.0 if record.success else 0.0
-    return 0.0
-
-
-def _label_records(records: Sequence[TrajectoryRecord]) -> dict:
-    """Summary statistics over one condition's records."""
-    n = len(records)
-    total_cost = sum((r.totals.cost_usd for r in records), Decimal(0))
-    total_energy = sum(r.totals.energy_joules for r in records)
-    mean_kv = sum(r.totals.max_kv_bytes for r in records) / n if n else 0.0
-    scored = [r for r in records if r.score is not None]
-    labeled = [r for r in records if r.success is not None]
-    mean_score = sum(r.score for r in scored) / len(scored) if scored else 0.0
-    success_rate = (
-        sum(1 for r in labeled if r.success) / len(labeled) if labeled else 0.0
-    )
-    return {
-        "tasks": n,
-        "mean_score": mean_score,
-        "success_rate": success_rate,
-        "total_cost_usd": total_cost,
-        "total_energy_joules": total_energy,
-        "mean_max_kv_bytes": mean_kv,
-    }
 
 
 def execute_condition(cfg: ExperimentConfig, verify_interval: int) -> dict:
@@ -133,21 +102,20 @@ def execute_condition(cfg: ExperimentConfig, verify_interval: int) -> dict:
     new_records = [results[task.id] for task in pending]
     write_trajectories(log_path, new_records, append=bool(existing))
 
-    summary = _label_records(existing + new_records)
-    summary.update(
+    return dict(
+        asdict(analysis.condition_stats(existing + new_records)),
         architecture=cfg.run.architecture,
         verify_interval=verify_interval,
         log_path=str(log_path),
         new_tasks=len(new_records),
     )
-    return summary
 
 
 def _print_summary(summary: dict) -> None:
     print(
         "run architecture={architecture} verify_interval={verify_interval} "
-        "tasks={tasks} mean_score={mean_score:.4f} success_rate={success_rate:.4f} "
-        "total_cost_usd={total_cost_usd} total_energy_joules={total_energy_joules:.6g} "
+        "tasks={records} mean_score={mean_score:.4f} success_rate={success_rate:.4f} "
+        "total_cost_usd={cost_usd} total_energy_joules={energy_joules:.6g} "
         "mean_max_kv_bytes={mean_max_kv_bytes:.6g} out={log_path}".format(**summary)
     )
 
@@ -202,8 +170,8 @@ def cmd_sweep(args) -> int:
                         row["architecture"],
                         row["verify_interval"],
                         row["mean_score"],
-                        row["total_cost_usd"],
-                        row["total_energy_joules"],
+                        row["cost_usd"],
+                        row["energy_joules"],
                     ]
                 )
         print(f"sweep points written to {points_path}")
@@ -253,12 +221,9 @@ def _write_frontier(labeled: dict, axis: str, path: Path) -> None:
     for label, records in labeled.items():
         if not records:
             continue
-        if axis == "cost":
-            cost = float(sum((r.totals.cost_usd for r in records), Decimal(0)))
-        else:
-            cost = sum(r.totals.energy_joules for r in records)
-        performance = sum(_record_performance(r) for r in records) / len(records)
-        points.append(analysis.ConfigPoint(label, cost, performance))
+        stats = analysis.condition_stats(records)
+        cost = float(stats.cost_usd) if axis == "cost" else stats.energy_joules
+        points.append(analysis.ConfigPoint(label, cost, stats.performance))
     frontier = analysis.pareto_frontier(points)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -354,21 +319,16 @@ def _write_kv_growth(labeled: dict, path: Path) -> None:
         for label, records in labeled.items():
             if not records:
                 continue
-            n = len(records)
-            labeled_records = [r for r in records if r.success is not None]
+            stats = analysis.condition_stats(records)
             writer.writerow(
                 [
                     label,
                     records[0].architecture,
-                    n,
-                    (
-                        sum(1 for r in labeled_records if r.success) / len(labeled_records)
-                        if labeled_records
-                        else 0.0
-                    ),
-                    sum(r.totals.max_context_tokens for r in records) / n,
-                    sum(r.totals.max_kv_bytes for r in records) / n,
-                    max(r.totals.max_kv_bytes for r in records),
+                    stats.records,
+                    stats.success_rate,
+                    stats.mean_max_context_tokens,
+                    stats.mean_max_kv_bytes,
+                    stats.max_max_kv_bytes,
                 ]
             )
     print(f"kv growth written to {path}")

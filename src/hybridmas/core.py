@@ -8,9 +8,19 @@ silently clamped one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from decimal import Decimal
-from typing import Iterable, Optional, Union
+from functools import lru_cache
+from typing import (
+    Callable,
+    ClassVar,
+    Iterable,
+    Optional,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 ARCHITECTURES = (
     "monolithic",
@@ -144,11 +154,12 @@ class Plan:
 
 @dataclass(frozen=True)
 class ReplanHandoff:
-    """Intervention payload for plan-based supervision: replacement plan
-    plus the tool-call memory log re-seeded into the executor."""
+    """Intervention payload for plan-based supervision: the replacement
+    plan. The executor is re-seeded with it and with the tool-call memory,
+    which is derived from the trajectory's turns and not stored here."""
 
+    kind: ClassVar[str] = "replan"
     replan: Plan
-    memory: str = ""
 
 
 @dataclass(frozen=True)
@@ -156,16 +167,19 @@ class AdviceHandoff:
     """Intervention payload for query-based supervision: summary of
     completed work plus advisory guidance."""
 
+    kind: ClassVar[str] = "advice"
     summary: str
     advice: str
 
 
 @dataclass(frozen=True)
 class AdviceMemoryHandoff:
-    """Summary-free intervention payload: verbatim tool-call log stands in
-    for the summary (no-summary ablation only)."""
+    """Summary-free intervention payload (no-summary ablation only): the
+    advice. The verbatim tool-call memory stands in for the summary when
+    the executor is re-seeded; it is derived from the trajectory's turns
+    and not stored here."""
 
-    memory: str
+    kind: ClassVar[str] = "advice_memory"
     advice: str
 
 
@@ -392,162 +406,80 @@ class TrajectoryRecord:
 # --- JSONL serialization -------------------------------------------------
 #
 # One JSON object per line, lowercase snake-case keys, append-only files.
-# cost_usd is stored as a decimal string so re-summing stays exact.
+# The dataclass declarations above are the format: every field is written
+# under its own name in declaration order, a Decimal as a string (so
+# cost_usd re-sums exactly), and a handoff payload starts with its "kind".
+# Reading requires every declared key, ignores unknown ones and constructs
+# each dataclass, so its __post_init__ validation runs.
 
 
-def _usage_to_dict(usage: TokenUsage) -> dict:
-    return {
-        "prompt_tokens": usage.prompt_tokens,
-        "cached_tokens": usage.cached_tokens,
-        "generated_tokens": usage.generated_tokens,
-    }
+@lru_cache(maxsize=None)
+def _codec(tp) -> Optional[tuple[Callable, Callable]]:
+    """(encode, decode) for values declared as tp; None where the JSON
+    value is the value itself."""
+    if tp is Decimal:
+        return str, Decimal
+    args = get_args(tp)
+    if get_origin(tp) is list:
+        item = _codec(args[0])
+        if item is None:
+            return list, list
+        enc, dec = item
+        return (lambda v: [enc(x) for x in v]), (lambda v: [dec(x) for x in v])
+    if get_origin(tp) is Union:
+        members = [a for a in args if a is not type(None)]
+        if len(members) == 1:
+            inner = _codec(members[0])
+        else:
+            by_type = {m: _codec(m) for m in members}
+            by_kind = {m.kind: codec for m, codec in by_type.items()}
+            inner = (
+                lambda v: by_type[type(v)][0](v),
+                lambda v: by_kind[v["kind"]][1](v),
+            )
+        if inner is None:
+            return None
+        enc, dec = inner
+        return (
+            lambda v: None if v is None else enc(v),
+            lambda v: None if v is None else dec(v),
+        )
+    if is_dataclass(tp):
+        return _dataclass_codec(tp)
+    return None
 
 
-def _usage_from_dict(d: dict) -> TokenUsage:
-    return TokenUsage(d["prompt_tokens"], d["cached_tokens"], d["generated_tokens"])
-
-
-def _payload_to_dict(payload: Optional[Handoff]) -> Optional[dict]:
-    if payload is None:
-        return None
-    if isinstance(payload, ReplanHandoff):
-        return {
-            "kind": "replan",
-            "replan": {
-                "text": payload.replan.text,
-                "origin": payload.replan.origin,
-                "replan_turn": payload.replan.replan_turn,
-            },
-            "memory": payload.memory,
-        }
-    if isinstance(payload, AdviceHandoff):
-        return {"kind": "advice", "summary": payload.summary, "advice": payload.advice}
-    return {"kind": "advice_memory", "memory": payload.memory, "advice": payload.advice}
-
-
-def _payload_from_dict(d: Optional[dict]) -> Optional[Handoff]:
-    if d is None:
-        return None
-    kind = d["kind"]
-    if kind == "replan":
-        plan = Plan(d["replan"]["text"], d["replan"]["origin"], d["replan"]["replan_turn"])
-        return ReplanHandoff(plan, d["memory"])
-    if kind == "advice":
-        return AdviceHandoff(d["summary"], d["advice"])
-    if kind == "advice_memory":
-        return AdviceMemoryHandoff(d["memory"], d["advice"])
-    raise ValueError(f"unknown handoff kind {kind!r}")
+def _dataclass_codec(cls) -> tuple[Callable, Callable]:
+    """Encode and decode functions generated from the field list, shaped
+    like hand-written ones: one dict display and one constructor call, so
+    a record costs no more to convert than with field-by-field code."""
+    hints = get_type_hints(cls)
+    namespace = {"cls": cls}
+    items = [f'"kind": {cls.kind!r}'] if hasattr(cls, "kind") else []
+    args = []
+    for f in fields(cls):
+        codec = _codec(hints[f.name])
+        if codec is None:
+            items.append(f"{f.name!r}: obj.{f.name}")
+            args.append(f"data[{f.name!r}]")
+        else:
+            namespace[f"encode_{f.name}"], namespace[f"decode_{f.name}"] = codec
+            items.append(f"{f.name!r}: encode_{f.name}(obj.{f.name})")
+            args.append(f"decode_{f.name}(data[{f.name!r}])")
+    exec(
+        f"def encode(obj): return {{{', '.join(items)}}}\n"
+        f"def decode(data): return cls({', '.join(args)})",
+        namespace,
+    )
+    return namespace["encode"], namespace["decode"]
 
 
 def record_to_dict(record: TrajectoryRecord) -> dict:
-    return {
-        "task_id": record.task_id,
-        "architecture": record.architecture,
-        "config_digest": record.config_digest,
-        "turns": [
-            {
-                "t": turn.t,
-                "reasoning": turn.reasoning,
-                "action": (
-                    {"tool": turn.action.tool, "argument": turn.action.argument}
-                    if turn.action is not None
-                    else None
-                ),
-                "observation": turn.observation,
-                "usage": _usage_to_dict(turn.usage),
-                "wall_time_ms": turn.wall_time_ms,
-            }
-            for turn in record.turns
-        ],
-        "supervisor_calls": [
-            {
-                "at_turn": call.at_turn,
-                "decision": {
-                    "verdict": call.decision.verdict,
-                    "payload": _payload_to_dict(call.decision.payload),
-                    "raw_text": call.decision.raw_text,
-                },
-                "usage": _usage_to_dict(call.usage),
-                "applied": call.applied,
-            }
-            for call in record.supervisor_calls
-        ],
-        "initial_plan": (
-            {
-                "text": record.initial_plan.text,
-                "usage": _usage_to_dict(record.initial_plan.usage),
-            }
-            if record.initial_plan is not None
-            else None
-        ),
-        "resets": list(record.resets),
-        "final_answer": record.final_answer,
-        "termination": record.termination,
-        "success": record.success,
-        "score": record.score,
-        "totals": {
-            "cost_usd": str(record.totals.cost_usd),
-            "energy_joules": record.totals.energy_joules,
-            "max_context_tokens": record.totals.max_context_tokens,
-            "max_kv_bytes": record.totals.max_kv_bytes,
-        },
-    }
+    return _codec(TrajectoryRecord)[0](record)
 
 
 def record_from_dict(d: dict) -> TrajectoryRecord:
-    turns = [
-        TurnRecord(
-            t=td["t"],
-            reasoning=td["reasoning"],
-            action=(
-                ToolCall(td["action"]["tool"], td["action"]["argument"])
-                if td["action"] is not None
-                else None
-            ),
-            observation=td["observation"],
-            usage=_usage_from_dict(td["usage"]),
-            wall_time_ms=td["wall_time_ms"],
-        )
-        for td in d["turns"]
-    ]
-    calls = [
-        SupervisorCallRecord(
-            at_turn=cd["at_turn"],
-            decision=VerifierDecision(
-                cd["decision"]["verdict"],
-                _payload_from_dict(cd["decision"]["payload"]),
-                cd["decision"]["raw_text"],
-            ),
-            usage=_usage_from_dict(cd["usage"]),
-            applied=cd["applied"],
-        )
-        for cd in d["supervisor_calls"]
-    ]
-    initial_plan = None
-    if d.get("initial_plan") is not None:
-        initial_plan = InitialPlanRecord(
-            d["initial_plan"]["text"], _usage_from_dict(d["initial_plan"]["usage"])
-        )
-    totals = TrajectoryTotals(
-        cost_usd=Decimal(d["totals"]["cost_usd"]),
-        energy_joules=d["totals"]["energy_joules"],
-        max_context_tokens=d["totals"]["max_context_tokens"],
-        max_kv_bytes=d["totals"]["max_kv_bytes"],
-    )
-    return TrajectoryRecord(
-        task_id=d["task_id"],
-        architecture=d["architecture"],
-        config_digest=d["config_digest"],
-        turns=turns,
-        supervisor_calls=calls,
-        initial_plan=initial_plan,
-        resets=list(d["resets"]),
-        final_answer=d["final_answer"],
-        termination=d["termination"],
-        success=d["success"],
-        score=d.get("score"),
-        totals=totals,
-    )
+    return _codec(TrajectoryRecord)[1](d)
 
 
 def record_to_json_line(record: TrajectoryRecord) -> str:

@@ -15,10 +15,11 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict
+from functools import partial
 from typing import Optional
 
 from . import accounting
-from .backends import BackendError, ChatMessage, ChatRequest, ChatResponse
+from .backends import BackendError, ChatResponse, user_request
 from .core import (
     CONTINUE,
     INTERVENE,
@@ -125,6 +126,12 @@ class _Episode:
         )
         if self.family != "monolithic" and supervisor_backend is None:
             raise ValueError(f"{config.architecture} requires a supervisor backend")
+        self._request = partial(
+            user_request,
+            temperature=config.sampling.temperature,
+            max_generated_tokens=config.sampling.max_generated_tokens,
+            seed=config.seed,
+        )
         self.audit = config.is_audit
         self.nosummary = config.architecture == "eva_nosummary"
         self.plan: Optional[Plan] = None
@@ -136,15 +143,6 @@ class _Episode:
         )
 
     # -- helpers ----------------------------------------------------------
-
-    def _request(self, content: str) -> ChatRequest:
-        sampling = self.config.sampling
-        return ChatRequest(
-            [ChatMessage("user", content)],
-            temperature=sampling.temperature,
-            max_generated_tokens=sampling.max_generated_tokens,
-            seed=self.config.seed,
-        )
 
     def _count_tokens(self, text: str) -> int:
         counter = getattr(self.executor, "count_tokens", None)
@@ -316,9 +314,7 @@ class _Episode:
         memory_text = self._memory_text()
         if self.family == "pevr":
             new_plan = Plan(decision.payload.replan.text, origin="replan", replan_turn=t)
-            recorded = VerifierDecision(
-                INTERVENE, ReplanHandoff(new_plan, memory_text), decision.raw_text
-            )
+            recorded = VerifierDecision(INTERVENE, ReplanHandoff(new_plan), decision.raw_text)
             seed = render(
                 "replan_resume",
                 {
@@ -332,9 +328,8 @@ class _Episode:
             advice = decision.payload.advice
             if self.nosummary:
                 summary_binding = memory_text
-                recorded = VerifierDecision(
-                    INTERVENE, AdviceMemoryHandoff(memory_text, advice), decision.raw_text
-                )
+                payload = AdviceMemoryHandoff(advice)
+                recorded = VerifierDecision(INTERVENE, payload, decision.raw_text)
             else:
                 summary_binding = decision.payload.summary
                 recorded = decision
@@ -404,27 +399,3 @@ def run_trajectory(
     if env is None:
         raise ValueError("an environment is required")
     return _Episode(task, config, executor_backend, supervisor_backend, env).run()
-
-
-def run_monolithic(task, config, backend, env) -> TrajectoryRecord:
-    if config.architecture != "monolithic":
-        raise ValueError("run_monolithic requires architecture=monolithic")
-    return run_trajectory(task, config, backend, None, env)
-
-
-def run_pevr(task, config, executor_backend, supervisor_backend, env) -> TrajectoryRecord:
-    if config.architecture != "pevr":
-        raise ValueError("run_pevr requires architecture=pevr")
-    return run_trajectory(task, config, executor_backend, supervisor_backend, env)
-
-
-def run_eva(task, config, executor_backend, supervisor_backend, env) -> TrajectoryRecord:
-    if config.architecture not in ("eva", "eva_nosummary"):
-        raise ValueError("run_eva requires architecture=eva or eva_nosummary")
-    return run_trajectory(task, config, executor_backend, supervisor_backend, env)
-
-
-def run_audit(task, config, executor_backend, supervisor_backend, env) -> TrajectoryRecord:
-    if not config.is_audit:
-        raise ValueError("run_audit requires an audit architecture")
-    return run_trajectory(task, config, executor_backend, supervisor_backend, env)

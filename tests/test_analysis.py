@@ -1,6 +1,7 @@
 """Scoring, Pareto filtering, and the audit statistics."""
 
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hybridmas.analysis import (
     ConfigPoint,
     NoGoldError,
     NonAuditRecordError,
+    condition_stats,
     exact_match,
     intervention_histogram,
     normalize_answer,
@@ -26,6 +28,7 @@ from hybridmas.core import (
     SupervisorCallRecord,
     TokenUsage,
     TrajectoryRecord,
+    TrajectoryTotals,
     VerifierDecision,
 )
 
@@ -143,6 +146,44 @@ class TestTaskSuccess:
         bad = TrajectoryRecord("t", "monolithic", "d")
         bad.termination = "backend_error"
         assert trajectory_score("fanoutqa", bad, ["x"]) == 0.0
+
+
+def stats_record(success, score, cost, context, kv):
+    return TrajectoryRecord(
+        "t", "eva", "d", success=success, score=score,
+        totals=TrajectoryTotals(Decimal(cost), 0.5, context, kv),
+    )
+
+
+class TestConditionStats:
+    def test_mean_score_and_performance_differ_on_unscored_records(self):
+        records = [
+            stats_record(True, 0.6, "0.10", 100, 1000),
+            stats_record(False, None, "0.05", 300, 3000),
+            stats_record(None, None, "0.01", 200, 2000),
+        ]
+        stats = condition_stats(records)
+        assert stats.records == 3
+        assert stats.mean_score == 0.6  # scored records only
+        assert stats.performance == pytest.approx((0.6 + 0.0 + 0.0) / 3)  # every record
+        assert stats.success_rate == 0.5  # labeled records only
+        assert stats.cost_usd == Decimal("0.16")
+        assert stats.energy_joules == 1.5
+        assert stats.mean_max_context_tokens == 200.0
+        assert stats.mean_max_kv_bytes == 2000.0
+        assert stats.max_max_kv_bytes == 3000
+
+    def test_success_counts_when_no_score(self):
+        stats = condition_stats([stats_record(True, None, "0", 0, 0)])
+        assert stats.performance == 1.0
+        assert stats.mean_score == 0.0
+
+    def test_empty(self):
+        stats = condition_stats([])
+        assert stats.records == 0
+        assert stats.mean_score == stats.success_rate == stats.performance == 0.0
+        assert stats.cost_usd == Decimal(0)
+        assert stats.max_max_kv_bytes == 0
 
 
 def brute_force_frontier(points):

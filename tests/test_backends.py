@@ -226,6 +226,42 @@ class TestHttpBackend:
             backend.complete(user_request("hi"))
         assert mock_server.hits == 3
 
+    def test_body_without_choices_is_retried_as_transport_error(self, mock_server):
+        mock_server.plan = [(200, {"error": "overloaded"}), (200, _ok_body())]
+        backend = _backend(mock_server)
+        response = backend.complete(user_request("hi"))
+        assert response.text == "hello"
+        assert mock_server.hits == 2
+        assert backend.attempts_logged == 2
+
+    def test_body_without_choices_exhausts_retries(self, mock_server):
+        mock_server.plan = [(200, {"error": "overloaded"})]
+        backend = _backend(mock_server, max_retries=2)
+        with pytest.raises(TransportError):
+            backend.complete(user_request("hi"))
+        assert mock_server.hits == 3
+
+    @pytest.mark.parametrize(
+        "usage",
+        [
+            [1],
+            "12 tokens",
+            {"prompt_tokens": None, "completion_tokens": 3},
+            {"prompt_tokens": 12, "completion_tokens": -1},
+            {"prompt_tokens": 12.5, "completion_tokens": 3},
+            {"prompt_tokens": True, "completion_tokens": 3},
+            {"prompt_tokens": 12, "completion_tokens": 3, "prompt_tokens_details": [1]},
+            {"prompt_tokens": 12, "completion_tokens": 3,
+             "prompt_tokens_details": {"cached_tokens": "4"}},
+        ],
+    )
+    def test_malformed_usage_is_not_retried(self, mock_server, usage):
+        mock_server.plan = [(200, {"choices": [{"message": {"content": "x"}}], "usage": usage})]
+        backend = _backend(mock_server)
+        with pytest.raises(UsageMissingError):
+            backend.complete(user_request("hi"))
+        assert mock_server.hits == 1
+
     def test_concurrent_calls_count_every_attempt(self, mock_server):
         mock_server.plan = [(200, _ok_body())]
         backend = _backend(mock_server)

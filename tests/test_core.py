@@ -152,7 +152,7 @@ def make_full_record() -> TrajectoryRecord:
         supervisor_calls=[
             SupervisorCallRecord(
                 2,
-                VerifierDecision("intervene", ReplanHandoff(plan, "Tool call: search[x]"), "raw"),
+                VerifierDecision("intervene", ReplanHandoff(plan), "raw"),
                 TokenUsage(40, 10, 8),
                 True,
             ),
@@ -191,9 +191,7 @@ class TestSerialization:
             ),
             SupervisorCallRecord(
                 4,
-                VerifierDecision(
-                    "intervene", AdviceMemoryHandoff("Tool call: a[b]", "adv"), "raw"
-                ),
+                VerifierDecision("intervene", AdviceMemoryHandoff("adv"), "raw"),
                 TokenUsage(5, 0, 5),
                 False,
             ),

@@ -1,0 +1,119 @@
+"""Golden scripted logs: every architecture run through ``hybridmas run``
+on the scenario in tests/data/golden/, pinned in the current log format
+(logs/) and in the earlier format that stored each intervention's
+tool-call memory (logs_with_memory/), plus the run summaries and report
+CSVs computed from them."""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+from hybridmas.cli import main
+from hybridmas.core import read_trajectories, record_from_dict, record_to_json_line
+from hybridmas.prompting import format_memory
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+ARCHITECTURES = ("monolithic", "pevr", "eva", "eva_nosummary", "pevr_audit", "eva_audit")
+LOG_FORMS = ("logs", "logs_with_memory")
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_run_writes_the_golden_log(architecture, tmp_path, capsys):
+    config = GOLDEN / f"{architecture}.yaml"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    written = tmp_path / f"{architecture}-tv2" / "trajectories.jsonl"
+    assert written.read_bytes() == (GOLDEN / "logs" / f"{architecture}.jsonl").read_bytes()
+    summary = capsys.readouterr().out.strip().rsplit(" out=", 1)[0]
+    assert summary in (GOLDEN / "reports" / "run.txt").read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_stored_memory_log_reencodes_to_the_current_log(architecture):
+    records = read_trajectories(GOLDEN / "logs_with_memory" / f"{architecture}.jsonl")
+    encoded = "".join(record_to_json_line(record) + "\n" for record in records)
+    current = (GOLDEN / "logs" / f"{architecture}.jsonl").read_text(encoding="utf-8")
+    assert encoded == current
+
+
+def test_stored_memory_equals_the_memory_derived_from_turns():
+    checked = 0
+    for architecture in ARCHITECTURES:
+        path = GOLDEN / "logs_with_memory" / f"{architecture}.jsonl"
+        for line in path.read_text(encoding="utf-8").splitlines():
+            data = json.loads(line)
+            record = record_from_dict(data)
+            for call in data["supervisor_calls"]:
+                memory = (call["decision"]["payload"] or {}).get("memory")
+                if memory:
+                    derived = format_memory([t for t in record.turns if t.t <= call["at_turn"]])
+                    assert memory == derived
+                    checked += 1
+    assert checked == 4  # pevr and eva_nosummary: one applied, one refused by the cap
+
+
+def _key_paths(value, path=()):
+    """Every key path of a JSON value; list items are followed through their first element."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from _key_paths(item, path + (key,))
+    elif isinstance(value, list) and value:
+        yield from _key_paths(value[0], path + (0,))
+
+
+def _golden_line(architecture: str, task_id: str) -> dict:
+    path = GOLDEN / "logs" / f"{architecture}.jsonl"
+    for line in path.read_text(encoding="utf-8").splitlines():
+        data = json.loads(line)
+        if data["task_id"] == task_id:
+            return data
+    raise LookupError(task_id)
+
+
+# Lines whose applied interventions carry each payload kind.
+@pytest.mark.parametrize("architecture", ["pevr", "eva", "eva_nosummary"])
+def test_every_missing_key_is_a_malformed_line(architecture, tmp_path):
+    data = _golden_line(architecture, "louvre")
+    good = json.dumps(data)
+    paths = list(_key_paths(data))
+    assert ("supervisor_calls", 0, "decision", "payload", "kind") in paths
+    for path in paths:
+        broken = copy.deepcopy(data)
+        parent = broken
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        log = tmp_path / "trajectories.jsonl"
+        log.write_text(good + "\n" + json.dumps(broken) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: malformed trajectory record"):
+            read_trajectories(log)
+
+
+def test_unknown_keys_are_ignored(tmp_path):
+    data = _golden_line("pevr", "louvre")
+    data["schema"] = 2
+    data["supervisor_calls"][0]["decision"]["payload"]["memory"] = "Tool call: x[y]"
+    log = tmp_path / "trajectories.jsonl"
+    log.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    assert read_trajectories(log) == read_trajectories(GOLDEN / "logs" / "pevr.jsonl")[:1]
+
+
+REPORTS = [
+    (["--frontier", "--histogram", "--kv-growth"], ARCHITECTURES,
+     {"frontier.csv": "frontier.csv", "histogram.csv": "histogram.csv",
+      "kv_growth.csv": "kv_growth.csv"}),
+    (["--frontier", "--axis", "energy"], ARCHITECTURES, {"frontier.csv": "frontier_energy.csv"}),
+    (["--confusion"], ("pevr_audit", "eva_audit"), {"confusion.csv": "confusion.csv"}),
+    (["--overlap"], ("monolithic", "pevr", "eva"), {"overlap.csv": "overlap.csv"}),
+]
+
+
+@pytest.mark.parametrize("form", LOG_FORMS)
+@pytest.mark.parametrize("flags,architectures,outputs", REPORTS)
+def test_report_csvs_match_the_golden_reports(form, flags, architectures, outputs, tmp_path):
+    logs = [str(GOLDEN / form / f"{architecture}.jsonl") for architecture in architectures]
+    assert main(["report", *logs, *flags, "--out", str(tmp_path)]) == 0
+    for written, golden in outputs.items():
+        assert (tmp_path / written).read_bytes() == (GOLDEN / "reports" / golden).read_bytes()

