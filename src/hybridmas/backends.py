@@ -120,8 +120,13 @@ class ScriptedBackend:
 
     Each complete() consumes the first unconsumed entry whose match (if
     any) occurs in the concatenated request text. Usage is synthesized as
-    whitespace-token counts; wall time is always 0 so logs stay
-    byte-reproducible. Consumption is serialized by an internal lock.
+    whitespace-token counts: prompt_tokens is len(text.split()) of the
+    concatenated request. It is counted per blank-line paragraph with a
+    cache that lives as long as the backend, so text repeated across calls
+    (contexts resent on every turn) is counted once; no token spans the
+    "\n\n" separator, so the sum is exact. Wall time is always 0 so logs
+    stay byte-reproducible. Consumption and the cache are serialized by an
+    internal lock.
     """
 
     def __init__(self, script: Sequence[ScriptEntry | dict | str]):
@@ -137,22 +142,39 @@ class ScriptedBackend:
             raise ValueError("script must be non-empty")
         self._entries = entries
         self._consumed = [False] * len(entries)
+        self._first = 0  # index of the first unconsumed entry
+        self._paragraph_tokens: dict[str, int] = {}
         self._lock = threading.Lock()
         self.requests: list[str] = []
+
+    def _tokens(self, text: str) -> int:
+        """whitespace_token_count(text), summed over the cached counts of
+        its "\n\n"-separated paragraphs. Call with the lock held."""
+        cache = self._paragraph_tokens
+        total = 0
+        for paragraph in text.split("\n\n"):
+            count = cache.get(paragraph)
+            if count is None:
+                count = cache[paragraph] = len(paragraph.split())
+            total += count
+        return total
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         text = request.concatenated_content()
         with self._lock:
             self.requests.append(text)
-            if all(self._consumed):
+            if self._first == len(self._entries):
                 raise ScriptExhaustedError("script exhausted")
-            for i, entry in enumerate(self._entries):
+            for i in range(self._first, len(self._entries)):
+                entry = self._entries[i]
                 if self._consumed[i]:
                     continue
                 if entry.match is None or entry.match in text:
                     self._consumed[i] = True
+                    while self._first < len(self._entries) and self._consumed[self._first]:
+                        self._first += 1
                     usage = TokenUsage(
-                        prompt_tokens=whitespace_token_count(text),
+                        prompt_tokens=self._tokens(text),
                         cached_tokens=0,
                         generated_tokens=whitespace_token_count(entry.response),
                     )
@@ -160,7 +182,8 @@ class ScriptedBackend:
             raise NoMatchingEntryError("no unconsumed entry matches the request")
 
     def count_tokens(self, text: str) -> Optional[int]:
-        return whitespace_token_count(text)
+        with self._lock:
+            return self._tokens(text)
 
     @property
     def remaining(self) -> int:
@@ -170,17 +193,19 @@ class ScriptedBackend:
 
 def _parse_usage(block) -> TokenUsage:
     """Token counts from a chat-completions usage block, with cached tokens
-    capped at the prompt. A block that is absent, not a mapping, or holds
-    a count that is not a non-negative integer raises UsageMissingError."""
+    capped at the prompt. A block that is absent, not a mapping, lacks
+    prompt_tokens or completion_tokens, or holds a count that is not a
+    non-negative integer raises UsageMissingError; absent cached-token
+    details mean 0 cached tokens."""
     if not block:
         raise UsageMissingError("endpoint returned no usage block")
     malformed = UsageMissingError(f"malformed usage block: {str(block)[:300]}")
     try:
         details = block.get("prompt_tokens_details") or {}
         counts = (
-            block.get("prompt_tokens", 0),
+            block.get("prompt_tokens"),
             details.get("cached_tokens") or 0,
-            block.get("completion_tokens", 0),
+            block.get("completion_tokens"),
         )
     except AttributeError:  # the block or its details is not a mapping
         raise malformed from None

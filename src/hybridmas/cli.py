@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 
 Output layout: <output>/<architecture>-tv<interval>/trajectories.jsonl.
 Re-running a condition skips task ids already present in its log, so
-interrupted batches are resumable.
+interrupted batches are resumable; a torn final line (a kill mid-write) is
+dropped with a warning and its task reruns.
 
 Report CSVs (stable column names):
     frontier.csv    label,axis,cost,performance        (Pareto-filtered)
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
@@ -50,6 +52,22 @@ def _condition_dir(cfg: ExperimentConfig, verify_interval: int) -> Path:
     return cfg.output / f"{cfg.run.architecture}-tv{verify_interval}"
 
 
+def _drop_torn_tail(path: Path) -> None:
+    """Truncate a log whose final line was cut short (the process was killed
+    mid-write) back to its last complete line, so that the task reruns."""
+    with open(path, "rb+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        keep = fh.read().rfind(b"\n") + 1
+        fh.truncate(keep)
+    logger.warning("%s: dropped %d bytes of a torn final line", path, size - keep)
+
+
 def execute_condition(cfg: ExperimentConfig, verify_interval: int) -> dict:
     """Run every pending task for one (architecture, interval) condition
     and append the trajectories to its log. Returns summary stats over the
@@ -72,7 +90,10 @@ def execute_condition(cfg: ExperimentConfig, verify_interval: int) -> dict:
     out_dir = _condition_dir(cfg, verify_interval)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "trajectories.jsonl"
-    existing = read_trajectories(log_path) if log_path.exists() else []
+    existing = []
+    if log_path.exists():
+        _drop_torn_tail(log_path)
+        existing = read_trajectories(log_path)
     done_ids = {record.task_id for record in existing}
     pending = [task for task in tasks if task.id not in done_ids]
 

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hybridmas.backends import (
     ChatMessage,
@@ -85,6 +86,98 @@ class TestScriptedBackend:
         backend = ScriptedBackend(["x"])
         text = "alpha beta  gamma\ndelta"
         assert backend.count_tokens(text) == whitespace_token_count(text) == 4
+
+
+# --- scripted backend against reference implementations -------------------
+
+# Tokens with inner dots and non-ASCII letters; gaps with the non-ASCII
+# whitespace that split() honours; separators that make, surround or
+# extend the "\n\n" the cache splits on.
+_TOKENS = ["alpha", "beta", "U.S.A", "3.5", "caf\u00e9", "it\u2019s", "\u2013", "ab", "xy"]
+_GAPS = st.sampled_from([" ", "  ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u3000"])
+_SEPARATORS = st.sampled_from(["\n", "\n\n", "\n\n\n", "\n\n\n\n", " \n\n", "\n\n ", " \n\n\t"])
+
+
+@st.composite
+def _paragraphs(draw):
+    paragraph = draw(st.sampled_from(["", " ", "\u3000"]))
+    for token in draw(st.lists(st.sampled_from(_TOKENS), max_size=4)):
+        paragraph += token + draw(_GAPS)
+    return paragraph
+
+
+@st.composite
+def _call_texts(draw):
+    """Texts drawn from one small pool of paragraphs, so that paragraphs
+    recur across calls, alone or glued to different neighbours."""
+    pool = draw(st.lists(_paragraphs(), min_size=1, max_size=6))
+    texts = []
+    for _ in range(draw(st.integers(1, 8))):
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+        text = picks[0]
+        for paragraph in picks[1:]:
+            text += draw(_SEPARATORS) + paragraph
+        texts.append(text)
+    return texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_call_texts())
+@example(["alpha beta", "xy\nalpha beta", "alpha beta\n\nxy"])
+@example(["ab xy", "alpha", "ab xy\n\nalpha"])
+@example(["ab", "xy", "U.S.A\n\n\n\xa0caf\u00e9\x85\n\n", "\n\n", ""])
+def test_scripted_usage_equals_whitespace_split(texts):
+    backend = ScriptedBackend(["r"] * len(texts))
+    for text in texts:
+        assert backend.count_tokens(text) == len(text.split())
+        assert backend.complete(user_request(text)).usage.prompt_tokens == len(text.split())
+    assert backend.requests == texts
+
+
+class ReferenceScript:
+    """The all() check plus the scan from entry 0 that the cursor replaced."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.consumed = [False] * len(entries)
+
+    def complete(self, text):
+        if all(self.consumed):
+            raise ScriptExhaustedError("script exhausted")
+        for i, entry in enumerate(self.entries):
+            if self.consumed[i]:
+                continue
+            if entry.match is None or entry.match in text:
+                self.consumed[i] = True
+                return entry.response
+        raise NoMatchingEntryError("no unconsumed entry matches the request")
+
+    @property
+    def remaining(self):
+        return self.consumed.count(False)
+
+
+def _outcome(complete, text):
+    try:
+        return complete(text)
+    except (ScriptExhaustedError, NoMatchingEntryError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([None, "a", "b", "c"]), min_size=1, max_size=10),
+    st.lists(st.sets(st.sampled_from("abc")).map("".join), max_size=14),
+)
+@example(["a", None, "a"], ["x", "a", "a", "a"])
+@example([None, "b"], ["a", "b", "b"])
+def test_scripted_consumption_matches_linear_scan(matches, texts):
+    entries = [ScriptEntry(f"r{i}", match) for i, match in enumerate(matches)]
+    backend, reference = ScriptedBackend(entries), ReferenceScript(entries)
+    for text in texts:
+        got = _outcome(lambda t: backend.complete(user_request(t)).text, text)
+        assert got == _outcome(reference.complete, text)
+        assert backend.remaining == reference.remaining
 
 
 class TestChatRequest:
@@ -247,6 +340,8 @@ class TestHttpBackend:
             [1],
             "12 tokens",
             {"prompt_tokens": None, "completion_tokens": 3},
+            {"completion_tokens": 5},
+            {"prompt_tokens": 12},
             {"prompt_tokens": 12, "completion_tokens": -1},
             {"prompt_tokens": 12.5, "completion_tokens": 3},
             {"prompt_tokens": True, "completion_tokens": 3},

@@ -142,6 +142,26 @@ class TestCmdRun:
         records = read_trajectories(log)
         assert [r.task_id for r in records] == ["A", "B", "C"]
 
+    def test_resume_drops_a_torn_final_line(self, tmp_path, caplog):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        log = tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        torn = lines[2][: len(lines[2]) // 2]
+        log.write_text(lines[0] + lines[1] + torn, encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 0
+        assert [r.task_id for r in read_trajectories(log)] == ["A", "B", "C"]
+        assert f"dropped {len(torn.encode())} bytes" in caplog.text
+
+    def test_resume_still_rejects_a_malformed_complete_line(self, tmp_path):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        log = tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        log.write_text(lines[0] + lines[1][: len(lines[1]) // 2] + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 2
+        assert log.read_text(encoding="utf-8").count("\n") == 2
+
 
 def eva_sweep_config(tmp_path):
     executor_script = []

@@ -1,7 +1,8 @@
-"""Smoke test of the benchmark at its tiny size: one traced scripted
-workload through the real ``hybridmas run`` / ``report`` path, with
-interventions, the benchmark's output checks and every layer span it
-patches into the program. No timing bound."""
+"""Smoke tests of the benchmark at its tiny size, through the real
+``hybridmas run`` / ``report`` path and the benchmark's output checks: a
+traced scripted workload with interventions and every layer span it
+patches into the program, and the HTTP workload, whose calls go through
+``HttpChatBackend`` to the benchmark's loopback stub. No timing bound."""
 
 import json
 import subprocess
@@ -11,13 +12,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tiny_traced_long_horizon_run_passes_its_checks():
+def _run_tiny(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "long-horizon-scripted",
-         "--seed", "7", "--seconds", "1", "--trace", "1", "--size", "tiny"],
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "7", "--seconds", "1", "--trace", trace, "--size", "tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_tiny_traced_long_horizon_run_passes_its_checks():
+    _run_tiny("long-horizon-scripted", "1")
+
+
+def test_tiny_http_run_passes_its_checks():
+    _run_tiny("qa-http", "0")
