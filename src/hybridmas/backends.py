@@ -218,12 +218,21 @@ def _parse_usage(block) -> TokenUsage:
 class HttpChatBackend:
     """Client for a chat-completions endpoint.
 
-    The credential is read from the environment variable named in config
-    (never stored). Transport failures, including a 200 whose body is not
-    JSON or has no choices, are retried up to max_retries times with capped
-    exponential backoff; rejections (4xx) and malformed usage are not
-    retried. attempts_logged counts attempts across every thread that
-    shares the client.
+    Each thread that calls complete() keeps one requests.Session, and with
+    it one kept-alive connection to the endpoint, made at its first call.
+    That session reads the environment once, for the backend's one URL:
+    proxies (NO_PROXY honoured) and the REQUESTS_CA_BUNDLE / CURL_CA_BUNDLE
+    bundle; it then stops reading the environment, so later changes to
+    those variables do not apply to that thread, and ~/.netrc is never
+    consulted. The credential is read on each call from
+    the environment variable named in config (never stored) and is the only
+    source of the Authorization header.
+
+    Transport failures, including a 200 whose body is not JSON, has no
+    choices or has content that is neither a string nor null, are retried
+    up to max_retries times with capped exponential backoff; rejections
+    (4xx) and malformed usage are not retried. attempts_logged counts
+    attempts across every thread that shares the client.
     """
 
     def __init__(
@@ -237,6 +246,7 @@ class HttpChatBackend:
         timeout_s: float = 120.0,
     ):
         self.base_url = base_url.rstrip("/")
+        self._url = self.base_url + CHAT_COMPLETIONS_PATH
         self.model = model
         self.credential_env = credential_env
         self.max_retries = max_retries
@@ -245,6 +255,20 @@ class HttpChatBackend:
         self.timeout_s = timeout_s
         self.attempts_logged = 0
         self._attempts_lock = threading.Lock()
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        """This thread's session; made at its first call, with the
+        environment resolved once for self._url."""
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = requests.Session()
+            settings = session.merge_environment_settings(self._url, {}, None, None, None)
+            session.proxies = settings["proxies"]
+            session.verify = settings["verify"]
+            session.trust_env = False
+            self._local.session = session
+        return session
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -266,7 +290,7 @@ class HttpChatBackend:
         return payload
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        url = self.base_url + CHAT_COMPLETIONS_PATH
+        session = self._session()
         payload = self._payload(request)
         last_error: Optional[Exception] = None
         started = time.monotonic()
@@ -276,8 +300,8 @@ class HttpChatBackend:
             with self._attempts_lock:
                 self.attempts_logged += 1
             try:
-                http_response = requests.post(
-                    url, json=payload, headers=self._headers(), timeout=self.timeout_s
+                http_response = session.post(
+                    self._url, json=payload, headers=self._headers(), timeout=self.timeout_s
                 )
             except requests.RequestException as exc:
                 last_error = TransportError(f"request failed: {exc}")
@@ -293,14 +317,16 @@ class HttpChatBackend:
                 raise RejectedError(http_response.status_code, http_response.text[:500])
             try:
                 body = http_response.json()
-                text = body["choices"][0]["message"]["content"] or ""
+                text = body["choices"][0]["message"]["content"]
+                if text is not None and not isinstance(text, str):
+                    raise TypeError("completion content is not a string")
             except requests.JSONDecodeError as exc:
                 last_error = TransportError(f"non-JSON body with HTTP {http_response.status_code}")
                 logger.warning("chat call attempt %d got a non-JSON body: %s", attempt + 1, exc)
                 continue
             except (KeyError, IndexError, TypeError):
                 last_error = TransportError(f"malformed completion body: {str(body)[:300]}")
-                logger.warning("chat call attempt %d got a body without choices", attempt + 1)
+                logger.warning("chat call attempt %d got a malformed completion body", attempt + 1)
                 continue
             usage = _parse_usage(body.get("usage"))
             wall_time_ms = int((time.monotonic() - started) * 1000)
@@ -312,7 +338,7 @@ class HttpChatBackend:
                 usage.prompt_tokens,
                 usage.generated_tokens,
             )
-            return ChatResponse(text, usage, wall_time_ms)
+            return ChatResponse(text or "", usage, wall_time_ms)
         raise last_error if last_error is not None else TransportError("no attempts made")
 
     def count_tokens(self, text: str) -> Optional[int]:

@@ -11,7 +11,10 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 Output layout: <output>/<architecture>-tv<interval>/trajectories.jsonl.
 Re-running a condition skips task ids already present in its log, so
 interrupted batches are resumable; a torn final line (a kill mid-write) is
-dropped with a warning and its task reruns.
+dropped with a warning and its task reruns. A log holding a record written
+under another run configuration (its config_digest differs) is refused with
+exit 2 and nothing is appended to it (a torn final line is still dropped),
+so one log never mixes two conditions.
 
 Report CSVs (stable column names):
     frontier.csv    label,axis,cost,performance        (Pareto-filtered)
@@ -39,7 +42,7 @@ from .backends import ScriptedBackend
 from .config import ConfigError, ExperimentConfig, build_backend, build_environment_factory, load_config
 from .core import TrajectoryRecord, read_trajectories, write_trajectories
 from .environments import load_tasks
-from .orchestrator import run_trajectory
+from .orchestrator import run_config_digest, run_trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -94,6 +97,13 @@ def execute_condition(cfg: ExperimentConfig, verify_interval: int) -> dict:
     if log_path.exists():
         _drop_torn_tail(log_path)
         existing = read_trajectories(log_path)
+    digest = run_config_digest(run_config)
+    foreign = sorted({record.config_digest for record in existing} - {digest})
+    if foreign:
+        raise ValueError(
+            f"{log_path} holds records of config digest {', '.join(foreign)}, "
+            f"not this run's {digest}; refusing to resume into it"
+        )
     done_ids = {record.task_id for record in existing}
     pending = [task for task in tasks if task.id not in done_ids]
 

@@ -2,8 +2,10 @@
 mock server."""
 
 import json
+import socket
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -219,14 +221,55 @@ class _PlannedHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def mock_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _PlannedHandler)
+class _KeepAliveHandler(_PlannedHandler):
+    """HTTP/1.1 variant that keeps connections open, counts the ones it
+    accepts, records each request's path and headers, and closes a
+    connection left idle for server.idle_timeout seconds (None: never)."""
+
+    protocol_version = "HTTP/1.1"
+    # Buffered writes: an unbuffered keep-alive response goes out as
+    # several small segments and stalls on delayed ACKs.
+    wbufsize = -1
+
+    def setup(self):
+        self.timeout = self.server.idle_timeout
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        with self.server.lock:
+            self.server.requests.append((self.path, dict(self.headers)))
+        super().do_POST()
+
+
+def _serve(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.plan = []
     server.hits = 0
     server.bodies = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    return server
+
+
+@pytest.fixture
+def mock_server():
+    server = _serve(_PlannedHandler)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def keepalive_server():
+    server = _serve(_KeepAliveHandler)
+    server.lock = threading.Lock()
+    server.connections = 0
+    server.requests = []
+    server.idle_timeout = None
     try:
         yield server
     finally:
@@ -334,6 +377,29 @@ class TestHttpBackend:
             backend.complete(user_request("hi"))
         assert mock_server.hits == 3
 
+    @pytest.mark.parametrize("content", [5, ["a"], {"type": "text"}])
+    def test_non_string_content_is_retried_as_transport_error(self, mock_server, content):
+        mock_server.plan = [(200, _ok_body(content=content)), (200, _ok_body())]
+        backend = _backend(mock_server)
+        response = backend.complete(user_request("hi"))
+        assert response.text == "hello"
+        assert mock_server.hits == 2
+        assert backend.attempts_logged == 2
+
+    @pytest.mark.parametrize("content", [5, ["a"], {"type": "text"}])
+    def test_non_string_content_exhausts_retries(self, mock_server, content):
+        mock_server.plan = [(200, _ok_body(content=content))]
+        backend = _backend(mock_server, max_retries=2)
+        with pytest.raises(TransportError):
+            backend.complete(user_request("hi"))
+        assert mock_server.hits == 3
+
+    def test_null_content_is_empty_text(self, mock_server):
+        mock_server.plan = [(200, _ok_body(content=None))]
+        backend = _backend(mock_server)
+        assert backend.complete(user_request("hi")).text == ""
+        assert backend.attempts_logged == 1
+
     @pytest.mark.parametrize(
         "usage",
         [
@@ -375,3 +441,65 @@ class TestHttpBackend:
     def test_count_tokens_unknown(self, mock_server):
         backend = _backend(mock_server)
         assert backend.count_tokens("anything") is None
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestHttpConnectionReuse:
+    def test_sequential_calls_share_one_connection(self, keepalive_server):
+        keepalive_server.plan = [(200, _ok_body())]
+        backend = _backend(keepalive_server)
+        for _ in range(20):
+            assert backend.complete(user_request("hi")).text == "hello"
+        assert keepalive_server.connections == 1
+        assert backend.attempts_logged == 20
+
+    def test_threads_use_at_most_one_connection_each(self, keepalive_server):
+        keepalive_server.plan = [(200, _ok_body())]
+        backend = _backend(keepalive_server)
+        calls, workers = 64, 16
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(backend.complete, user_request("hi")) for _ in range(calls)]
+            texts = [future.result(timeout=30).text for future in futures]
+        assert texts == ["hello"] * calls
+        assert keepalive_server.connections <= workers
+        assert backend.attempts_logged == calls
+
+    def test_idle_connection_closed_by_the_server_costs_no_retry(self, keepalive_server):
+        keepalive_server.plan = [(200, _ok_body())]
+        keepalive_server.idle_timeout = 0.05
+        backend = _backend(keepalive_server)
+        calls = 10
+        for i in range(calls):
+            if i:
+                time.sleep(0.1)
+            assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.attempts_logged == calls
+        # the server did drop the idle connections the client then replaced
+        assert keepalive_server.connections > 1
+
+    def test_proxy_from_the_environment_is_used(self, keepalive_server, monkeypatch):
+        for name in ("http_proxy", "NO_PROXY", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{keepalive_server.server_address[1]}")
+        keepalive_server.plan = [(200, _ok_body())]
+        url = f"http://127.0.0.1:{_closed_port()}"
+        backend = HttpChatBackend(url, "test-model", max_retries=0, timeout_s=5)
+        assert backend.complete(user_request("hi")).text == "hello"
+        path, _headers = keepalive_server.requests[0]
+        assert path == url + "/v1/chat/completions"
+
+    def test_netrc_does_not_replace_the_credential(self, keepalive_server, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login u password p\n", encoding="utf-8")
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("HYBRIDMAS_TEST_CREDENTIAL", "secret-token")
+        keepalive_server.plan = [(200, _ok_body())]
+        backend = _backend(keepalive_server, credential_env="HYBRIDMAS_TEST_CREDENTIAL")
+        backend.complete(user_request("hi"))
+        _path, headers = keepalive_server.requests[0]
+        assert headers["Authorization"] == "Bearer secret-token"

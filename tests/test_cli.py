@@ -162,6 +162,25 @@ class TestCmdRun:
         assert main(["run", "--config", str(config)]) == 2
         assert log.read_text(encoding="utf-8").count("\n") == 2
 
+    def test_resume_refuses_a_log_of_another_config(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        log = tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        log.write_text(lines[0], encoding="utf-8")
+        before = log.read_bytes()
+        other = tmp_path / "other"
+        assert main(["run", "--config", str(config), "--seed", "1", "--out", str(other)]) == 0
+        written = read_trajectories(log)[0].config_digest
+        wanted = read_trajectories(other / "monolithic-tv1" / "trajectories.jsonl")[0].config_digest
+        assert written != wanted
+        capsys.readouterr()
+        # A changed seed is another condition: resuming would mix the two.
+        assert main(["run", "--config", str(config), "--seed", "1"]) == 2
+        assert log.read_bytes() == before
+        err = capsys.readouterr().err
+        assert str(log) in err and written in err and wanted in err
+
 
 def eva_sweep_config(tmp_path):
     executor_script = []

@@ -1,8 +1,10 @@
 """Smoke tests of the benchmark at its tiny size, through the real
 ``hybridmas run`` / ``report`` path and the benchmark's output checks: a
 traced scripted workload with interventions and every layer span it
-patches into the program, and the HTTP workload, whose calls go through
-``HttpChatBackend`` to the benchmark's loopback stub. No timing bound."""
+patches into the program, the HTTP workload untraced and traced (the span
+around ``HttpChatBackend.complete`` and the stub-log child spans), whose
+calls go through ``HttpChatBackend`` to the benchmark's loopback stub, and
+the wiki-miss workload over the same client. No timing bound."""
 
 import json
 import subprocess
@@ -30,3 +32,11 @@ def test_tiny_traced_long_horizon_run_passes_its_checks():
 
 def test_tiny_http_run_passes_its_checks():
     _run_tiny("qa-http", "0")
+
+
+def test_tiny_traced_http_run_passes_its_checks():
+    _run_tiny("qa-http", "1")
+
+
+def test_tiny_wiki_miss_run_passes_its_checks():
+    _run_tiny("wiki-200k-miss", "0")
