@@ -25,13 +25,6 @@ from .core import (
 
 TOKENS_PER_PRICE_UNIT = Decimal(1_000_000)
 
-# Hardware efficiency default (ops per joule) for edge profiles; in the
-# INT8-NPU regime this sits at the low end of reported throughput figures.
-DEFAULT_EDGE_EFFICIENCY = 1.5e12
-
-# Default cloud pricing, dollars per 1e6 tokens (standard on-demand rates).
-DEFAULT_CLOUD_PRICING = {"prefill": "2.5", "cached": "1.25", "generated": "10"}
-
 
 class WrongPlacementError(Exception):
     pass

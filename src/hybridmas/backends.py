@@ -12,8 +12,10 @@ import logging
 import os
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Optional
 
 import requests
 
@@ -55,14 +57,26 @@ class NoMatchingEntryError(BackendError):
     """No unconsumed scripted entry matches the request."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChatMessage:
-    role: str
-    content: str
+    """One message; its content is kept as a tuple of text parts whose join
+    is the text sent. A str content is one part. Passing the same str
+    objects as parts across calls lets a backend that counts tokens count a
+    part it has seen once."""
 
-    def __post_init__(self):
-        if self.role not in VALID_ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
+    role: str
+    parts: tuple[str, ...]
+
+    def __init__(self, role: str, content: str | Sequence[str]):
+        if role not in VALID_ROLES:
+            raise ValueError(f"unknown role {role!r}")
+        parts = (content,) if isinstance(content, str) else tuple(content)
+        object.__setattr__(self, "role", role)
+        object.__setattr__(self, "parts", parts)
+
+    @property
+    def content(self) -> str:
+        return "".join(self.parts)
 
 
 @dataclass
@@ -81,7 +95,11 @@ class ChatRequest:
             raise ValueError("max_generated_tokens must be > 0")
 
     def concatenated_content(self) -> str:
-        return "".join(m.content for m in self.messages)
+        return "".join(self.parts())
+
+    def parts(self) -> tuple[str, ...]:
+        """The text parts of every message, in order."""
+        return tuple(chain.from_iterable(m.parts for m in self.messages))
 
 
 @dataclass
@@ -92,7 +110,7 @@ class ChatResponse:
 
 
 def user_request(
-    content: str,
+    content: str | Sequence[str],
     temperature: float = 0.0,
     max_generated_tokens: int = 1024,
     seed: Optional[int] = None,
@@ -115,18 +133,45 @@ class ScriptEntry:
     match: Optional[str] = None
 
 
+class _JoinedRequests(Sequence):
+    """The requests a ScriptedBackend received, kept as their parts and
+    read as joined text: indexing, slicing and iteration give str, and a
+    list of str compares equal when its texts are the same."""
+
+    def __init__(self):
+        self._parts: list[tuple[str, ...]] = []
+
+    def append(self, parts: tuple[str, ...]) -> None:
+        self._parts.append(parts)
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ["".join(parts) for parts in self._parts[index]]
+        return "".join(self._parts[index])
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+
 class ScriptedBackend:
     """Deterministic backend that replays a fixed script.
 
     Each complete() consumes the first unconsumed entry whose match (if
     any) occurs in the concatenated request text. Usage is synthesized as
     whitespace-token counts: prompt_tokens is len(text.split()) of the
-    concatenated request. It is counted per blank-line paragraph with a
-    cache that lives as long as the backend, so text repeated across calls
-    (contexts resent on every turn) is counted once; no token spans the
-    "\n\n" separator, so the sum is exact. Wall time is always 0 so logs
-    stay byte-reproducible. Consumption and the cache are serialized by an
-    internal lock.
+    concatenated request. It is counted from the request's parts with a
+    cache, part -> (tokens, starts with a non-space, ends with a
+    non-space), that lives as long as the backend, so a part resent on
+    every turn (the same str object) is counted once and looked up in O(1).
+    The counts are summed, less one at each boundary where a part ending in
+    a non-space meets one starting with a non-space (a token glued across
+    the boundary); empty parts are skipped. This is exact for any split of
+    any text. requests keeps each request as its parts and joins it on
+    read. Wall time is always 0 so logs stay byte-reproducible. Consumption
+    and the cache are serialized by an internal lock.
     """
 
     def __init__(self, script: Sequence[ScriptEntry | dict | str]):
@@ -143,47 +188,60 @@ class ScriptedBackend:
         self._entries = entries
         self._consumed = [False] * len(entries)
         self._first = 0  # index of the first unconsumed entry
-        self._paragraph_tokens: dict[str, int] = {}
+        self._part_tokens: dict[str, tuple[int, bool, bool]] = {}
         self._lock = threading.Lock()
-        self.requests: list[str] = []
+        self.requests = _JoinedRequests()
 
-    def _tokens(self, text: str) -> int:
-        """whitespace_token_count(text), summed over the cached counts of
-        its "\n\n"-separated paragraphs. Call with the lock held."""
-        cache = self._paragraph_tokens
+    def _tokens(self, parts: Sequence[str]) -> int:
+        """whitespace_token_count("".join(parts)) from the cached counts of
+        the parts. Call with the lock held."""
+        cache = self._part_tokens
         total = 0
-        for paragraph in text.split("\n\n"):
-            count = cache.get(paragraph)
-            if count is None:
-                count = cache[paragraph] = len(paragraph.split())
+        glued = False  # the last non-empty part ended in a non-space
+        for part in parts:
+            if not part:
+                continue
+            info = cache.get(part)
+            if info is None:
+                info = cache[part] = (
+                    len(part.split()), not part[0].isspace(), not part[-1].isspace()
+                )
+            count, starts_in_token, ends_in_token = info
             total += count
+            if glued and starts_in_token:
+                total -= 1
+            glued = ends_in_token
         return total
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        text = request.concatenated_content()
+        parts = request.parts()
+        text = None  # joined only to look for a match
         with self._lock:
-            self.requests.append(text)
+            self.requests.append(parts)
             if self._first == len(self._entries):
                 raise ScriptExhaustedError("script exhausted")
             for i in range(self._first, len(self._entries)):
                 entry = self._entries[i]
                 if self._consumed[i]:
                     continue
+                if entry.match is not None and text is None:
+                    text = request.concatenated_content()
                 if entry.match is None or entry.match in text:
                     self._consumed[i] = True
                     while self._first < len(self._entries) and self._consumed[self._first]:
                         self._first += 1
                     usage = TokenUsage(
-                        prompt_tokens=self._tokens(text),
+                        prompt_tokens=self._tokens(parts),
                         cached_tokens=0,
                         generated_tokens=whitespace_token_count(entry.response),
                     )
                     return ChatResponse(entry.response, usage, wall_time_ms=0)
             raise NoMatchingEntryError("no unconsumed entry matches the request")
 
-    def count_tokens(self, text: str) -> Optional[int]:
+    def count_tokens(self, parts: Sequence[str]) -> Optional[int]:
+        """Tokens of the text that the parts join to."""
         with self._lock:
-            return self._tokens(text)
+            return self._tokens(parts)
 
     @property
     def remaining(self) -> int:
@@ -341,5 +399,5 @@ class HttpChatBackend:
             return ChatResponse(text or "", usage, wall_time_ms)
         raise last_error if last_error is not None else TransportError("no attempts made")
 
-    def count_tokens(self, text: str) -> Optional[int]:
+    def count_tokens(self, parts: Sequence[str]) -> Optional[int]:
         return None

@@ -16,6 +16,7 @@ from typing import (
     ClassVar,
     Iterable,
     Optional,
+    Sequence,
     Union,
     get_args,
     get_origin,
@@ -311,11 +312,12 @@ class RunConfig:
 class ExecutorContext:
     """The growing ReAct context: seed prompt plus appended turns.
 
+    seed_prompt is the seed as text parts whose join is the prompt.
     token_len tracks the latest backend-reported length; it never exceeds
     cap (overflow raises OutOfContextError without mutating state).
     """
 
-    seed_prompt: str
+    seed_prompt: Sequence[str]
     cap: int
     token_len: int = 0
     turns: list[TurnRecord] = field(default_factory=list)
@@ -335,7 +337,7 @@ class ExecutorContext:
         self.token_len = new_token_len
         return self
 
-    def reset(self, new_seed: str, seed_token_len: int) -> "ExecutorContext":
+    def reset(self, new_seed: Sequence[str], seed_token_len: int) -> "ExecutorContext":
         if seed_token_len > self.cap:
             raise OutOfContextError(seed_token_len, self.cap)
         self.seed_prompt = new_seed

@@ -7,6 +7,12 @@ every turn divisible by the verification interval, while the episode is
 still live; a finish short-circuits any verification scheduled for the
 same turn. An applied intervention resets the executor context and
 re-seeds it from the handoff.
+
+Prompts are sent as tuples of text parts. Each turn is rendered once, as it
+lands, into a turn-log block and a memory block, and every later prompt
+reuses those same str objects: the executor context is the seed's parts,
+then a blank line and the turn log; verification prompts splice in the
+turn log and the memory.
 """
 
 from __future__ import annotations
@@ -105,8 +111,9 @@ def _turn_block(turn: TurnRecord) -> str:
 
 
 def render_turn_log(turns) -> str:
-    """The serialized turn log, exactly as the executor context renders it;
-    also what verifiers receive as the executor-context binding."""
+    """The serialized turn log, exactly as the executor context renders it
+    and verifiers receive it as the executor-context binding: one block per
+    turn, separated by blank lines."""
     return "\n\n".join(_turn_block(turn) for turn in turns)
 
 
@@ -136,6 +143,10 @@ class _Episode:
         self.nosummary = config.architecture == "eva_nosummary"
         self.plan: Optional[Plan] = None
         self.ctx: Optional[ExecutorContext] = None
+        # Parts of the turn log since the last reset and of the memory of
+        # the whole trajectory: blocks separated by "\n\n" parts.
+        self._log: list[str] = []
+        self._memory: list[str] = []
         self.record = TrajectoryRecord(
             task_id=task.id,
             architecture=config.architecture,
@@ -144,21 +155,29 @@ class _Episode:
 
     # -- helpers ----------------------------------------------------------
 
-    def _count_tokens(self, text: str) -> int:
+    def _count_tokens(self, parts: tuple[str, ...]) -> int:
         counter = getattr(self.executor, "count_tokens", None)
         if counter is None:
             return 0
-        counted = counter(text)
+        counted = counter(parts)
         return counted if counted is not None else 0
 
-    def _context_text(self) -> str:
-        if not self.ctx.turns:
+    def _context_parts(self) -> tuple[str, ...]:
+        if not self._log:
             return self.ctx.seed_prompt
-        return self.ctx.seed_prompt + "\n\n" + render_turn_log(self.ctx.turns)
+        return (*self.ctx.seed_prompt, "\n\n", *self._log)
 
-    def _memory_text(self) -> str:
-        # Memory spans the whole trajectory, across resets.
-        return format_memory(self.record.turns)
+    def _land(self, turn: TurnRecord) -> None:
+        """Render a turn that entered the context into its turn-log block
+        and its memory block (none for a turn without a tool call)."""
+        if self._log:
+            self._log.append("\n\n")
+        self._log.append(render_turn_log([turn]))
+        block = format_memory([turn])
+        if block:
+            if self._memory:
+                self._memory.append("\n\n")
+            self._memory.append(block)
 
     # -- phases -----------------------------------------------------------
 
@@ -214,7 +233,7 @@ class _Episode:
 
     def _turn(self, t: int) -> bool:
         """Run one executor turn; returns False once the episode is over."""
-        request = self._request(self._context_text())
+        request = self._request(self._context_parts())
         try:
             response: ChatResponse = self.executor.complete(request)
         except BackendError as exc:
@@ -243,6 +262,7 @@ class _Episode:
             self.record.turns.append(turn)
             raise _Terminate("out_of_context")
         self.record.turns.append(turn)
+        self._land(turn)
 
         if observation is not None and observation.terminal:
             self.record.final_answer = observation.final_answer
@@ -262,15 +282,15 @@ class _Episode:
             template, parser = "verify_replan", parse_pevr_verdict
             bindings = {
                 "plan": self.plan.text,
-                "executor_context": render_turn_log(self.ctx.turns),
-                "memory": self._memory_text(),
+                "executor_context": self._log,
+                "memory": self._memory,
             }
         else:
             template, parser = "verify_advice", parse_eva_verdict
             bindings = {
                 "user_query": self.task.query,
-                "executor_context": render_turn_log(self.ctx.turns),
-                "memory": self._memory_text(),
+                "executor_context": self._log,
+                "memory": self._memory,
             }
         request = self._request(render(template, bindings))
         try:
@@ -311,7 +331,6 @@ class _Episode:
         self._apply_intervention(t, decision, usage)
 
     def _apply_intervention(self, t: int, decision: VerifierDecision, usage: TokenUsage) -> None:
-        memory_text = self._memory_text()
         if self.family == "pevr":
             new_plan = Plan(decision.payload.replan.text, origin="replan", replan_turn=t)
             recorded = VerifierDecision(INTERVENE, ReplanHandoff(new_plan), decision.raw_text)
@@ -320,14 +339,14 @@ class _Episode:
                 {
                     "user_query": self.task.query,
                     "replan": new_plan.text,
-                    "memory": memory_text,
+                    "memory": self._memory,
                     "available_tools": self.env.tool_prompt,
                 },
             )
         else:
             advice = decision.payload.advice
             if self.nosummary:
-                summary_binding = memory_text
+                summary_binding = self._memory
                 payload = AdviceMemoryHandoff(advice)
                 recorded = VerifierDecision(INTERVENE, payload, decision.raw_text)
             else:
@@ -350,6 +369,7 @@ class _Episode:
                 SupervisorCallRecord(t, recorded, usage, applied=False)
             )
             raise _Terminate("out_of_context")
+        self._log = []
         self.record.supervisor_calls.append(
             SupervisorCallRecord(t, recorded, usage, applied=True)
         )

@@ -2,7 +2,8 @@
 
 Templates are packaged verbatim as text assets, one file per prompt, using
 ``{{ name }}`` placeholder syntax. Rendering substitutes placeholder spans
-and touches nothing else, so prompt bytes stay auditable.
+and touches nothing else, so prompt bytes stay auditable; a rendered prompt
+is a tuple of text parts whose join is the prompt.
 
 All parsers are pure functions. Verdict tokens (CONTINUE / INTERVENE) are
 matched case-sensitively: a lax grammar would corrupt audit statistics.
@@ -88,17 +89,29 @@ def template_text(template_id: str) -> str:
 
 
 @lru_cache(maxsize=None)
+def _template_pieces(template_id: str) -> tuple[tuple[str, str | None], ...]:
+    """The template as (literal, placeholder name) pairs in order; the last
+    pair's name is None."""
+    split = _PLACEHOLDER_RE.split(template_text(template_id))
+    names = split[1::2] + [None]
+    return tuple(zip(split[::2], names))
+
+
+@lru_cache(maxsize=None)
 def template_placeholders(template_id: str) -> frozenset[str]:
-    return frozenset(_PLACEHOLDER_RE.findall(template_text(template_id)))
+    return frozenset(name for _, name in _template_pieces(template_id) if name is not None)
 
 
-def render(template_id: str, bindings: Mapping[str, str]) -> str:
+def render(template_id: str, bindings: Mapping[str, str | Sequence[str]]) -> tuple[str, ...]:
     """Substitute ``{{ name }}`` spans with bindings, leaving all other
     template bytes untouched.
 
-    Bindings must cover exactly the template's placeholders.
+    The prompt comes back as its parts, to be joined as they are: the
+    template's literal spans (the same str objects on every call) with each
+    binding spliced in, a str as one part and a sequence of str as its
+    parts. Bindings must cover exactly the template's placeholders.
     """
-    body = template_text(template_id)
+    pieces = _template_pieces(template_id)
     placeholders = template_placeholders(template_id)
     for name in bindings:
         if name not in placeholders:
@@ -106,7 +119,17 @@ def render(template_id: str, bindings: Mapping[str, str]) -> str:
     for name in placeholders:
         if name not in bindings:
             raise MissingBindingError(name)
-    return _PLACEHOLDER_RE.sub(lambda m: bindings[m.group(1)], body)
+    parts: list[str] = []
+    for literal, name in pieces:
+        if literal:
+            parts.append(literal)
+        if name is not None:
+            value = bindings[name]
+            if isinstance(value, str):
+                parts.append(value)
+            else:
+                parts.extend(value)
+    return tuple(parts)
 
 
 def _extract_block(text: str, tag: str) -> str | None:

@@ -154,7 +154,7 @@ def test_acceptance_05_reset_semantics():
         )
         assert record.resets == [4]
         memory = "\n\n".join(f"Tool call: search[q{i}]\nOutput: obs" for i in range(1, 5))
-        seed = render(
+        seed = "".join(render(
             "replan_resume",
             {
                 "user_query": TASK.query,
@@ -162,7 +162,7 @@ def test_acceptance_05_reset_semantics():
                 "memory": memory,
                 "available_tools": env.tool_prompt,
             },
-        )
+        ))
         turn5_request = executor.requests[4]
         assert turn5_request == seed
         assert "<REPLAN>\nsearch the remaining topics\n</REPLAN>" in turn5_request
@@ -181,7 +181,7 @@ def test_acceptance_05_reset_semantics():
             env=env,
         )
         assert record.resets == [4]
-        seed = render(
+        seed = "".join(render(
             "advice_resume",
             {
                 "user_query": TASK.query,
@@ -189,7 +189,7 @@ def test_acceptance_05_reset_semantics():
                 "advice": "go finish",
                 "available_tools": env.tool_prompt,
             },
-        )
+        ))
         assert executor.requests[4] == seed
         assert "<SUMMARY>\nlooked up q1..q4\n</SUMMARY>" in executor.requests[4]
         assert "<ADVICE>\ngo finish\n</ADVICE>" in executor.requests[4]

@@ -87,14 +87,14 @@ class TestScriptedBackend:
     def test_count_tokens_matches_usage_synthesis(self):
         backend = ScriptedBackend(["x"])
         text = "alpha beta  gamma\ndelta"
-        assert backend.count_tokens(text) == whitespace_token_count(text) == 4
+        assert backend.count_tokens((text,)) == whitespace_token_count(text) == 4
 
 
 # --- scripted backend against reference implementations -------------------
 
 # Tokens with inner dots and non-ASCII letters; gaps with the non-ASCII
 # whitespace that split() honours; separators that make, surround or
-# extend the "\n\n" the cache splits on.
+# extend the "\n\n" that prompts put between their blocks.
 _TOKENS = ["alpha", "beta", "U.S.A", "3.5", "caf\u00e9", "it\u2019s", "\u2013", "ab", "xy"]
 _GAPS = st.sampled_from([" ", "  ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u3000"])
 _SEPARATORS = st.sampled_from(["\n", "\n\n", "\n\n\n", "\n\n\n\n", " \n\n", "\n\n ", " \n\n\t"])
@@ -131,9 +131,47 @@ def _call_texts(draw):
 def test_scripted_usage_equals_whitespace_split(texts):
     backend = ScriptedBackend(["r"] * len(texts))
     for text in texts:
-        assert backend.count_tokens(text) == len(text.split())
+        assert backend.count_tokens((text,)) == len(text.split())
         assert backend.complete(user_request(text)).usage.prompt_tokens == len(text.split())
     assert backend.requests == texts
+
+
+# Request parts: empty, whitespace-only, halves of one token, and the
+# non-ASCII whitespace split() honours at part edges.
+_PART_EDGES = ["", " ", "\n\n", "ab", "c", "x", "y", "\x1c", "\x85", "\xa0", "\u3000"]
+_PART_CHARS = ["a", "b", "\u00e9", " ", "\n", "\x1c", "\x85", "\xa0", "\u3000"]
+_PART_TEXT = st.text(st.sampled_from(_PART_CHARS), max_size=6)
+
+
+@st.composite
+def _part_calls(draw):
+    """Requests as parts drawn from one shared pool, so that the same part
+    objects recur across calls next to different neighbours."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_PART_EDGES), _PART_TEXT), min_size=1,
+                         max_size=8))
+    return draw(st.lists(st.lists(st.sampled_from(pool), max_size=8).map(tuple), min_size=1,
+                         max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_part_calls())
+@example([("ab", "c"), ("x", "", "y"), ("c", "ab", "c")])
+@example([("x", "", "", "y"), ("", "x"), ("x", ""), ("",), ()])
+@example([(" ", "ab", " "), ("ab", "\n\n", "ab"), ("\xa0", "ab", "\u3000")])
+@example([("a\x1c", "b"), ("a", "\x85b"), ("a\u3000", "b\xa0"), ("\x85", "\x85")])
+def test_scripted_usage_over_part_boundaries(calls):
+    backend = ScriptedBackend(["r"] * len(calls))
+    for parts in calls:
+        tokens = len("".join(parts).split())
+        assert backend.count_tokens(parts) == tokens
+        assert backend.complete(user_request(parts)).usage.prompt_tokens == tokens
+    # requests keeps parts and reads as the joined texts
+    texts = ["".join(parts) for parts in calls]
+    assert [backend.requests[i] for i in range(len(calls))] == texts
+    assert backend.requests == texts
+    assert list(backend.requests) == texts
+    assert backend.requests[-1] == texts[-1]
+    assert backend.requests[1::2] == texts[1::2]
 
 
 class ReferenceScript:
@@ -243,12 +281,21 @@ class _KeepAliveHandler(_PlannedHandler):
         super().do_POST()
 
 
+class _TestServer(ThreadingHTTPServer):
+    # The default listen backlog of 5 resets connections when 16 client
+    # threads connect at once, and each reset costs a retried attempt.
+    request_queue_size = 128
+
+
 def _serve(handler):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server = _TestServer(("127.0.0.1", 0), handler)
     server.plan = []
     server.hits = 0
     server.bodies = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll keeps shutdown() from waiting out the default 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     return server
 
@@ -440,7 +487,7 @@ class TestHttpBackend:
 
     def test_count_tokens_unknown(self, mock_server):
         backend = _backend(mock_server)
-        assert backend.count_tokens("anything") is None
+        assert backend.count_tokens(("anything",)) is None
 
 
 def _closed_port() -> int:

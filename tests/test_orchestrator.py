@@ -17,14 +17,16 @@ from hybridmas.core import (
     TaskInstance,
     record_to_json_line,
 )
+from hybridmas.core import ToolCall
 from hybridmas.environments import ScriptedEnvironment
 from hybridmas.orchestrator import (
     DEFAULT_MAX_TURNS,
     INVALID_TOOL_CALL_OBSERVATION,
     effective_max_turns,
+    render_turn_log,
     run_trajectory,
 )
-from hybridmas.prompting import render
+from hybridmas.prompting import format_memory, render
 from conftest import EDGE_PROFILE, make_run_config
 
 TASK = TaskInstance("task-1", "Did Richard Feynman win a Nobel Prize?", ("yes",), "hotpotqa")
@@ -53,8 +55,8 @@ class _FailingBackend:
     def complete(self, request):
         raise self.exc
 
-    def count_tokens(self, text):
-        return whitespace_token_count(text)
+    def count_tokens(self, parts):
+        return whitespace_token_count("".join(parts))
 
 
 class TestMonolithic:
@@ -111,10 +113,10 @@ class TestMonolithic:
     def test_seed_is_direct_execution_prompt(self):
         _, executor, _ = run_scripted("monolithic", ["Tool call: finish[x]"])
         env = ScriptedEnvironment()
-        expected = render(
+        expected = "".join(render(
             "direct_exec",
             {"user_query": TASK.query, "available_tools": env.tool_prompt},
-        )
+        ))
         assert executor.requests[0] == expected
 
 
@@ -181,7 +183,7 @@ class TestPevr:
         expected_memory = "\n\n".join(
             f"Tool call: search[q{i}]\nOutput: obs" for i in range(1, 5)
         )
-        expected_seed = render(
+        expected_seed = "".join(render(
             "replan_resume",
             {
                 "user_query": TASK.query,
@@ -189,7 +191,7 @@ class TestPevr:
                 "memory": expected_memory,
                 "available_tools": env.tool_prompt,
             },
-        )
+        ))
         # Turn 5's executor request is exactly the resume seed.
         assert executor.requests[4] == expected_seed
         assert "<REPLAN>\nNew plan R\n</REPLAN>" in executor.requests[4]
@@ -290,10 +292,10 @@ class TestEva:
             "eva", search_turns(2), ["CONTINUE"], max_turns=2, verify_interval=2
         )
         env = ScriptedEnvironment()
-        assert executor.requests[0] == render(
+        assert executor.requests[0] == "".join(render(
             "direct_exec",
             {"user_query": TASK.query, "available_tools": env.tool_prompt},
-        )
+        ))
 
     def test_intervention_resets_with_summary_and_advice(self):
         env = ScriptedEnvironment(default="obs")
@@ -306,7 +308,7 @@ class TestEva:
             verify_interval=2,
         )
         assert record.resets == [2]
-        expected_seed = render(
+        expected_seed = "".join(render(
             "advice_resume",
             {
                 "user_query": TASK.query,
@@ -314,7 +316,7 @@ class TestEva:
                 "advice": "try q3 next",
                 "available_tools": env.tool_prompt,
             },
-        )
+        ))
         assert executor.requests[2] == expected_seed
         assert "<SUMMARY>\ndid q1 and q2\n</SUMMARY>" in executor.requests[2]
         assert "<ADVICE>\ntry q3 next\n</ADVICE>" in executor.requests[2]
@@ -333,7 +335,7 @@ class TestEva:
         expected_memory = "\n\n".join(
             f"Tool call: search[q{i}]\nOutput: obs" for i in range(1, 3)
         )
-        expected_seed = render(
+        expected_seed = "".join(render(
             "advice_resume",
             {
                 "user_query": TASK.query,
@@ -341,7 +343,7 @@ class TestEva:
                 "advice": "try q3",
                 "available_tools": env.tool_prompt,
             },
-        )
+        ))
         assert executor.requests[2] == expected_seed
         assert "ignored" not in executor.requests[2]
         payload = record.supervisor_calls[0].decision.payload
@@ -432,6 +434,92 @@ class TestDeterminism:
             )
             lines.append(record_to_json_line(record))
         assert lines[0] == lines[1]
+
+
+def _text(template_id, **bindings):
+    return "".join(render(template_id, bindings))
+
+
+def _expected_requests(record, architecture, env, retried):
+    """Every executor and supervisor request text, rebuilt from the record
+    with str bindings: an executor request is its seed, then a blank line
+    and the turn log since the last applied reset; the verification at each
+    turn in retried sent its request twice (a malformed verdict's retry)."""
+    pevr = architecture == "pevr"
+    turns, query, tools = record.turns, TASK.query, env.tool_prompt
+    plans = {0: record.initial_plan.text} if pevr else {}
+    if pevr:
+        seeds = {0: _text("plan_exec", user_query=query, plan=plans[0], available_tools=tools)}
+    else:
+        seeds = {0: _text("direct_exec", user_query=query, available_tools=tools)}
+    supervisor = [_text("plan", user_query=query, available_tools=tools)] if pevr else []
+    for call in record.supervisor_calls:
+        t = call.at_turn
+        reset = max(r for r in seeds if r < t)
+        log = render_turn_log([turn for turn in turns if reset < turn.t <= t])
+        memory = format_memory([turn for turn in turns if turn.t <= t])
+        if pevr:
+            plan = plans[max(r for r in plans if r < t)]
+            request = _text("verify_replan", plan=plan, executor_context=log, memory=memory)
+        else:
+            request = _text("verify_advice", user_query=query, executor_context=log, memory=memory)
+        supervisor += [request] * (2 if t in retried else 1)
+        if not call.applied:
+            continue
+        payload = call.decision.payload
+        if pevr:
+            plans[t] = payload.replan.text
+            seeds[t] = _text("replan_resume", user_query=query, replan=plans[t], memory=memory,
+                             available_tools=tools)
+        else:
+            summary = memory if architecture == "eva_nosummary" else payload.summary
+            seeds[t] = _text("advice_resume", user_query=query, summary=summary,
+                             advice=payload.advice, available_tools=tools)
+    executor = []
+    for t in range(1, len(turns) + 1):
+        reset = max(r for r in seeds if r < t)
+        context = [turn for turn in turns if reset < turn.t < t]
+        executor.append(seeds[reset] + ("\n\n" + render_turn_log(context) if context else ""))
+    return executor, supervisor
+
+
+class TestRequestText:
+    """The text of every request, end to end: a separator lost or doubled
+    where the orchestrator joins its parts would change no usage count
+    that one token fewer elsewhere could not hide."""
+
+    @pytest.mark.parametrize("architecture", ["pevr", "eva", "eva_nosummary"])
+    def test_every_request_is_its_rebuilt_text(self, architecture):
+        if architecture == "pevr":
+            intervene = ["INTERVENE\n<REPLAN>R1</REPLAN>", "INTERVENE\n<REPLAN>R2</REPLAN>"]
+            supervisor_script = [PLAN_RESPONSE]
+        else:
+            intervene = [
+                f"INTERVENE\n<SUMMARY>did {n}</SUMMARY>\n<ADVICE>try {n}</ADVICE>"
+                for n in ("q1", "q2")
+            ]
+            supervisor_script = []
+        # t=2 malformed, then retried; t=4 and t=8 applied; t=6 continue.
+        supervisor_script += ["not a verdict", "CONTINUE", intervene[0], "CONTINUE", intervene[1]]
+        executor_script = search_turns(9)
+        executor_script[2] = "I cannot decide."  # a turn without a memory block
+        env = ScriptedEnvironment(
+            {ToolCall("search", f"q{i}"): f"result {i}" for i in range(1, 10)}
+        )
+        record, executor, supervisor = run_scripted(
+            architecture, executor_script, supervisor_script, env=env,
+            max_turns=9, verify_interval=2,
+        )
+        assert record.resets == [4, 8]
+        assert record.supervisor_calls[0].usage.generated_tokens == 4  # both attempts
+        expected_executor, expected_supervisor = _expected_requests(
+            record, architecture, env, retried={2}
+        )
+        assert list(executor.requests) == expected_executor
+        assert list(supervisor.requests) == expected_supervisor
+        assert [t.usage.prompt_tokens for t in record.turns] == [
+            len(text.split()) for text in expected_executor
+        ]
 
 
 class TestConfigResolution:

@@ -35,7 +35,7 @@ def full_bindings(template_id: str) -> dict:
 
 class TestRender:
     def test_plan_substitutes_query(self):
-        text = render("plan", {"user_query": "Q", "available_tools": "T"})
+        text = "".join(render("plan", {"user_query": "Q", "available_tools": "T"}))
         assert "- User query:\nQ" in text
         assert "<TOOLS>\nT\n</TOOLS>" in text
         assert "{{" not in text
@@ -54,8 +54,20 @@ class TestRender:
             render("nonexistent", {})
 
     def test_verify_advice_contains_intervene_line(self):
-        text = render("verify_advice", full_bindings("verify_advice"))
+        text = "".join(render("verify_advice", full_bindings("verify_advice")))
         assert "INTERVENE" in text.splitlines()
+
+    def test_sequence_binding_is_spliced_as_its_parts(self):
+        memory = ["Tool call: search[a]", "\n\n", "Tool call: search[b]"]
+        bindings = {**full_bindings("verify_advice"), "memory": memory}
+        parts = render("verify_advice", bindings)
+        joined = render("verify_advice", {**bindings, "memory": "".join(memory)})
+        assert "".join(parts) == "".join(joined)
+        # Template spans and bindings come back as the same str objects on
+        # every call.
+        again = render("verify_advice", bindings)
+        assert len(again) == len(parts)
+        assert all(a is b for a, b in zip(parts, again))
 
     @pytest.mark.parametrize("template_id", TEMPLATE_IDS)
     def test_render_preserves_bytes_outside_placeholders(self, template_id):
@@ -69,7 +81,7 @@ class TestRender:
             expected_parts.append(bindings[match.group(1)])
             cursor = match.end()
         expected_parts.append(template[cursor:])
-        assert render(template_id, bindings) == "".join(expected_parts)
+        assert "".join(render(template_id, bindings)) == "".join(expected_parts)
 
 
 class TestParsePlan:
