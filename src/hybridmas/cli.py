@@ -159,6 +159,9 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         summary = execute_condition(cfg, cfg.run.verify_interval)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - runtime boundary for exit code 2
         logger.exception("run failed")
         print(f"runtime error: {exc}", file=sys.stderr)
@@ -206,6 +209,9 @@ def cmd_sweep(args) -> int:
                     ]
                 )
         print(f"sweep points written to {points_path}")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001
         logger.exception("sweep failed")
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -310,17 +310,20 @@ class RunConfig:
 
 @dataclass
 class ExecutorContext:
-    """The growing ReAct context: seed prompt plus appended turns.
+    """The growing ReAct context: seed prompt, then a blank line and the
+    turn log.
 
-    seed_prompt is the seed as text parts whose join is the prompt.
-    token_len tracks the latest backend-reported length; it never exceeds
-    cap (overflow raises OutOfContextError without mutating state).
+    seed_prompt is the seed as text parts whose join is the prompt; log is
+    the turn log since the last reset, one block per turn with a "\n\n"
+    part between blocks. token_len tracks the latest backend-reported
+    length; it never exceeds cap (overflow raises OutOfContextError without
+    mutating state).
     """
 
     seed_prompt: Sequence[str]
     cap: int
     token_len: int = 0
-    turns: list[TurnRecord] = field(default_factory=list)
+    log: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.cap <= 0:
@@ -328,20 +331,28 @@ class ExecutorContext:
         if self.token_len > self.cap:
             raise OutOfContextError(self.token_len, self.cap)
 
-    def append_turn(self, turn: TurnRecord, new_token_len: int) -> "ExecutorContext":
+    def append_turn(self, block: str, new_token_len: int) -> "ExecutorContext":
         if new_token_len < self.token_len:
             raise ValueError("token length cannot shrink between resets")
         if new_token_len > self.cap:
             raise OutOfContextError(new_token_len, self.cap)
-        self.turns.append(turn)
+        if self.log:
+            self.log.append("\n\n")
+        self.log.append(block)
         self.token_len = new_token_len
         return self
+
+    def parts(self) -> Sequence[str]:
+        """The prompt as parts: the seed alone until a turn lands."""
+        if not self.log:
+            return self.seed_prompt
+        return (*self.seed_prompt, "\n\n", *self.log)
 
     def reset(self, new_seed: Sequence[str], seed_token_len: int) -> "ExecutorContext":
         if seed_token_len > self.cap:
             raise OutOfContextError(seed_token_len, self.cap)
         self.seed_prompt = new_seed
-        self.turns = []
+        self.log = []
         self.token_len = seed_token_len
         return self
 

@@ -25,7 +25,7 @@ from functools import partial
 from typing import Optional
 
 from . import accounting
-from .backends import BackendError, ChatResponse, user_request
+from .backends import BackendError, user_request
 from .core import (
     CONTINUE,
     INTERVENE,
@@ -65,6 +65,7 @@ INVALID_TOOL_CALL_OBSERVATION = (
 
 _PEVR_FAMILY = ("pevr", "pevr_audit")
 _EVA_FAMILY = ("eva", "eva_nosummary", "eva_audit")
+_MALFORMED = (MalformedPlanError, MalformedVerdictError)
 
 
 def effective_max_turns(config: RunConfig, task: TaskInstance) -> int:
@@ -143,9 +144,8 @@ class _Episode:
         self.nosummary = config.architecture == "eva_nosummary"
         self.plan: Optional[Plan] = None
         self.ctx: Optional[ExecutorContext] = None
-        # Parts of the turn log since the last reset and of the memory of
-        # the whole trajectory: blocks separated by "\n\n" parts.
-        self._log: list[str] = []
+        # Parts of the memory of the whole trajectory: one block per turn
+        # with a tool call, "\n\n" parts between blocks.
         self._memory: list[str] = []
         self.record = TrajectoryRecord(
             task_id=task.id,
@@ -156,56 +156,59 @@ class _Episode:
     # -- helpers ----------------------------------------------------------
 
     def _count_tokens(self, parts: tuple[str, ...]) -> int:
-        counter = getattr(self.executor, "count_tokens", None)
-        if counter is None:
-            return 0
-        counted = counter(parts)
-        return counted if counted is not None else 0
+        return self.executor.count_tokens(parts) or 0
 
-    def _context_parts(self) -> tuple[str, ...]:
-        if not self._log:
-            return self.ctx.seed_prompt
-        return (*self.ctx.seed_prompt, "\n\n", *self._log)
+    def _call(self, role, backend, prompt, t=0, parse=None, rejected=None):
+        """Send prompt to backend for one model call in the given role
+        (plan, execute or verify) at turn t (0 before the first turn), and
+        return (response, parsed output, usage).
 
-    def _land(self, turn: TurnRecord) -> None:
-        """Render a turn that entered the context into its turn-log block
-        and its memory block (none for a turn without a tool call)."""
-        if self._log:
-            self._log.append("\n\n")
-        self._log.append(render_turn_log([turn]))
-        block = format_memory([turn])
-        if block:
-            if self._memory:
-                self._memory.append("\n\n")
-            self._memory.append(block)
+        Output that parse rejects is asked for once more, and usage sums
+        both attempts. Output rejected twice is passed to rejected(text,
+        usage) and parses as None. A BackendError is logged once and ends
+        the task as backend_error; if the retry raised it, the first
+        attempt is passed to rejected before the task ends.
+        """
+        request = self._request(prompt)
+        first = None
+        try:
+            response = backend.complete(request)
+            if parse is None:
+                return response, None, response.usage
+            try:
+                return response, parse(response.text), response.usage
+            except _MALFORMED:
+                first = response
+                response = backend.complete(request)
+        except BackendError as exc:
+            logger.warning(
+                "task %s turn %d: %s call failed, ending the task: %s", self.task.id, t, role, exc
+            )
+            if first is not None:
+                rejected(first.text, first.usage)
+            raise _Terminate("backend_error")
+        usage = first.usage + response.usage
+        try:
+            return response, parse(response.text), usage
+        except _MALFORMED:
+            logger.warning("task %s turn %d: %s output malformed twice", self.task.id, t, role)
+            rejected(response.text, usage)
+            return response, None, usage
 
     # -- phases -----------------------------------------------------------
 
     def _initial_plan(self) -> Plan:
+        def rejected(text, usage):
+            self.record.initial_plan = InitialPlanRecord("", usage)
+            raise _Terminate("backend_error")
+
         prompt = render(
             "plan",
             {"user_query": self.task.query, "available_tools": self.env.tool_prompt},
         )
-        request = self._request(prompt)
-        response = self.supervisor.complete(request)
-        usage = response.usage
-        try:
-            plan = parse_plan(response.text)
-        except MalformedPlanError:
-            try:
-                retry = self.supervisor.complete(request)
-            except BackendError:
-                self.record.initial_plan = InitialPlanRecord("", usage)
-                raise _Terminate("backend_error")
-            usage = usage + retry.usage
-            try:
-                plan = parse_plan(retry.text)
-            except MalformedPlanError:
-                logger.warning(
-                    "task %s: plan output malformed twice, aborting", self.task.id
-                )
-                self.record.initial_plan = InitialPlanRecord("", usage)
-                raise _Terminate("backend_error")
+        _, plan, usage = self._call(
+            "plan", self.supervisor, prompt, parse=parse_plan, rejected=rejected
+        )
         self.record.initial_plan = InitialPlanRecord(plan.text, usage)
         return plan
 
@@ -233,13 +236,7 @@ class _Episode:
 
     def _turn(self, t: int) -> bool:
         """Run one executor turn; returns False once the episode is over."""
-        request = self._request(self._context_parts())
-        try:
-            response: ChatResponse = self.executor.complete(request)
-        except BackendError as exc:
-            logger.warning("task %s turn %d: executor backend error: %s", self.task.id, t, exc)
-            raise _Terminate("backend_error")
-        usage = response.usage
+        response, _, usage = self._call("execute", self.executor, self.ctx.parts(), t)
         new_token_len = max(self.ctx.token_len, usage.total_tokens)
 
         observation = None
@@ -256,73 +253,51 @@ class _Episode:
                 t, reasoning, call, observation.text, usage, response.wall_time_ms
             )
 
-        try:
-            self.ctx.append_turn(turn, new_token_len)
-        except OutOfContextError:
-            self.record.turns.append(turn)
-            raise _Terminate("out_of_context")
         self.record.turns.append(turn)
-        self._land(turn)
+        try:
+            self.ctx.append_turn(render_turn_log([turn]), new_token_len)
+        except OutOfContextError:
+            raise _Terminate("out_of_context")
+        memory = format_memory([turn])
+        if memory:
+            if self._memory:
+                self._memory.append("\n\n")
+            self._memory.append(memory)
 
         if observation is not None and observation.terminal:
             self.record.final_answer = observation.final_answer
             self.record.termination = "finished"
             return False
 
-        if (
-            self.family != "monolithic"
-            and self.supervisor is not None
-            and t % self.config.verify_interval == 0
-        ):
+        if self.family != "monolithic" and t % self.config.verify_interval == 0:
             self._verify(t)
         return True
 
     def _verify(self, t: int) -> None:
+        def rejected(text, usage):
+            self.record.supervisor_calls.append(
+                SupervisorCallRecord(t, VerifierDecision(CONTINUE, None, text), usage, False)
+            )
+
         if self.family == "pevr":
             template, parser = "verify_replan", parse_pevr_verdict
             bindings = {
                 "plan": self.plan.text,
-                "executor_context": self._log,
+                "executor_context": self.ctx.log,
                 "memory": self._memory,
             }
         else:
             template, parser = "verify_advice", parse_eva_verdict
             bindings = {
                 "user_query": self.task.query,
-                "executor_context": self._log,
+                "executor_context": self.ctx.log,
                 "memory": self._memory,
             }
-        request = self._request(render(template, bindings))
-        try:
-            response = self.supervisor.complete(request)
-        except BackendError as exc:
-            logger.warning("task %s turn %d: supervisor backend error: %s", self.task.id, t, exc)
-            raise _Terminate("backend_error")
-        usage = response.usage
-        try:
-            decision = parser(response.text)
-        except MalformedVerdictError:
-            try:
-                retry = self.supervisor.complete(request)
-            except BackendError:
-                self.record.supervisor_calls.append(
-                    SupervisorCallRecord(
-                        t, VerifierDecision(CONTINUE, None, response.text), usage, False
-                    )
-                )
-                raise _Terminate("backend_error")
-            usage = usage + retry.usage
-            try:
-                decision = parser(retry.text)
-            except MalformedVerdictError:
-                logger.warning(
-                    "task %s turn %d: protocol violation, verifier output malformed "
-                    "twice; treating as CONTINUE",
-                    self.task.id,
-                    t,
-                )
-                decision = VerifierDecision(CONTINUE, None, retry.text)
-
+        _, decision, usage = self._call(
+            "verify", self.supervisor, render(template, bindings), t, parser, rejected
+        )
+        if decision is None:
+            return
         if decision.verdict != INTERVENE or self.audit:
             self.record.supervisor_calls.append(
                 SupervisorCallRecord(t, decision, usage, applied=False)
@@ -369,7 +344,6 @@ class _Episode:
                 SupervisorCallRecord(t, recorded, usage, applied=False)
             )
             raise _Terminate("out_of_context")
-        self._log = []
         self.record.supervisor_calls.append(
             SupervisorCallRecord(t, recorded, usage, applied=True)
         )
@@ -384,20 +358,11 @@ class _Episode:
         self.env.reset(self.task)
         try:
             self._seed_context()
-        except BackendError as exc:
-            logger.warning("task %s: backend error before turn 1: %s", self.task.id, exc)
-            self.record.termination = "backend_error"
-            return self._finalize()
-        except _Terminate as term:
-            self.record.termination = term.reason
-            return self._finalize()
-        for t in range(1, max_turns + 1):
-            try:
+            for t in range(1, max_turns + 1):
                 if not self._turn(t):
                     break
-            except _Terminate as term:
-                self.record.termination = term.reason
-                break
+        except _Terminate as term:
+            self.record.termination = term.reason
         return self._finalize()
 
     def _finalize(self) -> TrajectoryRecord:

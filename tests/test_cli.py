@@ -102,6 +102,36 @@ class TestCmdRun:
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_missing_script_file_exits_1_without_output(self, tmp_path, capsys, command):
+        config = write_config(
+            tmp_path,
+            backends={"executor": {"type": "script", "script_file": "gone.yaml"}},
+            sweep=[1],
+        )
+        assert main([command, "--config", str(config)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert "config error: script file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, error",
+        [
+            ("script.yaml", "- [unclosed\n", "invalid YAML"),
+            ("script.json", '[{"response"', "invalid JSON"),
+        ],
+        ids=["yaml", "json"],
+    )
+    def test_malformed_script_file_exits_1_without_output(
+        self, tmp_path, capsys, name, text, error
+    ):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        config = write_config(
+            tmp_path, backends={"executor": {"type": "script", "script_file": name}}
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert f"config error: {error} in" in capsys.readouterr().err
+
     def test_script_exhausted_marks_only_that_task(self, tmp_path):
         config = write_config(
             tmp_path,

@@ -43,37 +43,37 @@ def make_turn(t: int, tool: str = "search", arg: str = "x", prompt: int = 10) ->
 class TestAppendTurn:
     def test_first_append(self):
         ctx = ExecutorContext("seed", cap=32768, token_len=100)
-        ctx.append_turn(make_turn(1), 350)
-        assert len(ctx.turns) == 1
+        ctx.append_turn("turn 1", 350)
+        assert ctx.log == ["turn 1"]
         assert ctx.token_len == 350
 
     def test_overflow_is_terminal_and_does_not_mutate(self):
         ctx = ExecutorContext("seed", cap=32768, token_len=32000)
         with pytest.raises(OutOfContextError) as exc_info:
-            ctx.append_turn(make_turn(1), 33100)
+            ctx.append_turn("turn 1", 33100)
         assert exc_info.value.token_len == 33100
         assert ctx.token_len == 32000
-        assert ctx.turns == []
+        assert ctx.log == []
 
     def test_appends_keep_order(self):
         ctx = ExecutorContext("seed", cap=1000, token_len=10)
         for t in range(1, 4):
-            ctx.append_turn(make_turn(t), 10 + t)
-        assert [turn.t for turn in ctx.turns] == [1, 2, 3]
+            ctx.append_turn(f"turn {t}", 10 + t)
+        assert ctx.log == ["turn 1", "\n\n", "turn 2", "\n\n", "turn 3"]
 
     def test_token_len_cannot_shrink(self):
         ctx = ExecutorContext("seed", cap=1000, token_len=100)
         with pytest.raises(ValueError):
-            ctx.append_turn(make_turn(1), 99)
+            ctx.append_turn("turn 1", 99)
 
 
 class TestResetContext:
     def test_reset_clears_turns(self):
         ctx = ExecutorContext("seed", cap=1000, token_len=100)
         for t in range(1, 6):
-            ctx.append_turn(make_turn(t), 100 + t)
+            ctx.append_turn(f"turn {t}", 100 + t)
         ctx.reset("new seed", 400)
-        assert ctx.turns == []
+        assert ctx.log == []
         assert ctx.token_len == 400
         assert ctx.seed_prompt == "new seed"
 
@@ -100,7 +100,7 @@ def test_token_len_non_decreasing_between_resets(increments, start):
     observed = [ctx.token_len]
     t = 1
     for inc in increments:
-        ctx.append_turn(make_turn(t), ctx.token_len + inc)
+        ctx.append_turn(f"turn {t}", ctx.token_len + inc)
         observed.append(ctx.token_len)
         t += 1
     assert observed == sorted(observed)

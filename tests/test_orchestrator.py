@@ -1,6 +1,7 @@
 """State-machine behavior: scheduling, interventions, resets, audits, and
 termination semantics, all under scripted backends and environments."""
 
+import logging
 from dataclasses import replace
 
 import pytest
@@ -12,9 +13,13 @@ from hybridmas.backends import (
     whitespace_token_count,
 )
 from hybridmas.core import (
+    CONTINUE,
     AdviceMemoryHandoff,
+    InitialPlanRecord,
     ReplanHandoff,
     TaskInstance,
+    TokenUsage,
+    VerifierDecision,
     record_to_json_line,
 )
 from hybridmas.core import ToolCall
@@ -273,6 +278,85 @@ class TestPevr:
         )
         assert record.termination == "backend_error"
         assert len(record.turns) == 2
+
+
+def _scripted_usage(request, response):
+    """The usage ScriptedBackend bills for one answer to one request."""
+    return TokenUsage(whitespace_token_count(request), 0, whitespace_token_count(response))
+
+
+class TestModelCallFailures:
+    """What a failed plan, execute or verify call leaves in the record."""
+
+    def test_plan_retry_failure_bills_the_first_attempt(self):
+        record, _, supervisor = run_scripted("pevr", ["Tool call: finish[yes]"], ["nope"])
+        assert record.termination == "backend_error"
+        assert record.turns == []
+        assert len(supervisor.requests) == 2  # the retry was sent, and failed
+        assert record.initial_plan == InitialPlanRecord(
+            "", _scripted_usage(supervisor.requests[0], "nope")
+        )
+
+    def test_rejected_first_plan_call_leaves_no_plan(self):
+        record = run_trajectory(
+            TASK,
+            make_run_config("pevr"),
+            ScriptedBackend(["Tool call: finish[yes]"]),
+            _FailingBackend(RejectedError(400, "prompt too long")),
+            ScriptedEnvironment(),
+        )
+        assert record.termination == "backend_error"
+        assert record.initial_plan is None
+        assert record.turns == []
+
+    @pytest.mark.parametrize("architecture", ["pevr", "eva"])
+    def test_verdict_retry_failure_records_one_unapplied_continue(self, architecture):
+        plan = [PLAN_RESPONSE] if architecture == "pevr" else []
+        record, _, supervisor = run_scripted(
+            architecture, search_turns(4), plan + ["garbage verdict"], max_turns=4
+        )
+        assert record.termination == "backend_error"
+        assert len(record.turns) == 2
+        assert supervisor.requests[-1] == supervisor.requests[-2]  # the retry
+        [call] = record.supervisor_calls
+        assert call.at_turn == 2
+        assert call.decision == VerifierDecision(CONTINUE, None, "garbage verdict")
+        assert call.usage == _scripted_usage(supervisor.requests[-2], "garbage verdict")
+        assert not call.applied
+        assert record.resets == []
+
+    @pytest.mark.parametrize(
+        "architecture, executor, supervisor, role, detail",
+        [
+            ("monolithic", RejectedError(401, "bad key"), None, "execute", "bad key"),
+            ("pevr", ["x"], RejectedError(400, "prompt too long"), "plan", "prompt too long"),
+            ("pevr", ["x"], ["nope"], "plan", "script exhausted"),
+            ("pevr", search_turns(2), [PLAN_RESPONSE], "verify", "script exhausted"),
+            ("pevr", search_turns(2), [PLAN_RESPONSE, "garbage"], "verify", "script exhausted"),
+            ("eva", search_turns(2), ["garbage"], "verify", "script exhausted"),
+        ],
+        ids=["execute", "plan", "plan-retry", "verify", "pevr-verify-retry", "eva-verify-retry"],
+    )
+    def test_a_backend_error_that_ends_the_task_is_logged_once(
+        self, architecture, executor, supervisor, role, detail, caplog
+    ):
+        def backend(spec):
+            if isinstance(spec, BackendError):
+                return _FailingBackend(spec)
+            return ScriptedBackend(spec) if spec else None
+
+        config = make_run_config(architecture, max_turns=2, verify_interval=2)
+        with caplog.at_level(logging.WARNING, logger="hybridmas.orchestrator"):
+            record = run_trajectory(
+                TASK, config, backend(executor), backend(supervisor), ScriptedEnvironment()
+            )
+        assert record.termination == "backend_error"
+        [warning] = [r for r in caplog.records if r.name == "hybridmas.orchestrator"]
+        assert warning.levelno == logging.WARNING
+        message = warning.getMessage()
+        assert TASK.id in message
+        assert role in message
+        assert detail in message
 
 
 class TestEva:
