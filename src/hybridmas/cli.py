@@ -9,12 +9,15 @@ Commands
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 
 Output layout: <output>/<architecture>-tv<interval>/trajectories.jsonl.
-Re-running a condition skips task ids already present in its log, so
-interrupted batches are resumable; a torn final line (a kill mid-write) is
-dropped with a warning and its task reruns. A log holding a record written
-under another run configuration (its config_digest differs) is refused with
-exit 2 and nothing is appended to it (a torn final line is still dropped),
-so one log never mixes two conditions.
+Records are appended as each task ends, in task order: a record that ends
+before a slower earlier task waits for it. A kill or an exception escaping
+a task (exit 2) loses only the tasks not yet written. Re-running a
+condition skips task ids already present in its log, so those tasks rerun
+on resume; a torn final line (a kill mid-write) is dropped with a warning
+and its task reruns. A log holding a record written under another run
+configuration (its config_digest differs) is refused with exit 2 and
+nothing is appended to it (a torn final line is still dropped), so one log
+never mixes two conditions.
 
 Report CSVs (stable column names):
     frontier.csv    label,axis,cost,performance        (Pareto-filtered)
@@ -33,9 +36,9 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import analysis
 from .backends import ScriptedBackend
@@ -72,9 +75,9 @@ def _drop_torn_tail(path: Path) -> None:
 
 
 def execute_condition(cfg: ExperimentConfig, verify_interval: int) -> dict:
-    """Run every pending task for one (architecture, interval) condition
-    and append the trajectories to its log. Returns summary stats over the
-    complete log."""
+    """Run every pending task for one (architecture, interval) condition,
+    appending each record to its log once it and every earlier task have
+    ended. Returns summary stats over the complete log."""
     run_config = cfg.with_verify_interval(verify_interval)
     tasks = load_tasks(cfg.dataset)
     env_factory = build_environment_factory(cfg)
@@ -120,25 +123,23 @@ def execute_condition(cfg: ExperimentConfig, verify_interval: int) -> dict:
             record.score = analysis.trajectory_score(task.benchmark_tag, record, task.gold_answers)
         return record
 
-    results: dict[str, TrajectoryRecord] = {}
-    if parallelism <= 1 or len(pending) <= 1:
-        for task in pending:
-            results[task.id] = run_one(task)
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(run_one, task): task for task in pending}
-            for future, task in futures.items():
-                results[task.id] = future.result()
-
-    new_records = [results[task.id] for task in pending]
-    write_trajectories(log_path, new_records, append=bool(existing))
+    # Both maps yield in task order, so the log's order does not depend on
+    # the parallelism. The built-in map runs each task on this thread; the
+    # pool's map runs ahead on its workers and, when a task raises, cancels
+    # the tasks not yet started as the exception leaves the loop.
+    log_path.touch()  # the log exists even when no task is pending
+    records = list(existing)
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        for record in (pool.map if parallelism > 1 else map)(run_one, pending):
+            write_trajectories(log_path, [record], append=True)
+            records.append(record)
 
     return dict(
-        asdict(analysis.condition_stats(existing + new_records)),
+        asdict(analysis.condition_stats(records)),
         architecture=cfg.run.architecture,
         verify_interval=verify_interval,
         log_path=str(log_path),
-        new_tasks=len(new_records),
+        new_tasks=len(records) - len(existing),
     )
 
 
@@ -152,71 +153,44 @@ def _print_summary(summary: dict) -> None:
 
 
 def cmd_run(args) -> int:
+    """run: one condition at the configured verification interval. sweep:
+    one condition per interval of the config's sweep list, then
+    sweep_points.csv over them."""
+    sweep = args.command == "sweep"
     try:
         cfg = _load_with_overrides(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        summary = execute_condition(cfg, cfg.run.verify_interval)
+        if sweep and not cfg.sweep:
+            raise ConfigError("sweep requires a non-empty sweep list in the config")
+        summaries = []
+        for interval in cfg.sweep if sweep else [cfg.run.verify_interval]:
+            summaries.append(execute_condition(cfg, interval))
+            _print_summary(summaries[-1])
+        if sweep:
+            points_path = cfg.output / "sweep_points.csv"
+            header = ("label", "architecture", "verify_interval", "performance", "cost_usd",
+                      "energy_joules")
+            rows = [
+                (f"{s['architecture']}-tv{s['verify_interval']}", s["architecture"],
+                 s["verify_interval"], s["mean_score"], s["cost_usd"], s["energy_joules"])
+                for s in summaries
+            ]
+            _write_csv(points_path, header, rows)
+            print(f"sweep points written to {points_path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - runtime boundary for exit code 2
-        logger.exception("run failed")
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    _print_summary(summary)
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    try:
-        cfg = _load_with_overrides(args)
-        if not cfg.sweep:
-            raise ConfigError("sweep requires a non-empty sweep list in the config")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    rows = []
-    try:
-        for interval in cfg.sweep:
-            summary = execute_condition(cfg, interval)
-            _print_summary(summary)
-            rows.append(summary)
-        points_path = cfg.output / "sweep_points.csv"
-        with open(points_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "label",
-                    "architecture",
-                    "verify_interval",
-                    "performance",
-                    "cost_usd",
-                    "energy_joules",
-                ]
-            )
-            for row in rows:
-                writer.writerow(
-                    [
-                        f"{row['architecture']}-tv{row['verify_interval']}",
-                        row["architecture"],
-                        row["verify_interval"],
-                        row["mean_score"],
-                        row["cost_usd"],
-                        row["energy_joules"],
-                    ]
-                )
-        print(f"sweep points written to {points_path}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # noqa: BLE001
-        logger.exception("sweep failed")
+        logger.exception("%s failed", args.command)
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _report_label(path: Path) -> str:
@@ -262,22 +236,18 @@ def _write_frontier(labeled: dict, axis: str, path: Path) -> None:
         cost = float(stats.cost_usd) if axis == "cost" else stats.energy_joules
         points.append(analysis.ConfigPoint(label, cost, stats.performance))
     frontier = analysis.pareto_frontier(points)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "axis", "cost", "performance"])
-        for point in frontier:
-            writer.writerow([point.label, axis, point.cost, point.performance])
+    _write_csv(
+        path,
+        ("label", "axis", "cost", "performance"),
+        [[point.label, axis, point.cost, point.performance] for point in frontier],
+    )
     print(f"frontier written to {path} ({len(frontier)} of {len(points)} points)")
 
 
 def _write_histogram(labeled: dict, path: Path) -> None:
     records = [r for records in labeled.values() for r in records]
     histogram = analysis.intervention_histogram(records)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["intervention_count", "frequency"])
-        for count, frequency in histogram.counts.items():
-            writer.writerow([count, frequency])
+    _write_csv(path, ("intervention_count", "frequency"), histogram.counts.items())
     quartiles = histogram.quartiles
     print(
         f"histogram written to {path}"
@@ -296,32 +266,7 @@ def _write_confusion(labeled: dict, path: Path) -> None:
                 )
             audited.append((record, record.success))
     report = analysis.verifier_confusion(audited)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "tp",
-                "fp",
-                "tn",
-                "fn",
-                "fn_rate",
-                "fp_rate",
-                "fn_rate_conditional",
-                "fp_rate_conditional",
-            ]
-        )
-        writer.writerow(
-            [
-                report.tp,
-                report.fp,
-                report.tn,
-                report.fn,
-                report.fn_rate,
-                report.fp_rate,
-                report.fn_rate_conditional,
-                report.fp_rate_conditional,
-            ]
-        )
+    _write_csv(path, [f.name for f in fields(report)], [astuple(report)])
     print(f"confusion written to {path} (total {report.total})")
 
 
@@ -330,44 +275,29 @@ def _write_overlap(labeled: dict, path: Path) -> None:
         label: {r.task_id for r in records if r.success}
         for label, records in labeled.items()
     }
-    regions = analysis.solve_overlap(solve_sets)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "count"])
-        for region, count in regions.items():
-            writer.writerow([region, count])
+    _write_csv(path, ("region", "count"), analysis.solve_overlap(solve_sets).items())
     print(f"overlap written to {path}")
 
 
+# ConditionStats fields written to kv_growth.csv after label and architecture.
+_KV_GROWTH_STATS = (
+    "records",
+    "success_rate",
+    "mean_max_context_tokens",
+    "mean_max_kv_bytes",
+    "max_max_kv_bytes",
+)
+
+
 def _write_kv_growth(labeled: dict, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "label",
-                "architecture",
-                "records",
-                "success_rate",
-                "mean_max_context_tokens",
-                "mean_max_kv_bytes",
-                "max_max_kv_bytes",
-            ]
-        )
-        for label, records in labeled.items():
-            if not records:
-                continue
+    rows = []
+    for label, records in labeled.items():
+        if records:
             stats = analysis.condition_stats(records)
-            writer.writerow(
-                [
-                    label,
-                    records[0].architecture,
-                    stats.records,
-                    stats.success_rate,
-                    stats.mean_max_context_tokens,
-                    stats.mean_max_kv_bytes,
-                    stats.max_max_kv_bytes,
-                ]
+            rows.append(
+                [label, records[0].architecture, *(getattr(stats, n) for n in _KV_GROWTH_STATS)]
             )
+    _write_csv(path, ("label", "architecture", *_KV_GROWTH_STATS), rows)
     print(f"kv growth written to {path}")
 
 
@@ -403,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="run once per verification interval")
     add_run_flags(sweep_p)
-    sweep_p.set_defaults(func=cmd_sweep)
+    sweep_p.set_defaults(func=cmd_run)
 
     report_p = sub.add_parser("report", help="emit analysis CSVs from trajectory logs")
     report_p.add_argument("paths", nargs="+", help="trajectories.jsonl files")

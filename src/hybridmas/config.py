@@ -55,7 +55,6 @@ class ExperimentConfig:
     run: RunConfig
     executor_backend_name: str
     supervisor_backend_name: Optional[str]
-    models: dict[str, ModelProfile]
     backend_specs: dict[str, dict]
     dataset: Path
     corpus: Optional[Path]
@@ -68,10 +67,24 @@ class ExperimentConfig:
         return replace(self.run, verify_interval=verify_interval)
 
 
+def _mapping(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, not {value!r}")
+    return value
+
+
 def _require(mapping: dict, key: str, where: str) -> Any:
-    if key not in mapping:
+    if key not in _mapping(mapping, where):
         raise ConfigError(f"missing key {key!r} in {where}")
     return mapping[key]
+
+
+def _number(convert: Callable[[Any], Any], value: Any, where: str) -> Any:
+    """convert(value), reporting a malformed value as a ConfigError."""
+    try:
+        return convert(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 def _decimal(value: Any, where: str) -> Decimal:
@@ -151,10 +164,12 @@ def build_backend(spec: dict, base_dir: Path):
             base_url=_require(spec, "base_url", "http backend"),
             model=_require(spec, "model", "http backend"),
             credential_env=spec.get("credential_env"),
-            max_retries=int(spec.get("max_retries", 3)),
-            backoff_s=float(spec.get("backoff_s", 0.5)),
-            backoff_cap_s=float(spec.get("backoff_cap_s", 8.0)),
-            timeout_s=float(spec.get("timeout_s", 120.0)),
+            max_retries=_number(int, spec.get("max_retries", 3), "http backend max_retries"),
+            backoff_s=_number(float, spec.get("backoff_s", 0.5), "http backend backoff_s"),
+            backoff_cap_s=_number(
+                float, spec.get("backoff_cap_s", 8.0), "http backend backoff_cap_s"
+            ),
+            timeout_s=_number(float, spec.get("timeout_s", 120.0), "http backend timeout_s"),
         )
     raise ConfigError(f"unknown backend type {kind!r}")
 
@@ -163,7 +178,11 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
     """Return a zero-argument factory producing a fresh environment per
     trajectory. Corpora are shared; sessions are not."""
     env_type = cfg.environment.get("type", "wiki")
-    limit = int(cfg.environment.get("observation_limit", DEFAULT_OBSERVATION_LIMIT))
+    limit = _number(
+        int,
+        cfg.environment.get("observation_limit", DEFAULT_OBSERVATION_LIMIT),
+        "environment.observation_limit",
+    )
     if env_type == "wiki":
         if cfg.corpus is None:
             raise ConfigError("wiki environment requires a corpus path")
@@ -172,12 +191,15 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
     if env_type == "scripted":
         table = {}
         for entry in cfg.environment.get("table", []):
-            call = ToolCall(entry["tool"], entry.get("argument", ""))
-            table[call] = Observation(
-                entry["text"],
-                bool(entry.get("terminal", False)),
-                entry.get("final_answer"),
-            )
+            try:
+                call = ToolCall(entry["tool"], entry.get("argument", ""))
+                table[call] = Observation(
+                    entry["text"],
+                    bool(entry.get("terminal", False)),
+                    entry.get("final_answer"),
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"environment.table: bad entry {entry!r}: {exc!r}")
         default = cfg.environment.get("default", "Nothing happens.")
         tools = tuple(cfg.environment.get("tools", ("search", "lookup", "finish")))
         return lambda: ScriptedEnvironment(
@@ -195,7 +217,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("config root must be a mapping")
     base_dir = path.parent
 
-    models_raw = _require(raw, "models", "config")
+    models_raw = _mapping(_require(raw, "models", "config"), "models")
     models = {name: parse_model_profile(name, spec) for name, spec in models_raw.items()}
 
     backend_specs = _require(raw, "backends", "config")
@@ -230,15 +252,20 @@ def load_config(path) -> ExperimentConfig:
         "supervisor", required=architecture != "monolithic"
     )
 
-    sampling_raw = run_raw.get("sampling") or {}
-    sampling = SamplingParams(
-        temperature=float(sampling_raw.get("temperature", 0.0)),
-        max_generated_tokens=int(sampling_raw.get("max_generated_tokens", 1024)),
-    )
-
-    environment = raw.get("environment") or {"type": "wiki"}
+    sampling_raw = _mapping(run_raw.get("sampling") or {}, "run.sampling")
+    environment = _mapping(raw.get("environment") or {"type": "wiki"}, "environment")
 
     try:
+        sampling = SamplingParams(
+            temperature=_number(
+                float, sampling_raw.get("temperature", 0.0), "run.sampling.temperature"
+            ),
+            max_generated_tokens=_number(
+                int,
+                sampling_raw.get("max_generated_tokens", 1024),
+                "run.sampling.max_generated_tokens",
+            ),
+        )
         run_config = RunConfig(
             architecture=architecture,
             executor_profile=executor_profile,
@@ -249,7 +276,7 @@ def load_config(path) -> ExperimentConfig:
             seed=int(run_raw.get("seed", 0)),
             sampling=sampling,
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
 
     dataset = base_dir / _require(raw, "dataset", "config")
@@ -267,7 +294,7 @@ def load_config(path) -> ExperimentConfig:
     if sweep is not None:
         if not isinstance(sweep, list) or not sweep:
             raise ConfigError("sweep must be a non-empty list of intervals")
-        sweep = [int(v) for v in sweep]
+        sweep = [_number(int, v, "sweep") for v in sweep]
         if any(v < 1 for v in sweep):
             raise ConfigError("sweep values must be >= 1")
 
@@ -275,7 +302,7 @@ def load_config(path) -> ExperimentConfig:
     if not output.is_absolute():
         output = base_dir / output
 
-    parallelism = int(raw.get("parallelism", 1))
+    parallelism = _number(int, raw.get("parallelism", 1), "parallelism")
     if parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
 
@@ -283,7 +310,6 @@ def load_config(path) -> ExperimentConfig:
         run=run_config,
         executor_backend_name=executor_backend_name,
         supervisor_backend_name=supervisor_backend_name,
-        models=models,
         backend_specs=backend_specs,
         dataset=dataset,
         corpus=corpus,

@@ -106,7 +106,6 @@ class TaskInstance:
     query: str
     gold_answers: tuple[str, ...] = ()
     benchmark_tag: str = "generic"
-    environment_id: str = ""
 
     def __post_init__(self):
         if not self.id:

@@ -322,7 +322,6 @@ def load_tasks(path) -> list[TaskInstance]:
                         query=rec["question"],
                         gold_answers=tuple(rec["answers"]),
                         benchmark_tag=benchmark,
-                        environment_id=rec.get("environment", ""),
                     )
                 )
             except ValueError as exc:

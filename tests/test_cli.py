@@ -6,6 +6,7 @@ import json
 import pytest
 import yaml
 
+from hybridmas import cli
 from hybridmas.cli import main
 from hybridmas.core import read_trajectories
 
@@ -210,6 +211,122 @@ class TestCmdRun:
         assert log.read_bytes() == before
         err = capsys.readouterr().err
         assert str(log) in err and written in err and wanted in err
+
+
+HTTP_EXECUTOR = {"type": "http", "base_url": "http://127.0.0.1:9", "model": "m"}
+SCRIPTED_ENV = {"type": "scripted", "default": "nothing yet"}
+
+
+MALFORMED_VALUES = {
+    "parallelism-str": ({"parallelism": "two"}, "parallelism"),
+    "parallelism-list": ({"parallelism": [2]}, "parallelism"),
+    "sweep-entry": ({"sweep": [1, "one"]}, "sweep"),
+    "temperature-str": ({"run.sampling": {"temperature": "hot"}}, "run.sampling.temperature"),
+    "temperature-negative": ({"run.sampling": {"temperature": -1}}, "temperature must be >= 0"),
+    "max_generated_tokens": (
+        {"run.sampling": {"max_generated_tokens": "many"}}, "run.sampling.max_generated_tokens"
+    ),
+    "observation_limit-str": (
+        {"environment": {**SCRIPTED_ENV, "observation_limit": "lots"}},
+        "environment.observation_limit",
+    ),
+    "observation_limit-mapping": (
+        {"environment": {**SCRIPTED_ENV, "observation_limit": {}}},
+        "environment.observation_limit",
+    ),
+    "table-missing-text": (
+        {"environment": {**SCRIPTED_ENV, "table": [{"tool": "search"}]}}, "environment.table"
+    ),
+    "table-not-mapping": (
+        {"environment": {**SCRIPTED_ENV, "table": ["search"]}}, "environment.table"
+    ),
+    "max_retries": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "max_retries": "few"}}},
+        "http backend max_retries",
+    ),
+    "backoff_s": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "backoff_s": "soon"}}},
+        "http backend backoff_s",
+    ),
+    "backoff_cap_s": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "backoff_cap_s": None}}},
+        "http backend backoff_cap_s",
+    ),
+    "timeout_s": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "timeout_s": [1]}}},
+        "http backend timeout_s",
+    ),
+    "backend-not-mapping": ({"backends": {"executor": "typewriter"}}, "backend spec"),
+    "environment-not-mapping": ({"environment": "scripted"}, "environment must be a mapping"),
+    "models-not-mapping": ({"models": ["edge"]}, "models must be a mapping"),
+    "model-not-mapping": ({"models": {"edge": "placement"}}, "models.edge must be a mapping"),
+    "sampling-not-mapping": ({"run.sampling": "greedy"}, "run.sampling must be a mapping"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "overrides, where", list(MALFORMED_VALUES.values()), ids=list(MALFORMED_VALUES)
+)
+def test_malformed_config_value_exits_1(tmp_path, capsys, overrides, where, command):
+    overrides = dict(overrides)
+    sampling = overrides.pop("run.sampling", None)
+    overrides.setdefault("sweep", [1])
+    config = write_config(tmp_path, **overrides)
+    if sampling is not None:
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data["run"]["sampling"] = sampling
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and where in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+class TestRunLoop:
+    def test_escaped_exception_keeps_earlier_records(self, tmp_path, monkeypatch, capsys):
+        started = []
+        real = cli.run_trajectory
+
+        def failing(task, *args):
+            started.append(task.id)
+            if task.id == "B":
+                raise RuntimeError("not a backend error")
+            return real(task, *args)
+
+        monkeypatch.setattr(cli, "run_trajectory", failing)
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 2
+        assert "runtime error: not a backend error" in capsys.readouterr().err
+        log = tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl"
+        assert [r.task_id for r in read_trajectories(log)] == ["A"]
+        assert started == ["A", "B"]
+
+        # The resume reruns only the tasks that were not written.
+        monkeypatch.setattr(cli, "run_trajectory", real)
+        assert main(["run", "--config", str(config)]) == 0
+        assert [r.task_id for r in read_trajectories(log)] == ["A", "B", "C"]
+
+    def test_log_is_written_record_by_record(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        log = tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl"
+        seen = []
+        real = cli.run_trajectory
+
+        def watching(task, *args):
+            seen.append(log.read_text(encoding="utf-8").count("\n"))
+            return real(task, *args)
+
+        monkeypatch.setattr(cli, "run_trajectory", watching)
+        assert main(["run", "--config", str(config)]) == 0
+        assert seen == [0, 1, 2]
+
+    def test_no_pending_task_still_leaves_the_log(self, tmp_path):
+        config = write_config(tmp_path)
+        (tmp_path / "tasks.jsonl").write_text("", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 0
+        assert (tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl").read_bytes() == b""
 
 
 def eva_sweep_config(tmp_path):
