@@ -87,6 +87,20 @@ def _number(convert: Callable[[Any], Any], value: Any, where: str) -> Any:
         raise ConfigError(f"{where}: {exc}")
 
 
+def _integer(value: Any, where: str) -> int:
+    """value as an int. A bool or a non-integral number is a ConfigError:
+    int() would read true as 1 and 2.7 as 2."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{where}: {value!r} is not an integer")
+    return _number(int, value, where)
+
+
+def _optional_integer(raw: dict, key: str, where: str) -> Optional[int]:
+    """raw[key] as an int, or None when it is missing or null."""
+    value = raw.get(key)
+    return None if value is None else _integer(value, f"{where}.{key}")
+
+
 def _decimal(value: Any, where: str) -> Decimal:
     try:
         return Decimal(str(value))
@@ -109,14 +123,12 @@ def parse_model_profile(name: str, raw: dict) -> ModelProfile:
         return ModelProfile(
             name=name,
             placement=placement,
-            context_cap=int(_require(raw, "context_cap", where)),
+            context_cap=_integer(_require(raw, "context_cap", where), f"{where}.context_cap"),
             param_count=float(raw["param_count"]) if raw.get("param_count") else None,
-            layers=int(raw["layers"]) if raw.get("layers") else None,
-            kv_heads=int(raw["kv_heads"]) if raw.get("kv_heads") else None,
-            head_dim=int(raw["head_dim"]) if raw.get("head_dim") else None,
-            bytes_per_activation=(
-                int(raw["bytes_per_activation"]) if raw.get("bytes_per_activation") else None
-            ),
+            layers=_optional_integer(raw, "layers", where),
+            kv_heads=_optional_integer(raw, "kv_heads", where),
+            head_dim=_optional_integer(raw, "head_dim", where),
+            bytes_per_activation=_optional_integer(raw, "bytes_per_activation", where),
             efficiency=float(raw["efficiency"]) if raw.get("efficiency") else None,
             pricing=pricing,
         )
@@ -164,7 +176,7 @@ def build_backend(spec: dict, base_dir: Path):
             base_url=_require(spec, "base_url", "http backend"),
             model=_require(spec, "model", "http backend"),
             credential_env=spec.get("credential_env"),
-            max_retries=_number(int, spec.get("max_retries", 3), "http backend max_retries"),
+            max_retries=_integer(spec.get("max_retries", 3), "http backend max_retries"),
             backoff_s=_number(float, spec.get("backoff_s", 0.5), "http backend backoff_s"),
             backoff_cap_s=_number(
                 float, spec.get("backoff_cap_s", 8.0), "http backend backoff_cap_s"
@@ -178,8 +190,7 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
     """Return a zero-argument factory producing a fresh environment per
     trajectory. Corpora are shared; sessions are not."""
     env_type = cfg.environment.get("type", "wiki")
-    limit = _number(
-        int,
+    limit = _integer(
         cfg.environment.get("observation_limit", DEFAULT_OBSERVATION_LIMIT),
         "environment.observation_limit",
     )
@@ -193,11 +204,10 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
         for entry in cfg.environment.get("table", []):
             try:
                 call = ToolCall(entry["tool"], entry.get("argument", ""))
-                table[call] = Observation(
-                    entry["text"],
-                    bool(entry.get("terminal", False)),
-                    entry.get("final_answer"),
-                )
+                terminal = entry.get("terminal", False)
+                if not isinstance(terminal, bool):
+                    raise TypeError(f"terminal must be true or false, not {terminal!r}")
+                table[call] = Observation(entry["text"], terminal, entry.get("final_answer"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"environment.table: bad entry {entry!r}: {exc!r}")
         default = cfg.environment.get("default", "Nothing happens.")
@@ -260,8 +270,7 @@ def load_config(path) -> ExperimentConfig:
             temperature=_number(
                 float, sampling_raw.get("temperature", 0.0), "run.sampling.temperature"
             ),
-            max_generated_tokens=_number(
-                int,
+            max_generated_tokens=_integer(
                 sampling_raw.get("max_generated_tokens", 1024),
                 "run.sampling.max_generated_tokens",
             ),
@@ -270,10 +279,10 @@ def load_config(path) -> ExperimentConfig:
             architecture=architecture,
             executor_profile=executor_profile,
             supervisor_profile=supervisor_profile,
-            max_turns=int(run_raw["max_turns"]) if run_raw.get("max_turns") else None,
-            verify_interval=int(run_raw.get("verify_interval", 1)),
+            max_turns=_optional_integer(run_raw, "max_turns", "run"),
+            verify_interval=_integer(run_raw.get("verify_interval", 1), "run.verify_interval"),
             environment_id=environment.get("type", "wiki"),
-            seed=int(run_raw.get("seed", 0)),
+            seed=_integer(run_raw.get("seed", 0), "run.seed"),
             sampling=sampling,
         )
     except (ValueError, TypeError) as exc:
@@ -294,7 +303,7 @@ def load_config(path) -> ExperimentConfig:
     if sweep is not None:
         if not isinstance(sweep, list) or not sweep:
             raise ConfigError("sweep must be a non-empty list of intervals")
-        sweep = [_number(int, v, "sweep") for v in sweep]
+        sweep = [_integer(v, "sweep") for v in sweep]
         if any(v < 1 for v in sweep):
             raise ConfigError("sweep values must be >= 1")
 
@@ -302,7 +311,7 @@ def load_config(path) -> ExperimentConfig:
     if not output.is_absolute():
         output = base_dir / output
 
-    parallelism = _number(int, raw.get("parallelism", 1), "parallelism")
+    parallelism = _integer(raw.get("parallelism", 1), "parallelism")
     if parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
 

@@ -56,7 +56,10 @@ def truncate_observation(text: str, limit: int = DEFAULT_OBSERVATION_LIMIT) -> s
 # --- sentence segmentation -------------------------------------------------
 #
 # Split on '.', '!', '?' followed by whitespace or end-of-text, keeping the
-# delimiter. Applied once at corpus ingestion so episodes are reproducible.
+# delimiter. The corpus keeps each page's raw text and splits it when the page
+# is read; the split is a pure function of the text, so episodes stay
+# reproducible. A text yields no sentence exactly when it is empty or all
+# whitespace, which is what the corpus checks at load.
 
 _SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])(?=\s|$)")
 
@@ -82,36 +85,46 @@ class WikiPage:
 class WikiCorpus:
     """Immutable page store keyed by normalized title, with an inverted
     index from each title token to the keys containing it; shareable
-    across concurrent episodes."""
+    across concurrent episodes. Each page is kept as its raw text and
+    split into sentences only when it is read."""
 
-    def __init__(self, pages: Iterable[WikiPage]):
-        self._pages: dict[str, WikiPage] = {}
+    def __init__(self, pages: Iterable[tuple[str, str]]):
+        self._pages: dict[str, tuple[str, str]] = {}
         postings: defaultdict[str, list[str]] = defaultdict(list)
         for page in pages:
-            key = normalize_title(page.title)
+            title, text = page
+            if not text or text.isspace():
+                raise ValueError(f"page {title!r} needs at least one sentence")
+            tokens = title.lower().split()
+            key = " ".join(tokens)  # normalize_title(title), keeping its tokens
             if key in self._pages:
                 raise ValueError(f"duplicate normalized title {key!r}")
             self._pages[key] = page
-            for token in set(key.split()):
+            for token in set(tokens):
                 postings[token].append(key)
         self._postings: dict[str, list[str]] = dict(postings)
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, str]]) -> "WikiCorpus":
-        return cls(
-            WikiPage(rec["title"], tuple(split_sentences(rec["text"]))) for rec in records
-        )
+        return cls([(rec["title"], rec["text"]) for rec in records])
 
     @classmethod
     def load(cls, path) -> "WikiCorpus":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_records(_corpus_records(fh))
+        pages = []
+        for line_no, rec in _read_jsonl(path):
+            if not isinstance(rec, dict) or "title" not in rec or "text" not in rec:
+                raise SchemaViolationError(line_no, "corpus lines need title and text")
+            pages.append((rec["title"], rec["text"]))
+        return cls(pages)
 
     def get(self, title: str) -> Optional[WikiPage]:
-        return self._pages.get(normalize_title(title))
+        page = self._pages.get(normalize_title(title))
+        if page is None:
+            return None
+        return WikiPage(page[0], tuple(split_sentences(page[1])))
 
     def titles(self) -> list[str]:
-        return [page.title for page in self._pages.values()]
+        return [title for title, _ in self._pages.values()]
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -119,8 +132,8 @@ class WikiCorpus:
     def digest(self) -> str:
         canonical = json.dumps(
             sorted(
-                (key, page.title, list(page.sentences))
-                for key, page in self._pages.items()
+                (key, title, split_sentences(text))
+                for key, (title, text) in self._pages.items()
             ),
             ensure_ascii=False,
         )
@@ -138,23 +151,38 @@ class WikiCorpus:
             # keys sharing none. Of the k smallest keys overall at most
             # len(shared) share a token, so enough of them remain.
             ranked += [key for key in heapq.nsmallest(k, self._pages) if key not in shared]
-        return [self._pages[key].title for key in ranked[:k]]
+        return [self._pages[key][0] for key in ranked[:k]]
 
 
-def _corpus_records(lines: Iterable[str]) -> Iterator[dict]:
-    """Yield the JSON object of each non-blank corpus line, rejecting a
-    malformed one with its line number."""
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolationError(line_no, f"invalid JSON: {exc}")
-        if not isinstance(rec, dict) or "title" not in rec or "text" not in rec:
-            raise SchemaViolationError(line_no, "corpus lines need title and text")
-        yield rec
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_line(line: str) -> object:
+    """json.loads(line) for a stripped line. A line that is one whole JSON
+    value is decoded without json.loads' wrapper; any other line goes to
+    json.loads itself, so every error reads as json.loads words it."""
+    try:
+        value, end = _raw_decode(line)
+        if end == len(line):
+            return value
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
+
+
+def _read_jsonl(path) -> Iterator[tuple[int, object]]:
+    """Yield (line number, parsed value) for each non-blank line of a JSONL
+    file, rejecting a line that is not JSON with its line number."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = _parse_line(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaViolationError(line_no, f"invalid JSON: {exc}")
+            yield line_no, value
 
 
 @dataclass
@@ -290,40 +318,32 @@ def load_tasks(path) -> list[TaskInstance]:
     rejected with their line number; ids must be unique."""
     tasks: list[TaskInstance] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolationError(line_no, f"invalid JSON: {exc}")
-            if not isinstance(rec, dict):
-                raise SchemaViolationError(line_no, "each line must be a JSON object")
-            for key in ("id", "question", "answers"):
-                if key not in rec:
-                    raise SchemaViolationError(line_no, f"missing key {key!r}")
-            if not isinstance(rec["answers"], list) or not all(
-                isinstance(a, str) for a in rec["answers"]
-            ):
-                raise SchemaViolationError(line_no, "answers must be a list of strings")
-            task_id = str(rec["id"])
-            if not task_id or not rec["question"]:
-                raise SchemaViolationError(line_no, "id and question must be non-empty")
-            if task_id in seen_ids:
-                raise SchemaViolationError(line_no, f"duplicate task id {task_id!r}")
-            seen_ids.add(task_id)
-            benchmark = rec.get("benchmark", "generic")
-            try:
-                tasks.append(
-                    TaskInstance(
-                        id=task_id,
-                        query=rec["question"],
-                        gold_answers=tuple(rec["answers"]),
-                        benchmark_tag=benchmark,
-                    )
+    for line_no, rec in _read_jsonl(path):
+        if not isinstance(rec, dict):
+            raise SchemaViolationError(line_no, "each line must be a JSON object")
+        for key in ("id", "question", "answers"):
+            if key not in rec:
+                raise SchemaViolationError(line_no, f"missing key {key!r}")
+        if not isinstance(rec["answers"], list) or not all(
+            isinstance(a, str) for a in rec["answers"]
+        ):
+            raise SchemaViolationError(line_no, "answers must be a list of strings")
+        task_id = str(rec["id"])
+        if not task_id or not rec["question"]:
+            raise SchemaViolationError(line_no, "id and question must be non-empty")
+        if task_id in seen_ids:
+            raise SchemaViolationError(line_no, f"duplicate task id {task_id!r}")
+        seen_ids.add(task_id)
+        benchmark = rec.get("benchmark", "generic")
+        try:
+            tasks.append(
+                TaskInstance(
+                    id=task_id,
+                    query=rec["question"],
+                    gold_answers=tuple(rec["answers"]),
+                    benchmark_tag=benchmark,
                 )
-            except ValueError as exc:
-                raise SchemaViolationError(line_no, str(exc))
+            )
+        except ValueError as exc:
+            raise SchemaViolationError(line_no, str(exc))
     return tasks

@@ -261,6 +261,40 @@ MALFORMED_VALUES = {
     "models-not-mapping": ({"models": ["edge"]}, "models must be a mapping"),
     "model-not-mapping": ({"models": {"edge": "placement"}}, "models.edge must be a mapping"),
     "sampling-not-mapping": ({"run.sampling": "greedy"}, "run.sampling must be a mapping"),
+    # Values int() or bool() would silently change, and 0 where only null means unset.
+    "parallelism-float": ({"parallelism": 2.7}, "parallelism: 2.7 is not an integer"),
+    "parallelism-bool": ({"parallelism": True}, "parallelism: True is not an integer"),
+    "sweep-float": ({"sweep": [1.9]}, "sweep: 1.9 is not an integer"),
+    "verify_interval-float": ({"run.verify_interval": 1.5}, "run.verify_interval"),
+    "max_turns-float": ({"run.max_turns": 4.5}, "run.max_turns"),
+    "max_turns-bool": ({"run.max_turns": True}, "run.max_turns"),
+    "max_turns-zero": ({"run.max_turns": 0}, "max_turns must be >= 1"),
+    "layers-zero": (
+        {"models": {"edge": {**EDGE_MODEL, "layers": 0}, "cloud": CLOUD_MODEL}},
+        "layers must be > 0 when set",
+    ),
+    "seed-bool": ({"run.seed": False}, "run.seed"),
+    "max_generated_tokens-float": (
+        {"run.sampling": {"max_generated_tokens": 10.5}}, "run.sampling.max_generated_tokens"
+    ),
+    "max_retries-float": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "max_retries": 2.5}}},
+        "http backend max_retries",
+    ),
+    "observation_limit-bool": (
+        {"environment": {**SCRIPTED_ENV, "observation_limit": True}},
+        "environment.observation_limit",
+    ),
+    "context_cap-float": (
+        {"models": {"edge": {**EDGE_MODEL, "context_cap": 32768.5}, "cloud": CLOUD_MODEL}},
+        "models.edge.context_cap",
+    ),
+    "table-terminal-str": (
+        {"environment": {**SCRIPTED_ENV, "table": [
+            {"tool": "search", "text": "x", "terminal": "no"}
+        ]}},
+        "terminal must be true or false",
+    ),
 }
 
 
@@ -270,18 +304,24 @@ MALFORMED_VALUES = {
 )
 def test_malformed_config_value_exits_1(tmp_path, capsys, overrides, where, command):
     overrides = dict(overrides)
-    sampling = overrides.pop("run.sampling", None)
+    run = {key[4:]: overrides.pop(key) for key in list(overrides) if key.startswith("run.")}
     overrides.setdefault("sweep", [1])
     config = write_config(tmp_path, **overrides)
-    if sampling is not None:
+    if run:
         data = yaml.safe_load(config.read_text(encoding="utf-8"))
-        data["run"]["sampling"] = sampling
+        data["run"].update(run)
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and where in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_integral_numbers_load_as_integers(tmp_path):
+    cfg = cli.load_config(write_config(tmp_path, parallelism=2.0, sweep=[1.0, 3]))
+    assert (cfg.parallelism, cfg.sweep) == (2, [1, 3])
+    assert all(type(value) is int for value in (cfg.parallelism, *cfg.sweep))
 
 
 class TestRunLoop:

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hybridmas import environments
 from hybridmas.core import ToolCall
 from hybridmas.environments import (
     NO_MORE_RESULTS,
@@ -121,7 +122,7 @@ _queries = st.one_of(
 @example(["Amber Amber Basalt", "Cedar\tDelta", "ember"], "zircon quartz", 5)
 @example(["Delta", "cedar", "Amber"], "", 10)
 def test_similar_titles_matches_full_sort(titles, query, k):
-    corpus = WikiCorpus(WikiPage(title, ("A sentence.",)) for title in titles)
+    corpus = WikiCorpus((title, "A sentence.") for title in titles)
     assert corpus.similar_titles(query, k) == reference_similar_titles(titles, query, k)
 
 
@@ -350,3 +351,81 @@ class TestCorpusLoading:
         assert "search[entity]" in env.tool_prompt
         assert "finish[answer]" in env.tool_prompt
         assert env.tools == ("search", "lookup", "finish")
+
+
+# Pieces of page text: sentence ends, abbreviations, inner periods, Unicode
+# whitespace (no-break, em and ideographic spaces, line and file separators,
+# NEL) and a zero-width space, which is not whitespace.
+_TEXT_PIECES = [
+    "word", "Ünïcode", "A.A.L.", "Dr.", "4.5", ".", "!", "?", "...",
+    " ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\u3000", "\u2028", "\x1c", "\x85", "\u200b",
+]
+_page_texts = st.one_of(
+    st.lists(st.sampled_from(_TEXT_PIECES), max_size=12).map("".join),
+    st.text(max_size=40),
+)
+
+# WikiCorpus.digest() of make_corpus(): when a page is split must not change it.
+MAKE_CORPUS_DIGEST = "794b6ef35a7eb4f8439a2ef1119f88299718cedc8de5a08496bbbef9fced8942"
+
+
+class TestLazyPages:
+    @settings(max_examples=300, deadline=None)
+    @given(_page_texts)
+    @example("")
+    @example(" \u3000\u2028\x85 ")
+    @example("\u200b")
+    @example("She signed as A.A.L. Her work endured.")
+    def test_read_page_matches_split_text(self, tmp_path_factory, text):
+        sentences = tuple(split_sentences(text))
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        path.write_text(json.dumps({"title": "T", "text": text}) + "\n", encoding="utf-8")
+        if not sentences:
+            with pytest.raises(ValueError):
+                WikiCorpus.load(path)
+            return
+        page = WikiCorpus.load(path).get("t")
+        assert page == WikiPage("T", sentences)
+
+    def test_digest_is_unchanged(self):
+        assert make_corpus().digest() == MAKE_CORPUS_DIGEST
+
+    def test_load_splits_no_page(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return split_sentences(text)
+
+        monkeypatch.setattr(environments, "split_sentences", counting)
+        path = tmp_path / "corpus.jsonl"
+        rows = [
+            {"title": "Richard Feynman", "text": " ".join(FEYNMAN_SENTENCES)},
+            {"title": "Marie Curie", "text": " ".join(CURIE_SENTENCES)},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+        corpus = WikiCorpus.load(path)
+        assert calls == []
+        assert corpus.get("Marie Curie").sentences == tuple(CURIE_SENTENCES)
+        assert calls == [" ".join(CURIE_SENTENCES)]
+
+    def test_duplicate_normalized_title_rejected_at_load(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        rows = [{"title": "Marie Curie", "text": "A."}, {"title": " marie  CURIE", "text": "B."}]
+        path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+        with pytest.raises(ValueError, match="duplicate normalized title"):
+            WikiCorpus.load(path)
+
+
+@pytest.mark.parametrize(
+    "line", ["{", '{"a": 1} x', '\ufeff{"a": 1}', '{"a": 1}{"b": 2}', "[1,]", "nul", '"x" 5']
+)
+def test_invalid_json_reads_as_json_loads_words_it(tmp_path, line):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(line)
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    for load in (WikiCorpus.load, load_tasks):
+        with pytest.raises(SchemaViolationError) as exc_info:
+            load(path)
+        assert str(exc_info.value) == f"line 2: invalid JSON: {expected.value}"
