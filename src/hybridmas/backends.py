@@ -8,16 +8,24 @@ covers both cloud APIs and local vLLM-style servers with one client.
 
 from __future__ import annotations
 
+import base64
+import functools
+import http.client
+import json
 import logging
+import math
 import os
+import select
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
-
-import requests
 
 from .core import TokenUsage
 
@@ -37,7 +45,7 @@ class TransportError(BackendError):
 
 
 class RejectedError(BackendError):
-    """HTTP 4xx; never retried."""
+    """HTTP 3xx or 4xx; never retried."""
 
     def __init__(self, status: int, detail: str = ""):
         super().__init__(f"request rejected with HTTP {status}: {detail}")
@@ -89,6 +97,8 @@ class ChatRequest:
     def __post_init__(self):
         if not self.messages:
             raise ValueError("a chat request needs at least one message")
+        if not math.isfinite(self.temperature):
+            raise ValueError("temperature must be finite")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_generated_tokens <= 0:
@@ -273,24 +283,58 @@ def _parse_usage(block) -> TokenUsage:
     return TokenUsage(prompt, min(cached, prompt), generated)
 
 
-class HttpChatBackend:
-    """Client for a chat-completions endpoint.
+def _tls_context() -> ssl.SSLContext:
+    """Verification against the REQUESTS_CA_BUNDLE / CURL_CA_BUNDLE file or
+    directory, or the system trust store when neither is set."""
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if not bundle:
+        return ssl.create_default_context()
+    if os.path.isdir(bundle):
+        return ssl.create_default_context(capath=bundle)
+    return ssl.create_default_context(cafile=bundle)
 
-    Each thread that calls complete() keeps one requests.Session, and with
-    it one kept-alive connection to the endpoint, made at its first call.
-    That session reads the environment once, for the backend's one URL:
-    proxies (NO_PROXY honoured) and the REQUESTS_CA_BUNDLE / CURL_CA_BUNDLE
-    bundle; it then stops reading the environment, so later changes to
-    those variables do not apply to that thread, and ~/.netrc is never
-    consulted. The credential is read on each call from
-    the environment variable named in config (never stored) and is the only
-    source of the Authorization header.
+
+def _close_all(connections: list) -> None:
+    for connection in connections:
+        connection.close()
+
+
+def _closed_by_peer(sock) -> bool:
+    """True when an idle kept-alive socket is readable: the server closed it
+    (or sent bytes nobody asked for), so it must not carry a request."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+class HttpChatBackend:
+    """Client for a chat-completions endpoint, on the stdlib http.client.
+
+    Each thread that calls complete() keeps one HTTP/1.1 connection to the
+    endpoint, kept alive across calls and made at the thread's first call.
+    The environment is read once per thread, at that point, for the
+    backend's one URL: the proxy from HTTP_PROXY / HTTPS_PROXY (NO_PROXY
+    honoured; userinfo in the proxy URL is sent as Proxy-Authorization;
+    HTTPS goes through a CONNECT tunnel) and the REQUESTS_CA_BUNDLE /
+    CURL_CA_BUNDLE file or directory that TLS verifies against, the system
+    trust store when neither is set. Later changes to those variables do not
+    apply to that thread, and ~/.netrc is never consulted. The credential is
+    read on each call from the environment variable named in config (never
+    stored) and is the only source of the Authorization header.
+
+    The body is encoded once per call. Before a kept connection carries a
+    request, a zero-timeout poll checks that the server has not closed it
+    while idle; one it has closed is replaced at no retried attempt. Every
+    response body is read whole, so a 4xx or 5xx leaves the connection
+    reusable; a socket or protocol error closes it, and the next attempt
+    opens a new one. Redirects are not followed: a 3xx is rejected like a
+    4xx.
 
     Transport failures, including a 200 whose body is not JSON, has no
     choices or has content that is neither a string nor null, are retried
     up to max_retries times with capped exponential backoff; rejections
-    (4xx) and malformed usage are not retried. attempts_logged counts
-    attempts across every thread that shares the client.
+    and malformed usage are not retried. attempts_logged counts attempts
+    across every thread that shares the client.
     """
 
     def __init__(
@@ -305,6 +349,14 @@ class HttpChatBackend:
     ):
         self.base_url = base_url.rstrip("/")
         self._url = self.base_url + CHAT_COMPLETIONS_PATH
+        url = urllib.parse.urlsplit(self._url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http or https URL, not {base_url!r}")
+        self._scheme = url.scheme
+        self._host = url.hostname
+        self._port = url.port or (443 if url.scheme == "https" else 80)
+        self._netloc = url.netloc.rpartition("@")[2]
+        self._path = url.path + (f"?{url.query}" if url.query else "")
         self.model = model
         self.credential_env = credential_env
         self.max_retries = max_retries
@@ -314,27 +366,63 @@ class HttpChatBackend:
         self.attempts_logged = 0
         self._attempts_lock = threading.Lock()
         self._local = threading.local()
+        # Every thread's connection, closed when the backend is collected:
+        # a worker thread's local storage dies with the thread, unclosed.
+        self._connections: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._connections)
 
-    def _session(self) -> requests.Session:
-        """This thread's session; made at its first call, with the
-        environment resolved once for self._url."""
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            settings = session.merge_environment_settings(self._url, {}, None, None, None)
-            session.proxies = settings["proxies"]
-            session.verify = settings["verify"]
-            session.trust_env = False
-            self._local.session = session
-        return session
+    def _connect(self) -> http.client.HTTPConnection:
+        """Make this thread's connection, request target and fixed headers,
+        with the environment resolved once for self._url. The socket opens
+        at the first request."""
+        https = self._scheme == "https"
+        if https:
+            make = functools.partial(http.client.HTTPSConnection, context=_tls_context())
+        else:
+            make = http.client.HTTPConnection
+        target, headers = self._path, {"Content-Type": "application/json"}
+        proxy = urllib.request.getproxies().get(self._scheme)
+        if proxy and not urllib.request.proxy_bypass(self._netloc):
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if not proxy_url.hostname:
+                raise ValueError(f"proxy URL {proxy!r} names no host")
+            proxy_headers = {}
+            if proxy_url.username is not None:
+                userinfo = (f"{urllib.parse.unquote(proxy_url.username)}:"
+                            f"{urllib.parse.unquote(proxy_url.password or '')}")
+                proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(userinfo.encode()).decode()
+                )
+            connection = make(proxy_url.hostname, proxy_url.port or 80, timeout=self.timeout_s)
+            if https:
+                connection.set_tunnel(self._host, self._port, headers=proxy_headers)
+            else:
+                target = self._url  # the absolute form a proxy expects
+                headers.update(proxy_headers)
+        else:
+            connection = make(self._host, self._port, timeout=self.timeout_s)
+        self._connections.append(connection)
+        local = self._local
+        local.connection, local.target, local.headers = connection, target, headers
+        return connection
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """POST body over this thread's connection; the status and the
+        whole response body."""
+        local = self._local
+        connection = getattr(local, "connection", None)
+        if connection is None:
+            connection = self._connect()
+        elif connection.sock is not None and _closed_by_peer(connection.sock):
+            connection.close()  # the next request reconnects
+        headers = local.headers
         if self.credential_env:
             credential = os.environ.get(self.credential_env, "")
             if credential:
-                headers["Authorization"] = f"Bearer {credential}"
-        return headers
+                headers = {**headers, "Authorization": f"Bearer {credential}"}
+        connection.request("POST", local.target, body, headers)
+        response = connection.getresponse()
+        return response.status, response.read()
 
     def _payload(self, request: ChatRequest) -> dict:
         payload = {
@@ -348,8 +436,7 @@ class HttpChatBackend:
         return payload
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        session = self._session()
-        payload = self._payload(request)
+        body = json.dumps(self._payload(request), allow_nan=False).encode()
         last_error: Optional[Exception] = None
         started = time.monotonic()
         for attempt in range(1 + self.max_retries):
@@ -358,35 +445,34 @@ class HttpChatBackend:
             with self._attempts_lock:
                 self.attempts_logged += 1
             try:
-                http_response = session.post(
-                    self._url, json=payload, headers=self._headers(), timeout=self.timeout_s
-                )
-            except requests.RequestException as exc:
+                status, data = self._post(body)
+            except (OSError, ValueError, http.client.HTTPException) as exc:
+                connection = getattr(self._local, "connection", None)
+                if connection is not None:
+                    connection.close()
                 last_error = TransportError(f"request failed: {exc}")
                 logger.warning("chat call attempt %d failed: %s", attempt + 1, exc)
                 continue
-            if http_response.status_code >= 500:
-                last_error = TransportError(f"HTTP {http_response.status_code}")
-                logger.warning(
-                    "chat call attempt %d got HTTP %d", attempt + 1, http_response.status_code
-                )
+            if status >= 500:
+                last_error = TransportError(f"HTTP {status}")
+                logger.warning("chat call attempt %d got HTTP %d", attempt + 1, status)
                 continue
-            if http_response.status_code >= 400:
-                raise RejectedError(http_response.status_code, http_response.text[:500])
+            if status >= 300:
+                raise RejectedError(status, data.decode("utf-8", "replace")[:500])
             try:
-                body = http_response.json()
-                text = body["choices"][0]["message"]["content"]
+                reply = json.loads(data)
+                text = reply["choices"][0]["message"]["content"]
                 if text is not None and not isinstance(text, str):
                     raise TypeError("completion content is not a string")
-            except requests.JSONDecodeError as exc:
-                last_error = TransportError(f"non-JSON body with HTTP {http_response.status_code}")
+            except ValueError as exc:  # not JSON, or not UTF-8/16/32 text
+                last_error = TransportError(f"non-JSON body with HTTP {status}")
                 logger.warning("chat call attempt %d got a non-JSON body: %s", attempt + 1, exc)
                 continue
             except (KeyError, IndexError, TypeError):
-                last_error = TransportError(f"malformed completion body: {str(body)[:300]}")
+                last_error = TransportError(f"malformed completion body: {str(reply)[:300]}")
                 logger.warning("chat call attempt %d got a malformed completion body", attempt + 1)
                 continue
-            usage = _parse_usage(body.get("usage"))
+            usage = _parse_usage(reply.get("usage"))
             wall_time_ms = int((time.monotonic() - started) * 1000)
             logger.info(
                 "chat call to %s completed in %d ms after %d attempt(s): %d prompt / %d generated tokens",

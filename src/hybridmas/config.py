@@ -9,6 +9,7 @@ directory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -87,6 +88,15 @@ def _number(convert: Callable[[Any], Any], value: Any, where: str) -> Any:
         raise ConfigError(f"{where}: {exc}")
 
 
+def _float(value: Any, where: str) -> float:
+    """value as a float. NaN and the infinities are ConfigErrors: no
+    bound check rejects NaN, and an infinite rate or time is no setting."""
+    number = _number(float, value, where)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: {value!r} is not a finite number")
+    return number
+
+
 def _integer(value: Any, where: str) -> int:
     """value as an int. A bool or a non-integral number is a ConfigError:
     int() would read true as 1 and 2.7 as 2."""
@@ -103,34 +113,38 @@ def _optional_integer(raw: dict, key: str, where: str) -> Optional[int]:
 
 def _decimal(value: Any, where: str) -> Decimal:
     try:
-        return Decimal(str(value))
+        number = Decimal(str(value))
     except InvalidOperation:
         raise ConfigError(f"{where}: {value!r} is not a valid decimal")
+    if not number.is_finite():
+        raise ConfigError(f"{where}: {value!r} is not a finite number")
+    return number
 
 
 def parse_model_profile(name: str, raw: dict) -> ModelProfile:
     where = f"models.{name}"
     placement = _require(raw, "placement", where)
-    pricing = None
-    if "pricing" in raw and raw["pricing"] is not None:
-        p = raw["pricing"]
-        pricing = Pricing(
-            prefill=_decimal(_require(p, "prefill", f"{where}.pricing"), where),
-            cached=_decimal(_require(p, "cached", f"{where}.pricing"), where),
-            generated=_decimal(_require(p, "generated", f"{where}.pricing"), where),
-        )
+    rates = None
+    if raw.get("pricing") is not None:
+        rates = {
+            rate: _decimal(_require(raw["pricing"], rate, f"{where}.pricing"),
+                           f"{where}.pricing.{rate}")
+            for rate in ("prefill", "cached", "generated")
+        }
     try:
         return ModelProfile(
             name=name,
             placement=placement,
             context_cap=_integer(_require(raw, "context_cap", where), f"{where}.context_cap"),
-            param_count=float(raw["param_count"]) if raw.get("param_count") else None,
+            param_count=_float(raw["param_count"], f"{where}.param_count")
+            if raw.get("param_count") else None,
             layers=_optional_integer(raw, "layers", where),
             kv_heads=_optional_integer(raw, "kv_heads", where),
             head_dim=_optional_integer(raw, "head_dim", where),
             bytes_per_activation=_optional_integer(raw, "bytes_per_activation", where),
-            efficiency=float(raw["efficiency"]) if raw.get("efficiency") else None,
-            pricing=pricing,
+            efficiency=_float(raw["efficiency"], f"{where}.efficiency")
+            if raw.get("efficiency") else None,
+            pricing=None if rates is None else Pricing(**rates),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}")
@@ -172,17 +186,18 @@ def build_backend(spec: dict, base_dir: Path):
     if kind == "script":
         return ScriptedBackend(_load_script(spec, base_dir))
     if kind == "http":
-        return HttpChatBackend(
-            base_url=_require(spec, "base_url", "http backend"),
-            model=_require(spec, "model", "http backend"),
-            credential_env=spec.get("credential_env"),
-            max_retries=_integer(spec.get("max_retries", 3), "http backend max_retries"),
-            backoff_s=_number(float, spec.get("backoff_s", 0.5), "http backend backoff_s"),
-            backoff_cap_s=_number(
-                float, spec.get("backoff_cap_s", 8.0), "http backend backoff_cap_s"
-            ),
-            timeout_s=_number(float, spec.get("timeout_s", 120.0), "http backend timeout_s"),
-        )
+        try:
+            return HttpChatBackend(
+                base_url=_require(spec, "base_url", "http backend"),
+                model=_require(spec, "model", "http backend"),
+                credential_env=spec.get("credential_env"),
+                max_retries=_integer(spec.get("max_retries", 3), "http backend max_retries"),
+                backoff_s=_float(spec.get("backoff_s", 0.5), "http backend backoff_s"),
+                backoff_cap_s=_float(spec.get("backoff_cap_s", 8.0), "http backend backoff_cap_s"),
+                timeout_s=_float(spec.get("timeout_s", 120.0), "http backend timeout_s"),
+            )
+        except ValueError as exc:  # a base_url that is not an http(s) URL
+            raise ConfigError(f"http backend: {exc}")
     raise ConfigError(f"unknown backend type {kind!r}")
 
 
@@ -267,9 +282,7 @@ def load_config(path) -> ExperimentConfig:
 
     try:
         sampling = SamplingParams(
-            temperature=_number(
-                float, sampling_raw.get("temperature", 0.0), "run.sampling.temperature"
-            ),
+            temperature=_float(sampling_raw.get("temperature", 0.0), "run.sampling.temperature"),
             max_generated_tokens=_integer(
                 sampling_raw.get("max_generated_tokens", 1024),
                 "run.sampling.max_generated_tokens",

@@ -8,6 +8,7 @@ silently clamped one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from decimal import Decimal
 from functools import lru_cache
@@ -212,7 +213,10 @@ class Pricing:
     generated: Decimal
 
     def __post_init__(self):
-        if min(self.prefill, self.cached, self.generated) < 0:
+        rates = (self.prefill, self.cached, self.generated)
+        if not all(map(math.isfinite, rates)):
+            raise ValueError("pricing rates must be finite")
+        if min(rates) < 0:
             raise ValueError("pricing rates must be >= 0")
 
 
@@ -242,6 +246,10 @@ class ModelProfile:
             raise ValueError(f"unknown placement {self.placement!r}")
         if self.context_cap <= 0:
             raise ValueError("context_cap must be > 0")
+        for name in ("param_count", "efficiency"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite when set")
         if self.placement == "edge":
             if not self.param_count or self.param_count <= 0:
                 raise ValueError("edge profiles require param_count > 0")
@@ -270,6 +278,8 @@ class SamplingParams:
     max_generated_tokens: int = 1024
 
     def __post_init__(self):
+        if not math.isfinite(self.temperature):
+            raise ValueError("temperature must be finite")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_generated_tokens <= 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import re
 from collections import Counter, defaultdict
@@ -27,10 +28,11 @@ FINISH_TOOL = "finish"
 NO_MORE_RESULTS = "No more results."
 
 
-class SchemaViolationError(Exception):
+class SchemaViolationError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -89,20 +91,31 @@ class WikiCorpus:
     split into sentences only when it is read."""
 
     def __init__(self, pages: Iterable[tuple[str, str]]):
+        """pages as (title, text) pairs. A title or text that is not a
+        string, a text with no sentence or a normalized title already taken
+        raises SchemaViolationError numbering the page from 1."""
         self._pages: dict[str, tuple[str, str]] = {}
         postings: defaultdict[str, list[str]] = defaultdict(list)
         for page in pages:
             title, text = page
-            if not text or text.isspace():
-                raise ValueError(f"page {title!r} needs at least one sentence")
-            tokens = title.lower().split()
+            try:
+                blank = text.isspace() or not text
+                tokens = title.lower().split()
+            except AttributeError:
+                raise self._violation("title and text must be strings") from None
+            if blank:
+                raise self._violation(f"page {title!r} needs at least one sentence")
             key = " ".join(tokens)  # normalize_title(title), keeping its tokens
             if key in self._pages:
-                raise ValueError(f"duplicate normalized title {key!r}")
+                raise self._violation(f"duplicate normalized title {key!r}")
             self._pages[key] = page
             for token in set(tokens):
                 postings[token].append(key)
         self._postings: dict[str, list[str]] = dict(postings)
+
+    def _violation(self, message: str) -> SchemaViolationError:
+        # Every earlier page holds one key.
+        return SchemaViolationError(len(self._pages) + 1, message)
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, str]]) -> "WikiCorpus":
@@ -115,7 +128,15 @@ class WikiCorpus:
             if not isinstance(rec, dict) or "title" not in rec or "text" not in rec:
                 raise SchemaViolationError(line_no, "corpus lines need title and text")
             pages.append((rec["title"], rec["text"]))
-        return cls(pages)
+        try:
+            return cls(pages)
+        except SchemaViolationError as exc:
+            # Page n is the file's n-th non-blank line. Finding it only on
+            # this path keeps a load from carrying every page's line number.
+            with open(path, "r", encoding="utf-8") as fh:
+                line_nos = (line_no for line_no, line in enumerate(fh, start=1) if line.strip())
+                line_no = next(itertools.islice(line_nos, exc.line_no - 1, None))
+            raise SchemaViolationError(line_no, exc.message) from None
 
     def get(self, title: str) -> Optional[WikiPage]:
         page = self._pages.get(normalize_title(title))

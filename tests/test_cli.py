@@ -289,6 +289,51 @@ MALFORMED_VALUES = {
         {"models": {"edge": {**EDGE_MODEL, "context_cap": 32768.5}, "cloud": CLOUD_MODEL}},
         "models.edge.context_cap",
     ),
+    # NaN passes every bound check (nan < 0 is False); an infinity is no setting.
+    "temperature-nan": (
+        {"run.sampling": {"temperature": float("nan")}}, "run.sampling.temperature"
+    ),
+    "temperature-inf-str": ({"run.sampling": {"temperature": "inf"}}, "run.sampling.temperature"),
+    "pricing-nan-str": (
+        {"models": {"edge": EDGE_MODEL, "cloud": {**CLOUD_MODEL, "pricing": {
+            **CLOUD_MODEL["pricing"], "prefill": "NaN"}}}},
+        "models.cloud.pricing.prefill: 'NaN' is not a finite number",
+    ),
+    "pricing-infinity-str": (
+        {"models": {"edge": EDGE_MODEL, "cloud": {**CLOUD_MODEL, "pricing": {
+            **CLOUD_MODEL["pricing"], "generated": "Infinity"}}}},
+        "models.cloud.pricing.generated",
+    ),
+    "pricing-nan": (
+        {"models": {"edge": EDGE_MODEL, "cloud": {**CLOUD_MODEL, "pricing": {
+            **CLOUD_MODEL["pricing"], "cached": float("nan")}}}},
+        "models.cloud.pricing.cached",
+    ),
+    "pricing-negative": (
+        {"models": {"edge": EDGE_MODEL, "cloud": {**CLOUD_MODEL, "pricing": {
+            **CLOUD_MODEL["pricing"], "cached": -1}}}},
+        "pricing rates must be >= 0",
+    ),
+    "param_count-nan": (
+        {"models": {"edge": {**EDGE_MODEL, "param_count": float("nan")}, "cloud": CLOUD_MODEL}},
+        "models.edge.param_count",
+    ),
+    "efficiency-inf": (
+        {"models": {"edge": {**EDGE_MODEL, "efficiency": float("inf")}, "cloud": CLOUD_MODEL}},
+        "models.edge.efficiency",
+    ),
+    "timeout_s-inf": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "timeout_s": float("inf")}}},
+        "http backend timeout_s",
+    ),
+    "backoff_s-nan": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "backoff_s": "nan"}}},
+        "http backend backoff_s",
+    ),
+    "base_url-no-scheme": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "base_url": "127.0.0.1:9"}}},
+        "http backend: base_url must be an http or https URL",
+    ),
     "table-terminal-str": (
         {"environment": {**SCRIPTED_ENV, "table": [
             {"tool": "search", "text": "x", "terminal": "no"}

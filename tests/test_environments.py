@@ -345,6 +345,34 @@ class TestCorpusLoading:
         assert exc_info.value.line_no == 4
         assert "invalid JSON" in str(exc_info.value)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"title": " marie  CURIE", "text": "B."}, "duplicate normalized title 'marie curie'"),
+            ({"title": "Ada Lovelace", "text": ""}, "page 'Ada Lovelace' needs at least"),
+            ({"title": "Ada Lovelace", "text": " \u3000\n"}, "page 'Ada Lovelace' needs at least"),
+            ({"title": 7, "text": "A."}, "title and text must be strings"),
+            ({"title": None, "text": "A."}, "title and text must be strings"),
+            ({"title": "Ada Lovelace", "text": ["A."]}, "title and text must be strings"),
+            ({"title": "Ada Lovelace", "text": {"a": "A."}}, "title and text must be strings"),
+            ({"title": "Ada Lovelace", "text": 0}, "title and text must be strings"),
+            (["Ada Lovelace", "A."], "corpus lines need title and text"),
+        ],
+    )
+    def test_bad_page_reports_its_line(self, tmp_path, row, message):
+        path = tmp_path / "corpus.jsonl"
+        rows = [json.dumps({"title": "Marie Curie", "text": "A."}), "", json.dumps(row)]
+        path.write_text("\n".join(rows), encoding="utf-8")
+        with pytest.raises(SchemaViolationError) as exc_info:
+            WikiCorpus.load(path)
+        assert exc_info.value.line_no == 3
+        assert str(exc_info.value).startswith(f"line 3: {message}")
+
+    def test_pages_in_memory_report_their_position(self):
+        with pytest.raises(SchemaViolationError) as exc_info:
+            WikiCorpus([("Marie Curie", "A."), ("Ada Lovelace", "B."), ("marie curie", "C.")])
+        assert exc_info.value.line_no == 3
+
     def test_environment_binds_full_corpus_fixture(self):
         corpus = make_corpus()
         env = WikiEnvironment(corpus)
