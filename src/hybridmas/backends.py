@@ -9,7 +9,6 @@ covers both cloud APIs and local vLLM-style servers with one client.
 from __future__ import annotations
 
 import base64
-import functools
 import http.client
 import json
 import logging
@@ -40,12 +39,12 @@ class BackendError(Exception):
 
 
 class TransportError(BackendError):
-    """Network failure, HTTP >= 500, or a body that is not JSON or has no
-    choices; retriable."""
+    """Network failure, HTTP >= 500, 408 or 429, or a body that is not JSON
+    or has no choices; retriable."""
 
 
 class RejectedError(BackendError):
-    """HTTP 3xx or 4xx; never retried."""
+    """HTTP 3xx or 4xx other than 408 and 429; never retried."""
 
     def __init__(self, status: int, detail: str = ""):
         super().__init__(f"request rejected with HTTP {status}: {detail}")
@@ -285,13 +284,188 @@ def _parse_usage(block) -> TokenUsage:
 
 def _tls_context() -> ssl.SSLContext:
     """Verification against the REQUESTS_CA_BUNDLE / CURL_CA_BUNDLE file or
-    directory, or the system trust store when neither is set."""
+    directory, or the system trust store when neither is set. A bundle
+    that is missing, unreadable or holds no certificate is a ValueError."""
     bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
     if not bundle:
         return ssl.create_default_context()
-    if os.path.isdir(bundle):
-        return ssl.create_default_context(capath=bundle)
-    return ssl.create_default_context(cafile=bundle)
+    try:
+        if os.path.isdir(bundle):
+            return ssl.create_default_context(capath=bundle)
+        return ssl.create_default_context(cafile=bundle)
+    except OSError as exc:
+        raise ValueError(f"CA bundle {bundle!r}: {exc}") from None
+
+
+def _bearer_line(credential_env: Optional[str], credential: str) -> bytes:
+    """The Authorization header line for a bearer credential; none for an
+    empty one. A credential that cannot be a header value is a ValueError,
+    whose message does not repeat the credential."""
+    if not credential:
+        return b""
+    if "\r" in credential or "\n" in credential or "\0" in credential:
+        raise ValueError(f"the credential in ${credential_env} holds a CR, LF or NUL")
+    try:
+        return b"Authorization: Bearer %s\r\n" % credential.encode("latin-1")
+    except UnicodeEncodeError:
+        raise ValueError(f"the credential in ${credential_env} is not Latin-1 text") from None
+
+
+# http.client's limits on a header line and on the number of header fields.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+
+class _ReplyReader:
+    """Reads one HTTP/1.1 reply from a socket. A short read or a framing
+    error raises http.client.HTTPException or ValueError."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self._buf = b""
+        self._pos = 0
+
+    def _recv(self) -> bytes:
+        data = self._sock.recv(65536)
+        if not data:
+            raise http.client.RemoteDisconnected("the server closed the connection mid-reply")
+        return data
+
+    def leftover(self) -> bool:
+        return self._pos < len(self._buf)
+
+    def line(self) -> bytes:
+        """The next line, without its CRLF (or bare LF)."""
+        end = self._buf.find(b"\n", self._pos)
+        while end < 0:
+            if len(self._buf) - self._pos > _MAX_LINE:
+                raise http.client.LineTooLong("header line")
+            self._buf = self._buf[self._pos:] + self._recv()
+            self._pos = 0
+            end = self._buf.find(b"\n")
+        if end - self._pos >= _MAX_LINE:  # with its LF, longer than the limit
+            raise http.client.LineTooLong("header line")
+        line = self._buf[self._pos:end]
+        self._pos = end + 1
+        return line[:-1] if line.endswith(b"\r") else line
+
+    def headers(self) -> dict[bytes, list[bytes]]:
+        """The fields up to the next empty line, by lower-cased name, each
+        with its values in order; an obs-fold continues the last value."""
+        fields: dict[bytes, list[bytes]] = {}
+        values = None
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.line()
+            if not line:
+                return fields
+            if line[:1] in (b" ", b"\t") and values:
+                values[-1] += b" " + line.strip()
+                continue
+            name, colon, value = line.partition(b":")
+            if colon:
+                values = fields.setdefault(name.strip().lower(), [])
+                values.append(value.strip())
+        raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+    def take(self, n: int) -> bytes:
+        """The next n bytes."""
+        end = self._pos + n
+        if end > len(self._buf):
+            chunks = [self._buf[self._pos:]]
+            missing = end - len(self._buf)
+            while missing > 0:
+                chunks.append(self._recv())
+                missing -= len(chunks[-1])
+            self._buf, self._pos, end = b"".join(chunks), 0, n
+        data = self._buf[self._pos:end]
+        self._pos = end
+        return data
+
+    def chunked(self) -> bytes:
+        """A chunked body (RFC 9112 §7.1); extensions and trailers are
+        read and dropped."""
+        chunks = []
+        while True:
+            size = self.line().partition(b";")[0].strip()
+            if not size or size.strip(_HEX_DIGITS):
+                raise ValueError(f"invalid chunk size {size[:40]!r}")
+            n = int(size, 16)
+            if not n:
+                break
+            chunks.append(self.take(n))
+            if self.line():
+                raise ValueError("chunk data is not followed by CRLF")
+        self.headers()
+        return b"".join(chunks)
+
+    def rest(self) -> bytes:
+        """Every byte until the server closes the connection."""
+        chunks = [self._buf[self._pos:]]
+        while data := self._sock.recv(65536):
+            chunks.append(data)
+        self._buf, self._pos = b"", 0
+        return b"".join(chunks)
+
+
+def _content_length(values: list[bytes]) -> int:
+    """The one length that every Content-Length value (each may be a list)
+    gives; a negative, non-numeric or conflicting one is a ValueError."""
+    lengths = {length.strip() for value in values for length in value.split(b",")}
+    if len(lengths) != 1:
+        raise ValueError(f"conflicting Content-Length values {values!r}")
+    (length,) = lengths
+    if not length.isdigit():
+        raise ValueError(f"invalid Content-Length {length[:40]!r}")
+    return int(length)
+
+
+def _tokens(values: list[bytes]) -> list[bytes]:
+    return [token.strip().lower() for value in values for token in value.split(b",")]
+
+
+def _read_reply(sock) -> tuple[int, dict[bytes, list[bytes]], bytes, bool]:
+    """Read one reply, framed by RFC 9112 §6: its status, its header fields,
+    its body, and whether the connection may carry another request."""
+    reader = _ReplyReader(sock)
+    status = 100
+    while 100 <= status < 200:  # interim replies are skipped
+        parts = reader.line().split(None, 2)
+        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/1.")
+                or len(parts[1]) != 3 or not parts[1].isdigit()):
+            raise http.client.BadStatusLine(repr(b" ".join(parts)[:80]))
+        status = int(parts[1])
+        headers = reader.headers()
+    connection = _tokens(headers.get(b"connection", []))
+    if parts[0] == b"HTTP/1.0":
+        reusable = b"keep-alive" in connection
+    else:
+        reusable = b"close" not in connection
+    coding = headers.get(b"transfer-encoding")
+    if status in (204, 304):
+        body = b""
+    elif coding is not None:
+        if _tokens(coding)[-1] == b"chunked":
+            body = reader.chunked()
+        else:
+            body, reusable = reader.rest(), False
+        if b"content-length" in headers:
+            reusable = False  # framed by both: never reuse what carried it
+    elif b"content-length" in headers:
+        body = reader.take(_content_length(headers[b"content-length"]))
+    else:
+        body, reusable = reader.rest(), False
+    if reader.leftover():
+        reusable = False  # bytes past the reply: the framing is not to be trusted
+    return status, headers, body, reusable
+
+
+def _retry_after(headers: dict[bytes, list[bytes]]) -> Optional[int]:
+    """Retry-After in delta-seconds; None when absent or an HTTP-date."""
+    values = headers.get(b"retry-after")
+    if values and len(values) == 1 and values[0].isdigit():
+        return int(values[0])
+    return None
 
 
 def _close_all(connections: list) -> None:
@@ -308,33 +482,46 @@ def _closed_by_peer(sock) -> bool:
 
 
 class HttpChatBackend:
-    """Client for a chat-completions endpoint, on the stdlib http.client.
+    """Client for a chat-completions endpoint, on the stdlib socket layer.
+
+    What the environment sets is resolved once, when the backend is built,
+    for its one URL: the proxy from HTTP_PROXY / HTTPS_PROXY (NO_PROXY
+    honoured; userinfo in the proxy URL is sent as Proxy-Authorization;
+    HTTPS goes through a CONNECT tunnel) and the TLS context, verifying
+    against the REQUESTS_CA_BUNDLE / CURL_CA_BUNDLE file or directory, or
+    the system trust store when neither is set. Later changes to those
+    variables do not apply, and ~/.netrc is never consulted. A malformed
+    proxy URL, a bundle that cannot be loaded, a base_url that cannot be a
+    request target and a credential that cannot be a header value each
+    raise ValueError there, before any request. The credential is read on
+    each call from the environment variable named in config (never stored),
+    is checked again when it changes, and is the only source of the
+    Authorization header.
 
     Each thread that calls complete() keeps one HTTP/1.1 connection to the
-    endpoint, kept alive across calls and made at the thread's first call.
-    The environment is read once per thread, at that point, for the
-    backend's one URL: the proxy from HTTP_PROXY / HTTPS_PROXY (NO_PROXY
-    honoured; userinfo in the proxy URL is sent as Proxy-Authorization;
-    HTTPS goes through a CONNECT tunnel) and the REQUESTS_CA_BUNDLE /
-    CURL_CA_BUNDLE file or directory that TLS verifies against, the system
-    trust store when neither is set. Later changes to those variables do not
-    apply to that thread, and ~/.netrc is never consulted. The credential is
-    read on each call from the environment variable named in config (never
-    stored) and is the only source of the Authorization header.
+    endpoint, kept alive across calls and opened at the thread's first
+    call; http.client only opens it (TCP_NODELAY, the timeout, the tunnel,
+    TLS). A request goes out in one write: the request line and fixed
+    headers, built once, then the Authorization and Content-Length lines
+    and the body, encoded once per call. The reply is read by a byte-level
+    reader framed by RFC 9112 §6, under http.client's limits on header
+    lines and header count. A connection is closed after a reply that asks
+    for it (Connection: close, or HTTP/1.0 without keep-alive), one
+    delimited by the close, and one followed by bytes nobody asked for.
+    Before a kept connection carries a request, a zero-timeout poll checks
+    that the server has not closed it while idle; one it has closed is
+    replaced at no retried attempt. Every reply is read whole, so a 4xx or
+    5xx leaves the connection reusable; a socket, protocol or framing error
+    closes it, and the next attempt opens a new one. Redirects are not
+    followed: a 3xx is rejected like a 4xx.
 
-    The body is encoded once per call. Before a kept connection carries a
-    request, a zero-timeout poll checks that the server has not closed it
-    while idle; one it has closed is replaced at no retried attempt. Every
-    response body is read whole, so a 4xx or 5xx leaves the connection
-    reusable; a socket or protocol error closes it, and the next attempt
-    opens a new one. Redirects are not followed: a 3xx is rejected like a
-    4xx.
-
-    Transport failures, including a 200 whose body is not JSON, has no
-    choices or has content that is neither a string nor null, are retried
-    up to max_retries times with capped exponential backoff; rejections
-    and malformed usage are not retried. attempts_logged counts attempts
-    across every thread that shares the client.
+    Transport failures, a 5xx, 408 or 429, and a 200 whose body is not
+    JSON, has no choices or has content that is neither a string nor null,
+    are retried up to max_retries times with capped exponential backoff; a
+    408 or 429 with Retry-After in delta-seconds waits that long instead,
+    also capped by backoff_cap_s. Other rejections and malformed usage are
+    not retried. attempts_logged counts attempts across every thread that
+    shares the client.
     """
 
     def __init__(
@@ -352,11 +539,9 @@ class HttpChatBackend:
         url = urllib.parse.urlsplit(self._url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http or https URL, not {base_url!r}")
-        self._scheme = url.scheme
+        https = url.scheme == "https"
         self._host = url.hostname
-        self._port = url.port or (443 if url.scheme == "https" else 80)
-        self._netloc = url.netloc.rpartition("@")[2]
-        self._path = url.path + (f"?{url.query}" if url.query else "")
+        self._port = url.port or (443 if https else 80)
         self.model = model
         self.credential_env = credential_env
         self.max_retries = max_retries
@@ -371,58 +556,76 @@ class HttpChatBackend:
         self._connections: list[http.client.HTTPConnection] = []
         weakref.finalize(self, _close_all, self._connections)
 
-    def _connect(self) -> http.client.HTTPConnection:
-        """Make this thread's connection, request target and fixed headers,
-        with the environment resolved once for self._url. The socket opens
-        at the first request."""
-        https = self._scheme == "https"
-        if https:
-            make = functools.partial(http.client.HTTPSConnection, context=_tls_context())
-        else:
-            make = http.client.HTTPConnection
-        target, headers = self._path, {"Content-Type": "application/json"}
-        proxy = urllib.request.getproxies().get(self._scheme)
-        if proxy and not urllib.request.proxy_bypass(self._netloc):
+        self._tls = _tls_context() if https else None
+        self._proxy = None  # (host, port) to connect to in place of the endpoint
+        self._proxy_headers = {}
+        target = url.path + (f"?{url.query}" if url.query else "")
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
             proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
             if not proxy_url.hostname:
                 raise ValueError(f"proxy URL {proxy!r} names no host")
-            proxy_headers = {}
+            self._proxy = proxy_url.hostname, proxy_url.port or 80
             if proxy_url.username is not None:
                 userinfo = (f"{urllib.parse.unquote(proxy_url.username)}:"
                             f"{urllib.parse.unquote(proxy_url.password or '')}")
-                proxy_headers["Proxy-Authorization"] = (
+                self._proxy_headers["Proxy-Authorization"] = (
                     "Basic " + base64.b64encode(userinfo.encode()).decode()
                 )
-            connection = make(proxy_url.hostname, proxy_url.port or 80, timeout=self.timeout_s)
-            if https:
-                connection.set_tunnel(self._host, self._port, headers=proxy_headers)
-            else:
+            if not https:
                 target = self._url  # the absolute form a proxy expects
-                headers.update(proxy_headers)
+        if " " in target or not (target.isascii() and target.isprintable()):
+            raise ValueError(f"base_url {base_url!r} holds a space, a control or a non-ASCII "
+                             "character")
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        if url.port is not None and url.port != (443 if https else 80):
+            host += f":{url.port}"
+        head = [f"POST {target} HTTP/1.1", f"Host: {host}", "Accept-Encoding: identity",
+                "Content-Type: application/json"]
+        if self._proxy is not None and not https:  # a tunnel carries them in its CONNECT
+            head += [f"{name}: {value}" for name, value in self._proxy_headers.items()]
+        self._head = "".join(line + "\r\n" for line in head).encode("ascii")
+        self._auth = ("", b"")  # the credential last read and its header line
+        self._authorization()
+
+    def _authorization(self) -> bytes:
+        """The Authorization line for the credential as it is now."""
+        credential = os.environ.get(self.credential_env, "") if self.credential_env else ""
+        auth = self._auth
+        if credential != auth[0]:
+            auth = self._auth = credential, _bearer_line(self.credential_env, credential)
+        return auth[1]
+
+    def _connect(self) -> http.client.HTTPConnection:
+        """This thread's connection; its socket opens at the first request."""
+        host, port = self._proxy or (self._host, self._port)
+        if self._tls is None:
+            connection = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
         else:
-            connection = make(self._host, self._port, timeout=self.timeout_s)
+            connection = http.client.HTTPSConnection(
+                host, port, timeout=self.timeout_s, context=self._tls
+            )
+            if self._proxy is not None:
+                connection.set_tunnel(self._host, self._port, headers=self._proxy_headers)
         self._connections.append(connection)
-        local = self._local
-        local.connection, local.target, local.headers = connection, target, headers
+        self._local.connection = connection
         return connection
 
-    def _post(self, body: bytes) -> tuple[int, bytes]:
-        """POST body over this thread's connection; the status and the
-        whole response body."""
-        local = self._local
-        connection = getattr(local, "connection", None)
-        if connection is None:
-            connection = self._connect()
-        elif connection.sock is not None and _closed_by_peer(connection.sock):
-            connection.close()  # the next request reconnects
-        headers = local.headers
-        if self.credential_env:
-            credential = os.environ.get(self.credential_env, "")
-            if credential:
-                headers = {**headers, "Authorization": f"Bearer {credential}"}
-        connection.request("POST", local.target, body, headers)
-        response = connection.getresponse()
-        return response.status, response.read()
+    def _post(self, body: bytes) -> tuple[int, dict[bytes, list[bytes]], bytes]:
+        """POST body over this thread's connection, in one write; the status,
+        header fields and body of the reply."""
+        connection = getattr(self._local, "connection", None) or self._connect()
+        if connection.sock is not None and _closed_by_peer(connection.sock):
+            connection.close()
+        if connection.sock is None:
+            connection.connect()
+        sock = connection.sock
+        sock.sendall(b"%s%sContent-Length: %d\r\n\r\n%s"
+                     % (self._head, self._authorization(), len(body), body))
+        status, headers, data, reusable = _read_reply(sock)
+        if not reusable:
+            connection.close()
+        return status, headers, data
 
     def _payload(self, request: ChatRequest) -> dict:
         payload = {
@@ -438,14 +641,17 @@ class HttpChatBackend:
     def complete(self, request: ChatRequest) -> ChatResponse:
         body = json.dumps(self._payload(request), allow_nan=False).encode()
         last_error: Optional[Exception] = None
+        wait = None  # the wait a 408 or 429 reply asked for before the next attempt
         started = time.monotonic()
         for attempt in range(1 + self.max_retries):
             if attempt:
-                time.sleep(min(self.backoff_cap_s, self.backoff_s * 2 ** (attempt - 1)))
+                backoff = self.backoff_s * 2 ** (attempt - 1) if wait is None else wait
+                time.sleep(min(self.backoff_cap_s, backoff))
+                wait = None
             with self._attempts_lock:
                 self.attempts_logged += 1
             try:
-                status, data = self._post(body)
+                status, headers, data = self._post(body)
             except (OSError, ValueError, http.client.HTTPException) as exc:
                 connection = getattr(self._local, "connection", None)
                 if connection is not None:
@@ -453,8 +659,9 @@ class HttpChatBackend:
                 last_error = TransportError(f"request failed: {exc}")
                 logger.warning("chat call attempt %d failed: %s", attempt + 1, exc)
                 continue
-            if status >= 500:
+            if status >= 500 or status in (408, 429):
                 last_error = TransportError(f"HTTP {status}")
+                wait = _retry_after(headers)
                 logger.warning("chat call attempt %d got HTTP %d", attempt + 1, status)
                 continue
             if status >= 300:

@@ -6,7 +6,9 @@ Commands
     sweep   one run per verification interval, plus a frontier-input CSV
     report  read trajectory JSONL files and emit analysis CSVs
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration error (including a missing or
+malformed dataset or corpus line and a backend that cannot be built),
+2 runtime error.
 
 Output layout: <output>/<architecture>-tv<interval>/trajectories.jsonl.
 Records are appended as each task ends, in task order: a record that ends
@@ -44,7 +46,7 @@ from . import analysis
 from .backends import ScriptedBackend
 from .config import ConfigError, ExperimentConfig, build_backend, build_environment_factory, load_config
 from .core import TrajectoryRecord, read_trajectories, write_trajectories
-from .environments import load_tasks
+from .environments import SchemaViolationError, load_tasks
 from .orchestrator import run_config_digest, run_trajectory
 
 logger = logging.getLogger(__name__)
@@ -176,7 +178,7 @@ def cmd_run(args) -> int:
             ]
             _write_csv(points_path, header, rows)
             print(f"sweep points written to {points_path}")
-    except ConfigError as exc:
+    except (ConfigError, SchemaViolationError) as exc:  # a bad config or input line
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - runtime boundary for exit code 2

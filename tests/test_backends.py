@@ -5,6 +5,7 @@ import base64
 import datetime
 import ipaddress
 import json
+import re
 import select
 import socket
 import ssl
@@ -13,10 +14,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hybridmas import backends
 from hybridmas.backends import (
     ChatMessage,
     ChatRequest,
@@ -252,11 +255,14 @@ class _PlannedHandler(BaseHTTPRequestHandler):
         self.server.bodies.append(json.loads(raw))
         plan = self.server.plan
         index = min(self.server.hits, len(plan) - 1)
-        status, body = plan[index]
+        # (status, body) or (status, body, {extra header: value})
+        status, body, *headers = plan[index]
         self.server.hits += 1
         # bytes go out as they are, so a test can send a body that is not JSON
         payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -744,28 +750,40 @@ class TestStdlibClient:
         assert headers["Proxy-Authorization"] == _basic("agent@lab:s:cret")
         assert headers["Authorization"] == "Bearer secret-token"
 
-    def test_credential_that_is_no_header_value_is_a_transport_error(
+    def test_credential_that_is_no_header_value_fails_at_construction(
         self, keepalive_server, monkeypatch
     ):
         monkeypatch.setenv("HYBRIDMAS_TEST_CREDENTIAL", "secret\r\nX-Injected: 1")
         keepalive_server.plan = [(200, _ok_body())]
+        with pytest.raises(ValueError, match="HYBRIDMAS_TEST_CREDENTIAL holds a CR, LF or NUL"):
+            _backend(keepalive_server, credential_env="HYBRIDMAS_TEST_CREDENTIAL")
+        # A credential changed mid-run is checked on each call.
+        monkeypatch.setenv("HYBRIDMAS_TEST_CREDENTIAL", "secret-token")
         backend = _backend(keepalive_server, credential_env="HYBRIDMAS_TEST_CREDENTIAL",
                            max_retries=1)
-        with pytest.raises(TransportError, match="Invalid header value"):
+        monkeypatch.setenv("HYBRIDMAS_TEST_CREDENTIAL", "secret\nX-Injected: 1")
+        with pytest.raises(TransportError, match="CR, LF or NUL"):
             backend.complete(user_request("hi"))
         assert backend.attempts_logged == 2
         assert keepalive_server.hits == 0
 
     @pytest.mark.parametrize("proxy", ["http://:3128", "http://proxy:port"])
-    def test_malformed_proxy_is_a_transport_error(self, keepalive_server, monkeypatch, proxy):
+    def test_malformed_proxy_fails_at_construction(self, keepalive_server, monkeypatch, proxy):
         _clear_proxy_env(monkeypatch)
         monkeypatch.setenv("HTTP_PROXY", proxy)
-        keepalive_server.plan = [(200, _ok_body())]
-        backend = _backend(keepalive_server, max_retries=1)
-        with pytest.raises(TransportError):
-            backend.complete(user_request("hi"))
-        assert backend.attempts_logged == 2
+        with pytest.raises(ValueError):
+            _backend(keepalive_server)
         assert keepalive_server.hits == 0
+
+    def test_missing_ca_bundle_fails_at_construction(self, monkeypatch, tmp_path):
+        _clear_proxy_env(monkeypatch)
+        monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "missing.pem"))
+        url = f"https://127.0.0.1:{_closed_port()}"
+        with pytest.raises(ValueError, match="CA bundle .*missing.pem"):
+            HttpChatBackend(url, "test-model")
+        # a plain-HTTP backend never loads it
+        HttpChatBackend(f"http://127.0.0.1:{_closed_port()}", "test-model")
 
     def test_https_verifies_against_the_bundle(self, tls_server, monkeypatch):
         _clear_proxy_env(monkeypatch)
@@ -867,3 +885,219 @@ class TestStdlibClient:
         _path, headers = keepalive_server.requests[0]
         assert headers["Content-Type"] == "application/json"
         assert headers["Content-Length"] == str(len(wire))
+
+    def test_429_with_retry_after_then_200_succeeds(self, keepalive_server):
+        keepalive_server.plan = [(429, {"error": "slow down"}, {"Retry-After": "0"}),
+                                 (200, _ok_body())]
+        backend = _backend(keepalive_server)
+        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.attempts_logged == 2
+        assert keepalive_server.connections == 1
+
+    def test_408_is_retried(self, keepalive_server):
+        keepalive_server.plan = [(408, {}), (200, _ok_body())]
+        backend = _backend(keepalive_server)
+        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.attempts_logged == 2
+
+    def test_429_that_never_clears_exhausts_retries(self, keepalive_server):
+        keepalive_server.plan = [(429, {}, {"Retry-After": "0"})]
+        backend = _backend(keepalive_server, max_retries=2)
+        with pytest.raises(TransportError, match="HTTP 429"):
+            backend.complete(user_request("hi"))
+        assert keepalive_server.hits == 3
+
+    @pytest.mark.parametrize(
+        "retry_after, wait",
+        [("0", 0), ("1", 0.002), ("3600", 0.002), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.001),
+         (None, 0.001)],
+    )
+    def test_retry_after_sets_the_wait_up_to_the_cap(
+        self, keepalive_server, monkeypatch, retry_after, wait
+    ):
+        sleeps = []
+        monkeypatch.setattr(backends, "time", SimpleNamespace(
+            sleep=sleeps.append, monotonic=time.monotonic
+        ))
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        keepalive_server.plan = [(429, {}, headers), (200, _ok_body())]
+        backend = _backend(keepalive_server, backoff_s=0.001, backoff_cap_s=0.002)
+        assert backend.complete(user_request("hi")).text == "hello"
+        assert sleeps == [wait]
+
+
+# --- the reply reader against a server that sends fixed bytes --------------
+
+
+class _RawServer:
+    """A loopback server that answers each request with the next of its
+    replies, (bytes sent as they are, close the connection after), the
+    last one repeated; it records every request's bytes and counts the
+    connections it accepts."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+        self.connections = 0
+        self._peers = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.server_address = self._listener.getsockname()
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                peer, _ = self._listener.accept()
+            except OSError:  # closed
+                return
+            self.connections += 1
+            self._peers.append(peer)
+            threading.Thread(target=self._answer, args=(peer,), daemon=True).start()
+
+    def _answer(self, peer):
+        data = b""
+        with peer:
+            while True:
+                while b"\r\n\r\n" not in data:
+                    received = peer.recv(65536)
+                    if not received:
+                        return
+                    data += received
+                head = data[:data.index(b"\r\n\r\n") + 4]
+                length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head)[1])
+                while len(data) < len(head) + length:
+                    received = peer.recv(65536)
+                    if not received:
+                        return
+                    data += received
+                self.requests.append(data[:len(head) + length])
+                data = data[len(head) + length:]
+                reply, close = self.replies.pop(0) if len(self.replies) > 1 else self.replies[0]
+                peer.sendall(reply)
+                if close:
+                    return
+
+    def close(self):
+        self._listener.close()
+        for peer in self._peers:
+            try:
+                peer.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+
+@pytest.fixture
+def raw_server():
+    servers = []
+
+    def serve(*replies):
+        servers.append(_RawServer(replies))
+        return servers[-1]
+
+    yield serve
+    for server in servers:
+        server.close()
+
+
+_OK = json.dumps(_ok_body()).encode()
+
+
+def _reply(status=b"200 OK", headers=b"", body=_OK, version=b"HTTP/1.1"):
+    length = b"Content-Length: %d\r\n" % len(body)
+    return b"%s %s\r\n%s%s\r\n%s" % (version, status, headers, length, body)
+
+
+class TestReplyReader:
+    def test_request_is_the_head_then_the_body(self, raw_server, monkeypatch):
+        _clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("HYBRIDMAS_TEST_CREDENTIAL", "secret-token")
+        server = raw_server((_reply(), False))
+        backend = _backend(server, credential_env="HYBRIDMAS_TEST_CREDENTIAL")
+        request = user_request("café ✓", max_generated_tokens=64, seed=7)
+        for _ in range(2):
+            assert backend.complete(request).text == "hello"
+        wire = json.dumps(backend._payload(request), allow_nan=False).encode()
+        host = b"127.0.0.1:%d" % server.server_address[1]
+        expected = (
+            b"POST /v1/chat/completions HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
+            b"Content-Type: application/json\r\nAuthorization: Bearer secret-token\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (host, len(wire), wire)
+        )
+        assert server.requests == [expected, expected]
+        assert server.connections == 1
+
+    def test_chunked_body_with_extension_and_trailer(self, raw_server):
+        half = len(_OK) // 2
+        body = b"%x;name=value\r\n%s\r\n%X\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n" % (
+            half, _OK[:half], len(_OK) - half, _OK[half:]
+        )
+        server = raw_server((b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + body,
+                             False))
+        backend = _backend(server)
+        for _ in range(2):
+            assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.attempts_logged == 2
+        assert server.connections == 1
+
+    def test_close_delimited_body_on_http_1_0(self, raw_server):
+        server = raw_server((b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _OK,
+                             True))
+        backend = _backend(server)
+        for _ in range(2):
+            assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.attempts_logged == 2
+        assert server.connections == 2
+
+    def test_100_continue_is_skipped(self, raw_server):
+        server = raw_server((b"HTTP/1.1 100 Continue\r\n\r\n" + _reply(), False))
+        backend = _backend(server)
+        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.attempts_logged == 1
+
+    def test_204_has_no_body(self, raw_server):
+        # The 204 is a transport error (no JSON); read as having a body, it
+        # would hold the connection until the read timed out.
+        server = raw_server((b"HTTP/1.1 204 No Content\r\n\r\n", False), (_reply(), False))
+        backend = _backend(server)
+        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.attempts_logged == 2
+        assert server.connections == 1
+
+    def test_bytes_after_the_reply_force_a_reconnect_at_no_retry(self, raw_server):
+        server = raw_server((_reply() + b"HTTP/1.1 200 OK\r\n", False))
+        backend = _backend(server)
+        for _ in range(2):
+            assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.attempts_logged == 2
+        assert server.connections == 2
+
+    def test_body_cut_short_is_retried_on_a_fresh_connection(self, raw_server):
+        server = raw_server((_reply()[:-5], True), (_reply(), False))
+        backend = _backend(server)
+        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.attempts_logged == 2
+        assert server.connections == 2
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            (_reply(headers=b"X-Long: %s\r\n" % (b"a" * 70000)), "got more than 65536 bytes"),
+            (_reply(headers=b"".join(b"X-%d: v\r\n" % i for i in range(101))),
+             "got more than 100 headers"),
+            (b"HTTP/1.1 2OO OK\r\nContent-Length: 0\r\n\r\n", "2OO"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n" + _OK, "invalid Content-Length"),
+            (_reply(headers=b"Content-Length: 3\r\n"), "conflicting Content-Length"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x5\r\nhello\r\n0\r\n\r\n",
+             "invalid chunk size"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello!\r\n0\r\n\r\n",
+             "not followed by CRLF"),
+        ],
+        ids=["over-long-header-line", "101-headers", "bad-status", "negative-length",
+             "conflicting-lengths", "bad-chunk-size", "chunk-without-crlf"],
+    )
+    def test_malformed_reply_is_a_transport_error(self, raw_server, reply, error):
+        server = raw_server((reply, False))
+        backend = _backend(server, max_retries=0)
+        with pytest.raises(TransportError, match=f"request failed: .*{error}"):
+            backend.complete(user_request("hi"))
+        assert server.connections == 1

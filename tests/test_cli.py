@@ -369,6 +369,52 @@ def test_integral_numbers_load_as_integers(tmp_path):
     assert all(type(value) is int for value in (cfg.parallelism, *cfg.sweep))
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "environment, lines, message",
+    [
+        ({"type": "scripted"}, None, "line 2: duplicate task id 'A'"),
+        ({"type": "wiki"}, ['{"title": "Alpha", "text": "A page."}', '{"title": "Beta", "text": " "}'],
+         "line 2: page 'Beta' needs at least one sentence"),
+    ],
+    ids=["duplicate-task-id", "page-without-sentence"],
+)
+def test_malformed_input_line_exits_1(tmp_path, capsys, command, environment, lines, message):
+    config = write_config(tmp_path, environment=environment, corpus="corpus.jsonl", sweep=[1])
+    if lines is None:
+        write_tasks(tmp_path / "tasks.jsonl", [TASKS[0], TASKS[0]])
+        lines = ['{"title": "Alpha", "text": "A page."}']
+    (tmp_path / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "variable, value, backend, message",
+    [
+        ("REQUESTS_CA_BUNDLE", "missing.pem", {"base_url": "https://127.0.0.1:9"}, "CA bundle"),
+        ("HTTP_PROXY", "http://:3128", {}, "names no host"),
+        ("HYBRIDMAS_TEST_CREDENTIAL", "a\r\nb", {"credential_env": "HYBRIDMAS_TEST_CREDENTIAL"},
+         "holds a CR, LF or NUL"),
+    ],
+    ids=["missing-ca-bundle", "proxy-without-host", "credential-with-newline"],
+)
+def test_local_http_fault_exits_1_before_any_task(
+    tmp_path, capsys, monkeypatch, variable, value, backend, message
+):
+    for name in ("NO_PROXY", "no_proxy", "http_proxy", "CURL_CA_BUNDLE"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv(variable, value)
+    config = write_config(tmp_path, backends={"executor": {**HTTP_EXECUTOR, **backend}})
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: http backend: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRunLoop:
     def test_escaped_exception_keeps_earlier_records(self, tmp_path, monkeypatch, capsys):
         started = []
