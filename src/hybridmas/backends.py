@@ -51,6 +51,16 @@ class RejectedError(BackendError):
         self.status = status
 
 
+class ContextOverflowError(RejectedError):
+    """HTTP 400 because the prompt and max_tokens exceed the model's
+    context window; never retried."""
+
+
+# What a 400 body says when the request overflows the context window:
+# OpenAI's error code, and vLLM's wording.
+_CONTEXT_OVERFLOW_MARKERS = ("context_length_exceeded", "maximum context length")
+
+
 class UsageMissingError(BackendError):
     """The endpoint returned a completion without a well-formed usage
     block; never retried."""
@@ -175,12 +185,15 @@ class ScriptedBackend:
     cache, part -> (tokens, starts with a non-space, ends with a
     non-space), that lives as long as the backend, so a part resent on
     every turn (the same str object) is counted once and looked up in O(1).
-    The counts are summed, less one at each boundary where a part ending in
-    a non-space meets one starting with a non-space (a token glued across
-    the boundary); empty parts are skipped. This is exact for any split of
-    any text. requests keeps each request as its parts and joins it on
-    read. Wall time is always 0 so logs stay byte-reproducible. Consumption
-    and the cache are serialized by an internal lock.
+    The orchestrator sends each turn as a small head part plus the
+    observation as its own part, so a turn's new text is counted once
+    however many later prompts carry it. The counts are summed, less one
+    at each boundary where a part ending in a non-space meets one starting
+    with a non-space (a token glued across the boundary); empty parts are
+    skipped. This is exact for any split of any text. requests keeps each
+    request as its parts and joins it on read. Wall time is always 0 so
+    logs stay byte-reproducible. Consumption and the cache are serialized
+    by an internal lock.
     """
 
     def __init__(self, script: Sequence[ScriptEntry | dict | str]):
@@ -520,8 +533,10 @@ class HttpChatBackend:
     are retried up to max_retries times with capped exponential backoff; a
     408 or 429 with Retry-After in delta-seconds waits that long instead,
     also capped by backoff_cap_s. Other rejections and malformed usage are
-    not retried. attempts_logged counts attempts across every thread that
-    shares the client.
+    not retried; a 400 whose body reports a context overflow (OpenAI's
+    "context_length_exceeded" code or vLLM's "maximum context length"
+    wording) is a ContextOverflowError. attempts_logged counts attempts
+    across every thread that shares the client.
     """
 
     def __init__(
@@ -665,7 +680,10 @@ class HttpChatBackend:
                 logger.warning("chat call attempt %d got HTTP %d", attempt + 1, status)
                 continue
             if status >= 300:
-                raise RejectedError(status, data.decode("utf-8", "replace")[:500])
+                detail = data.decode("utf-8", "replace")
+                if status == 400 and any(m in detail for m in _CONTEXT_OVERFLOW_MARKERS):
+                    raise ContextOverflowError(status, detail[:500])
+                raise RejectedError(status, detail[:500])
             try:
                 reply = json.loads(data)
                 text = reply["choices"][0]["message"]["content"]

@@ -173,7 +173,7 @@ def cmd_run(args) -> int:
                       "energy_joules")
             rows = [
                 (f"{s['architecture']}-tv{s['verify_interval']}", s["architecture"],
-                 s["verify_interval"], s["mean_score"], s["cost_usd"], s["energy_joules"])
+                 s["verify_interval"], s["performance"], s["cost_usd"], s["energy_joules"])
                 for s in summaries
             ]
             _write_csv(points_path, header, rows)

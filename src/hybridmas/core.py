@@ -323,8 +323,9 @@ class ExecutorContext:
     turn log.
 
     seed_prompt is the seed as text parts whose join is the prompt; log is
-    the turn log since the last reset, one block per turn with a "\n\n"
-    part between blocks. token_len tracks the latest backend-reported
+    the turn log since the last reset as text parts: the parts of one block
+    per turn (a head part, then the observation as its own part), with a
+    "\n\n" part between blocks. token_len tracks the latest backend-reported
     length; it never exceeds cap (overflow raises OutOfContextError without
     mutating state).
     """
@@ -340,14 +341,15 @@ class ExecutorContext:
         if self.token_len > self.cap:
             raise OutOfContextError(self.token_len, self.cap)
 
-    def append_turn(self, block: str, new_token_len: int) -> "ExecutorContext":
+    def append_turn(self, block: Sequence[str], new_token_len: int) -> "ExecutorContext":
+        """Append one turn's block, given as its parts."""
         if new_token_len < self.token_len:
             raise ValueError("token length cannot shrink between resets")
         if new_token_len > self.cap:
             raise OutOfContextError(new_token_len, self.cap)
         if self.log:
             self.log.append("\n\n")
-        self.log.append(block)
+        self.log += block
         self.token_len = new_token_len
         return self
 

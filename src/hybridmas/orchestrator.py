@@ -9,10 +9,11 @@ same turn. An applied intervention resets the executor context and
 re-seeds it from the handoff.
 
 Prompts are sent as tuples of text parts. Each turn is rendered once, as it
-lands, into a turn-log block and a memory block, and every later prompt
-reuses those same str objects: the executor context is the seed's parts,
-then a blank line and the turn log; verification prompts splice in the
-turn log and the memory.
+lands, into a turn-log block and a memory block, each a small head part
+followed by the observation that the environment returned, the same str
+object, as its own part; every later prompt reuses those same str objects.
+The executor context is the seed's parts, then a blank line and the turn
+log; verification prompts splice in the turn log and the memory.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import partial
 from typing import Optional
 
 from . import accounting
-from .backends import BackendError, user_request
+from .backends import BackendError, ContextOverflowError, user_request
 from .core import (
     CONTINUE,
     INTERVENE,
@@ -101,21 +102,26 @@ class _Terminate(Exception):
         self.reason = reason
 
 
-def _turn_block(turn: TurnRecord) -> str:
-    lines = []
-    if turn.reasoning:
-        lines.append(turn.reasoning)
-    if turn.action is not None:
-        lines.append(f"Tool call: {turn.action.render()}")
-    lines.append(f"Observation: {turn.observation}")
-    return "\n".join(lines)
-
-
-def render_turn_log(turns) -> str:
-    """The serialized turn log, exactly as the executor context renders it
-    and verifiers receive it as the executor-context binding: one block per
-    turn, separated by blank lines."""
-    return "\n\n".join(_turn_block(turn) for turn in turns)
+def render_turn_log(turns) -> tuple[str, ...]:
+    """The serialized turn log as text parts, exactly as the executor
+    context renders it and verifiers receive it as the executor-context
+    binding: one block per turn, "\n\n" parts between blocks. A block is a
+    head part (the reasoning if any, the tool call if any, then
+    "Observation: ") and then the turn's observation, the same str object,
+    as its own part; a None observation is rendered as "None" in the
+    head."""
+    parts: list[str] = []
+    for turn in turns:
+        if parts:
+            parts.append("\n\n")
+        head = f"{turn.reasoning}\n" if turn.reasoning else ""
+        if turn.action is not None:
+            head += f"Tool call: {turn.action.render()}\n"
+        if turn.observation is None:
+            parts.append(head + "Observation: None")
+        else:
+            parts += (head + "Observation: ", turn.observation)
+    return tuple(parts)
 
 
 class _Episode:
@@ -144,8 +150,8 @@ class _Episode:
         self.nosummary = config.architecture == "eva_nosummary"
         self.plan: Optional[Plan] = None
         self.ctx: Optional[ExecutorContext] = None
-        # Parts of the memory of the whole trajectory: one block per turn
-        # with a tool call, "\n\n" parts between blocks.
+        # Parts of the memory of the whole trajectory: the parts of one
+        # block per turn with a tool call, "\n\n" parts between blocks.
         self._memory: list[str] = []
         self.record = TrajectoryRecord(
             task_id=task.id,
@@ -166,8 +172,9 @@ class _Episode:
         Output that parse rejects is asked for once more, and usage sums
         both attempts. Output rejected twice is passed to rejected(text,
         usage) and parses as None. A BackendError is logged once and ends
-        the task as backend_error; if the retry raised it, the first
-        attempt is passed to rejected before the task ends.
+        the task, as out_of_context for a ContextOverflowError and as
+        backend_error otherwise; if the retry raised it, the first attempt
+        is passed to rejected before the task ends.
         """
         request = self._request(prompt)
         first = None
@@ -186,6 +193,8 @@ class _Episode:
             )
             if first is not None:
                 rejected(first.text, first.usage)
+            if isinstance(exc, ContextOverflowError):
+                raise _Terminate("out_of_context")
             raise _Terminate("backend_error")
         usage = first.usage + response.usage
         try:
@@ -200,7 +209,6 @@ class _Episode:
     def _initial_plan(self) -> Plan:
         def rejected(text, usage):
             self.record.initial_plan = InitialPlanRecord("", usage)
-            raise _Terminate("backend_error")
 
         prompt = render(
             "plan",
@@ -209,6 +217,8 @@ class _Episode:
         _, plan, usage = self._call(
             "plan", self.supervisor, prompt, parse=parse_plan, rejected=rejected
         )
+        if plan is None:
+            raise _Terminate("backend_error")
         self.record.initial_plan = InitialPlanRecord(plan.text, usage)
         return plan
 
@@ -262,7 +272,7 @@ class _Episode:
         if memory:
             if self._memory:
                 self._memory.append("\n\n")
-            self._memory.append(memory)
+            self._memory += memory
 
         if observation is not None and observation.terminal:
             self.record.final_answer = observation.final_answer

@@ -199,6 +199,14 @@ def parse_eva_verdict(text: str) -> VerifierDecision:
 _TOOL_CALL_LABEL_RE = re.compile(r"tool\s*call\s*:?\s*$", re.IGNORECASE)
 
 
+@lru_cache(maxsize=64)
+def _tool_call_pattern(tool_names: tuple[str, ...]) -> re.Pattern:
+    """A tool name, longest first so that no name shadows a longer one that
+    it begins, then an opening bracket."""
+    names = sorted(tool_names, key=len, reverse=True)
+    return re.compile(r"\b(" + "|".join(re.escape(n) for n in names) + r")\[")
+
+
 def parse_tool_call(text: str, tool_names: Sequence[str]) -> tuple[ToolCall, str]:
     """Extract the last ``name[argument]`` call for a declared tool.
 
@@ -209,9 +217,7 @@ def parse_tool_call(text: str, tool_names: Sequence[str]) -> tuple[ToolCall, str
     """
     if not tool_names:
         raise NoToolCallError("no declared tools")
-    pattern = re.compile(
-        r"\b(" + "|".join(re.escape(n) for n in sorted(tool_names, key=len, reverse=True)) + r")\["
-    )
+    pattern = _tool_call_pattern(tuple(tool_names))
     last_close = text.rfind("]")
     chosen = None
     for match in pattern.finditer(text):
@@ -224,13 +230,19 @@ def parse_tool_call(text: str, tool_names: Sequence[str]) -> tuple[ToolCall, str
     return ToolCall(chosen.group(1), argument), reasoning
 
 
-def format_memory(turns: Sequence[TurnRecord]) -> str:
-    """Render the tool-call log: one block per acted turn, in order, with
-    the call and its observed output. Reasoning traces are excluded."""
-    blocks = []
+def format_memory(turns: Sequence[TurnRecord]) -> tuple[str, ...]:
+    """Render the tool-call log as text parts: one block per acted turn, in
+    order, with the call and its observed output, "\n\n" parts between
+    blocks. A block is a head part ending in "Output: " and then the
+    turn's observation, the same str object, as its own part (none for a
+    None observation). Reasoning traces are excluded."""
+    parts: list[str] = []
     for turn in turns:
         if turn.action is None:
             continue
-        observation = turn.observation if turn.observation is not None else ""
-        blocks.append(f"Tool call: {turn.action.render()}\nOutput: {observation}")
-    return "\n\n".join(blocks)
+        if parts:
+            parts.append("\n\n")
+        parts.append(f"Tool call: {turn.action.render()}\nOutput: ")
+        if turn.observation is not None:
+            parts.append(turn.observation)
+    return tuple(parts)

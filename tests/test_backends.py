@@ -23,6 +23,7 @@ from hybridmas import backends
 from hybridmas.backends import (
     ChatMessage,
     ChatRequest,
+    ContextOverflowError,
     HttpChatBackend,
     NoMatchingEntryError,
     RejectedError,
@@ -386,6 +387,41 @@ class TestHttpBackend:
             backend.complete(user_request("hi"))
         assert exc_info.value.status == 404
         assert mock_server.hits == 1
+
+    @pytest.mark.parametrize(
+        "body, overflow",
+        [
+            (  # OpenAI: the error code
+                {"error": {"message": "Your input exceeds the context window of this model.",
+                           "type": "invalid_request_error", "param": "messages",
+                           "code": "context_length_exceeded"}},
+                True,
+            ),
+            (  # vLLM: the wording, with the status as the code
+                {"object": "error", "type": "BadRequestError", "param": None, "code": 400,
+                 "message": "This model's maximum context length is 4096 tokens. However, "
+                            "you requested 5000 tokens (4000 in the messages, 1000 in the "
+                            "completion)."},
+                True,
+            ),
+            ({"error": {"message": "temperature must be <= 2", "code": "invalid_value"}}, False),
+        ],
+        ids=["openai", "vllm", "unrelated"],
+    )
+    def test_context_overflow_is_a_400_that_says_so(self, mock_server, body, overflow):
+        mock_server.plan = [(400, body), (200, _ok_body())]
+        backend = _backend(mock_server)
+        with pytest.raises(RejectedError) as exc_info:
+            backend.complete(user_request("hi"))
+        assert isinstance(exc_info.value, ContextOverflowError) == overflow
+        assert exc_info.value.status == 400
+        assert mock_server.hits == 1
+
+    def test_overflow_wording_outside_a_400_is_a_plain_rejection(self, mock_server):
+        mock_server.plan = [(413, {"error": {"code": "context_length_exceeded"}})]
+        with pytest.raises(RejectedError) as exc_info:
+            _backend(mock_server).complete(user_request("hi"))
+        assert not isinstance(exc_info.value, ContextOverflowError)
 
     def test_missing_usage(self, mock_server):
         mock_server.plan = [(200, {"choices": [{"message": {"content": "x"}}]})]

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from hybridmas import cli
+from hybridmas.analysis import condition_stats
 from hybridmas.cli import main
 from hybridmas.core import read_trajectories
 
@@ -494,6 +495,21 @@ class TestCmdSweep:
             rows = list(csv.DictReader(fh))
         assert [row["label"] for row in rows] == ["eva-tv1", "eva-tv2"]
         assert all(row["architecture"] == "eva" for row in rows)
+
+    def test_sweep_performance_is_the_frontier_statistic(self, tmp_path):
+        # B has no gold answers: unscored, it counts 0 in performance and
+        # nothing in mean_score.
+        config = write_config(tmp_path, sweep=[1])
+        tasks = [dict(task) for task in TASKS]
+        tasks[1]["answers"] = []
+        write_tasks(tmp_path / "tasks.jsonl", tasks)
+        assert main(["sweep", "--config", str(config)]) == 0
+        records = read_trajectories(tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl")
+        stats = condition_stats(records)
+        assert (stats.mean_score, stats.performance) == (1.0, pytest.approx(2 / 3))
+        with open(tmp_path / "out" / "sweep_points.csv", encoding="utf-8") as fh:
+            [row] = csv.DictReader(fh)
+        assert float(row["performance"]) == stats.performance
 
     def test_sweep_without_list_is_config_error(self, tmp_path):
         config = write_config(tmp_path)

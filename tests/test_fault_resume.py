@@ -47,7 +47,8 @@ FAULTS = {
     "non_json": "finished",  # a 200 whose body is HTML, then an answer
     "cached_over_prompt": "finished",  # usage reports more cached than prompt tokens
     "missing_usage": "backend_error",  # every answer lacks its usage block
-    "context_limit": "backend_error",  # every request rejected with a 400
+    "context_limit": "out_of_context",  # every request rejected with a 400 overflow
+    "429_retry_after": "finished",  # two 429s with Retry-After: 0, then an answer
 }
 FAULT_CYCLE = tuple(FAULTS)
 
@@ -62,6 +63,8 @@ def _answer(task: int, prompt_tokens: int, cached: int | None = None) -> dict:
 def _reply(fault: str, task: int, nth: int, prompt_tokens: int):
     if fault == "5xx_burst" and nth <= 2:
         return 503, {"error": "overloaded"}
+    if fault == "429_retry_after" and nth <= 2:
+        return 429, {"error": "rate limited"}
     if fault == "non_json" and nth == 1:
         return 200, b"<html>upstream busy</html>"
     if fault == "cached_over_prompt":
@@ -88,6 +91,8 @@ class _FaultHandler(_KeepAliveHandler):
         payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
         try:
             self.send_response(status)
+            if status == 429:
+                self.send_header("Retry-After", "0")
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()

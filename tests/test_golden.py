@@ -47,7 +47,9 @@ def test_stored_memory_equals_the_memory_derived_from_turns():
             for call in data["supervisor_calls"]:
                 memory = (call["decision"]["payload"] or {}).get("memory")
                 if memory:
-                    derived = format_memory([t for t in record.turns if t.t <= call["at_turn"]])
+                    derived = "".join(
+                        format_memory([t for t in record.turns if t.t <= call["at_turn"]])
+                    )
                     assert memory == derived
                     checked += 1
     assert checked == 4  # pevr and eva_nosummary: one applied, one refused by the cap

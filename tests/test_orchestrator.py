@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+from hybridmas import orchestrator
 from hybridmas.backends import (
     BackendError,
+    ContextOverflowError,
     RejectedError,
     ScriptedBackend,
     whitespace_token_count,
@@ -19,6 +21,7 @@ from hybridmas.core import (
     ReplanHandoff,
     TaskInstance,
     TokenUsage,
+    TurnRecord,
     VerifierDecision,
     record_to_json_line,
 )
@@ -359,6 +362,71 @@ class TestModelCallFailures:
         assert detail in message
 
 
+class _OverflowAfter:
+    """Answers from a script, then rejects every call as a context
+    overflow."""
+
+    def __init__(self, script):
+        self.backend = ScriptedBackend(script or ["unused"])
+        self.left = len(script)
+
+    def complete(self, request):
+        if not self.left:
+            raise ContextOverflowError(400, "maximum context length exceeded")
+        self.left -= 1
+        return self.backend.complete(request)
+
+    def count_tokens(self, parts):
+        return self.backend.count_tokens(parts)
+
+
+class TestContextOverflow:
+    """A call the endpoint rejects as a context overflow ends the task as
+    out_of_context, whatever its role, also when it is the retry of a
+    malformed answer."""
+
+    @pytest.mark.parametrize(
+        "architecture, executor, supervisor, turns",
+        [
+            ("monolithic", [], None, 0),
+            ("monolithic", search_turns(1), None, 1),
+            ("pevr", ["x"], [], 0),
+            ("eva", search_turns(2), [], 2),
+        ],
+        ids=["execute", "execute-turn-2", "plan", "verify"],
+    )
+    def test_overflow_ends_the_task_as_out_of_context(
+        self, architecture, executor, supervisor, turns
+    ):
+        config = make_run_config(architecture, max_turns=2, verify_interval=2)
+        executor = _OverflowAfter(executor) if supervisor is None else ScriptedBackend(executor)
+        supervisor = None if supervisor is None else _OverflowAfter(supervisor)
+        record = run_trajectory(TASK, config, executor, supervisor, ScriptedEnvironment())
+        assert record.termination == "out_of_context"
+        assert len(record.turns) == turns
+
+    def test_plan_retry_overflow_bills_the_first_attempt(self):
+        supervisor = _OverflowAfter(["no plan"])
+        record = run_trajectory(
+            TASK, make_run_config("pevr"), ScriptedBackend(["x"]), supervisor,
+            ScriptedEnvironment(),
+        )
+        assert record.termination == "out_of_context"
+        request = supervisor.backend.requests[0]
+        assert record.initial_plan == InitialPlanRecord("", _scripted_usage(request, "no plan"))
+
+    def test_verify_retry_overflow_records_the_first_verdict(self):
+        supervisor = _OverflowAfter(["garbage verdict"])
+        record = run_trajectory(
+            TASK, make_run_config("eva", max_turns=4, verify_interval=2),
+            ScriptedBackend(search_turns(4)), supervisor, ScriptedEnvironment(),
+        )
+        assert record.termination == "out_of_context"
+        [call] = record.supervisor_calls
+        assert call.decision == VerifierDecision(CONTINUE, None, "garbage verdict")
+        assert not call.applied
+
+
 class TestEva:
     def test_degenerates_to_monolithic_when_never_intervening(self):
         script = search_turns(3) + ["Tool call: finish[yes]"]
@@ -540,8 +608,8 @@ def _expected_requests(record, architecture, env, retried):
     for call in record.supervisor_calls:
         t = call.at_turn
         reset = max(r for r in seeds if r < t)
-        log = render_turn_log([turn for turn in turns if reset < turn.t <= t])
-        memory = format_memory([turn for turn in turns if turn.t <= t])
+        log = "".join(render_turn_log([turn for turn in turns if reset < turn.t <= t]))
+        memory = "".join(format_memory([turn for turn in turns if turn.t <= t]))
         if pevr:
             plan = plans[max(r for r in plans if r < t)]
             request = _text("verify_replan", plan=plan, executor_context=log, memory=memory)
@@ -563,7 +631,8 @@ def _expected_requests(record, architecture, env, retried):
     for t in range(1, len(turns) + 1):
         reset = max(r for r in seeds if r < t)
         context = [turn for turn in turns if reset < turn.t < t]
-        executor.append(seeds[reset] + ("\n\n" + render_turn_log(context) if context else ""))
+        log = "".join(render_turn_log(context))
+        executor.append(seeds[reset] + ("\n\n" + log if context else ""))
     return executor, supervisor
 
 
@@ -604,6 +673,75 @@ class TestRequestText:
         assert [t.usage.prompt_tokens for t in record.turns] == [
             len(text.split()) for text in expected_executor
         ]
+
+
+class _FreshObservations(ScriptedEnvironment):
+    """Answers each search with a new str object built at run time, and
+    keeps every observation it returned."""
+
+    def __init__(self):
+        super().__init__()
+        self.returned = []
+
+    def step(self, call):
+        observation = super().step(call)
+        if call.tool == "search":
+            text = "".join(["fresh observation ", f"for {call.argument} ~zq~"])
+            observation = replace(observation, text=text)
+        self.returned.append(observation.text)
+        return observation
+
+
+class TestTurnParts:
+    """Each turn enters the turn log and the memory as a head part plus the
+    observation the environment returned, as its own part."""
+
+    TURNS = [
+        TurnRecord(1, "I cannot decide.", None, INVALID_TOOL_CALL_OBSERVATION, TokenUsage()),
+        TurnRecord(2, "", ToolCall("search", "x"), "obs x", TokenUsage()),
+        TurnRecord(3, "Think.", ToolCall("lookup", "y"), None, TokenUsage()),
+        TurnRecord(4, "Done.", ToolCall("finish", "z"), "Episode finished.", TokenUsage()),
+    ]
+
+    def test_render_turn_log_joins_to_the_turn_log_text(self):
+        assert "".join(render_turn_log(self.TURNS)) == (
+            f"I cannot decide.\nObservation: {INVALID_TOOL_CALL_OBSERVATION}\n\n"
+            "Tool call: search[x]\nObservation: obs x\n\n"
+            "Think.\nTool call: lookup[y]\nObservation: None\n\n"
+            "Done.\nTool call: finish[z]\nObservation: Episode finished."
+        )
+        assert render_turn_log([]) == ()
+
+    def test_each_observation_is_one_part_of_the_context_and_the_memory(self):
+        env = _FreshObservations()
+        config = make_run_config("eva", max_turns=4, verify_interval=5)
+        episode = orchestrator._Episode(
+            TASK, config, ScriptedBackend(search_turns(4)), ScriptedBackend(["unused"]), env
+        )
+        record = episode.run()
+        assert record.termination == "turn_budget_exhausted"
+        assert len(env.returned) == 4
+        for observation in env.returned:
+            assert sum(part is observation for part in episode.ctx.log) == 1
+            assert sum(part is observation for part in episode._memory) == 1
+
+    @pytest.mark.parametrize("architecture", ["pevr", "eva", "eva_nosummary"])
+    def test_no_other_counted_part_holds_an_observation(self, architecture):
+        plan = [PLAN_RESPONSE] if architecture == "pevr" else []
+        intervene = (
+            "INTERVENE\n<REPLAN>R</REPLAN>" if architecture == "pevr"
+            else "INTERVENE\n<SUMMARY>s</SUMMARY>\n<ADVICE>a</ADVICE>"
+        )
+        env = _FreshObservations()
+        record, executor, supervisor = run_scripted(
+            architecture, search_turns(6), plan + ["CONTINUE", intervene, "CONTINUE"], env=env,
+            max_turns=6, verify_interval=2,
+        )
+        assert record.resets == [4]
+        keys = [*executor._part_tokens, *supervisor._part_tokens]
+        for observation in env.returned:
+            assert any(key is observation for key in keys)
+            assert not [key for key in keys if key is not observation and observation in key]
 
 
 class TestConfigResolution:

@@ -182,11 +182,11 @@ class TestParseToolCall:
 
 class TestFormatMemory:
     def test_empty(self):
-        assert format_memory([]) == ""
+        assert format_memory([]) == ()
 
     def test_single_turn(self):
         turns = [TurnRecord(1, "hmm", ToolCall("search", "X"), "X is a thing.", TokenUsage())]
-        memory = format_memory(turns)
+        memory = "".join(format_memory(turns))
         assert "search[X]" in memory
         assert "X is a thing." in memory
         assert "hmm" not in memory
@@ -196,7 +196,7 @@ class TestFormatMemory:
             TurnRecord(1, "", ToolCall("search", "first"), "one", TokenUsage()),
             TurnRecord(2, "", ToolCall("lookup", "second"), "two", TokenUsage()),
         ]
-        memory = format_memory(turns)
+        memory = "".join(format_memory(turns))
         assert memory.index("search[first]") < memory.index("lookup[second]")
 
     def test_actionless_turns_excluded(self):
@@ -204,9 +204,29 @@ class TestFormatMemory:
             TurnRecord(1, "garbled output", None, "Invalid tool call format.", TokenUsage()),
             TurnRecord(2, "", ToolCall("search", "x"), "obs", TokenUsage()),
         ]
-        memory = format_memory(turns)
+        memory = "".join(format_memory(turns))
         assert "garbled" not in memory
         assert memory.count("Tool call:") == 1
+
+    def test_joined_text(self):
+        turns = [
+            TurnRecord(1, "garbled output", None, "Invalid tool call format.", TokenUsage()),
+            TurnRecord(2, "", ToolCall("search", "x"), "obs x", TokenUsage()),
+            TurnRecord(3, "think", ToolCall("lookup", "y"), None, TokenUsage()),
+            TurnRecord(4, "think", ToolCall("finish", "z"), "done", TokenUsage()),
+        ]
+        assert "".join(format_memory(turns)) == (
+            "Tool call: search[x]\nOutput: obs x\n\n"
+            "Tool call: lookup[y]\nOutput: \n\n"
+            "Tool call: finish[z]\nOutput: done"
+        )
+
+    def test_observation_is_its_own_part(self):
+        observation = "".join(["an observation ", "built at run time"])
+        turn = TurnRecord(1, "r", ToolCall("search", "x"), observation, TokenUsage())
+        parts = format_memory([turn])
+        assert parts == ("Tool call: search[x]\nOutput: ", observation)
+        assert parts[1] is observation
 
 
 # --- property suites -------------------------------------------------------
