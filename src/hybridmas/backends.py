@@ -12,7 +12,6 @@ import base64
 import http.client
 import json
 import logging
-import math
 import os
 import select
 import ssl
@@ -23,15 +22,13 @@ import urllib.request
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
-from .core import TokenUsage
+from .core import SamplingParams, TokenUsage
 
 logger = logging.getLogger(__name__)
 
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
-VALID_ROLES = ("system", "user", "assistant")
 
 
 class BackendError(Exception):
@@ -74,51 +71,28 @@ class NoMatchingEntryError(BackendError):
     """No unconsumed scripted entry matches the request."""
 
 
-@dataclass(frozen=True, init=False)
-class ChatMessage:
-    """One message; its content is kept as a tuple of text parts whose join
-    is the text sent. A str content is one part. Passing the same str
-    objects as parts across calls lets a backend that counts tokens count a
-    part it has seen once."""
-
-    role: str
-    parts: tuple[str, ...]
-
-    def __init__(self, role: str, content: str | Sequence[str]):
-        if role not in VALID_ROLES:
-            raise ValueError(f"unknown role {role!r}")
-        parts = (content,) if isinstance(content, str) else tuple(content)
-        object.__setattr__(self, "role", role)
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def content(self) -> str:
-        return "".join(self.parts)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ChatRequest:
-    messages: list[ChatMessage]
-    temperature: float = 0.0
-    max_generated_tokens: int = 1024
+    """One model call: a single user message whose content is the prompt,
+    sent with the run's sampling settings and seed (None: no seed is sent).
+    The prompt is a str or a sequence of text parts whose join is the text
+    sent; a sequence is kept as the same object, not copied. Passing the
+    same str objects as parts across calls lets a backend that counts
+    tokens count a part it has seen once."""
+
+    prompt: str | Sequence[str]
+    sampling: SamplingParams = SamplingParams()
     seed: Optional[int] = None
 
-    def __post_init__(self):
-        if not self.messages:
-            raise ValueError("a chat request needs at least one message")
-        if not math.isfinite(self.temperature):
-            raise ValueError("temperature must be finite")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_generated_tokens <= 0:
-            raise ValueError("max_generated_tokens must be > 0")
+    @property
+    def parts(self) -> Sequence[str]:
+        """The prompt as text parts; a str is one part."""
+        prompt = self.prompt
+        return (prompt,) if isinstance(prompt, str) else prompt
 
-    def concatenated_content(self) -> str:
-        return "".join(self.parts())
-
-    def parts(self) -> tuple[str, ...]:
-        """The text parts of every message, in order."""
-        return tuple(chain.from_iterable(m.parts for m in self.messages))
+    @property
+    def text(self) -> str:
+        return "".join(self.parts)
 
 
 @dataclass
@@ -126,17 +100,6 @@ class ChatResponse:
     text: str
     usage: TokenUsage
     wall_time_ms: int = 0
-
-
-def user_request(
-    content: str | Sequence[str],
-    temperature: float = 0.0,
-    max_generated_tokens: int = 1024,
-    seed: Optional[int] = None,
-) -> ChatRequest:
-    return ChatRequest(
-        [ChatMessage("user", content)], temperature, max_generated_tokens, seed
-    )
 
 
 def whitespace_token_count(text: str) -> int:
@@ -179,32 +142,26 @@ class ScriptedBackend:
     """Deterministic backend that replays a fixed script.
 
     Each complete() consumes the first unconsumed entry whose match (if
-    any) occurs in the concatenated request text. Usage is synthesized as
-    whitespace-token counts: prompt_tokens is len(text.split()) of the
-    concatenated request. It is counted from the request's parts with a
-    cache, part -> (tokens, starts with a non-space, ends with a
-    non-space), that lives as long as the backend, so a part resent on
-    every turn (the same str object) is counted once and looked up in O(1).
-    The orchestrator sends each turn as a small head part plus the
-    observation as its own part, so a turn's new text is counted once
-    however many later prompts carry it. The counts are summed, less one
-    at each boundary where a part ending in a non-space meets one starting
-    with a non-space (a token glued across the boundary); empty parts are
-    skipped. This is exact for any split of any text. requests keeps each
-    request as its parts and joins it on read. Wall time is always 0 so
-    logs stay byte-reproducible. Consumption and the cache are serialized
-    by an internal lock.
+    any) occurs in the request's text, joined only when an entry has a
+    match. Usage is synthesized as whitespace-token counts: prompt_tokens
+    is len(text.split()) of the request's text. It is counted from the
+    request's parts with a cache, part -> (tokens, starts with a
+    non-space, ends with a non-space), that lives as long as the backend,
+    so a part resent on every turn (the same str object) is counted once
+    and looked up in O(1). The orchestrator sends each turn as a small
+    head part plus the observation as its own part, so a turn's new text
+    is counted once however many later prompts carry it. The counts are
+    summed, less one at each boundary where a part ending in a non-space
+    meets one starting with a non-space (a token glued across the
+    boundary); empty parts are skipped. This is exact for any split of any
+    text. requests keeps each request's parts, the prompt's own tuple, and
+    joins them on read. Wall time is always 0 so logs stay
+    byte-reproducible. Consumption and the cache are serialized by an
+    internal lock.
     """
 
-    def __init__(self, script: Sequence[ScriptEntry | dict | str]):
-        entries = []
-        for item in script:
-            if isinstance(item, ScriptEntry):
-                entries.append(item)
-            elif isinstance(item, str):
-                entries.append(ScriptEntry(item))
-            else:
-                entries.append(ScriptEntry(item["response"], item.get("match")))
+    def __init__(self, script: Sequence[ScriptEntry | str]):
+        entries = [ScriptEntry(item) if isinstance(item, str) else item for item in script]
         if not entries:
             raise ValueError("script must be non-empty")
         self._entries = entries
@@ -236,7 +193,7 @@ class ScriptedBackend:
         return total
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        parts = request.parts()
+        parts = request.parts
         text = None  # joined only to look for a match
         with self._lock:
             self.requests.append(parts)
@@ -247,7 +204,7 @@ class ScriptedBackend:
                 if self._consumed[i]:
                     continue
                 if entry.match is not None and text is None:
-                    text = request.concatenated_content()
+                    text = request.text
                 if entry.match is None or entry.match in text:
                     self._consumed[i] = True
                     while self._first < len(self._entries) and self._consumed[self._first]:
@@ -511,6 +468,13 @@ class HttpChatBackend:
     is checked again when it changes, and is the only source of the
     Authorization header.
 
+    A request is sent as one user message whose content is the prompt's
+    parts joined, with the temperature and max_tokens of its sampling
+    settings and its seed when set. max_retries, backoff_s and
+    backoff_cap_s below 0, and a timeout_s (the bound on connecting and on
+    each socket read) not above 0, raise ValueError when the backend is
+    built.
+
     Each thread that calls complete() keeps one HTTP/1.1 connection to the
     endpoint, kept alive across calls and opened at the thread's first
     call; http.client only opens it (TCP_NODELAY, the timeout, the tunnel,
@@ -549,6 +513,12 @@ class HttpChatBackend:
         backoff_cap_s: float = 8.0,
         timeout_s: float = 120.0,
     ):
+        for name, value in (("max_retries", max_retries), ("backoff_s", backoff_s),
+                            ("backoff_cap_s", backoff_cap_s)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, not {value!r}")
+        if timeout_s <= 0:
+            raise ValueError(f"timeout_s must be > 0, not {timeout_s!r}")
         self.base_url = base_url.rstrip("/")
         self._url = self.base_url + CHAT_COMPLETIONS_PATH
         url = urllib.parse.urlsplit(self._url)
@@ -645,9 +615,9 @@ class HttpChatBackend:
     def _payload(self, request: ChatRequest) -> dict:
         payload = {
             "model": self.model,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_generated_tokens,
+            "messages": [{"role": "user", "content": request.text}],
+            "temperature": request.sampling.temperature,
+            "max_tokens": request.sampling.max_generated_tokens,
         }
         if request.seed is not None:
             payload["seed"] = request.seed

@@ -40,12 +40,12 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import analysis
 from .backends import ScriptedBackend
 from .config import ConfigError, ExperimentConfig, build_backend, build_environment_factory, load_config
-from .core import TrajectoryRecord, read_trajectories, write_trajectories
+from .core import TaskInstance, TrajectoryRecord, read_trajectories, write_trajectories
 from .environments import SchemaViolationError, load_tasks
 from .orchestrator import run_config_digest, run_trajectory
 
@@ -76,14 +76,18 @@ def _drop_torn_tail(path: Path) -> None:
     logger.warning("%s: dropped %d bytes of a torn final line", path, size - keep)
 
 
-def execute_condition(cfg: ExperimentConfig, verify_interval: int) -> dict:
-    """Run every pending task for one (architecture, interval) condition,
-    appending each record to its log once it and every earlier task have
-    ended. Returns summary stats over the complete log."""
+def execute_condition(
+    cfg: ExperimentConfig,
+    verify_interval: int,
+    tasks: Sequence[TaskInstance],
+    env_factory: Callable[[], object],
+) -> dict:
+    """Run every pending task of tasks for one (architecture, interval)
+    condition, each in a fresh environment from env_factory, appending each
+    record to its log once it and every earlier task have ended. Backends
+    are built here, for this condition alone: a scripted one is consumed by
+    its run. Returns summary stats over the complete log."""
     run_config = cfg.with_verify_interval(verify_interval)
-    tasks = load_tasks(cfg.dataset)
-    env_factory = build_environment_factory(cfg)
-
     base_dir = cfg.dataset.parent
     executor = build_backend(cfg.backend_specs[cfg.executor_backend_name], base_dir)
     supervisor = None
@@ -157,15 +161,18 @@ def _print_summary(summary: dict) -> None:
 def cmd_run(args) -> int:
     """run: one condition at the configured verification interval. sweep:
     one condition per interval of the config's sweep list, then
-    sweep_points.csv over them."""
+    sweep_points.csv over them. The tasks and the environment factory (and
+    so a wiki corpus) are loaded once and shared by every condition."""
     sweep = args.command == "sweep"
     try:
         cfg = _load_with_overrides(args)
         if sweep and not cfg.sweep:
             raise ConfigError("sweep requires a non-empty sweep list in the config")
+        tasks = load_tasks(cfg.dataset)
+        env_factory = build_environment_factory(cfg)
         summaries = []
         for interval in cfg.sweep if sweep else [cfg.run.verify_interval]:
-            summaries.append(execute_condition(cfg, interval))
+            summaries.append(execute_condition(cfg, interval, tasks, env_factory))
             _print_summary(summaries[-1])
         if sweep:
             points_path = cfg.output / "sweep_points.csv"

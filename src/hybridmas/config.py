@@ -210,8 +210,6 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
         "environment.observation_limit",
     )
     if env_type == "wiki":
-        if cfg.corpus is None:
-            raise ConfigError("wiki environment requires a corpus path")
         corpus = WikiCorpus.load(cfg.corpus)
         return lambda: WikiEnvironment(corpus, observation_limit=limit)
     if env_type == "scripted":

@@ -350,8 +350,6 @@ def load_tasks(path) -> list[TaskInstance]:
         ):
             raise SchemaViolationError(line_no, "answers must be a list of strings")
         task_id = str(rec["id"])
-        if not task_id or not rec["question"]:
-            raise SchemaViolationError(line_no, "id and question must be non-empty")
         if task_id in seen_ids:
             raise SchemaViolationError(line_no, f"duplicate task id {task_id!r}")
         seen_ids.add(task_id)

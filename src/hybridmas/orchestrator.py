@@ -22,11 +22,10 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict
-from functools import partial
 from typing import Optional
 
 from . import accounting
-from .backends import BackendError, ContextOverflowError, user_request
+from .backends import BackendError, ChatRequest, ContextOverflowError
 from .core import (
     CONTINUE,
     INTERVENE,
@@ -140,12 +139,6 @@ class _Episode:
         )
         if self.family != "monolithic" and supervisor_backend is None:
             raise ValueError(f"{config.architecture} requires a supervisor backend")
-        self._request = partial(
-            user_request,
-            temperature=config.sampling.temperature,
-            max_generated_tokens=config.sampling.max_generated_tokens,
-            seed=config.seed,
-        )
         self.audit = config.is_audit
         self.nosummary = config.architecture == "eva_nosummary"
         self.plan: Optional[Plan] = None
@@ -176,7 +169,7 @@ class _Episode:
         backend_error otherwise; if the retry raised it, the first attempt
         is passed to rejected before the task ends.
         """
-        request = self._request(prompt)
+        request = ChatRequest(prompt, self.config.sampling, self.config.seed)
         first = None
         try:
             response = backend.complete(request)

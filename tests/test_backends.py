@@ -13,7 +13,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from hybridmas import backends
 from hybridmas.backends import (
-    ChatMessage,
     ChatRequest,
     ContextOverflowError,
     HttpChatBackend,
@@ -32,15 +31,16 @@ from hybridmas.backends import (
     ScriptExhaustedError,
     TransportError,
     UsageMissingError,
-    user_request,
     whitespace_token_count,
 )
+from hybridmas.core import SamplingParams
+from loopback import _KeepAliveHandler, _PlannedHandler, _serve
 
 
 class TestScriptedBackend:
     def test_pass_through_with_synthesized_usage(self):
         backend = ScriptedBackend(["CONTINUE"])
-        response = backend.complete(user_request("please verify this state"))
+        response = backend.complete(ChatRequest("please verify this state"))
         assert response.text == "CONTINUE"
         assert response.usage.prompt_tokens == 4
         assert response.usage.cached_tokens == 0
@@ -49,8 +49,8 @@ class TestScriptedBackend:
 
     def test_fifo_order_for_unmatched_entries(self):
         backend = ScriptedBackend(["first", "second"])
-        assert backend.complete(user_request("a")).text == "first"
-        assert backend.complete(user_request("b")).text == "second"
+        assert backend.complete(ChatRequest("a")).text == "first"
+        assert backend.complete(ChatRequest("b")).text == "second"
 
     def test_match_dispatch(self):
         backend = ScriptedBackend(
@@ -60,21 +60,21 @@ class TestScriptedBackend:
             ]
         )
         response = backend.complete(
-            user_request("You are a verification-only supervisor. ...")
+            ChatRequest("You are a verification-only supervisor. ...")
         )
         assert response.text == "CONTINUE"
-        assert backend.complete(user_request("anything")).text == "search[x]"
+        assert backend.complete(ChatRequest("anything")).text == "search[x]"
 
     def test_exhausted(self):
         backend = ScriptedBackend(["only"])
-        backend.complete(user_request("x"))
+        backend.complete(ChatRequest("x"))
         with pytest.raises(ScriptExhaustedError):
-            backend.complete(user_request("y"))
+            backend.complete(ChatRequest("y"))
 
     def test_no_matching_entry(self):
         backend = ScriptedBackend([ScriptEntry("a", match="will-not-appear")])
         with pytest.raises(NoMatchingEntryError):
-            backend.complete(user_request("unrelated text"))
+            backend.complete(ChatRequest("unrelated text"))
 
     def test_deterministic_sequences(self):
         requests = ["one two", "three", "four five six"]
@@ -84,7 +84,7 @@ class TestScriptedBackend:
             outputs.append(
                 [
                     (r.text, r.usage)
-                    for r in (backend.complete(user_request(q)) for q in requests)
+                    for r in (backend.complete(ChatRequest(q)) for q in requests)
                 ]
             )
         assert outputs[0] == outputs[1]
@@ -141,7 +141,7 @@ def test_scripted_usage_equals_whitespace_split(texts):
     backend = ScriptedBackend(["r"] * len(texts))
     for text in texts:
         assert backend.count_tokens((text,)) == len(text.split())
-        assert backend.complete(user_request(text)).usage.prompt_tokens == len(text.split())
+        assert backend.complete(ChatRequest(text)).usage.prompt_tokens == len(text.split())
     assert backend.requests == texts
 
 
@@ -173,7 +173,7 @@ def test_scripted_usage_over_part_boundaries(calls):
     for parts in calls:
         tokens = len("".join(parts).split())
         assert backend.count_tokens(parts) == tokens
-        assert backend.complete(user_request(parts)).usage.prompt_tokens == tokens
+        assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == tokens
     # requests keeps parts and reads as the joined texts
     texts = ["".join(parts) for parts in calls]
     assert [backend.requests[i] for i in range(len(calls))] == texts
@@ -224,99 +224,34 @@ def test_scripted_consumption_matches_linear_scan(matches, texts):
     entries = [ScriptEntry(f"r{i}", match) for i, match in enumerate(matches)]
     backend, reference = ScriptedBackend(entries), ReferenceScript(entries)
     for text in texts:
-        got = _outcome(lambda t: backend.complete(user_request(t)).text, text)
+        got = _outcome(lambda t: backend.complete(ChatRequest(t)).text, text)
         assert got == _outcome(reference.complete, text)
         assert backend.remaining == reference.remaining
 
 
 class TestChatRequest:
-    def test_needs_messages(self):
-        with pytest.raises(ValueError):
-            ChatRequest([])
+    def test_prompt_parts_and_text(self):
+        prompt = ("a ", "", "b")
+        request = ChatRequest(prompt)
+        assert request.parts is prompt
+        assert request.text == "a b"
+        assert ChatRequest("a b").parts == ("a b",)
 
-    def test_role_validation(self):
-        with pytest.raises(ValueError):
-            ChatMessage("tool", "x")
+    def test_scripted_backend_keeps_the_prompt_uncopied(self):
+        backend = ScriptedBackend(["r"])
+        prompt = ("a ", "b")
+        backend.complete(ChatRequest(prompt))
+        assert backend.requests._parts[0] is prompt
+        assert backend.requests == ["a b"]
 
     def test_usage_identity(self):
         backend = ScriptedBackend(["some answer here"])
-        request = user_request("a b c")
+        request = ChatRequest("a b c")
         response = backend.complete(request)
         assert response.usage.prompt_tokens + response.usage.generated_tokens == 3 + 3
 
 
 # --- HTTP client against a scripted local server ---------------------------
-
-
-class _PlannedHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
-        self.server.raw_bodies.append(raw)
-        self.server.bodies.append(json.loads(raw))
-        plan = self.server.plan
-        index = min(self.server.hits, len(plan) - 1)
-        # (status, body) or (status, body, {extra header: value})
-        status, body, *headers = plan[index]
-        self.server.hits += 1
-        # bytes go out as they are, so a test can send a body that is not JSON
-        payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        for name, value in (headers[0] if headers else {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-class _KeepAliveHandler(_PlannedHandler):
-    """HTTP/1.1 variant that keeps connections open, counts the ones it
-    accepts, records each request's path and headers, and closes a
-    connection left idle for server.idle_timeout seconds (None: never)."""
-
-    protocol_version = "HTTP/1.1"
-    # Buffered writes: an unbuffered keep-alive response goes out as
-    # several small segments and stalls on delayed ACKs.
-    wbufsize = -1
-
-    def setup(self):
-        self.timeout = self.server.idle_timeout
-        super().setup()
-        with self.server.lock:
-            self.server.connections += 1
-
-    def do_POST(self):
-        with self.server.lock:
-            self.server.requests.append((self.path, dict(self.headers)))
-        super().do_POST()
-
-
-class _TestServer(ThreadingHTTPServer):
-    # The default listen backlog of 5 resets connections when 16 client
-    # threads connect at once, and each reset costs a retried attempt.
-    request_queue_size = 128
-
-
-def _serve(handler, tls=None):
-    """Serve handler on a loopback port, over TLS with the given server-side
-    SSLContext when tls is set."""
-    server = _TestServer(("127.0.0.1", 0), handler)
-    if tls is not None:
-        server.socket = tls.wrap_socket(server.socket, server_side=True)
-    server.plan = []
-    server.hits = 0
-    server.bodies = []
-    server.raw_bodies = []
-    # A short poll keeps shutdown() from waiting out the default 0.5 s.
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    return server
 
 
 @pytest.fixture
@@ -366,7 +301,7 @@ class TestHttpBackend:
     def test_retries_transport_then_succeeds(self, mock_server):
         mock_server.plan = [(503, {}), (503, {}), (200, _ok_body())]
         backend = _backend(mock_server)
-        response = backend.complete(user_request("hi"))
+        response = backend.complete(ChatRequest("hi"))
         assert response.text == "hello"
         assert mock_server.hits == 3
         assert backend.attempts_logged == 3
@@ -377,14 +312,14 @@ class TestHttpBackend:
         mock_server.plan = [(503, {})]
         backend = _backend(mock_server, max_retries=2)
         with pytest.raises(TransportError):
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert mock_server.hits == 3  # initial attempt + 2 retries
 
     def test_rejected_is_not_retried(self, mock_server):
         mock_server.plan = [(404, {"error": "nope"})]
         backend = _backend(mock_server)
         with pytest.raises(RejectedError) as exc_info:
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert exc_info.value.status == 404
         assert mock_server.hits == 1
 
@@ -412,7 +347,7 @@ class TestHttpBackend:
         mock_server.plan = [(400, body), (200, _ok_body())]
         backend = _backend(mock_server)
         with pytest.raises(RejectedError) as exc_info:
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert isinstance(exc_info.value, ContextOverflowError) == overflow
         assert exc_info.value.status == 400
         assert mock_server.hits == 1
@@ -420,43 +355,40 @@ class TestHttpBackend:
     def test_overflow_wording_outside_a_400_is_a_plain_rejection(self, mock_server):
         mock_server.plan = [(413, {"error": {"code": "context_length_exceeded"}})]
         with pytest.raises(RejectedError) as exc_info:
-            _backend(mock_server).complete(user_request("hi"))
+            _backend(mock_server).complete(ChatRequest("hi"))
         assert not isinstance(exc_info.value, ContextOverflowError)
 
     def test_missing_usage(self, mock_server):
         mock_server.plan = [(200, {"choices": [{"message": {"content": "x"}}]})]
         backend = _backend(mock_server)
         with pytest.raises(UsageMissingError):
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
 
     def test_cached_tokens_read_from_details(self, mock_server):
         mock_server.plan = [(200, _ok_body(prompt=100, generated=5, cached=40))]
         backend = _backend(mock_server)
-        response = backend.complete(user_request("hi"))
+        response = backend.complete(ChatRequest("hi"))
         assert response.usage.cached_tokens == 40
 
     def test_wire_format(self, mock_server):
         mock_server.plan = [(200, _ok_body())]
         backend = _backend(mock_server)
-        backend.complete(
-            ChatRequest(
-                [ChatMessage("system", "be brief"), ChatMessage("user", "hi")],
-                temperature=0.25,
-                max_generated_tokens=64,
-                seed=7,
-            )
-        )
+        prompt = ("be ", "brief ", 'caf\u00e9 \u2713 "q"\n\t')
+        backend.complete(ChatRequest(prompt, SamplingParams(0.25, 64), seed=7))
         body = mock_server.bodies[0]
-        assert body["model"] == "test-model"
-        assert body["temperature"] == 0.25
-        assert body["max_tokens"] == 64
-        assert body["seed"] == 7
-        assert body["messages"][0] == {"role": "system", "content": "be brief"}
+        assert body == {
+            "model": "test-model",
+            "messages": [{"role": "user", "content": 'be brief caf\u00e9 \u2713 "q"\n\t'}],
+            "temperature": 0.25,
+            "max_tokens": 64,
+            "seed": 7,
+        }
+        assert list(body) == ["model", "messages", "temperature", "max_tokens", "seed"]
 
     def test_non_json_body_is_retried_as_transport_error(self, mock_server):
         mock_server.plan = [(200, b"<html>upstream busy</html>"), (200, _ok_body())]
         backend = _backend(mock_server)
-        response = backend.complete(user_request("hi"))
+        response = backend.complete(ChatRequest("hi"))
         assert response.text == "hello"
         assert mock_server.hits == 2
         assert backend.attempts_logged == 2
@@ -465,13 +397,13 @@ class TestHttpBackend:
         mock_server.plan = [(200, b"not json")]
         backend = _backend(mock_server, max_retries=2)
         with pytest.raises(TransportError):
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert mock_server.hits == 3
 
     def test_body_without_choices_is_retried_as_transport_error(self, mock_server):
         mock_server.plan = [(200, {"error": "overloaded"}), (200, _ok_body())]
         backend = _backend(mock_server)
-        response = backend.complete(user_request("hi"))
+        response = backend.complete(ChatRequest("hi"))
         assert response.text == "hello"
         assert mock_server.hits == 2
         assert backend.attempts_logged == 2
@@ -480,14 +412,14 @@ class TestHttpBackend:
         mock_server.plan = [(200, {"error": "overloaded"})]
         backend = _backend(mock_server, max_retries=2)
         with pytest.raises(TransportError):
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert mock_server.hits == 3
 
     @pytest.mark.parametrize("content", [5, ["a"], {"type": "text"}])
     def test_non_string_content_is_retried_as_transport_error(self, mock_server, content):
         mock_server.plan = [(200, _ok_body(content=content)), (200, _ok_body())]
         backend = _backend(mock_server)
-        response = backend.complete(user_request("hi"))
+        response = backend.complete(ChatRequest("hi"))
         assert response.text == "hello"
         assert mock_server.hits == 2
         assert backend.attempts_logged == 2
@@ -497,13 +429,13 @@ class TestHttpBackend:
         mock_server.plan = [(200, _ok_body(content=content))]
         backend = _backend(mock_server, max_retries=2)
         with pytest.raises(TransportError):
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert mock_server.hits == 3
 
     def test_null_content_is_empty_text(self, mock_server):
         mock_server.plan = [(200, _ok_body(content=None))]
         backend = _backend(mock_server)
-        assert backend.complete(user_request("hi")).text == ""
+        assert backend.complete(ChatRequest("hi")).text == ""
         assert backend.attempts_logged == 1
 
     @pytest.mark.parametrize(
@@ -526,7 +458,7 @@ class TestHttpBackend:
         mock_server.plan = [(200, {"choices": [{"message": {"content": "x"}}], "usage": usage})]
         backend = _backend(mock_server)
         with pytest.raises(UsageMissingError):
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert mock_server.hits == 1
 
     def test_concurrent_calls_count_every_attempt(self, mock_server):
@@ -537,7 +469,7 @@ class TestHttpBackend:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=16) as pool:
-                futures = [pool.submit(backend.complete, user_request("hi")) for _ in range(calls)]
+                futures = [pool.submit(backend.complete, ChatRequest("hi")) for _ in range(calls)]
                 texts = [future.result(timeout=30).text for future in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -560,7 +492,7 @@ class TestHttpConnectionReuse:
         keepalive_server.plan = [(200, _ok_body())]
         backend = _backend(keepalive_server)
         for _ in range(20):
-            assert backend.complete(user_request("hi")).text == "hello"
+            assert backend.complete(ChatRequest("hi")).text == "hello"
         assert keepalive_server.connections == 1
         assert backend.attempts_logged == 20
 
@@ -569,7 +501,7 @@ class TestHttpConnectionReuse:
         backend = _backend(keepalive_server)
         calls, workers = 64, 16
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(backend.complete, user_request("hi")) for _ in range(calls)]
+            futures = [pool.submit(backend.complete, ChatRequest("hi")) for _ in range(calls)]
             texts = [future.result(timeout=30).text for future in futures]
         assert texts == ["hello"] * calls
         assert keepalive_server.connections <= workers
@@ -583,7 +515,7 @@ class TestHttpConnectionReuse:
         for i in range(calls):
             if i:
                 time.sleep(0.1)
-            assert backend.complete(user_request("hi")).text == "hello"
+            assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == calls
         # the server did drop the idle connections the client then replaced
         assert keepalive_server.connections > 1
@@ -595,7 +527,7 @@ class TestHttpConnectionReuse:
         keepalive_server.plan = [(200, _ok_body())]
         url = f"http://127.0.0.1:{_closed_port()}"
         backend = HttpChatBackend(url, "test-model", max_retries=0, timeout_s=5)
-        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.complete(ChatRequest("hi")).text == "hello"
         path, _headers = keepalive_server.requests[0]
         assert path == url + "/v1/chat/completions"
 
@@ -606,15 +538,9 @@ class TestHttpConnectionReuse:
         monkeypatch.setenv("HYBRIDMAS_TEST_CREDENTIAL", "secret-token")
         keepalive_server.plan = [(200, _ok_body())]
         backend = _backend(keepalive_server, credential_env="HYBRIDMAS_TEST_CREDENTIAL")
-        backend.complete(user_request("hi"))
+        backend.complete(ChatRequest("hi"))
         _path, headers = keepalive_server.requests[0]
         assert headers["Authorization"] == "Bearer secret-token"
-
-
-@pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
-def test_non_finite_temperature_is_rejected(temperature):
-    with pytest.raises(ValueError, match="temperature must be finite"):
-        user_request("hi", temperature=temperature)
 
 
 @pytest.mark.parametrize("base_url", ["ftp://127.0.0.1", "127.0.0.1:8000", "http://"])
@@ -765,7 +691,7 @@ class TestStdlibClient:
         monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
         keepalive_server.plan = [(200, _ok_body())]
         backend = _backend(keepalive_server, max_retries=0)
-        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.complete(ChatRequest("hi")).text == "hello"
         path, _headers = keepalive_server.requests[0]
         assert path == "/v1/chat/completions"
 
@@ -780,7 +706,7 @@ class TestStdlibClient:
             url, "test-model", credential_env="HYBRIDMAS_TEST_CREDENTIAL", max_retries=0,
             timeout_s=5,
         )
-        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.complete(ChatRequest("hi")).text == "hello"
         path, headers = keepalive_server.requests[0]
         assert path == url + "/v1/chat/completions"
         assert headers["Proxy-Authorization"] == _basic("agent@lab:s:cret")
@@ -799,7 +725,7 @@ class TestStdlibClient:
                            max_retries=1)
         monkeypatch.setenv("HYBRIDMAS_TEST_CREDENTIAL", "secret\nX-Injected: 1")
         with pytest.raises(TransportError, match="CR, LF or NUL"):
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert backend.attempts_logged == 2
         assert keepalive_server.hits == 0
 
@@ -826,13 +752,13 @@ class TestStdlibClient:
         tls_server.plan = [(200, _ok_body())]
         backend = HttpChatBackend(tls_server.url, "test-model", max_retries=0, timeout_s=5)
         for _ in range(3):
-            assert backend.complete(user_request("hi")).text == "hello"
+            assert backend.complete(ChatRequest("hi")).text == "hello"
         assert tls_server.connections == 1
         # Without the bundle the system trust store does not know this CA.
         monkeypatch.delenv("REQUESTS_CA_BUNDLE")
         stranger = HttpChatBackend(tls_server.url, "test-model", max_retries=0, timeout_s=5)
         with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
-            stranger.complete(user_request("hi"))
+            stranger.complete(ChatRequest("hi"))
         assert tls_server.hits == 3
 
     def test_https_through_a_proxy_is_tunneled(self, tls_server, monkeypatch):
@@ -846,7 +772,7 @@ class TestStdlibClient:
             tls_server.plan = [(200, _ok_body())]
             backend = HttpChatBackend(tls_server.url, "test-model", max_retries=0, timeout_s=5)
             for _ in range(2):
-                assert backend.complete(user_request("hi")).text == "hello"
+                assert backend.complete(ChatRequest("hi")).text == "hello"
         finally:
             _stop(proxy)
         [(target, connect_headers)] = proxy.connects
@@ -862,7 +788,7 @@ class TestStdlibClient:
         server.plan = [(200, _ok_body())]
         try:
             backend = _backend(server, timeout_s=0.25)
-            assert backend.complete(user_request("hi")).text == "hello"
+            assert backend.complete(ChatRequest("hi")).text == "hello"
             assert backend.attempts_logged == 2
             assert server.connections == 2
         finally:
@@ -876,9 +802,9 @@ class TestStdlibClient:
         ]
         backend = _backend(keepalive_server)
         with pytest.raises(RejectedError, match="context_length_exceeded") as exc_info:
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert exc_info.value.status == 400
-        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == 3
         assert keepalive_server.connections == 1
 
@@ -888,7 +814,7 @@ class TestStdlibClient:
         try:
             backend = _backend(server)
             for _ in range(3):
-                assert backend.complete(user_request("hi")).text == "hello"
+                assert backend.complete(ChatRequest("hi")).text == "hello"
             assert backend.attempts_logged == 3
             assert server.connections == 2
         finally:
@@ -897,21 +823,11 @@ class TestStdlibClient:
     def test_wire_body_is_the_json_encoding_of_the_payload(self, keepalive_server):
         keepalive_server.plan = [(503, {}), (200, _ok_body())]
         backend = _backend(keepalive_server)
-        backend.complete(
-            ChatRequest(
-                [ChatMessage("system", ("be ", "brief")),
-                 ChatMessage("user", 'caf\u00e9 \u2713 "q"\n\t')],
-                temperature=0.25,
-                max_generated_tokens=64,
-                seed=7,
-            )
-        )
+        prompt = ("be ", "brief ", 'caf\u00e9 \u2713 "q"\n\t')
+        backend.complete(ChatRequest(prompt, SamplingParams(0.25, 64), seed=7))
         payload = {
             "model": "test-model",
-            "messages": [
-                {"role": "system", "content": "be brief"},
-                {"role": "user", "content": 'caf\u00e9 \u2713 "q"\n\t'},
-            ],
+            "messages": [{"role": "user", "content": 'be brief caf\u00e9 \u2713 "q"\n\t'}],
             "temperature": 0.25,
             "max_tokens": 64,
             "seed": 7,
@@ -926,21 +842,21 @@ class TestStdlibClient:
         keepalive_server.plan = [(429, {"error": "slow down"}, {"Retry-After": "0"}),
                                  (200, _ok_body())]
         backend = _backend(keepalive_server)
-        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == 2
         assert keepalive_server.connections == 1
 
     def test_408_is_retried(self, keepalive_server):
         keepalive_server.plan = [(408, {}), (200, _ok_body())]
         backend = _backend(keepalive_server)
-        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == 2
 
     def test_429_that_never_clears_exhausts_retries(self, keepalive_server):
         keepalive_server.plan = [(429, {}, {"Retry-After": "0"})]
         backend = _backend(keepalive_server, max_retries=2)
         with pytest.raises(TransportError, match="HTTP 429"):
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert keepalive_server.hits == 3
 
     @pytest.mark.parametrize(
@@ -958,7 +874,7 @@ class TestStdlibClient:
         headers = {} if retry_after is None else {"Retry-After": retry_after}
         keepalive_server.plan = [(429, {}, headers), (200, _ok_body())]
         backend = _backend(keepalive_server, backoff_s=0.001, backoff_cap_s=0.002)
-        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.complete(ChatRequest("hi")).text == "hello"
         assert sleeps == [wait]
 
 
@@ -1049,7 +965,7 @@ class TestReplyReader:
         monkeypatch.setenv("HYBRIDMAS_TEST_CREDENTIAL", "secret-token")
         server = raw_server((_reply(), False))
         backend = _backend(server, credential_env="HYBRIDMAS_TEST_CREDENTIAL")
-        request = user_request("café ✓", max_generated_tokens=64, seed=7)
+        request = ChatRequest("café ✓", SamplingParams(max_generated_tokens=64), seed=7)
         for _ in range(2):
             assert backend.complete(request).text == "hello"
         wire = json.dumps(backend._payload(request), allow_nan=False).encode()
@@ -1071,7 +987,7 @@ class TestReplyReader:
                              False))
         backend = _backend(server)
         for _ in range(2):
-            assert backend.complete(user_request("hi")).text == "hello"
+            assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == 2
         assert server.connections == 1
 
@@ -1080,14 +996,14 @@ class TestReplyReader:
                              True))
         backend = _backend(server)
         for _ in range(2):
-            assert backend.complete(user_request("hi")).text == "hello"
+            assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == 2
         assert server.connections == 2
 
     def test_100_continue_is_skipped(self, raw_server):
         server = raw_server((b"HTTP/1.1 100 Continue\r\n\r\n" + _reply(), False))
         backend = _backend(server)
-        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == 1
 
     def test_204_has_no_body(self, raw_server):
@@ -1095,7 +1011,7 @@ class TestReplyReader:
         # would hold the connection until the read timed out.
         server = raw_server((b"HTTP/1.1 204 No Content\r\n\r\n", False), (_reply(), False))
         backend = _backend(server)
-        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == 2
         assert server.connections == 1
 
@@ -1103,14 +1019,14 @@ class TestReplyReader:
         server = raw_server((_reply() + b"HTTP/1.1 200 OK\r\n", False))
         backend = _backend(server)
         for _ in range(2):
-            assert backend.complete(user_request("hi")).text == "hello"
+            assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == 2
         assert server.connections == 2
 
     def test_body_cut_short_is_retried_on_a_fresh_connection(self, raw_server):
         server = raw_server((_reply()[:-5], True), (_reply(), False))
         backend = _backend(server)
-        assert backend.complete(user_request("hi")).text == "hello"
+        assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == 2
         assert server.connections == 2
 
@@ -1135,5 +1051,5 @@ class TestReplyReader:
         server = raw_server((reply, False))
         backend = _backend(server, max_retries=0)
         with pytest.raises(TransportError, match=f"request failed: .*{error}"):
-            backend.complete(user_request("hi"))
+            backend.complete(ChatRequest("hi"))
         assert server.connections == 1

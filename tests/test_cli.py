@@ -257,6 +257,26 @@ MALFORMED_VALUES = {
         {"backends": {"executor": {**HTTP_EXECUTOR, "timeout_s": [1]}}},
         "http backend timeout_s",
     ),
+    "max_retries-negative": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "max_retries": -2}}},
+        "http backend: max_retries must be >= 0",
+    ),
+    "backoff_s-negative": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "backoff_s": -1}}},
+        "http backend: backoff_s must be >= 0",
+    ),
+    "backoff_cap_s-negative": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "backoff_cap_s": -0.5}}},
+        "http backend: backoff_cap_s must be >= 0",
+    ),
+    "timeout_s-zero": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "timeout_s": 0}}},
+        "http backend: timeout_s must be > 0",
+    ),
+    "timeout_s-negative": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "timeout_s": -1}}},
+        "http backend: timeout_s must be > 0",
+    ),
     "backend-not-mapping": ({"backends": {"executor": "typewriter"}}, "backend spec"),
     "environment-not-mapping": ({"environment": "scripted"}, "environment must be a mapping"),
     "models-not-mapping": ({"models": ["edge"]}, "models must be a mapping"),
@@ -393,6 +413,25 @@ def test_malformed_input_line_exits_1(tmp_path, capsys, command, environment, li
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_task_with_empty_question_exits_1(tmp_path, capsys, command):
+    config = write_config(tmp_path, sweep=[1])
+    write_tasks(tmp_path / "tasks.jsonl", [TASKS[0], {**TASKS[1], "question": ""}])
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 2: ") and "query must be non-empty" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_wiki_environment_without_corpus_exits_1(tmp_path, capsys, command):
+    config = write_config(tmp_path, environment={"type": "wiki"}, sweep=[1])
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "requires a corpus path" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "variable, value, backend, message",
     [
@@ -510,6 +549,33 @@ class TestCmdSweep:
         with open(tmp_path / "out" / "sweep_points.csv", encoding="utf-8") as fh:
             [row] = csv.DictReader(fh)
         assert float(row["performance"]) == stats.performance
+
+    def test_sweep_prepares_tasks_and_environment_once(self, tmp_path, monkeypatch):
+        config = eva_sweep_config(tmp_path)
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data["sweep"] = [1, 2, 3]
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        calls = []
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args):
+                calls.append((name, args[0]) if name == "build_backend" else name)
+                return real(*args)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("load_tasks", "build_environment_factory", "build_backend"):
+            counted(name)
+        assert main(["sweep", "--config", str(config)]) == 0
+        # Backends are built per interval: a scripted one is consumed by its run.
+        per_interval = [("build_backend", data["backends"][role])
+                        for role in ("executor", "supervisor")]
+        assert calls == ["load_tasks", "build_environment_factory", *per_interval * 3]
+        for tv in (1, 2, 3):
+            log = tmp_path / "out" / f"eva-tv{tv}" / "trajectories.jsonl"
+            assert [r.termination for r in read_trajectories(log)] == ["finished"] * 3
 
     def test_sweep_without_list_is_config_error(self, tmp_path):
         config = write_config(tmp_path)

@@ -27,7 +27,7 @@ from hybridmas.cli import main
 from hybridmas.config import parse_model_profile
 from hybridmas.core import TERMINATIONS, read_trajectories, record_from_dict
 
-from test_backends import _KeepAliveHandler, _serve
+from loopback import _KeepAliveHandler, _serve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CLOUD_MODEL = {
