@@ -9,9 +9,7 @@ analysis toolkit for cost-performance trade-offs.
 from .core import (
     AdviceHandoff,
     AdviceMemoryHandoff,
-    ExecutorContext,
     ModelProfile,
-    OutOfContextError,
     Plan,
     Pricing,
     ReplanHandoff,

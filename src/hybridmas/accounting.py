@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .core import (
     ModelProfile,
@@ -28,12 +28,6 @@ TOKENS_PER_PRICE_UNIT = Decimal(1_000_000)
 
 class WrongPlacementError(Exception):
     pass
-
-
-class MissingUsageError(Exception):
-    def __init__(self, call_index: int):
-        super().__init__(f"call {call_index} carries no usage")
-        self.call_index = call_index
 
 
 class MissingKvGeometryError(Exception):
@@ -82,21 +76,6 @@ def kv_cache_bytes(profile: ModelProfile, context_tokens: int) -> int:
     )
 
 
-def _bill(
-    profile: ModelProfile,
-    usage: Optional[TokenUsage],
-    call_index: int,
-    cost_acc: list[Decimal],
-    energy_terms: list[float],
-) -> None:
-    if usage is None:
-        raise MissingUsageError(call_index)
-    if profile.placement == "cloud":
-        cost_acc[0] += api_cost_usd(profile, usage)
-    else:
-        energy_terms.append(energy_joules(profile, usage))
-
-
 def aggregate(
     record: TrajectoryRecord, profiles: Mapping[str, ModelProfile]
 ) -> TrajectoryTotals:
@@ -107,33 +86,16 @@ def aggregate(
     required when the record holds supervisor calls.
     """
     executor = profiles["executor"]
-    supervisor = profiles.get("supervisor")
-    cost_acc = [Decimal(0)]
-    energy_terms: list[float] = []
-
-    call_index = 0
-    for turn in record.turns:
-        _bill(executor, turn.usage, call_index, cost_acc, energy_terms)
-        call_index += 1
-    if record.initial_plan is not None:
-        if supervisor is None:
-            raise ValueError("record has a planning call but no supervisor profile")
-        _bill(supervisor, record.initial_plan.usage, call_index, cost_acc, energy_terms)
-        call_index += 1
-    for call in record.supervisor_calls:
-        if supervisor is None:
+    plan = () if record.initial_plan is None else (record.initial_plan,)
+    calls = [(executor, turn.usage) for turn in record.turns]
+    for call in (*plan, *record.supervisor_calls):
+        if "supervisor" not in profiles:
             raise ValueError("record has supervisor calls but no supervisor profile")
-        _bill(supervisor, call.usage, call_index, cost_acc, energy_terms)
-        call_index += 1
-
-    max_context = max(
-        (turn.usage.total_tokens for turn in record.turns if turn.usage is not None),
-        default=0,
-    )
-    max_kv = kv_cache_bytes(executor, max_context) if executor.has_kv_geometry else 0
+        calls.append((profiles["supervisor"], call.usage))
+    max_context = max((turn.usage.total_tokens for turn in record.turns), default=0)
     return TrajectoryTotals(
-        cost_usd=cost_acc[0],
-        energy_joules=math.fsum(energy_terms),
-        max_context_tokens=max_context,
-        max_kv_bytes=max_kv,
+        sum((api_cost_usd(p, u) for p, u in calls if p.placement == "cloud"), Decimal(0)),
+        math.fsum(energy_joules(p, u) for p, u in calls if p.placement == "edge"),
+        max_context,
+        kv_cache_bytes(executor, max_context) if executor.has_kv_geometry else 0,
     )

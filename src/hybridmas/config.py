@@ -209,6 +209,8 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
         cfg.environment.get("observation_limit", DEFAULT_OBSERVATION_LIMIT),
         "environment.observation_limit",
     )
+    if limit < 1:
+        raise ConfigError(f"environment.observation_limit must be >= 1, not {limit}")
     if env_type == "wiki":
         corpus = WikiCorpus.load(cfg.corpus)
         return lambda: WikiEnvironment(corpus, observation_limit=limit)
@@ -220,11 +222,19 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
                 terminal = entry.get("terminal", False)
                 if not isinstance(terminal, bool):
                     raise TypeError(f"terminal must be true or false, not {terminal!r}")
-                table[call] = Observation(entry["text"], terminal, entry.get("final_answer"))
+                text, answer = entry["text"], entry.get("final_answer")
+                strings = (call.tool, call.argument, text, "" if answer is None else answer)
+                if not all(isinstance(value, str) for value in strings):
+                    raise TypeError("tool, argument, text and final_answer must be strings")
+                table[call] = Observation(text, terminal, answer)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"environment.table: bad entry {entry!r}: {exc!r}")
         default = cfg.environment.get("default", "Nothing happens.")
-        tools = tuple(cfg.environment.get("tools", ("search", "lookup", "finish")))
+        if not isinstance(default, str):
+            raise ConfigError(f"environment.default must be a string, not {default!r}")
+        tools = cfg.environment.get("tools", ["search", "lookup", "finish"])
+        if not isinstance(tools, list) or not all(isinstance(tool, str) for tool in tools):
+            raise ConfigError(f"environment.tools must be a list of strings, not {tools!r}")
         return lambda: ScriptedEnvironment(
             table, default, tools=tools, observation_limit=limit
         )

@@ -1,8 +1,9 @@
-"""Domain types shared across the engine, plus the executor context container.
+"""Domain types shared across the engine, and the JSONL form of a
+trajectory record.
 
 Token lengths everywhere are backend-reported counts, never produced by a
 local tokenizer. Out-of-context is a terminal trajectory state, never a
-silently clamped one.
+silently clamped one; the orchestrator checks the executor's context cap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import (
     ClassVar,
     Iterable,
     Optional,
-    Sequence,
     Union,
     get_args,
     get_origin,
@@ -43,15 +43,6 @@ TERMINATIONS = (
 
 CONTINUE = "continue"
 INTERVENE = "intervene"
-
-
-class OutOfContextError(Exception):
-    """Raised when a context operation would exceed the token cap."""
-
-    def __init__(self, token_len: int, cap: int):
-        super().__init__(f"context length {token_len} exceeds cap {cap}")
-        self.token_len = token_len
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -315,57 +306,6 @@ class RunConfig:
     @property
     def is_audit(self) -> bool:
         return self.architecture in AUDIT_ARCHITECTURES
-
-
-@dataclass
-class ExecutorContext:
-    """The growing ReAct context: seed prompt, then a blank line and the
-    turn log.
-
-    seed_prompt is the seed as text parts whose join is the prompt; log is
-    the turn log since the last reset as text parts: the parts of one block
-    per turn (a head part, then the observation as its own part), with a
-    "\n\n" part between blocks. token_len tracks the latest backend-reported
-    length; it never exceeds cap (overflow raises OutOfContextError without
-    mutating state).
-    """
-
-    seed_prompt: Sequence[str]
-    cap: int
-    token_len: int = 0
-    log: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.cap <= 0:
-            raise ValueError("cap must be > 0")
-        if self.token_len > self.cap:
-            raise OutOfContextError(self.token_len, self.cap)
-
-    def append_turn(self, block: Sequence[str], new_token_len: int) -> "ExecutorContext":
-        """Append one turn's block, given as its parts."""
-        if new_token_len < self.token_len:
-            raise ValueError("token length cannot shrink between resets")
-        if new_token_len > self.cap:
-            raise OutOfContextError(new_token_len, self.cap)
-        if self.log:
-            self.log.append("\n\n")
-        self.log += block
-        self.token_len = new_token_len
-        return self
-
-    def parts(self) -> Sequence[str]:
-        """The prompt as parts: the seed alone until a turn lands."""
-        if not self.log:
-            return self.seed_prompt
-        return (*self.seed_prompt, "\n\n", *self.log)
-
-    def reset(self, new_seed: Sequence[str], seed_token_len: int) -> "ExecutorContext":
-        if seed_token_len > self.cap:
-            raise OutOfContextError(seed_token_len, self.cap)
-        self.seed_prompt = new_seed
-        self.log = []
-        self.token_len = seed_token_len
-        return self
 
 
 @dataclass(frozen=True)

@@ -334,9 +334,10 @@ class ScriptedEnvironment:
 
 
 def load_tasks(path) -> list[TaskInstance]:
-    """Read QA tasks from JSONL: one object per line with keys id,
-    question, answers (list), optional benchmark. Malformed lines are
-    rejected with their line number; ids must be unique."""
+    """Read QA tasks from JSONL: one object per line with keys id (a
+    string or an integer), question (a string), answers (list), optional
+    benchmark. Malformed lines are rejected with their line number; ids
+    must be unique."""
     tasks: list[TaskInstance] = []
     seen_ids: set[str] = set()
     for line_no, rec in _read_jsonl(path):
@@ -349,7 +350,14 @@ def load_tasks(path) -> list[TaskInstance]:
             isinstance(a, str) for a in rec["answers"]
         ):
             raise SchemaViolationError(line_no, "answers must be a list of strings")
-        task_id = str(rec["id"])
+        task_id, question = rec["id"], rec["question"]
+        if isinstance(task_id, bool) or not isinstance(task_id, (str, int)):
+            raise SchemaViolationError(
+                line_no, f"id must be a string or an integer, not {task_id!r}"
+            )
+        if not isinstance(question, str):
+            raise SchemaViolationError(line_no, f"question must be a string, not {question!r}")
+        task_id = str(task_id)
         if task_id in seen_ids:
             raise SchemaViolationError(line_no, f"duplicate task id {task_id!r}")
         seen_ids.add(task_id)
@@ -358,7 +366,7 @@ def load_tasks(path) -> list[TaskInstance]:
             tasks.append(
                 TaskInstance(
                     id=task_id,
-                    query=rec["question"],
+                    query=question,
                     gold_answers=tuple(rec["answers"]),
                     benchmark_tag=benchmark,
                 )

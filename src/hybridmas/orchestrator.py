@@ -13,7 +13,10 @@ lands, into a turn-log block and a memory block, each a small head part
 followed by the observation that the environment returned, the same str
 object, as its own part; every later prompt reuses those same str objects.
 The executor context is the seed's parts, then a blank line and the turn
-log; verification prompts splice in the turn log and the memory.
+log since the last reset; verification prompts splice in the turn log and
+the memory. A seed over the executor's context cap, or an executor call
+whose largest usage.total_tokens since the reset is over it, ends the task
+as out_of_context.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ from .core import (
     CONTINUE,
     INTERVENE,
     AdviceMemoryHandoff,
-    ExecutorContext,
     InitialPlanRecord,
-    OutOfContextError,
     Plan,
     ReplanHandoff,
     RunConfig,
@@ -142,9 +143,12 @@ class _Episode:
         self.audit = config.is_audit
         self.nosummary = config.architecture == "eva_nosummary"
         self.plan: Optional[Plan] = None
-        self.ctx: Optional[ExecutorContext] = None
-        # Parts of the memory of the whole trajectory: the parts of one
-        # block per turn with a tool call, "\n\n" parts between blocks.
+        # The executor context: the seed's parts, the turn log's parts since
+        # the last reset and the largest context length since the reset.
+        self._seed: tuple[str, ...] = ()
+        self._log: list[str] = []
+        self._context_tokens = 0
+        # The whole trajectory's memory, one block per turn with a tool call.
         self._memory: list[str] = []
         self.record = TrajectoryRecord(
             task_id=task.id,
@@ -154,8 +158,22 @@ class _Episode:
 
     # -- helpers ----------------------------------------------------------
 
-    def _count_tokens(self, parts: tuple[str, ...]) -> int:
-        return self.executor.count_tokens(parts) or 0
+    @staticmethod
+    def _extend(parts: list[str], block: tuple[str, ...]) -> None:
+        """Append a block's parts, after a "\n\n" part when parts already
+        holds a block; an empty block appends nothing."""
+        if parts and block:
+            parts.append("\n\n")
+        parts += block
+
+    def _reseed(self, seed: tuple[str, ...]) -> bool:
+        """Start a fresh executor context from seed; False, changing nothing,
+        when the seed alone (0 tokens if uncountable) exceeds the cap."""
+        tokens = self.executor.count_tokens(seed) or 0
+        if tokens > self.config.executor_profile.context_cap:
+            return False
+        self._seed, self._log, self._context_tokens = seed, [], tokens
+        return True
 
     def _call(self, role, backend, prompt, t=0, parse=None, rejected=None):
         """Send prompt to backend for one model call in the given role
@@ -231,16 +249,13 @@ class _Episode:
                 "direct_exec",
                 {"user_query": self.task.query, "available_tools": self.env.tool_prompt},
             )
-        cap = self.config.executor_profile.context_cap
-        try:
-            self.ctx = ExecutorContext(seed, cap, token_len=self._count_tokens(seed))
-        except OutOfContextError:
+        if not self._reseed(seed):
             raise _Terminate("out_of_context")
 
     def _turn(self, t: int) -> bool:
         """Run one executor turn; returns False once the episode is over."""
-        response, _, usage = self._call("execute", self.executor, self.ctx.parts(), t)
-        new_token_len = max(self.ctx.token_len, usage.total_tokens)
+        prompt = (*self._seed, "\n\n", *self._log) if self._log else self._seed
+        response, _, usage = self._call("execute", self.executor, prompt, t)
 
         observation = None
         try:
@@ -257,15 +272,11 @@ class _Episode:
             )
 
         self.record.turns.append(turn)
-        try:
-            self.ctx.append_turn(render_turn_log([turn]), new_token_len)
-        except OutOfContextError:
+        self._context_tokens = max(self._context_tokens, usage.total_tokens)
+        if self._context_tokens > self.config.executor_profile.context_cap:
             raise _Terminate("out_of_context")
-        memory = format_memory([turn])
-        if memory:
-            if self._memory:
-                self._memory.append("\n\n")
-            self._memory += memory
+        self._extend(self._log, render_turn_log([turn]))
+        self._extend(self._memory, format_memory([turn]))
 
         if observation is not None and observation.terminal:
             self.record.final_answer = observation.final_answer
@@ -286,14 +297,14 @@ class _Episode:
             template, parser = "verify_replan", parse_pevr_verdict
             bindings = {
                 "plan": self.plan.text,
-                "executor_context": self.ctx.log,
+                "executor_context": self._log,
                 "memory": self._memory,
             }
         else:
             template, parser = "verify_advice", parse_eva_verdict
             bindings = {
                 "user_query": self.task.query,
-                "executor_context": self.ctx.log,
+                "executor_context": self._log,
                 "memory": self._memory,
             }
         _, decision, usage = self._call(
@@ -339,17 +350,11 @@ class _Episode:
                     "available_tools": self.env.tool_prompt,
                 },
             )
-        try:
-            self.ctx.reset(seed, self._count_tokens(seed))
-        except OutOfContextError:
-            # The resume seed alone exceeds the cap: nothing was applied.
-            self.record.supervisor_calls.append(
-                SupervisorCallRecord(t, recorded, usage, applied=False)
-            )
+        # A resume seed that alone exceeds the cap is not applied.
+        applied = self._reseed(seed)
+        self.record.supervisor_calls.append(SupervisorCallRecord(t, recorded, usage, applied))
+        if not applied:
             raise _Terminate("out_of_context")
-        self.record.supervisor_calls.append(
-            SupervisorCallRecord(t, recorded, usage, applied=True)
-        )
         self.record.resets.append(t)
         if self.family == "pevr":
             self.plan = recorded.payload.replan

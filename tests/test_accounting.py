@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridmas.accounting import (
-    MissingUsageError,
     WrongPlacementError,
     aggregate,
     api_cost_usd,
@@ -196,16 +195,6 @@ class TestAggregate:
         totals = aggregate(record, {"executor": EDGE_PROFILE})
         assert totals.max_context_tokens == 310
         assert totals.max_kv_bytes == kv_cache_bytes(EDGE_PROFILE, 310)
-
-    def test_missing_usage(self):
-        record = TrajectoryRecord("t", "monolithic", "d")
-        record.turns = [
-            edge_turn(1, 10, 1),
-            TurnRecord(2, "r", ToolCall("search", "x"), "obs", None),
-        ]
-        with pytest.raises(MissingUsageError) as exc_info:
-            aggregate(record, {"executor": EDGE_PROFILE})
-        assert exc_info.value.call_index == 1
 
     def test_reversed_placement_executor_without_geometry(self):
         # Cloud executor (no KV geometry): dollars accrue, max_kv reported 0.

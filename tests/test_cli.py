@@ -355,6 +355,38 @@ MALFORMED_VALUES = {
         {"backends": {"executor": {**HTTP_EXECUTOR, "base_url": "127.0.0.1:9"}}},
         "http backend: base_url must be an http or https URL",
     ),
+    # Scripted-environment values that were taken as given: a str of tools
+    # became one tool per letter, a number of text failed mid-batch, and a
+    # number of argument matched no call.
+    "tools-str": ({"environment": {**SCRIPTED_ENV, "tools": "search"}}, "environment.tools"),
+    "tools-entry": (
+        {"environment": {**SCRIPTED_ENV, "tools": ["search", 5]}}, "environment.tools"
+    ),
+    "default-int": ({"environment": {**SCRIPTED_ENV, "default": 5}}, "environment.default"),
+    "table-text-int": (
+        {"environment": {**SCRIPTED_ENV, "table": [{"tool": "search", "text": 5}]}},
+        "tool, argument, text and final_answer must be strings",
+    ),
+    "table-final_answer-int": (
+        {"environment": {**SCRIPTED_ENV, "table": [
+            {"tool": "finish", "text": "done", "terminal": True, "final_answer": 42}
+        ]}},
+        "tool, argument, text and final_answer must be strings",
+    ),
+    "table-argument-int": (
+        {"environment": {**SCRIPTED_ENV, "table": [
+            {"tool": "search", "argument": 5, "text": "x"}
+        ]}},
+        "tool, argument, text and final_answer must be strings",
+    ),
+    "observation_limit-negative": (
+        {"environment": {**SCRIPTED_ENV, "observation_limit": -5}},
+        "environment.observation_limit must be >= 1",
+    ),
+    "observation_limit-zero": (
+        {"environment": {**SCRIPTED_ENV, "observation_limit": 0}},
+        "environment.observation_limit must be >= 1",
+    ),
     "table-terminal-str": (
         {"environment": {**SCRIPTED_ENV, "table": [
             {"tool": "search", "text": "x", "terminal": "no"}
@@ -390,21 +422,34 @@ def test_integral_numbers_load_as_integers(tmp_path):
     assert all(type(value) is int for value in (cfg.parallelism, *cfg.sweep))
 
 
+MALFORMED_LINES = {
+    "duplicate-task-id": (TASKS[0], None, "line 2: duplicate task id 'A'"),
+    "page-without-sentence": (
+        TASKS[1], ['{"title": "Alpha", "text": "A page."}', '{"title": "Beta", "text": " "}'],
+        "line 2: page 'Beta' needs at least one sentence",
+    ),
+    # A question that is no string failed mid-batch or was spliced into the
+    # prompt; an id that is none of the two became its str(), "None" for null.
+    "question-int": ({**TASKS[1], "question": 5}, None, "line 2: question must be a string"),
+    "question-list": (
+        {**TASKS[1], "question": ["Q2", "what is beta?"]}, None,
+        "line 2: question must be a string",
+    ),
+    "id-null": ({**TASKS[1], "id": None}, None, "line 2: id must be a string or an integer"),
+    "id-bool": ({**TASKS[1], "id": True}, None, "line 2: id must be a string or an integer"),
+    "id-float": ({**TASKS[1], "id": 2.5}, None, "line 2: id must be a string or an integer"),
+}
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize(
-    "environment, lines, message",
-    [
-        ({"type": "scripted"}, None, "line 2: duplicate task id 'A'"),
-        ({"type": "wiki"}, ['{"title": "Alpha", "text": "A page."}', '{"title": "Beta", "text": " "}'],
-         "line 2: page 'Beta' needs at least one sentence"),
-    ],
-    ids=["duplicate-task-id", "page-without-sentence"],
+    "second_task, lines, message", list(MALFORMED_LINES.values()), ids=list(MALFORMED_LINES)
 )
-def test_malformed_input_line_exits_1(tmp_path, capsys, command, environment, lines, message):
+def test_malformed_input_line_exits_1(tmp_path, capsys, command, second_task, lines, message):
+    environment = {"type": "scripted"} if lines is None else {"type": "wiki"}
     config = write_config(tmp_path, environment=environment, corpus="corpus.jsonl", sweep=[1])
-    if lines is None:
-        write_tasks(tmp_path / "tasks.jsonl", [TASKS[0], TASKS[0]])
-        lines = ['{"title": "Alpha", "text": "A page."}']
+    write_tasks(tmp_path / "tasks.jsonl", [TASKS[0], second_task])
+    lines = lines or ['{"title": "Alpha", "text": "A page."}']
     (tmp_path / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err

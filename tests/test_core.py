@@ -1,16 +1,13 @@
-"""Context container semantics and trajectory record serialization."""
+"""Domain type invariants and trajectory record serialization."""
 
 import json
 
 import pytest
-from hypothesis import given, strategies as st
 
 from hybridmas.core import (
     AdviceHandoff,
     AdviceMemoryHandoff,
-    ExecutorContext,
     InitialPlanRecord,
-    OutOfContextError,
     Plan,
     ReplanHandoff,
     SupervisorCallRecord,
@@ -38,86 +35,6 @@ def make_turn(t: int, tool: str = "search", arg: str = "x", prompt: int = 10) ->
         observation=f"observation {t}",
         usage=TokenUsage(prompt, 0, 5),
     )
-
-
-def block(t: int) -> tuple[str, ...]:
-    return (f"thinking at {t}\nObservation: ", f"observation {t}")
-
-
-class TestAppendTurn:
-    def test_first_append(self):
-        ctx = ExecutorContext("seed", cap=32768, token_len=100)
-        ctx.append_turn(block(1), 350)
-        assert ctx.log == list(block(1))
-        assert ctx.token_len == 350
-
-    def test_observation_is_kept_as_its_own_part(self):
-        observation = "".join(["a fresh ", "observation"])
-        ctx = ExecutorContext("seed", cap=1000, token_len=10)
-        ctx.append_turn(("Observation: ", observation), 11)
-        assert ctx.log[-1] is observation
-
-    def test_overflow_is_terminal_and_does_not_mutate(self):
-        ctx = ExecutorContext("seed", cap=32768, token_len=32000)
-        with pytest.raises(OutOfContextError) as exc_info:
-            ctx.append_turn(block(1), 33100)
-        assert exc_info.value.token_len == 33100
-        assert ctx.token_len == 32000
-        assert ctx.log == []
-
-    def test_appends_keep_order(self):
-        ctx = ExecutorContext("seed", cap=1000, token_len=10)
-        for t in range(1, 4):
-            ctx.append_turn(block(t), 10 + t)
-        assert ctx.log == [*block(1), "\n\n", *block(2), "\n\n", *block(3)]
-        texts = ["".join(block(t)) for t in (1, 2, 3)]
-        assert "".join(ctx.parts()) == "seed\n\n" + "\n\n".join(texts)
-
-    def test_token_len_cannot_shrink(self):
-        ctx = ExecutorContext("seed", cap=1000, token_len=100)
-        with pytest.raises(ValueError):
-            ctx.append_turn(block(1), 99)
-
-
-class TestResetContext:
-    def test_reset_clears_turns(self):
-        ctx = ExecutorContext("seed", cap=1000, token_len=100)
-        for t in range(1, 6):
-            ctx.append_turn(block(t), 100 + t)
-        ctx.reset("new seed", 400)
-        assert ctx.log == []
-        assert ctx.token_len == 400
-        assert ctx.seed_prompt == "new seed"
-
-    def test_reset_with_oversized_seed(self):
-        ctx = ExecutorContext("seed", cap=1000, token_len=100)
-        with pytest.raises(OutOfContextError):
-            ctx.reset("giant seed", 1001)
-
-    def test_reset_twice_equals_last_reset(self):
-        a = ExecutorContext("seed", cap=1000, token_len=100)
-        a.reset("first", 50)
-        a.reset("second", 70)
-        b = ExecutorContext("seed", cap=1000, token_len=100)
-        b.reset("second", 70)
-        assert a == b
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=20),
-    st.integers(min_value=0, max_value=100),
-)
-def test_token_len_non_decreasing_between_resets(increments, start):
-    ctx = ExecutorContext("seed", cap=10**6, token_len=start)
-    observed = [ctx.token_len]
-    t = 1
-    for inc in increments:
-        ctx.append_turn(block(t), ctx.token_len + inc)
-        observed.append(ctx.token_len)
-        t += 1
-    assert observed == sorted(observed)
-    ctx.reset("fresh", 3)
-    assert ctx.token_len == 3
 
 
 class TestTypeInvariants:
@@ -229,6 +146,17 @@ class TestSerialization:
         ):
             assert key in d
         assert all(key == key.lower() for key in d)
+
+    def test_null_usage_is_a_malformed_record(self, tmp_path):
+        broken = record_to_dict(make_full_record())
+        broken["turns"][1]["usage"] = None
+        path = tmp_path / "trajectories.jsonl"
+        path.write_text(
+            record_to_json_line(make_full_record()) + "\n" + json.dumps(broken) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"line 2: malformed trajectory record"):
+            read_trajectories(path)
 
     def test_resets_subset_of_intervene_turns(self):
         record = make_full_record()

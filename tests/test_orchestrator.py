@@ -9,6 +9,7 @@ import pytest
 from hybridmas import orchestrator
 from hybridmas.backends import (
     BackendError,
+    ChatResponse,
     ContextOverflowError,
     RejectedError,
     ScriptedBackend,
@@ -16,6 +17,7 @@ from hybridmas.backends import (
 )
 from hybridmas.core import (
     CONTINUE,
+    INTERVENE,
     AdviceMemoryHandoff,
     InitialPlanRecord,
     ReplanHandoff,
@@ -427,6 +429,84 @@ class TestContextOverflow:
         assert not call.applied
 
 
+class _BilledBackend:
+    """Answers every call with a search, billing the given total tokens in
+    turn; it cannot count tokens."""
+
+    def __init__(self, totals):
+        self.totals = iter(totals)
+
+    def complete(self, request):
+        return ChatResponse("Tool call: search[q]", TokenUsage(next(self.totals), 0, 0))
+
+    def count_tokens(self, parts):
+        return None
+
+
+class TestContextCap:
+    """The executor's context cap is checked when a seed is set, on the
+    seed alone, and after each executor call, on the largest total since
+    the last reset."""
+
+    @pytest.mark.parametrize("architecture", ["monolithic", "pevr"])
+    def test_a_first_seed_over_the_cap_sends_no_executor_request(self, architecture):
+        env = ScriptedEnvironment()
+        plan = {"plan": PLAN_TEXT} if architecture == "pevr" else {}
+        seed = render(
+            "plan_exec" if plan else "direct_exec",
+            {"user_query": TASK.query, **plan, "available_tools": env.tool_prompt},
+        )
+        tokens = whitespace_token_count("".join(seed))
+        # At the cap the seed is taken, and the first turn's total is over it.
+        for cap, turns in ((tokens - 1, 0), (tokens, 1)):
+            record, executor, supervisor = run_scripted(
+                architecture, ["Tool call: finish[yes]"], [PLAN_RESPONSE] if plan else None,
+                env=env, executor_profile=replace(EDGE_PROFILE, context_cap=cap),
+            )
+            assert record.termination == "out_of_context"
+            assert len(record.turns) == len(executor.requests) == turns
+            if plan:
+                assert record.initial_plan.text == PLAN_TEXT
+                assert len(supervisor.requests) == 1
+
+    @pytest.mark.parametrize("architecture", ["pevr", "eva"])
+    def test_a_resume_seed_over_the_cap_is_not_applied(self, architecture):
+        long = " ".join(["word"] * 2000)
+        if architecture == "pevr":
+            script = [PLAN_RESPONSE, f"INTERVENE\n<REPLAN>{long}</REPLAN>"]
+        else:
+            script = [f"INTERVENE\n<SUMMARY>{long}</SUMMARY>\n<ADVICE>a</ADVICE>"]
+        record, executor, _ = run_scripted(
+            architecture, search_turns(4), script, max_turns=4, verify_interval=2,
+            executor_profile=replace(EDGE_PROFILE, context_cap=1000),
+        )
+        assert record.termination == "out_of_context"
+        assert max(t.usage.total_tokens for t in record.turns) <= 1000
+        assert len(record.turns) == len(executor.requests) == 2
+        [call] = record.supervisor_calls
+        assert call.at_turn == 2
+        assert call.decision.verdict == INTERVENE
+        assert not call.applied
+        assert record.resets == []
+
+    def test_a_lower_total_does_not_lower_the_context_length(self):
+        config = make_run_config("monolithic", max_turns=3)
+        episode = orchestrator._Episode(
+            TASK, config, _BilledBackend([300, 100, 200]), None, ScriptedEnvironment()
+        )
+        lengths = []
+        turn = episode._turn
+
+        def traced(t):
+            alive = turn(t)
+            lengths.append(episode._context_tokens)
+            return alive
+
+        episode._turn = traced
+        assert episode.run().termination == "turn_budget_exhausted"
+        assert lengths == [300, 300, 300]
+
+
 class TestEva:
     def test_degenerates_to_monolithic_when_never_intervening(self):
         script = search_turns(3) + ["Tool call: finish[yes]"]
@@ -722,7 +802,7 @@ class TestTurnParts:
         assert record.termination == "turn_budget_exhausted"
         assert len(env.returned) == 4
         for observation in env.returned:
-            assert sum(part is observation for part in episode.ctx.log) == 1
+            assert sum(part is observation for part in episode._log) == 1
             assert sum(part is observation for part in episode._memory) == 1
 
     @pytest.mark.parametrize("architecture", ["pevr", "eva", "eva_nosummary"])
