@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from decimal import Decimal
 from functools import lru_cache
+from json.encoder import encode_basestring
 from typing import (
     Callable,
     ClassVar,
@@ -369,77 +370,97 @@ class TrajectoryRecord:
 
 # --- JSONL serialization -------------------------------------------------
 #
-# One JSON object per line, lowercase snake-case keys, append-only files.
-# The dataclass declarations above are the format: every field is written
-# under its own name in declaration order, a Decimal as a string (so
-# cost_usd re-sums exactly), and a handoff payload starts with its "kind".
-# Reading requires every declared key, ignores unknown ones and constructs
-# each dataclass, so its __post_init__ validation runs.
+# One compact JSON object per line, non-ASCII written as UTF-8, lowercase
+# snake-case keys, append-only files. The dataclass declarations above are
+# the format: every field is written under its own name in declaration
+# order, a Decimal as a string (so cost_usd re-sums exactly), and a handoff
+# payload starts with its "kind". The writer emits each line's text
+# directly, byte for byte what json.dumps(..., ensure_ascii=False,
+# separators=(",", ":")) makes of the same fields as a dict. Reading
+# requires every declared key, ignores unknown ones and constructs each
+# dataclass, so its __post_init__ validation runs.
+
+# The bytes a JSON string must escape, besides any non-ASCII character.
+_ESCAPED = bytes(range(0x20)) + b'"\\'
+_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def _json_value(v) -> str:
+    """The JSON text of a value that is not a dataclass, as json.dumps
+    writes it. An ASCII string with nothing to escape is quoted as it is,
+    which is several times cheaper than escaping it; ints, bools and
+    finite floats are written here too, and anything else by json.dumps."""
+    cls = v.__class__
+    if cls is str:
+        if v.isascii() and len(v.encode("ascii").translate(None, _ESCAPED)) == len(v):
+            return '"' + v + '"'
+        return encode_basestring(v)
+    if cls is int:
+        return int.__repr__(v)
+    if cls is bool:
+        return "true" if v else "false"
+    if cls is float and math.isfinite(v):
+        return float.__repr__(v)
+    return _dumps(v)
 
 
 @lru_cache(maxsize=None)
-def _codec(tp) -> Optional[tuple[Callable, Callable]]:
-    """(encode, decode) for values declared as tp; None where the JSON
-    value is the value itself."""
+def _codec(tp) -> tuple[Callable, Optional[Callable]]:
+    """(encode, decode) for values declared as tp: encode returns a value's
+    JSON text, decode builds the value from its parsed JSON and is None
+    where that is the value itself."""
     if tp is Decimal:
-        return str, Decimal
+        return (lambda v: _json_value(str(v))), Decimal
     args = get_args(tp)
     if get_origin(tp) is list:
-        item = _codec(args[0])
-        if item is None:
-            return list, list
-        enc, dec = item
-        return (lambda v: [enc(x) for x in v]), (lambda v: [dec(x) for x in v])
+        enc, dec = _codec(args[0])
+        return (
+            lambda v: "[" + ",".join(map(enc, v)) + "]",
+            list if dec is None else (lambda v: [dec(x) for x in v]),
+        )
     if get_origin(tp) is Union:
         members = [a for a in args if a is not type(None)]
         if len(members) == 1:
-            inner = _codec(members[0])
+            enc, dec = _codec(members[0])
         else:
             by_type = {m: _codec(m) for m in members}
-            by_kind = {m.kind: codec for m, codec in by_type.items()}
-            inner = (
+            by_kind = {m.kind: codec[1] for m, codec in by_type.items()}
+            enc, dec = (
                 lambda v: by_type[type(v)][0](v),
-                lambda v: by_kind[v["kind"]][1](v),
+                lambda v: by_kind[v["kind"]](v),
             )
-        if inner is None:
-            return None
-        enc, dec = inner
         return (
-            lambda v: None if v is None else enc(v),
-            lambda v: None if v is None else dec(v),
+            lambda v: "null" if v is None else enc(v),
+            None if dec is None else (lambda v: None if v is None else dec(v)),
         )
     if is_dataclass(tp):
         return _dataclass_codec(tp)
-    return None
+    return _json_value, None
 
 
 def _dataclass_codec(cls) -> tuple[Callable, Callable]:
     """Encode and decode functions generated from the field list, shaped
-    like hand-written ones: one dict display and one constructor call, so
-    a record costs no more to convert than with field-by-field code."""
+    like hand-written ones: one f-string and one constructor call."""
     hints = get_type_hints(cls)
     namespace = {"cls": cls}
-    items = [f'"kind": {cls.kind!r}'] if hasattr(cls, "kind") else []
+    items = [f'"kind":{_json_value(cls.kind)}'] if hasattr(cls, "kind") else []
     args = []
     for f in fields(cls):
-        codec = _codec(hints[f.name])
-        if codec is None:
-            items.append(f"{f.name!r}: obj.{f.name}")
+        encode, decode = _codec(hints[f.name])
+        namespace[f"encode_{f.name}"] = encode
+        items.append(f"{_json_value(f.name)}:{{encode_{f.name}(obj.{f.name})}}")
+        if decode is None:
             args.append(f"data[{f.name!r}]")
         else:
-            namespace[f"encode_{f.name}"], namespace[f"decode_{f.name}"] = codec
-            items.append(f"{f.name!r}: encode_{f.name}(obj.{f.name})")
+            namespace[f"decode_{f.name}"] = decode
             args.append(f"decode_{f.name}(data[{f.name!r}])")
+    text = "{{" + ",".join(items) + "}}"
     exec(
-        f"def encode(obj): return {{{', '.join(items)}}}\n"
+        f"def encode(obj): return f{text!r}\n"
         f"def decode(data): return cls({', '.join(args)})",
         namespace,
     )
     return namespace["encode"], namespace["decode"]
-
-
-def record_to_dict(record: TrajectoryRecord) -> dict:
-    return _codec(TrajectoryRecord)[0](record)
 
 
 def record_from_dict(d: dict) -> TrajectoryRecord:
@@ -447,7 +468,7 @@ def record_from_dict(d: dict) -> TrajectoryRecord:
 
 
 def record_to_json_line(record: TrajectoryRecord) -> str:
-    return json.dumps(record_to_dict(record), ensure_ascii=False, separators=(",", ":"))
+    return _codec(TrajectoryRecord)[0](record)
 
 
 def write_trajectories(path, records: Iterable[TrajectoryRecord], append: bool = False) -> None:

@@ -14,9 +14,10 @@ followed by the observation that the environment returned, the same str
 object, as its own part; every later prompt reuses those same str objects.
 The executor context is the seed's parts, then a blank line and the turn
 log since the last reset; verification prompts splice in the turn log and
-the memory. A seed over the executor's context cap, or an executor call
-whose largest usage.total_tokens since the reset is over it, ends the task
-as out_of_context.
+the memory. A seed over the executor's context cap, an executor call whose
+usage.total_tokens is over it, or one whose usage.prompt_tokens is below
+the previous executor call's since the reset (the server truncated the
+prompt without saying so), ends the task as out_of_context.
 """
 
 from __future__ import annotations
@@ -144,10 +145,10 @@ class _Episode:
         self.nosummary = config.architecture == "eva_nosummary"
         self.plan: Optional[Plan] = None
         # The executor context: the seed's parts, the turn log's parts since
-        # the last reset and the largest context length since the reset.
+        # the last reset and the usage of the last executor call since it.
         self._seed: tuple[str, ...] = ()
         self._log: list[str] = []
-        self._context_tokens = 0
+        self._last_usage: Optional[TokenUsage] = None
         # The whole trajectory's memory, one block per turn with a tool call.
         self._memory: list[str] = []
         self.record = TrajectoryRecord(
@@ -172,7 +173,7 @@ class _Episode:
         tokens = self.executor.count_tokens(seed) or 0
         if tokens > self.config.executor_profile.context_cap:
             return False
-        self._seed, self._log, self._context_tokens = seed, [], tokens
+        self._seed, self._log, self._last_usage = seed, [], None
         return True
 
     def _call(self, role, backend, prompt, t=0, parse=None, rejected=None):
@@ -272,8 +273,16 @@ class _Episode:
             )
 
         self.record.turns.append(turn)
-        self._context_tokens = max(self._context_tokens, usage.total_tokens)
-        if self._context_tokens > self.config.executor_profile.context_cap:
+        last, self._last_usage = self._last_usage, usage
+        if usage.total_tokens > self.config.executor_profile.context_cap:
+            raise _Terminate("out_of_context")
+        # Within one context the prompt only grows.
+        if last is not None and usage.prompt_tokens < last.prompt_tokens:
+            logger.warning(
+                "task %s turn %d: the executor prompt fell from %d to %d tokens "
+                "with no reset: the server truncated it, ending the task",
+                self.task.id, t, last.prompt_tokens, usage.prompt_tokens,
+            )
             raise _Terminate("out_of_context")
         self._extend(self._log, render_turn_log([turn]))
         self._extend(self._memory, format_memory([turn]))

@@ -1,6 +1,7 @@
 """Loopback HTTP servers for tests that drive the real chat client: a
 handler that replies from a per-server plan, a keep-alive variant that
-counts connections, and the server they run on."""
+counts connections, the server they run on, and a completion body to
+plan."""
 
 import json
 import threading
@@ -76,3 +77,10 @@ def _serve(handler, tls=None):
     )
     thread.start()
     return server
+
+
+def _ok_body(content="hello", prompt=12, generated=3, cached=None):
+    usage = {"prompt_tokens": prompt, "completion_tokens": generated}
+    if cached is not None:
+        usage["prompt_tokens_details"] = {"cached_tokens": cached}
+    return {"choices": [{"message": {"content": content}}], "usage": usage}

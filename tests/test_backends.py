@@ -34,7 +34,7 @@ from hybridmas.backends import (
     whitespace_token_count,
 )
 from hybridmas.core import SamplingParams
-from loopback import _KeepAliveHandler, _PlannedHandler, _serve
+from loopback import _KeepAliveHandler, _PlannedHandler, _ok_body, _serve
 
 
 class TestScriptedBackend:
@@ -281,13 +281,6 @@ def keepalive_server():
     finally:
         server.shutdown()
         server.server_close()
-
-
-def _ok_body(content="hello", prompt=12, generated=3, cached=None):
-    usage = {"prompt_tokens": prompt, "completion_tokens": generated}
-    if cached is not None:
-        usage["prompt_tokens_details"] = {"cached_tokens": cached}
-    return {"choices": [{"message": {"content": content}}], "usage": usage}
 
 
 def _backend(server, **kwargs):

@@ -9,7 +9,7 @@ import yaml
 from hybridmas import cli
 from hybridmas.analysis import condition_stats
 from hybridmas.cli import main
-from hybridmas.core import read_trajectories
+from hybridmas.core import read_trajectories, record_to_json_line
 
 EDGE_MODEL = {
     "placement": "edge",
@@ -537,6 +537,52 @@ class TestRunLoop:
         monkeypatch.setattr(cli, "run_trajectory", watching)
         assert main(["run", "--config", str(config)]) == 0
         assert seen == [0, 1, 2]
+
+    def test_text_that_needs_escaping_is_written_as_json_dumps_writes_it(self, tmp_path):
+        odd = 'é 漢\u2028\x7f\t"q" \\n'
+        config = write_config(
+            tmp_path,
+            run={
+                "architecture": "eva",
+                "max_turns": 4,
+                "verify_interval": 1,
+                "executor": {"model": "edge", "backend": "executor"},
+                "supervisor": {"model": "cloud", "backend": "supervisor"},
+                "seed": 0,
+            },
+            backends={
+                "executor": {"type": "script", "script": [
+                    {"response": f"First {odd}\nthen search.\nTool call: search[{odd}]"},
+                    {"response": f"Tool call: finish[{odd}]"},
+                ]},
+                "supervisor": {"type": "script", "script": [
+                    {"response": f"INTERVENE\n<SUMMARY>{odd}</SUMMARY>\n<ADVICE>{odd}</ADVICE>"},
+                ]},
+            },
+            environment={
+                "type": "scripted",
+                "default": f"default {odd}",
+                "table": [{"tool": "search", "argument": odd, "text": f"found {odd}"}],
+            },
+        )
+        write_tasks(tmp_path / "tasks.jsonl", TASKS[:1])
+        assert main(["run", "--config", str(config)]) == 0
+        log = tmp_path / "out" / "eva-tv1" / "trajectories.jsonl"
+        # Lines end at "\n" only: str.splitlines would also split at U+2028.
+        *lines, last = log.read_text(encoding="utf-8").split("\n")
+        assert len(lines) == 1 and last == ""
+        for line in lines:
+            assert line == json.dumps(json.loads(line), ensure_ascii=False, separators=(",", ":"))
+        [record] = read_trajectories(log)
+        assert record_to_json_line(record) == lines[0]
+        assert record.turns[0].reasoning == f"First {odd}\nthen search."
+        assert record.turns[0].observation == f"found {odd}"
+        assert record.supervisor_calls[0].decision.payload.advice == odd
+        assert record.final_answer == odd
+        # A resume reads the log back and finds nothing pending.
+        before = log.read_bytes()
+        assert main(["run", "--config", str(config)]) == 0
+        assert log.read_bytes() == before
 
     def test_no_pending_task_still_leaves_the_log(self, tmp_path):
         config = write_config(tmp_path)

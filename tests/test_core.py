@@ -1,10 +1,14 @@
 """Domain type invariants and trajectory record serialization."""
 
 import json
+import math
+from dataclasses import fields, is_dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridmas.core import (
+    TERMINATIONS,
     AdviceHandoff,
     AdviceMemoryHandoff,
     InitialPlanRecord,
@@ -20,7 +24,6 @@ from hybridmas.core import (
     VerifierDecision,
     read_trajectories,
     record_from_dict,
-    record_to_dict,
     record_to_json_line,
     write_trajectories,
 )
@@ -100,10 +103,6 @@ def make_full_record() -> TrajectoryRecord:
 
 
 class TestSerialization:
-    def test_round_trip_dict(self):
-        record = make_full_record()
-        assert record_from_dict(record_to_dict(record)) == record
-
     def test_round_trip_json_line(self):
         record = make_full_record()
         assert record_from_dict(json.loads(record_to_json_line(record))) == record
@@ -132,7 +131,7 @@ class TestSerialization:
         assert read_trajectories(path) == records
 
     def test_snake_case_keys(self):
-        d = record_to_dict(make_full_record())
+        d = json.loads(record_to_json_line(make_full_record()))
         for key in (
             "task_id",
             "config_digest",
@@ -148,7 +147,7 @@ class TestSerialization:
         assert all(key == key.lower() for key in d)
 
     def test_null_usage_is_a_malformed_record(self, tmp_path):
-        broken = record_to_dict(make_full_record())
+        broken = json.loads(record_to_json_line(make_full_record()))
         broken["turns"][1]["usage"] = None
         path = tmp_path / "trajectories.jsonl"
         path.write_text(
@@ -166,3 +165,109 @@ class TestSerialization:
             if call.decision.verdict == "intervene"
         }
         assert set(record.resets) <= intervene_turns
+
+
+# --- the JSONL writer against json.dumps -----------------------------------
+
+
+def reference_dict(value):
+    """The dict form the writer's text is checked against: a dataclass as
+    its fields in declaration order, after the "kind" of a handoff, a
+    Decimal as its str, a list item by item, any other value as it is."""
+    if is_dataclass(value):
+        d = {"kind": value.kind} if hasattr(value, "kind") else {}
+        for f in fields(value):
+            d[f.name] = reference_dict(getattr(value, f.name))
+        return d
+    if isinstance(value, Decimal):
+        return str(value)
+    if isinstance(value, list):
+        return [reference_dict(item) for item in value]
+    return value
+
+
+# Characters the writer must escape or must pass through unescaped, beside
+# printable ASCII and anything else, lone surrogates included.
+_SPECIAL_CHARS = ["é", "漢", "\u2028", "\u2029", "\x7f", '"', "\\", "\ud800", "\udfff"]
+_texts = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(_SPECIAL_CHARS + [chr(c) for c in range(0x20)]),
+        st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+        st.characters(),
+    ),
+    max_size=12,
+)
+_big_ints = st.integers(min_value=0, max_value=2**100)
+_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+@st.composite
+def _usages(draw):
+    prompt = draw(_big_ints)
+    return TokenUsage(prompt, draw(st.integers(0, prompt)), draw(_big_ints))
+
+
+_tool_calls = st.builds(ToolCall, _texts.filter(bool), _texts)
+_turns = st.builds(
+    TurnRecord,
+    st.integers(min_value=1, max_value=2**100),
+    _texts,
+    st.none() | _tool_calls,
+    st.none() | _texts,
+    _usages(),
+    _big_ints,
+)
+_plans = st.builds(
+    Plan, _texts.filter(bool), st.sampled_from(["initial", "replan"]), st.none() | _big_ints
+)
+_handoffs = st.one_of(
+    st.builds(ReplanHandoff, _plans),
+    st.builds(AdviceHandoff, _texts, _texts),
+    st.builds(AdviceMemoryHandoff, _texts),
+)
+_decisions = st.one_of(
+    st.builds(VerifierDecision, st.just("continue"), st.none(), _texts),
+    st.builds(VerifierDecision, st.just("intervene"), _handoffs, _texts),
+)
+
+
+@st.composite
+def _supervisor_calls(draw):
+    decision = draw(_decisions)
+    applied = decision.verdict == "intervene" and draw(st.booleans())
+    return SupervisorCallRecord(draw(_big_ints), decision, draw(_usages()), applied)
+
+
+_records = st.builds(
+    TrajectoryRecord,
+    task_id=_texts,
+    architecture=_texts,
+    config_digest=_texts,
+    turns=st.lists(_turns, max_size=3),
+    supervisor_calls=st.lists(_supervisor_calls(), max_size=3),
+    initial_plan=st.none() | st.builds(InitialPlanRecord, _texts, _usages()),
+    resets=st.lists(_big_ints, max_size=3),
+    final_answer=st.none() | _texts,
+    termination=st.sampled_from(TERMINATIONS),
+    success=st.none() | st.booleans(),
+    score=st.none() | _floats,
+    totals=st.builds(
+        TrajectoryTotals,
+        st.decimals(allow_nan=False, allow_infinity=False),
+        _floats,
+        _big_ints,
+        _big_ints,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records)
+def test_json_line_is_json_dumps_of_the_reference_dict(record):
+    line = record_to_json_line(record)
+    assert line == json.dumps(reference_dict(record), ensure_ascii=False, separators=(",", ":"))
+    if not any(map(math.isnan, (record.totals.energy_joules, record.score or 0.0))):
+        assert record_from_dict(json.loads(line)) == record

@@ -11,6 +11,7 @@ from hybridmas.backends import (
     BackendError,
     ChatResponse,
     ContextOverflowError,
+    HttpChatBackend,
     RejectedError,
     ScriptedBackend,
     whitespace_token_count,
@@ -38,6 +39,7 @@ from hybridmas.orchestrator import (
 )
 from hybridmas.prompting import format_memory, render
 from conftest import EDGE_PROFILE, make_run_config
+from loopback import _PlannedHandler, _ok_body, _serve
 
 TASK = TaskInstance("task-1", "Did Richard Feynman win a Nobel Prize?", ("yes",), "hotpotqa")
 
@@ -430,14 +432,15 @@ class TestContextOverflow:
 
 
 class _BilledBackend:
-    """Answers every call with a search, billing the given total tokens in
-    turn; it cannot count tokens."""
+    """Answers every call with a search, billing the given (prompt,
+    generated) tokens in turn; it cannot count tokens."""
 
-    def __init__(self, totals):
-        self.totals = iter(totals)
+    def __init__(self, usages):
+        self.usages = iter(usages)
 
     def complete(self, request):
-        return ChatResponse("Tool call: search[q]", TokenUsage(next(self.totals), 0, 0))
+        prompt, generated = next(self.usages)
+        return ChatResponse("Tool call: search[q]", TokenUsage(prompt, 0, generated))
 
     def count_tokens(self, parts):
         return None
@@ -445,8 +448,9 @@ class _BilledBackend:
 
 class TestContextCap:
     """The executor's context cap is checked when a seed is set, on the
-    seed alone, and after each executor call, on the largest total since
-    the last reset."""
+    seed alone, and after each executor call, on that call's total. A
+    prompt shorter than the previous executor call's with no reset between
+    was truncated by the server, and also ends the task."""
 
     @pytest.mark.parametrize("architecture", ["monolithic", "pevr"])
     def test_a_first_seed_over_the_cap_sends_no_executor_request(self, architecture):
@@ -489,22 +493,49 @@ class TestContextCap:
         assert not call.applied
         assert record.resets == []
 
-    def test_a_lower_total_does_not_lower_the_context_length(self):
-        config = make_run_config("monolithic", max_turns=3)
-        episode = orchestrator._Episode(
-            TASK, config, _BilledBackend([300, 100, 200]), None, ScriptedEnvironment()
+    def test_each_calls_own_total_is_checked_against_the_cap(self):
+        config = make_run_config(
+            "monolithic", max_turns=4, executor_profile=replace(EDGE_PROFILE, context_cap=1000)
         )
-        lengths = []
-        turn = episode._turn
+        # Totals 900, 1000 (at the cap) and 1001: the third call ends it.
+        executor = _BilledBackend([(900, 0), (950, 50), (960, 41), (970, 0)])
+        record = run_trajectory(TASK, config, executor, None, ScriptedEnvironment())
+        assert record.termination == "out_of_context"
+        assert [t.usage.total_tokens for t in record.turns] == [900, 1000, 1001]
 
-        def traced(t):
-            alive = turn(t)
-            lengths.append(episode._context_tokens)
-            return alive
+    def test_a_shorter_prompt_after_a_reset_is_not_truncation(self):
+        config = make_run_config("eva", max_turns=4, verify_interval=2)
+        executor = _BilledBackend([(300, 9), (400, 9), (100, 9), (200, 9)])
+        supervisor = ScriptedBackend(
+            ["INTERVENE\n<SUMMARY>s</SUMMARY>\n<ADVICE>a</ADVICE>", "CONTINUE"]
+        )
+        record = run_trajectory(TASK, config, executor, supervisor, ScriptedEnvironment())
+        assert record.termination == "turn_budget_exhausted"
+        assert record.resets == [2]
+        assert len(record.turns) == 4
 
-        episode._turn = traced
-        assert episode.run().termination == "turn_budget_exhausted"
-        assert lengths == [300, 300, 300]
+    def test_a_prompt_that_falls_within_one_context_ends_out_of_context(self, caplog):
+        server = _serve(_PlannedHandler)
+        server.plan = [
+            (200, _ok_body("Tool call: search[q]", prompt)) for prompt in (500, 300, 600)
+        ]
+        try:
+            executor = HttpChatBackend(
+                f"http://127.0.0.1:{server.server_address[1]}", "test-model", max_retries=0
+            )
+            with caplog.at_level(logging.WARNING, logger="hybridmas.orchestrator"):
+                record = run_trajectory(
+                    TASK, make_run_config("monolithic", max_turns=3), executor, None,
+                    ScriptedEnvironment(),
+                )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert record.termination == "out_of_context"
+        assert [t.usage.prompt_tokens for t in record.turns] == [500, 300]
+        assert server.hits == 2
+        [message] = [r.getMessage() for r in caplog.records if "truncated" in r.getMessage()]
+        assert "turn 2" in message and "500" in message and "300" in message
 
 
 class TestEva:
