@@ -154,10 +154,14 @@ class ScriptedBackend:
     summed, less one at each boundary where a part ending in a non-space
     meets one starting with a non-space (a token glued across the
     boundary); empty parts are skipped. This is exact for any split of any
-    text. requests keeps each request's parts, the prompt's own tuple, and
-    joins them on read. Wall time is always 0 so logs stay
-    byte-reproducible. Consumption and the cache are serialized by an
-    internal lock.
+    text. The backend also keeps its last request's parts, their total and
+    whether their text ends inside a token: a request whose leading parts
+    equal the last request's (an executor turn resends the previous prompt
+    and appends to it) is counted on from that total over its new parts
+    only, and any other request is counted from scratch. requests keeps
+    each request's parts, the prompt's own tuple, and joins them on read.
+    Wall time is always 0 so logs stay byte-reproducible. Consumption, the
+    cache and the last request are serialized by an internal lock.
     """
 
     def __init__(self, script: Sequence[ScriptEntry | str]):
@@ -168,16 +172,21 @@ class ScriptedBackend:
         self._consumed = [False] * len(entries)
         self._first = 0  # index of the first unconsumed entry
         self._part_tokens: dict[str, tuple[int, bool, bool]] = {}
+        self._last: tuple[tuple[str, ...], int, bool] = ((), 0, False)
         self._lock = threading.Lock()
         self.requests = _JoinedRequests()
 
     def _tokens(self, parts: Sequence[str]) -> int:
         """whitespace_token_count("".join(parts)) from the cached counts of
-        the parts. Call with the lock held."""
+        the parts, folded on from the last request's state when parts
+        starts with the last request's parts. Call with the lock held."""
+        parts = tuple(parts)  # the same object when parts is a tuple
+        last, total, glued = self._last  # glued: the last non-empty part ended in a non-space
+        n = len(last)
+        if parts[:n] != last:
+            n, total, glued = 0, 0, False
         cache = self._part_tokens
-        total = 0
-        glued = False  # the last non-empty part ended in a non-space
-        for part in parts:
+        for part in parts[n:]:
             if not part:
                 continue
             info = cache.get(part)
@@ -190,6 +199,7 @@ class ScriptedBackend:
             if glued and starts_in_token:
                 total -= 1
             glued = ends_in_token
+        self._last = parts, total, glued
         return total
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -221,11 +231,6 @@ class ScriptedBackend:
         """Tokens of the text that the parts join to."""
         with self._lock:
             return self._tokens(parts)
-
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return sum(1 for c in self._consumed if not c)
 
 
 def _parse_usage(block) -> TokenUsage:

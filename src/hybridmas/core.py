@@ -362,11 +362,6 @@ class TrajectoryRecord:
     def applied_interventions(self) -> int:
         return sum(1 for call in self.supervisor_calls if call.applied)
 
-    def intervene_count(self) -> int:
-        return sum(
-            1 for call in self.supervisor_calls if call.decision.verdict == INTERVENE
-        )
-
 
 # --- JSONL serialization -------------------------------------------------
 #

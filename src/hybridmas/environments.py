@@ -118,10 +118,6 @@ class WikiCorpus:
         return SchemaViolationError(len(self._pages) + 1, message)
 
     @classmethod
-    def from_records(cls, records: Iterable[Mapping[str, str]]) -> "WikiCorpus":
-        return cls([(rec["title"], rec["text"]) for rec in records])
-
-    @classmethod
     def load(cls, path) -> "WikiCorpus":
         pages = []
         for line_no, rec in _read_jsonl(path):

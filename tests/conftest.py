@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import pytest
 
+from hybridmas.backends import ChatRequest, ScriptExhaustedError
 from hybridmas.core import ModelProfile, Pricing, RunConfig, TaskInstance
 from hybridmas.environments import WikiCorpus
 
@@ -57,12 +58,24 @@ LOVELACE_SENTENCES = [
 ]
 
 
+def unconsumed(backend) -> list[str]:
+    """The responses a scripted backend has left, in script order, read by
+    sending it empty prompts until its script is exhausted; they join its
+    requests. For scripts whose entries have no match."""
+    left = []
+    while True:
+        try:
+            left.append(backend.complete(ChatRequest("")).text)
+        except ScriptExhaustedError:
+            return left
+
+
 def make_corpus() -> WikiCorpus:
-    return WikiCorpus.from_records(
+    return WikiCorpus(
         [
-            {"title": "Richard Feynman", "text": " ".join(FEYNMAN_SENTENCES)},
-            {"title": "Marie Curie", "text": " ".join(CURIE_SENTENCES)},
-            {"title": "Ada Lovelace", "text": " ".join(LOVELACE_SENTENCES)},
+            ("Richard Feynman", " ".join(FEYNMAN_SENTENCES)),
+            ("Marie Curie", " ".join(CURIE_SENTENCES)),
+            ("Ada Lovelace", " ".join(LOVELACE_SENTENCES)),
         ]
     )
 

@@ -35,7 +35,7 @@ from hybridmas.prompting import (
     parse_tool_call,
     render,
 )
-from conftest import CLOUD_PROFILE, EDGE_PROFILE, FEYNMAN_SENTENCES, make_corpus
+from conftest import CLOUD_PROFILE, EDGE_PROFILE, FEYNMAN_SENTENCES, make_corpus, unconsumed
 
 
 @contextmanager
@@ -133,7 +133,7 @@ def test_acceptance_04_schedule_property():
                     t for t in range(1, max_turns + 1) if t % interval == 0
                 ]
                 if expected:
-                    assert supervisor.remaining == 0
+                    assert unconsumed(supervisor) == []
 
 
 def test_acceptance_05_reset_semantics():

@@ -65,6 +65,31 @@ class TestScriptedBackend:
         assert response.text == "CONTINUE"
         assert backend.complete(ChatRequest("anything")).text == "search[x]"
 
+    def test_threads_growing_their_own_prompts_get_exact_counts(self):
+        threads, steps = 8, 40
+        backend = ScriptedBackend(["r"] * threads * steps)
+
+        def grow(n):
+            prompt = ()
+            for i in range(steps):
+                prompt += (f"a{n}", f"b{i}" if i % 3 else " ")  # glued, then spaced
+                tokens = len("".join(prompt).split())
+                if i % 2:
+                    assert backend.complete(ChatRequest(prompt)).usage.prompt_tokens == tokens
+                else:
+                    assert backend.count_tokens(prompt) == tokens
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(grow, n) for n in range(threads)]
+                for future in futures:
+                    future.result(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(backend.requests) == threads * steps // 2
+
     def test_exhausted(self):
         backend = ScriptedBackend(["only"])
         backend.complete(ChatRequest("x"))
@@ -183,6 +208,73 @@ def test_scripted_usage_over_part_boundaries(calls):
     assert backend.requests[1::2] == texts[1::2]
 
 
+def _fresh(part):
+    """A str equal to part that is not the same object, where one can be."""
+    return "".join(list(part)) if len(part) > 1 else part
+
+
+@st.composite
+def _request_histories(draw):
+    """Requests as two interleaved histories, as two tasks sharing one
+    backend send them. Each step extends the active history by 0-3 parts,
+    cuts it back, switches to the other, or sends an unrelated request.
+    Some requests hold value-equal copies of their parts, and some are
+    lists."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_PART_EDGES), _PART_TEXT), min_size=1,
+                         max_size=8))
+    histories, active = [(), ()], 0
+    requests = []
+    for _ in range(draw(st.integers(1, 10))):
+        step = draw(st.sampled_from(["extend", "cut", "switch", "unrelated"]))
+        history = histories[active]
+        if step == "extend":
+            history += tuple(draw(st.lists(st.sampled_from(pool), max_size=3)))
+        elif step == "cut":
+            history = history[:draw(st.integers(0, len(history)))]
+        elif step == "switch":
+            active = 1 - active
+            history = histories[active]
+        if step == "unrelated":
+            request = tuple(draw(st.lists(st.sampled_from(pool), max_size=6)))
+        else:
+            histories[active] = request = history
+        if draw(st.booleans()):
+            request = tuple(_fresh(part) for part in request)
+        requests.append(list(request) if draw(st.booleans()) else request)
+    return requests
+
+
+@settings(max_examples=300, deadline=None)
+@given(_request_histories(), st.booleans())
+@example([("ab",), ("ab", "", "c")], False)
+@example([("ab",), ("ab", "", "c")], True)
+@example([("x ", "ab"), ("x ", "ab", "\n\n"), ("x ", "ab", "\n\n", "c")], False)
+@example([("ab", "c"), ("ab",), ("ab", "\xa0", "c"), ("ab", "\xa0", "c", "d")], True)
+@example([("ab",), ("x",), ("ab", "c"), ("x", "y"), ["ab", "c", "d"]], False)
+@example([("ab", "xy"), ("ab", "".join(["x", "y"]), "z"), ("".join(["a", "b"]), "xy", "z")], False)
+def test_scripted_usage_over_request_histories(requests, complete_first):
+    backend = ScriptedBackend(["r"] * len(requests))
+    for parts in requests:
+        tokens = len("".join(parts).split())
+        if complete_first:
+            assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == tokens
+            assert backend.count_tokens(parts) == tokens
+        else:
+            assert backend.count_tokens(parts) == tokens
+            assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == tokens
+    assert backend.requests == ["".join(parts) for parts in requests]
+
+
+def test_scripted_usage_of_a_list_changed_after_it_was_sent():
+    backend = ScriptedBackend(["r"] * 3)
+    parts = ["ab"]
+    assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == 1
+    parts += [" ", "c"]
+    assert backend.count_tokens(parts) == 2
+    parts[0] = "a b"
+    assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == 3
+
+
 class ReferenceScript:
     """The all() check plus the scan from entry 0 that the cursor replaced."""
 
@@ -200,10 +292,6 @@ class ReferenceScript:
                 self.consumed[i] = True
                 return entry.response
         raise NoMatchingEntryError("no unconsumed entry matches the request")
-
-    @property
-    def remaining(self):
-        return self.consumed.count(False)
 
 
 def _outcome(complete, text):
@@ -223,10 +311,9 @@ def _outcome(complete, text):
 def test_scripted_consumption_matches_linear_scan(matches, texts):
     entries = [ScriptEntry(f"r{i}", match) for i, match in enumerate(matches)]
     backend, reference = ScriptedBackend(entries), ReferenceScript(entries)
-    for text in texts:
+    for text in texts + ["abc"] * (len(entries) + 1):  # "abc" then takes what is left
         got = _outcome(lambda t: backend.complete(ChatRequest(t)).text, text)
         assert got == _outcome(reference.complete, text)
-        assert backend.remaining == reference.remaining
 
 
 class TestChatRequest:

@@ -38,7 +38,7 @@ from hybridmas.orchestrator import (
     run_trajectory,
 )
 from hybridmas.prompting import format_memory, render
-from conftest import EDGE_PROFILE, make_run_config
+from conftest import EDGE_PROFILE, make_run_config, unconsumed
 from loopback import _PlannedHandler, _ok_body, _serve
 
 TASK = TaskInstance("task-1", "Did Richard Feynman win a Nobel Prize?", ("yes",), "hotpotqa")
@@ -144,12 +144,12 @@ class TestPevr:
         assert [c.at_turn for c in record.supervisor_calls] == [2, 4, 6]
         assert all(c.decision.verdict == "continue" for c in record.supervisor_calls)
         assert record.resets == []
-        assert supervisor.remaining == 0
         assert record.initial_plan.text == PLAN_TEXT
         # Never-replaced plan: every verification request carries the
         # original plan text.
         for request in supervisor.requests[1:]:
             assert PLAN_TEXT in request
+        assert unconsumed(supervisor) == []
 
     def test_finish_before_first_boundary(self):
         record, _, _ = run_scripted(
@@ -172,7 +172,7 @@ class TestPevr:
         )
         assert record.termination == "finished"
         assert record.supervisor_calls == []
-        assert supervisor.remaining == 1
+        assert unconsumed(supervisor) == ["CONTINUE"]
 
     def test_intervention_resets_and_reseeds(self):
         env = ScriptedEnvironment(default="obs")
@@ -220,7 +220,8 @@ class TestPevr:
         assert "New plan R" in supervisor.requests[3]
         assert PLAN_TEXT not in supervisor.requests[3]
         # Outside audit, every intervene is applied: counts match.
-        assert len(record.resets) == record.intervene_count()
+        intervenes = sum(c.decision.verdict == INTERVENE for c in record.supervisor_calls)
+        assert len(record.resets) == intervenes
 
     def test_plan_retry_then_success(self):
         record, _, _ = run_scripted(
@@ -660,7 +661,7 @@ class TestAudit:
             verify_interval=2,
         )
         assert record.termination == "turn_budget_exhausted"
-        assert record.intervene_count() == 0
+        assert sum(c.decision.verdict == INTERVENE for c in record.supervisor_calls) == 0
 
 
 class TestSchedule:
@@ -681,7 +682,7 @@ class TestSchedule:
             t for t in range(1, max_turns + 1) if t % interval == 0
         ]
         if expected:
-            assert supervisor.remaining == 0
+            assert unconsumed(supervisor) == []
 
 
 class TestDeterminism:
