@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from .core import AUDIT_ARCHITECTURES, INTERVENE, TrajectoryRecord
 
 SUCCESS_F1_THRESHOLD = 0.5
+_QA_BENCHMARKS = ("hotpotqa", "fanoutqa")
 
 
 class NoGoldError(Exception):
@@ -76,19 +77,6 @@ def rouge1_f1(pred: str, golds: Sequence[str]) -> float:
     return float(best)
 
 
-def task_success(benchmark_tag: str, record: TrajectoryRecord, golds: Sequence[str]) -> bool:
-    """Success label: abnormal termination is always a failure; QA
-    benchmarks require F1 strictly above 0.5; generic tasks require exact
-    match."""
-    if record.termination != "finished" or record.final_answer is None:
-        return False
-    if not golds:
-        raise NoGoldError("task_success needs gold answers for finished runs")
-    if benchmark_tag in ("hotpotqa", "fanoutqa"):
-        return rouge1_f1(record.final_answer, golds) > SUCCESS_F1_THRESHOLD
-    return exact_match(record.final_answer, golds) == 1
-
-
 def trajectory_score(benchmark_tag: str, record: TrajectoryRecord, golds: Sequence[str]) -> float:
     """Raw score reported alongside the success label: F1 for QA
     benchmarks, exact match for generic tasks, 0 for abnormal runs."""
@@ -96,9 +84,19 @@ def trajectory_score(benchmark_tag: str, record: TrajectoryRecord, golds: Sequen
         return 0.0
     if not golds:
         raise NoGoldError("trajectory_score needs gold answers for finished runs")
-    if benchmark_tag in ("hotpotqa", "fanoutqa"):
+    if benchmark_tag in _QA_BENCHMARKS:
         return rouge1_f1(record.final_answer, golds)
     return float(exact_match(record.final_answer, golds))
+
+
+def task_success(benchmark_tag: str, record: TrajectoryRecord, golds: Sequence[str]) -> bool:
+    """Success label, from the score: QA benchmarks require F1 strictly
+    above 0.5, generic tasks exact match, so abnormal termination is
+    always a failure."""
+    score = trajectory_score(benchmark_tag, record, golds)
+    if benchmark_tag in _QA_BENCHMARKS:
+        return score > SUCCESS_F1_THRESHOLD
+    return score == 1.0
 
 
 @dataclass(frozen=True)

@@ -683,7 +683,7 @@ class HttpChatBackend:
                 usage.generated_tokens,
             )
             return ChatResponse(text or "", usage, wall_time_ms)
-        raise last_error if last_error is not None else TransportError("no attempts made")
+        raise last_error
 
     def count_tokens(self, parts: Sequence[str]) -> Optional[int]:
         return None

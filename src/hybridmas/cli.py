@@ -87,7 +87,7 @@ def execute_condition(
     record to its log once it and every earlier task have ended. Backends
     are built here, for this condition alone: a scripted one is consumed by
     its run. Returns summary stats over the complete log."""
-    run_config = cfg.with_verify_interval(verify_interval)
+    run_config = replace(cfg.run, verify_interval=verify_interval)
     base_dir = cfg.dataset.parent
     executor = build_backend(cfg.backend_specs[cfg.executor_backend_name], base_dir)
     supervisor = None
@@ -145,7 +145,6 @@ def execute_condition(
         architecture=cfg.run.architecture,
         verify_interval=verify_interval,
         log_path=str(log_path),
-        new_tasks=len(records) - len(existing),
     )
 
 
@@ -219,8 +218,12 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         labeled = {_report_label(p): read_trajectories(p) for p in paths}
+        stats = {}
+        if args.frontier or args.kv_growth:
+            stats = {label: analysis.condition_stats(records)
+                     for label, records in labeled.items() if records}
         if args.frontier:
-            _write_frontier(labeled, args.axis, out_dir / "frontier.csv")
+            _write_frontier(stats, args.axis, out_dir / "frontier.csv")
         if args.histogram:
             _write_histogram(labeled, out_dir / "histogram.csv")
         if args.confusion:
@@ -228,7 +231,7 @@ def cmd_report(args) -> int:
         if args.overlap:
             _write_overlap(labeled, out_dir / "overlap.csv")
         if args.kv_growth:
-            _write_kv_growth(labeled, out_dir / "kv_growth.csv")
+            _write_kv_growth(labeled, stats, out_dir / "kv_growth.csv")
     except Exception as exc:  # noqa: BLE001
         logger.exception("report failed")
         print(f"runtime error: {exc}", file=sys.stderr)
@@ -236,14 +239,11 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _write_frontier(labeled: dict, axis: str, path: Path) -> None:
+def _write_frontier(stats: dict, axis: str, path: Path) -> None:
     points = []
-    for label, records in labeled.items():
-        if not records:
-            continue
-        stats = analysis.condition_stats(records)
-        cost = float(stats.cost_usd) if axis == "cost" else stats.energy_joules
-        points.append(analysis.ConfigPoint(label, cost, stats.performance))
+    for label, s in stats.items():
+        cost = float(s.cost_usd) if axis == "cost" else s.energy_joules
+        points.append(analysis.ConfigPoint(label, cost, s.performance))
     frontier = analysis.pareto_frontier(points)
     _write_csv(
         path,
@@ -298,14 +298,11 @@ _KV_GROWTH_STATS = (
 )
 
 
-def _write_kv_growth(labeled: dict, path: Path) -> None:
-    rows = []
-    for label, records in labeled.items():
-        if records:
-            stats = analysis.condition_stats(records)
-            rows.append(
-                [label, records[0].architecture, *(getattr(stats, n) for n in _KV_GROWTH_STATS)]
-            )
+def _write_kv_growth(labeled: dict, stats: dict, path: Path) -> None:
+    rows = [
+        [label, labeled[label][0].architecture, *(getattr(s, n) for n in _KV_GROWTH_STATS)]
+        for label, s in stats.items()
+    ]
     _write_csv(path, ("label", "architecture", *_KV_GROWTH_STATS), rows)
     print(f"kv growth written to {path}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -26,13 +26,7 @@ from .core import (
     SamplingParams,
     ToolCall,
 )
-from .environments import (
-    DEFAULT_OBSERVATION_LIMIT,
-    Observation,
-    ScriptedEnvironment,
-    WikiCorpus,
-    WikiEnvironment,
-)
+from .environments import Observation, ScriptedEnvironment, WikiCorpus, WikiEnvironment
 
 
 class ConfigError(Exception):
@@ -53,19 +47,19 @@ def _load_yaml(path: Path) -> Any:
 
 @dataclass
 class ExperimentConfig:
+    """A config file as load_config reads it, its paths resolved against
+    the file's directory; output defaults to "out" there."""
+
     run: RunConfig
     executor_backend_name: str
     supervisor_backend_name: Optional[str]
     backend_specs: dict[str, dict]
     dataset: Path
     corpus: Optional[Path]
-    environment: dict = field(default_factory=lambda: {"type": "wiki"})
-    output: Path = Path("out")
-    sweep: Optional[list[int]] = None
+    environment: dict
+    output: Path
+    sweep: Optional[list[int]]
     parallelism: int = 1
-
-    def with_verify_interval(self, verify_interval: int) -> RunConfig:
-        return replace(self.run, verify_interval=verify_interval)
 
 
 def _mapping(value: Any, where: str) -> dict:
@@ -103,6 +97,40 @@ def _integer(value: Any, where: str) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{where}: {value!r} is not an integer")
     return _number(int, value, where)
+
+
+def _string(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, not {value!r}")
+    return value
+
+
+def _strings(value: Any, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"{where} must be a list of strings, not {value!r}")
+    return value
+
+
+def _observation_limit(value: Any, where: str) -> int:
+    limit = _integer(value, where)
+    if limit < 1:
+        raise ConfigError(f"{where} must be >= 1, not {limit}")
+    return limit
+
+
+def _parallelism(value: Any, where: str) -> int:
+    parallelism = _integer(value, where)
+    if parallelism < 1:
+        raise ConfigError("parallelism must be >= 1")
+    return parallelism
+
+
+def _set_keys(raw: dict, converters: dict[str, Callable[[Any, str], Any]], where: str) -> dict:
+    """converters[key](raw[key], where + key) for each key that raw sets. A
+    key that raw leaves out is left out here too, so that the constructor
+    it is passed to applies its own default."""
+    return {key: convert(raw[key], where + key) for key, convert in converters.items()
+            if key in raw}
 
 
 def _optional_integer(raw: dict, key: str, where: str) -> Optional[int]:
@@ -181,7 +209,9 @@ def _load_script(spec: dict, base_dir: Path) -> list[ScriptEntry]:
 
 def build_backend(spec: dict, base_dir: Path):
     """Instantiate a backend from its config spec. Scripted backends hold
-    per-run consumption state, so call this once per run."""
+    per-run consumption state, so call this once per run. A relative
+    script_file resolves against base_dir; load_config makes a config's
+    absolute, against the config's directory."""
     kind = _require(spec, "type", "backend spec")
     if kind == "script":
         return ScriptedBackend(_load_script(spec, base_dir))
@@ -191,10 +221,8 @@ def build_backend(spec: dict, base_dir: Path):
                 base_url=_require(spec, "base_url", "http backend"),
                 model=_require(spec, "model", "http backend"),
                 credential_env=spec.get("credential_env"),
-                max_retries=_integer(spec.get("max_retries", 3), "http backend max_retries"),
-                backoff_s=_float(spec.get("backoff_s", 0.5), "http backend backoff_s"),
-                backoff_cap_s=_float(spec.get("backoff_cap_s", 8.0), "http backend backoff_cap_s"),
-                timeout_s=_float(spec.get("timeout_s", 120.0), "http backend timeout_s"),
+                **_set_keys(spec, {"max_retries": _integer, "backoff_s": _float,
+                                   "backoff_cap_s": _float, "timeout_s": _float}, "http backend "),
             )
         except ValueError as exc:  # a base_url that is not an http(s) URL
             raise ConfigError(f"http backend: {exc}")
@@ -204,16 +232,11 @@ def build_backend(spec: dict, base_dir: Path):
 def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
     """Return a zero-argument factory producing a fresh environment per
     trajectory. Corpora are shared; sessions are not."""
-    env_type = cfg.environment.get("type", "wiki")
-    limit = _integer(
-        cfg.environment.get("observation_limit", DEFAULT_OBSERVATION_LIMIT),
-        "environment.observation_limit",
-    )
-    if limit < 1:
-        raise ConfigError(f"environment.observation_limit must be >= 1, not {limit}")
+    env_type = cfg.run.environment_id
+    limit = _set_keys(cfg.environment, {"observation_limit": _observation_limit}, "environment.")
     if env_type == "wiki":
         corpus = WikiCorpus.load(cfg.corpus)
-        return lambda: WikiEnvironment(corpus, observation_limit=limit)
+        return lambda: WikiEnvironment(corpus, **limit)
     if env_type == "scripted":
         table = {}
         for entry in cfg.environment.get("table", []):
@@ -229,15 +252,9 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
                 table[call] = Observation(text, terminal, answer)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"environment.table: bad entry {entry!r}: {exc!r}")
-        default = cfg.environment.get("default", "Nothing happens.")
-        if not isinstance(default, str):
-            raise ConfigError(f"environment.default must be a string, not {default!r}")
-        tools = cfg.environment.get("tools", ["search", "lookup", "finish"])
-        if not isinstance(tools, list) or not all(isinstance(tool, str) for tool in tools):
-            raise ConfigError(f"environment.tools must be a list of strings, not {tools!r}")
-        return lambda: ScriptedEnvironment(
-            table, default, tools=tools, observation_limit=limit
-        )
+        options = _set_keys(cfg.environment, {"default": _string, "tools": _strings},
+                            "environment.")
+        return lambda: ScriptedEnvironment(table, **options, **limit)
     raise ConfigError(f"unknown environment type {env_type!r}")
 
 
@@ -256,6 +273,9 @@ def load_config(path) -> ExperimentConfig:
     backend_specs = _require(raw, "backends", "config")
     if not isinstance(backend_specs, dict) or not backend_specs:
         raise ConfigError("backends section must be a non-empty mapping")
+    for name, spec in backend_specs.items():
+        if isinstance(spec, dict) and isinstance(spec.get("script_file"), str):
+            backend_specs[name] = {**spec, "script_file": base_dir.absolute() / spec["script_file"]}
 
     run_raw = _require(raw, "run", "config")
     architecture = _require(run_raw, "architecture", "run")
@@ -282,29 +302,27 @@ def load_config(path) -> ExperimentConfig:
 
     executor_profile, executor_backend_name = resolve_role("executor", required=True)
     supervisor_profile, supervisor_backend_name = resolve_role(
-        "supervisor", required=architecture != "monolithic"
+        "supervisor", required=ARCHITECTURES[architecture] != "monolithic"
     )
 
     sampling_raw = _mapping(run_raw.get("sampling") or {}, "run.sampling")
-    environment = _mapping(raw.get("environment") or {"type": "wiki"}, "environment")
+    environment = _mapping(raw.get("environment") or {}, "environment")
 
     try:
-        sampling = SamplingParams(
-            temperature=_float(sampling_raw.get("temperature", 0.0), "run.sampling.temperature"),
-            max_generated_tokens=_integer(
-                sampling_raw.get("max_generated_tokens", 1024),
-                "run.sampling.max_generated_tokens",
-            ),
-        )
+        sampling = SamplingParams(**_set_keys(
+            sampling_raw, {"temperature": _float, "max_generated_tokens": _integer},
+            "run.sampling.",
+        ))
+        settings = _set_keys(run_raw, {"verify_interval": _integer, "seed": _integer}, "run.")
+        if "type" in environment:
+            settings["environment_id"] = environment["type"]
         run_config = RunConfig(
             architecture=architecture,
             executor_profile=executor_profile,
             supervisor_profile=supervisor_profile,
             max_turns=_optional_integer(run_raw, "max_turns", "run"),
-            verify_interval=_integer(run_raw.get("verify_interval", 1), "run.verify_interval"),
-            environment_id=environment.get("type", "wiki"),
-            seed=_integer(run_raw.get("seed", 0), "run.seed"),
             sampling=sampling,
+            **settings,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
@@ -317,7 +335,7 @@ def load_config(path) -> ExperimentConfig:
         corpus = base_dir / raw["corpus"]
         if not corpus.is_file():
             raise ConfigError(f"corpus file not found: {corpus}")
-    if environment.get("type", "wiki") == "wiki" and corpus is None:
+    if run_config.environment_id == "wiki" and corpus is None:
         raise ConfigError("wiki environment requires a corpus path")
 
     sweep = raw.get("sweep")
@@ -328,13 +346,8 @@ def load_config(path) -> ExperimentConfig:
         if any(v < 1 for v in sweep):
             raise ConfigError("sweep values must be >= 1")
 
-    output = Path(raw["output"]) if raw.get("output") else Path("out")
-    if not output.is_absolute():
-        output = base_dir / output
-
-    parallelism = _integer(raw.get("parallelism", 1), "parallelism")
-    if parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
+    # An absolute output path replaces base_dir.
+    output = base_dir / (raw.get("output") or "out")
 
     return ExperimentConfig(
         run=run_config,
@@ -346,5 +359,5 @@ def load_config(path) -> ExperimentConfig:
         environment=environment,
         output=output,
         sweep=sweep,
-        parallelism=parallelism,
+        **_set_keys(raw, {"parallelism": _parallelism}, ""),
     )

@@ -25,14 +25,16 @@ from typing import (
     get_type_hints,
 )
 
-ARCHITECTURES = (
-    "monolithic",
-    "pevr",
-    "eva",
-    "eva_nosummary",
-    "pevr_audit",
-    "eva_audit",
-)
+# Each architecture's family: monolithic runs the executor alone, pevr
+# supervises it with a plan and replans, eva with queries and advice.
+ARCHITECTURES = {
+    "monolithic": "monolithic",
+    "pevr": "pevr",
+    "eva": "eva",
+    "eva_nosummary": "eva",
+    "pevr_audit": "pevr",
+    "eva_audit": "eva",
+}
 AUDIT_ARCHITECTURES = ("pevr_audit", "eva_audit")
 BENCHMARK_TAGS = ("hotpotqa", "fanoutqa", "generic")
 TERMINATIONS = (
@@ -301,8 +303,12 @@ class RunConfig:
             raise ValueError("max_turns must be >= 1")
         if self.verify_interval < 1:
             raise ValueError("verify_interval must be >= 1")
-        if self.architecture != "monolithic" and self.supervisor_profile is None:
+        if self.family != "monolithic" and self.supervisor_profile is None:
             raise ValueError(f"{self.architecture} requires a supervisor profile")
+
+    @property
+    def family(self) -> str:
+        return ARCHITECTURES[self.architecture]
 
     @property
     def is_audit(self) -> bool:
@@ -358,6 +364,12 @@ class TrajectoryRecord:
     success: Optional[bool] = None
     score: Optional[float] = None
     totals: TrajectoryTotals = field(default_factory=TrajectoryTotals)
+
+    def __post_init__(self):
+        if self.architecture not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {self.architecture!r}")
+        if self.termination not in TERMINATIONS:
+            raise ValueError(f"unknown termination {self.termination!r}")
 
     def applied_interventions(self) -> int:
         return sum(1 for call in self.supervisor_calls if call.applied)

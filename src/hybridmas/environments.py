@@ -357,16 +357,9 @@ def load_tasks(path) -> list[TaskInstance]:
         if task_id in seen_ids:
             raise SchemaViolationError(line_no, f"duplicate task id {task_id!r}")
         seen_ids.add(task_id)
-        benchmark = rec.get("benchmark", "generic")
+        tag = {"benchmark_tag": rec["benchmark"]} if "benchmark" in rec else {}
         try:
-            tasks.append(
-                TaskInstance(
-                    id=task_id,
-                    query=question,
-                    gold_answers=tuple(rec["answers"]),
-                    benchmark_tag=benchmark,
-                )
-            )
+            tasks.append(TaskInstance(task_id, question, tuple(rec["answers"]), **tag))
         except ValueError as exc:
             raise SchemaViolationError(line_no, str(exc))
     return tasks

@@ -65,8 +65,6 @@ INVALID_TOOL_CALL_OBSERVATION = (
     "Invalid tool call format. Emit exactly one call as tool[argument]."
 )
 
-_PEVR_FAMILY = ("pevr", "pevr_audit")
-_EVA_FAMILY = ("eva", "eva_nosummary", "eva_audit")
 _MALFORMED = (MalformedPlanError, MalformedVerdictError)
 
 
@@ -132,17 +130,8 @@ class _Episode:
         self.executor = executor_backend
         self.supervisor = supervisor_backend
         self.env = env
-        self.family = (
-            "pevr"
-            if config.architecture in _PEVR_FAMILY
-            else "eva"
-            if config.architecture in _EVA_FAMILY
-            else "monolithic"
-        )
-        if self.family != "monolithic" and supervisor_backend is None:
+        if config.family != "monolithic" and supervisor_backend is None:
             raise ValueError(f"{config.architecture} requires a supervisor backend")
-        self.audit = config.is_audit
-        self.nosummary = config.architecture == "eva_nosummary"
         self.plan: Optional[Plan] = None
         # The executor context: the seed's parts, the turn log's parts since
         # the last reset and the usage of the last executor call since it.
@@ -235,7 +224,7 @@ class _Episode:
         return plan
 
     def _seed_context(self) -> None:
-        if self.family == "pevr":
+        if self.config.family == "pevr":
             self.plan = self._initial_plan()
             seed = render(
                 "plan_exec",
@@ -253,8 +242,8 @@ class _Episode:
         if not self._reseed(seed):
             raise _Terminate("out_of_context")
 
-    def _turn(self, t: int) -> bool:
-        """Run one executor turn; returns False once the episode is over."""
+    def _turn(self, t: int) -> None:
+        """Run one executor turn."""
         prompt = (*self._seed, "\n\n", *self._log) if self._log else self._seed
         response, _, usage = self._call("execute", self.executor, prompt, t)
 
@@ -262,15 +251,11 @@ class _Episode:
         try:
             call, reasoning = parse_tool_call(response.text, self.env.tools)
         except NoToolCallError:
-            turn = TurnRecord(
-                t, response.text, None, INVALID_TOOL_CALL_OBSERVATION, usage,
-                response.wall_time_ms,
-            )
+            call, reasoning, text = None, response.text, INVALID_TOOL_CALL_OBSERVATION
         else:
             observation = self.env.step(call)
-            turn = TurnRecord(
-                t, reasoning, call, observation.text, usage, response.wall_time_ms
-            )
+            text = observation.text
+        turn = TurnRecord(t, reasoning, call, text, usage, response.wall_time_ms)
 
         self.record.turns.append(turn)
         last, self._last_usage = self._last_usage, usage
@@ -289,12 +274,10 @@ class _Episode:
 
         if observation is not None and observation.terminal:
             self.record.final_answer = observation.final_answer
-            self.record.termination = "finished"
-            return False
+            raise _Terminate("finished")
 
-        if self.family != "monolithic" and t % self.config.verify_interval == 0:
+        if self.config.family != "monolithic" and t % self.config.verify_interval == 0:
             self._verify(t)
-        return True
 
     def _verify(self, t: int) -> None:
         def rejected(text, usage):
@@ -302,7 +285,7 @@ class _Episode:
                 SupervisorCallRecord(t, VerifierDecision(CONTINUE, None, text), usage, False)
             )
 
-        if self.family == "pevr":
+        if self.config.family == "pevr":
             template, parser = "verify_replan", parse_pevr_verdict
             bindings = {
                 "plan": self.plan.text,
@@ -321,7 +304,7 @@ class _Episode:
         )
         if decision is None:
             return
-        if decision.verdict != INTERVENE or self.audit:
+        if decision.verdict != INTERVENE or self.config.is_audit:
             self.record.supervisor_calls.append(
                 SupervisorCallRecord(t, decision, usage, applied=False)
             )
@@ -329,7 +312,7 @@ class _Episode:
         self._apply_intervention(t, decision, usage)
 
     def _apply_intervention(self, t: int, decision: VerifierDecision, usage: TokenUsage) -> None:
-        if self.family == "pevr":
+        if self.config.family == "pevr":
             new_plan = Plan(decision.payload.replan.text, origin="replan", replan_turn=t)
             recorded = VerifierDecision(INTERVENE, ReplanHandoff(new_plan), decision.raw_text)
             seed = render(
@@ -343,7 +326,7 @@ class _Episode:
             )
         else:
             advice = decision.payload.advice
-            if self.nosummary:
+            if self.config.architecture == "eva_nosummary":
                 summary_binding = self._memory
                 payload = AdviceMemoryHandoff(advice)
                 recorded = VerifierDecision(INTERVENE, payload, decision.raw_text)
@@ -365,7 +348,7 @@ class _Episode:
         if not applied:
             raise _Terminate("out_of_context")
         self.record.resets.append(t)
-        if self.family == "pevr":
+        if self.config.family == "pevr":
             self.plan = recorded.payload.replan
 
     # -- entry point --------------------------------------------------------
@@ -376,8 +359,7 @@ class _Episode:
         try:
             self._seed_context()
             for t in range(1, max_turns + 1):
-                if not self._turn(t):
-                    break
+                self._turn(t)
         except _Terminate as term:
             self.record.termination = term.reason
         return self._finalize()

@@ -134,6 +134,28 @@ class TestCmdRun:
         assert not (tmp_path / "out").exists()
         assert f"config error: {error} in" in capsys.readouterr().err
 
+    def test_script_file_resolves_against_the_config_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "edge.json").write_text(json.dumps(finish_script()), encoding="utf-8")
+        write_config(
+            tmp_path,
+            dataset="data/tasks.jsonl",
+            backends={"executor": {"type": "script", "script_file": "edge.json"}},
+        )
+        write_tasks(tmp_path / "data" / "tasks.jsonl")
+        # A config path relative to the working directory, as a shell gives it.
+        monkeypatch.chdir(tmp_path.parent)
+        config = f"{tmp_path.name}/config.yaml"
+        assert main(["run", "--config", config]) == 0
+        records = read_trajectories(tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl")
+        assert [r.termination for r in records] == ["finished"] * 3
+        cfg = cli.load_config(config)
+        spec = cfg.backend_specs["executor"]
+        built = [cli.build_backend(spec, base)._entries for base in (cfg.dataset.parent, tmp_path)]
+        assert built[0] == built[1] == cli.build_backend(
+            {"type": "script", "script": finish_script()}, tmp_path
+        )._entries
+
     def test_script_exhausted_marks_only_that_task(self, tmp_path):
         config = write_config(
             tmp_path,

@@ -1,5 +1,6 @@
 """Config file parsing."""
 
+import inspect
 from decimal import Decimal
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import pytest
 import yaml
 
 from hybridmas import config
-from hybridmas.core import ModelProfile, Pricing, SamplingParams
+from hybridmas.backends import HttpChatBackend
+from hybridmas.core import ModelProfile, Pricing, RunConfig, SamplingParams
+from hybridmas.environments import ScriptedEnvironment
 
 YAML_FILES = sorted((Path(__file__).parent / "data").rglob("*.y*ml"))
 
@@ -41,3 +44,36 @@ RATE = Decimal("2.5")
 def test_non_finite_numbers_are_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+def write_minimal_config(tmp_path, **extra) -> Path:
+    """A config that sets every required key and no optional one."""
+    (tmp_path / "tasks.jsonl").write_text('{"id": "A", "question": "Q?"}\n', encoding="utf-8")
+    profile = {"placement": "edge", "param_count": 1e9, "efficiency": 1e12, "context_cap": 1000}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({
+        "models": {"edge": profile},
+        "backends": {"executor": {"type": "http", "base_url": "http://127.0.0.1:9", "model": "m"}},
+        "run": {"architecture": "monolithic", "executor": {"model": "edge", "backend": "executor"}},
+        "dataset": "tasks.jsonl",
+        **extra,
+    }), encoding="utf-8")
+    return path
+
+
+def test_unset_keys_take_the_constructors_defaults(tmp_path):
+    (tmp_path / "corpus.jsonl").write_text('{"title": "A", "text": "A page."}\n', encoding="utf-8")
+    cfg = config.load_config(write_minimal_config(tmp_path, corpus="corpus.jsonl"))
+    assert cfg.run == RunConfig("monolithic", cfg.run.executor_profile)
+    assert cfg.run.sampling == SamplingParams()
+    assert (cfg.output, cfg.sweep, cfg.parallelism) == (tmp_path / "out", None, 1)
+    backend = config.build_backend(cfg.backend_specs["executor"], tmp_path)
+    parameters = inspect.signature(HttpChatBackend).parameters
+    for name in ("max_retries", "backoff_s", "backoff_cap_s", "timeout_s"):
+        assert getattr(backend, name) == parameters[name].default
+
+    cfg = config.load_config(write_minimal_config(tmp_path, environment={"type": "scripted"}))
+    env, reference = config.build_environment_factory(cfg)(), ScriptedEnvironment()
+    assert (env.default, env.tools, env.observation_limit) == (
+        reference.default, reference.tools, reference.observation_limit
+    )

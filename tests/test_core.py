@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridmas.core import (
+    ARCHITECTURES,
     TERMINATIONS,
     AdviceHandoff,
     AdviceMemoryHandoff,
@@ -157,6 +158,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"line 2: malformed trajectory record"):
             read_trajectories(path)
 
+    @pytest.mark.parametrize(
+        "key, value", [("termination", "bogus"), ("architecture", "nonsense")]
+    )
+    def test_illegal_termination_or_architecture_is_a_malformed_record(
+        self, tmp_path, key, value
+    ):
+        broken = json.loads(record_to_json_line(make_full_record()))
+        broken[key] = value
+        path = tmp_path / "trajectories.jsonl"
+        path.write_text(
+            record_to_json_line(make_full_record()) + "\n" + json.dumps(broken) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=rf"line 2: malformed trajectory record: .*{value}"):
+            read_trajectories(path)
+
     def test_resets_subset_of_intervene_turns(self):
         record = make_full_record()
         intervene_turns = {
@@ -244,7 +261,7 @@ def _supervisor_calls(draw):
 _records = st.builds(
     TrajectoryRecord,
     task_id=_texts,
-    architecture=_texts,
+    architecture=st.sampled_from(tuple(ARCHITECTURES)),
     config_digest=_texts,
     turns=st.lists(_turns, max_size=3),
     supervisor_calls=st.lists(_supervisor_calls(), max_size=3),
