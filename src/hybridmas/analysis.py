@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import AUDIT_ARCHITECTURES, INTERVENE, TrajectoryRecord
 
@@ -199,6 +199,23 @@ class ConfusionReport:
     fn_rate_conditional: float
     fp_rate_conditional: float
 
+    @classmethod
+    def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> ConfusionReport:
+        """The one place the rates are derived from the four counts."""
+        total = tp + fp + tn + fn
+        failures = tp + fn
+        successes = fp + tn
+        return cls(
+            tp=tp,
+            fp=fp,
+            tn=tn,
+            fn=fn,
+            fn_rate=fn / total if total else 0.0,
+            fp_rate=fp / total if total else 0.0,
+            fn_rate_conditional=fn / failures if failures else 0.0,
+            fp_rate_conditional=fp / successes if successes else 0.0,
+        )
+
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
@@ -230,19 +247,7 @@ def verifier_confusion(
             tp += 1
         else:
             fn += 1
-    total = tp + fp + tn + fn
-    failures = tp + fn
-    successes = fp + tn
-    return ConfusionReport(
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        fn_rate=fn / total if total else 0.0,
-        fp_rate=fp / total if total else 0.0,
-        fn_rate_conditional=fn / failures if failures else 0.0,
-        fp_rate_conditional=fp / successes if successes else 0.0,
-    )
+    return ConfusionReport.from_counts(tp, fp, tn, fn)
 
 
 @dataclass(frozen=True)
@@ -257,8 +262,10 @@ class InterventionHistogram:
         return sum(self.counts.values())
 
 
-def intervention_histogram(records: Sequence[TrajectoryRecord]) -> InterventionHistogram:
-    data = sorted(record.applied_interventions() for record in records)
+def intervention_histogram(interventions: Iterable[int]) -> InterventionHistogram:
+    """The distribution of interventions, each one trajectory's
+    TrajectoryRecord.applied_interventions()."""
+    data = sorted(interventions)
     counts = dict(sorted(Counter(data).items()))
     if not data:
         quartiles = None

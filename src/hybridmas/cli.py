@@ -44,7 +44,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import analysis
 from .backends import ScriptedBackend
-from .config import ConfigError, ExperimentConfig, build_backend, build_environment_factory, load_config
+from .config import (ConfigError, ExperimentConfig, build_backend, build_environment_factory,
+                     load_config, parse_parallelism)
 from .core import TaskInstance, TrajectoryRecord, read_trajectories, write_trajectories
 from .environments import SchemaViolationError, load_tasks
 from .orchestrator import run_config_digest, run_trajectory
@@ -205,7 +206,50 @@ def _report_label(path: Path) -> str:
     return path.parent.name if path.name == "trajectories.jsonl" else path.stem
 
 
+class _ReportInputs:
+    """The small per-label values that the requested CSVs need, reduced
+    from one log at a time, so that report holds one log's records at a
+    time. Keys and lists follow the order in which the logs were read."""
+
+    def __init__(self, args):
+        self.args = args
+        self.stats: dict[str, analysis.ConditionStats] = {}  # non-empty logs only
+        self.architectures: dict[str, str] = {}  # each non-empty log's first record's
+        self.interventions: list[int] = []
+        self.solve_sets: dict[str, set[str]] = {}
+        self.confusion_counts = (0, 0, 0, 0)  # tp, fp, tn, fn
+        # confusion.csv is refused for the first record without a success
+        # label, else for the first record of a non-audit run.
+        self.unlabeled: Optional[str] = None
+        self.non_audit: Optional[analysis.NonAuditRecordError] = None
+
+    def add(self, label: str, records: Sequence[TrajectoryRecord]) -> None:
+        args = self.args
+        if records and (args.frontier or args.kv_growth):
+            self.stats[label] = analysis.condition_stats(records)
+            self.architectures[label] = records[0].architecture
+        if args.histogram:
+            self.interventions.extend(r.applied_interventions() for r in records)
+        if args.overlap:
+            self.solve_sets[label] = {r.task_id for r in records if r.success}
+        if not args.confusion or self.unlabeled is not None:
+            return
+        self.unlabeled = next((r.task_id for r in records if r.success is None), None)
+        if self.unlabeled is not None or self.non_audit is not None:
+            return
+        try:
+            report = analysis.verifier_confusion([(r, r.success) for r in records])
+        except analysis.NonAuditRecordError as exc:
+            # Its traceback would keep this log's records alive.
+            self.non_audit = exc.with_traceback(None)
+            return
+        counts = (report.tp, report.fp, report.tn, report.fn)
+        self.confusion_counts = tuple(map(sum, zip(self.confusion_counts, counts)))
+
+
 def cmd_report(args) -> int:
+    """Read the logs one at a time, in argument order, and write the CSVs
+    once every log has been read. Two logs with one label are refused."""
     paths = [Path(p) for p in args.paths]
     for path in paths:
         if not path.is_file():
@@ -214,24 +258,30 @@ def cmd_report(args) -> int:
     if not any((args.frontier, args.histogram, args.confusion, args.overlap, args.kv_growth)):
         print("config error: select at least one analysis flag", file=sys.stderr)
         return EXIT_CONFIG
+    labeled: dict[str, Path] = {}
+    for path in paths:
+        label = _report_label(path)
+        if label in labeled:
+            print(f"config error: {labeled[label]} and {path} both have the report label "
+                  f"{label}", file=sys.stderr)
+            return EXIT_CONFIG
+        labeled[label] = path
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        labeled = {_report_label(p): read_trajectories(p) for p in paths}
-        stats = {}
-        if args.frontier or args.kv_growth:
-            stats = {label: analysis.condition_stats(records)
-                     for label, records in labeled.items() if records}
+        inputs = _ReportInputs(args)
+        for label, path in labeled.items():
+            inputs.add(label, read_trajectories(path))
         if args.frontier:
-            _write_frontier(stats, args.axis, out_dir / "frontier.csv")
+            _write_frontier(inputs.stats, args.axis, out_dir / "frontier.csv")
         if args.histogram:
-            _write_histogram(labeled, out_dir / "histogram.csv")
+            _write_histogram(inputs.interventions, out_dir / "histogram.csv")
         if args.confusion:
-            _write_confusion(labeled, out_dir / "confusion.csv")
+            _write_confusion(inputs, out_dir / "confusion.csv")
         if args.overlap:
-            _write_overlap(labeled, out_dir / "overlap.csv")
+            _write_overlap(inputs.solve_sets, out_dir / "overlap.csv")
         if args.kv_growth:
-            _write_kv_growth(labeled, stats, out_dir / "kv_growth.csv")
+            _write_kv_growth(inputs.stats, inputs.architectures, out_dir / "kv_growth.csv")
     except Exception as exc:  # noqa: BLE001
         logger.exception("report failed")
         print(f"runtime error: {exc}", file=sys.stderr)
@@ -253,9 +303,8 @@ def _write_frontier(stats: dict, axis: str, path: Path) -> None:
     print(f"frontier written to {path} ({len(frontier)} of {len(points)} points)")
 
 
-def _write_histogram(labeled: dict, path: Path) -> None:
-    records = [r for records in labeled.values() for r in records]
-    histogram = analysis.intervention_histogram(records)
+def _write_histogram(interventions: Sequence[int], path: Path) -> None:
+    histogram = analysis.intervention_histogram(interventions)
     _write_csv(path, ("intervention_count", "frequency"), histogram.counts.items())
     quartiles = histogram.quartiles
     print(
@@ -264,26 +313,20 @@ def _write_histogram(labeled: dict, path: Path) -> None:
     )
 
 
-def _write_confusion(labeled: dict, path: Path) -> None:
-    audited = []
-    for records in labeled.values():
-        for record in records:
-            if record.success is None:
-                raise ValueError(
-                    f"record {record.task_id} has no success label; "
-                    "run against a dataset with gold answers first"
-                )
-            audited.append((record, record.success))
-    report = analysis.verifier_confusion(audited)
+def _write_confusion(inputs: _ReportInputs, path: Path) -> None:
+    if inputs.unlabeled is not None:
+        raise ValueError(
+            f"record {inputs.unlabeled} has no success label; "
+            "run against a dataset with gold answers first"
+        )
+    if inputs.non_audit is not None:
+        raise inputs.non_audit
+    report = analysis.ConfusionReport.from_counts(*inputs.confusion_counts)
     _write_csv(path, [f.name for f in fields(report)], [astuple(report)])
     print(f"confusion written to {path} (total {report.total})")
 
 
-def _write_overlap(labeled: dict, path: Path) -> None:
-    solve_sets = {
-        label: {r.task_id for r in records if r.success}
-        for label, records in labeled.items()
-    }
+def _write_overlap(solve_sets: dict, path: Path) -> None:
     _write_csv(path, ("region", "count"), analysis.solve_overlap(solve_sets).items())
     print(f"overlap written to {path}")
 
@@ -298,9 +341,9 @@ _KV_GROWTH_STATS = (
 )
 
 
-def _write_kv_growth(labeled: dict, stats: dict, path: Path) -> None:
+def _write_kv_growth(stats: dict, architectures: dict, path: Path) -> None:
     rows = [
-        [label, labeled[label][0].architecture, *(getattr(s, n) for n in _KV_GROWTH_STATS)]
+        [label, architectures[label], *(getattr(s, n) for n in _KV_GROWTH_STATS)]
         for label, s in stats.items()
     ]
     _write_csv(path, ("label", "architecture", *_KV_GROWTH_STATS), rows)
@@ -312,9 +355,7 @@ def _load_with_overrides(args) -> ExperimentConfig:
     if args.out:
         cfg.output = Path(args.out)
     if args.parallelism is not None:
-        if args.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        cfg.parallelism = args.parallelism
+        cfg.parallelism = parse_parallelism(args.parallelism, "--parallelism")
     if args.seed is not None:
         cfg.run = replace(cfg.run, seed=args.seed)
     return cfg

@@ -118,7 +118,7 @@ def _observation_limit(value: Any, where: str) -> int:
     return limit
 
 
-def _parallelism(value: Any, where: str) -> int:
+def parse_parallelism(value: Any, where: str) -> int:
     parallelism = _integer(value, where)
     if parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
@@ -359,5 +359,5 @@ def load_config(path) -> ExperimentConfig:
         environment=environment,
         output=output,
         sweep=sweep,
-        **_set_keys(raw, {"parallelism": _parallelism}, ""),
+        **_set_keys(raw, {"parallelism": parse_parallelism}, ""),
     )

@@ -332,16 +332,16 @@ def record_with_interventions(task_id, applied_count):
 class TestInterventionHistogram:
     def test_hand_tally(self):
         records = [record_with_interventions(f"t{i}", n) for i, n in enumerate([0, 0, 1, 2])]
-        histogram = intervention_histogram(records)
+        histogram = intervention_histogram(r.applied_interventions() for r in records)
         assert histogram.counts == {0: 2, 1: 1, 2: 1}
         assert histogram.quartiles[1] == 0.5
 
     def test_all_zero(self):
         records = [record_with_interventions(f"t{i}", 0) for i in range(5)]
-        assert intervention_histogram(records).counts == {0: 5}
+        assert intervention_histogram(r.applied_interventions() for r in records).counts == {0: 5}
 
     def test_single_record(self):
-        histogram = intervention_histogram([record_with_interventions("t", 3)])
+        histogram = intervention_histogram([record_with_interventions("t", 3).applied_interventions()])
         assert histogram.counts == {3: 1}
         assert histogram.quartiles == (3.0, 3.0, 3.0)
 

@@ -1,7 +1,10 @@
 """End-to-end CLI behavior over temp directories and scripted configs."""
 
 import csv
+import gc
 import json
+import weakref
+from pathlib import Path
 
 import pytest
 import yaml
@@ -26,6 +29,9 @@ CLOUD_MODEL = {
     "pricing": {"prefill": 2.5, "cached": 1.25, "generated": 10},
     "context_cap": 128000,
 }
+
+GOLDEN_LOGS = Path(__file__).parent / "data" / "golden" / "logs"
+ALL_REPORT_FLAGS = ["--frontier", "--histogram", "--confusion", "--overlap", "--kv-growth"]
 
 TASKS = [
     {"id": "A", "question": "Q1 what is alpha?", "answers": ["a1"]},
@@ -103,6 +109,12 @@ class TestCmdRun:
 
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1
+
+    def test_parallelism_override_below_1_exits_1_without_output(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--parallelism", "0"]) == 1
+        assert not (tmp_path / "out").exists()
+        assert "config error: parallelism must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_missing_script_file_exits_1_without_output(self, tmp_path, capsys, command):
@@ -846,3 +858,62 @@ class TestCmdReport:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.jsonl"), "--frontier"]) == 1
+
+    @pytest.mark.parametrize(
+        "logs, code",
+        [(["pevr_audit", "eva_audit"], 0), (["eva", "pevr_audit", "eva_audit"], 2)],
+        ids=["audit", "non-audit-first"],
+    )
+    def test_holds_one_log_at_a_time(self, tmp_path, monkeypatch, logs, code):
+        paths = [GOLDEN_LOGS / f"{name}.jsonl" for name in logs]
+        read, alive_at_read = [], []
+        earlier: list = []
+
+        def tracked(path):
+            gc.collect()
+            alive_at_read.append(sum(ref() is not None for ref in earlier))
+            read.append(path)
+            records = read_trajectories(path)
+            earlier.extend(weakref.ref(record) for record in records)
+            return records
+
+        monkeypatch.setattr(cli, "read_trajectories", tracked)
+        assert main(["report", *map(str, paths), *ALL_REPORT_FLAGS,
+                     "--out", str(tmp_path)]) == code
+        assert read == paths
+        assert alive_at_read == [0] * len(paths)
+
+    @pytest.mark.parametrize(
+        "logs, error",
+        [
+            (["eva", "unlabeled"], "record radium has no success label"),
+            (["unlabeled", "eva"], "record radium has no success label"),
+            (["pevr_audit", "eva", "eva_nosummary"], "record louvre is eva, not an audit run"),
+        ],
+    )
+    def test_confusion_error_precedence(self, tmp_path, capsys, logs, error):
+        lines = (GOLDEN_LOGS / "pevr_audit.jsonl").read_text(encoding="utf-8").splitlines()
+        radium = json.loads(lines[1])
+        radium["success"] = None
+        lines[1] = json.dumps(radium)
+        (tmp_path / "unlabeled.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        paths = [tmp_path / "unlabeled.jsonl" if name == "unlabeled"
+                 else GOLDEN_LOGS / f"{name}.jsonl" for name in logs]
+        out = tmp_path / "reports"
+        assert main(["report", *map(str, paths), "--confusion", "--out", str(out)]) == 2
+        assert f"runtime error: {error}" in capsys.readouterr().err
+        assert not (out / "confusion.csv").exists()
+
+    def test_repeated_label_is_config_error(self, tmp_path, capsys):
+        paths = []
+        for run, name in (("a", "eva"), ("b", "pevr")):
+            path = tmp_path / run / "eva-tv1" / "trajectories.jsonl"
+            path.parent.mkdir(parents=True)
+            path.write_bytes((GOLDEN_LOGS / f"{name}.jsonl").read_bytes())
+            paths.append(str(path))
+        out = tmp_path / "reports"
+        assert main(["report", *paths, "--histogram", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "eva-tv1" in err and paths[0] in err and paths[1] in err
+        assert not out.exists()
