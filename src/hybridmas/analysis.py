@@ -278,12 +278,16 @@ def intervention_histogram(interventions: Iterable[int]) -> InterventionHistogra
     return InterventionHistogram(counts, quartiles)
 
 
+# How many solve sets solve_overlap decomposes.
+OVERLAP_SET_COUNTS = (2, 3)
+
+
 def solve_overlap(named_solve_sets: Mapping[str, set]) -> dict[str, int]:
     """Counts for every exclusive region of the 2- or 3-set Venn
     decomposition. Region keys join the member names with '&' in input
     order."""
     names = list(named_solve_sets)
-    if len(names) not in (2, 3):
+    if len(names) not in OVERLAP_SET_COUNTS:
         raise ArityUnsupportedError(f"solve_overlap supports 2 or 3 sets, got {len(names)}")
     sets = {name: set(named_solve_sets[name]) for name in names}
     universe = set().union(*sets.values())

@@ -141,10 +141,14 @@ class _JoinedRequests(Sequence):
 class ScriptedBackend:
     """Deterministic backend that replays a fixed script.
 
-    Each complete() consumes the first unconsumed entry whose match (if
-    any) occurs in the request's text, joined only when an entry has a
-    match. Usage is synthesized as whitespace-token counts: prompt_tokens
-    is len(text.split()) of the request's text. It is counted from the
+    The script is kept as given. Each entry is either a plain string, which
+    answers the next request whatever it says, or a ScriptEntry, which
+    answers only a request whose text holds its match, when it has one.
+    Each complete() consumes the first unconsumed entry that answers the
+    request; the request's text is joined only to look for a match.
+
+    Usage is synthesized as whitespace-token counts: prompt_tokens is
+    len(text.split()) of the request's text. It is counted from the
     request's parts with a cache, part -> (tokens, starts with a
     non-space, ends with a non-space), that lives as long as the backend,
     so a part resent on every turn (the same str object) is counted once
@@ -165,11 +169,10 @@ class ScriptedBackend:
     """
 
     def __init__(self, script: Sequence[ScriptEntry | str]):
-        entries = [ScriptEntry(item) if isinstance(item, str) else item for item in script]
-        if not entries:
+        if not script:
             raise ValueError("script must be non-empty")
-        self._entries = entries
-        self._consumed = [False] * len(entries)
+        self._entries = script
+        self._consumed = [False] * len(script)
         self._first = 0  # index of the first unconsumed entry
         self._part_tokens: dict[str, tuple[int, bool, bool]] = {}
         self._last: tuple[tuple[str, ...], int, bool] = ((), 0, False)
@@ -210,21 +213,27 @@ class ScriptedBackend:
             if self._first == len(self._entries):
                 raise ScriptExhaustedError("script exhausted")
             for i in range(self._first, len(self._entries)):
-                entry = self._entries[i]
                 if self._consumed[i]:
                     continue
-                if entry.match is not None and text is None:
-                    text = request.text
-                if entry.match is None or entry.match in text:
-                    self._consumed[i] = True
-                    while self._first < len(self._entries) and self._consumed[self._first]:
-                        self._first += 1
-                    usage = TokenUsage(
-                        prompt_tokens=self._tokens(parts),
-                        cached_tokens=0,
-                        generated_tokens=whitespace_token_count(entry.response),
-                    )
-                    return ChatResponse(entry.response, usage, wall_time_ms=0)
+                entry = self._entries[i]
+                if isinstance(entry, str):
+                    response = entry
+                else:
+                    if entry.match is not None:
+                        if text is None:
+                            text = request.text
+                        if entry.match not in text:
+                            continue
+                    response = entry.response
+                self._consumed[i] = True
+                while self._first < len(self._entries) and self._consumed[self._first]:
+                    self._first += 1
+                usage = TokenUsage(
+                    prompt_tokens=self._tokens(parts),
+                    cached_tokens=0,
+                    generated_tokens=whitespace_token_count(response),
+                )
+                return ChatResponse(response, usage, wall_time_ms=0)
             raise NoMatchingEntryError("no unconsumed entry matches the request")
 
     def count_tokens(self, parts: Sequence[str]) -> Optional[int]:
@@ -241,7 +250,6 @@ def _parse_usage(block) -> TokenUsage:
     details mean 0 cached tokens."""
     if not block:
         raise UsageMissingError("endpoint returned no usage block")
-    malformed = UsageMissingError(f"malformed usage block: {str(block)[:300]}")
     try:
         details = block.get("prompt_tokens_details") or {}
         counts = (
@@ -249,10 +257,11 @@ def _parse_usage(block) -> TokenUsage:
             details.get("cached_tokens") or 0,
             block.get("completion_tokens"),
         )
+        well_formed = all(type(count) is int and count >= 0 for count in counts)
     except AttributeError:  # the block or its details is not a mapping
-        raise malformed from None
-    if not all(type(count) is int and count >= 0 for count in counts):
-        raise malformed
+        well_formed = False
+    if not well_formed:
+        raise UsageMissingError(f"malformed usage block: {str(block)[:300]}")
     prompt, cached, generated = counts
     return TokenUsage(prompt, min(cached, prompt), generated)
 

@@ -249,7 +249,8 @@ class _ReportInputs:
 
 def cmd_report(args) -> int:
     """Read the logs one at a time, in argument order, and write the CSVs
-    once every log has been read. Two logs with one label are refused."""
+    once every log has been read. Two logs with one label are refused, and
+    so is --overlap over other than 2 or 3 logs, before any log is read."""
     paths = [Path(p) for p in args.paths]
     for path in paths:
         if not path.is_file():
@@ -266,6 +267,9 @@ def cmd_report(args) -> int:
                   f"{label}", file=sys.stderr)
             return EXIT_CONFIG
         labeled[label] = path
+    if args.overlap and len(labeled) not in analysis.OVERLAP_SET_COUNTS:
+        print(f"config error: --overlap needs 2 or 3 logs, got {len(labeled)}", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

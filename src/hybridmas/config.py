@@ -178,7 +178,9 @@ def parse_model_profile(name: str, raw: dict) -> ModelProfile:
         raise ConfigError(f"{where}: {exc}")
 
 
-def _load_script(spec: dict, base_dir: Path) -> list[ScriptEntry]:
+def _load_script(spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
+    """The spec's script with each entry checked: a plain string is kept as
+    it is, and only a {match, response} mapping becomes a ScriptEntry."""
     if "script" in spec:
         raw_entries = spec["script"]
     elif "script_file" in spec:
@@ -198,12 +200,11 @@ def _load_script(spec: dict, base_dir: Path) -> list[ScriptEntry]:
         raise ConfigError("backend script must be a non-empty list")
     entries = []
     for item in raw_entries:
-        if isinstance(item, str):
-            entries.append(ScriptEntry(item))
-        elif isinstance(item, dict) and "response" in item:
-            entries.append(ScriptEntry(item["response"], item.get("match")))
-        else:
+        if isinstance(item, dict) and "response" in item:
+            item = ScriptEntry(item["response"], item.get("match"))
+        elif not isinstance(item, str):
             raise ConfigError(f"bad script entry: {item!r}")
+        entries.append(item)
     return entries
 
 
@@ -217,10 +218,14 @@ def build_backend(spec: dict, base_dir: Path):
         return ScriptedBackend(_load_script(spec, base_dir))
     if kind == "http":
         try:
+            credential_env = spec.get("credential_env")
+            if credential_env is not None:
+                _string(credential_env, "http backend credential_env")
             return HttpChatBackend(
-                base_url=_require(spec, "base_url", "http backend"),
-                model=_require(spec, "model", "http backend"),
-                credential_env=spec.get("credential_env"),
+                base_url=_string(_require(spec, "base_url", "http backend"),
+                                 "http backend base_url"),
+                model=_string(_require(spec, "model", "http backend"), "http backend model"),
+                credential_env=credential_env,
                 **_set_keys(spec, {"max_retries": _integer, "backoff_s": _float,
                                    "backoff_cap_s": _float, "timeout_s": _float}, "http backend "),
             )
@@ -274,11 +279,12 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(backend_specs, dict) or not backend_specs:
         raise ConfigError("backends section must be a non-empty mapping")
     for name, spec in backend_specs.items():
-        if isinstance(spec, dict) and isinstance(spec.get("script_file"), str):
-            backend_specs[name] = {**spec, "script_file": base_dir.absolute() / spec["script_file"]}
+        if isinstance(spec, dict) and "script_file" in spec:
+            script_file = _string(spec["script_file"], f"backends.{name}.script_file")
+            backend_specs[name] = {**spec, "script_file": base_dir.absolute() / script_file}
 
     run_raw = _require(raw, "run", "config")
-    architecture = _require(run_raw, "architecture", "run")
+    architecture = _string(_require(run_raw, "architecture", "run"), "run.architecture")
     if architecture not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {architecture!r}")
 
@@ -290,8 +296,9 @@ def load_config(path) -> ExperimentConfig:
         binding = run_raw[role]
         if not isinstance(binding, dict):
             raise ConfigError(f"run.{role} must be a mapping with model and backend keys")
-        model_name = _require(binding, "model", f"run.{role}")
-        backend_name = _require(binding, "backend", f"run.{role}")
+        model_name = _string(_require(binding, "model", f"run.{role}"), f"run.{role}.model")
+        backend_name = _string(_require(binding, "backend", f"run.{role}"),
+                               f"run.{role}.backend")
         if model_name not in models:
             raise ConfigError(f"run.{role}.model references unknown model {model_name!r}")
         if backend_name not in backend_specs:
@@ -327,12 +334,12 @@ def load_config(path) -> ExperimentConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
 
-    dataset = base_dir / _require(raw, "dataset", "config")
+    dataset = base_dir / _string(_require(raw, "dataset", "config"), "dataset")
     if not dataset.is_file():
         raise ConfigError(f"dataset file not found: {dataset}")
     corpus = None
     if raw.get("corpus"):
-        corpus = base_dir / raw["corpus"]
+        corpus = base_dir / _string(raw["corpus"], "corpus")
         if not corpus.is_file():
             raise ConfigError(f"corpus file not found: {corpus}")
     if run_config.environment_id == "wiki" and corpus is None:
@@ -347,7 +354,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError("sweep values must be >= 1")
 
     # An absolute output path replaces base_dir.
-    output = base_dir / (raw.get("output") or "out")
+    output = base_dir / _string(raw.get("output") or "out", "output")
 
     return ExperimentConfig(
         run=run_config,

@@ -301,16 +301,22 @@ def _outcome(complete, text):
         return type(exc)
 
 
+# Each entry is drawn as its match and, for a match-free entry, whether the
+# script holds it as a plain string rather than as a ScriptEntry.
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.sampled_from([None, "a", "b", "c"]), min_size=1, max_size=10),
+    st.lists(st.tuples(st.sampled_from([None, "a", "b", "c"]), st.booleans()),
+             min_size=1, max_size=10),
     st.lists(st.sets(st.sampled_from("abc")).map("".join), max_size=14),
 )
-@example(["a", None, "a"], ["x", "a", "a", "a"])
-@example([None, "b"], ["a", "b", "b"])
-def test_scripted_consumption_matches_linear_scan(matches, texts):
-    entries = [ScriptEntry(f"r{i}", match) for i, match in enumerate(matches)]
-    backend, reference = ScriptedBackend(entries), ReferenceScript(entries)
+@example([("a", False), (None, True), ("a", False)], ["x", "a", "a", "a"])
+@example([(None, False), ("b", False)], ["a", "b", "b"])
+@example([(None, True), ("b", False), (None, False)], ["b", "a", "a"])
+def test_scripted_consumption_matches_linear_scan(drawn, texts):
+    entries = [ScriptEntry(f"r{i}", match) for i, (match, _) in enumerate(drawn)]
+    script = [entry.response if entry.match is None and plain else entry
+              for entry, (_, plain) in zip(entries, drawn)]
+    backend, reference = ScriptedBackend(script), ReferenceScript(entries)
     for text in texts + ["abc"] * (len(entries) + 1):  # "abc" then takes what is left
         got = _outcome(lambda t: backend.complete(ChatRequest(t)).text, text)
         assert got == _outcome(reference.complete, text)

@@ -427,6 +427,36 @@ MALFORMED_VALUES = {
         ]}},
         "terminal must be true or false",
     ),
+    # Values that must be strings: a list was unhashable or a number could
+    # not be joined to a path (exit 2), and an http model list was sent as is.
+    "architecture-list": ({"run.architecture": ["eva"]}, "run.architecture must be a string"),
+    "executor-model-list": (
+        {"run.executor": {"model": ["edge"], "backend": "executor"}},
+        "run.executor.model must be a string",
+    ),
+    "executor-backend-list": (
+        {"run.executor": {"model": "edge", "backend": ["executor"]}},
+        "run.executor.backend must be a string",
+    ),
+    "dataset-int": ({"dataset": 5}, "dataset must be a string"),
+    "output-int": ({"output": 7}, "output must be a string"),
+    "corpus-list": ({"corpus": [1]}, "corpus must be a string"),
+    "script_file-int": (
+        {"backends": {"executor": {"type": "script", "script_file": 5}}},
+        "backends.executor.script_file must be a string",
+    ),
+    "base_url-int": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "base_url": 5}}},
+        "http backend base_url must be a string",
+    ),
+    "http-model-list": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "model": ["m"]}}},
+        "http backend model must be a string",
+    ),
+    "credential_env-list": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "credential_env": ["X"]}}},
+        "http backend credential_env must be a string",
+    ),
 }
 
 
@@ -916,4 +946,19 @@ class TestCmdReport:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "eva-tv1" in err and paths[0] in err and paths[1] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("logs", [["eva"], ["eva", "pevr", "eva_audit", "pevr_audit"]],
+                             ids=["1", "4"])
+    def test_overlap_arity_is_config_error_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                           logs):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "read_trajectories", unread)
+        paths = [str(GOLDEN_LOGS / f"{name}.jsonl") for name in logs]
+        out = tmp_path / "reports"
+        assert main(["report", *paths, "--frontier", "--overlap", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: --overlap needs 2 or 3 logs, got {len(logs)}\n"
         assert not out.exists()

@@ -1,6 +1,7 @@
 """Config file parsing."""
 
 import inspect
+import json
 from decimal import Decimal
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 import yaml
 
 from hybridmas import config
-from hybridmas.backends import HttpChatBackend
+from hybridmas.backends import (ChatRequest, HttpChatBackend, NoMatchingEntryError,
+                                ScriptedBackend, ScriptEntry, ScriptExhaustedError)
 from hybridmas.core import ModelProfile, Pricing, RunConfig, SamplingParams
 from hybridmas.environments import ScriptedEnvironment
 
@@ -77,3 +79,60 @@ def test_unset_keys_take_the_constructors_defaults(tmp_path):
     assert (env.default, env.tools, env.observation_limit) == (
         reference.default, reference.tools, reference.observation_limit
     )
+
+
+# Plain strings and mappings mixed, with the mapping form of a match-free entry too.
+MIXED_SCRIPT = [
+    "alpha beta",
+    {"match": "Q2", "response": "Tool call: finish[b]"},
+    {"response": "gamma"},
+    "delta  epsilon zeta",
+    "",
+    {"match": "Q1", "response": "Tool call: finish[a]"},
+]
+
+
+def _replay(backend, prompts):
+    """Each request's reply text and usage, or the error it raised, and
+    the requests the backend kept."""
+    outcomes = []
+    for prompt in prompts:
+        try:
+            response = backend.complete(ChatRequest(prompt))
+            outcomes.append((response.text, response.usage))
+        except (ScriptExhaustedError, NoMatchingEntryError) as exc:
+            outcomes.append(type(exc))
+    return outcomes, list(backend.requests)
+
+
+def test_script_file_of_both_forms_replays_as_its_entry_script(tmp_path):
+    (tmp_path / "script.json").write_text(json.dumps(MIXED_SCRIPT), encoding="utf-8")
+    loaded = config._load_script({"script_file": "script.json"}, tmp_path)
+    assert [type(entry) for entry in loaded] == [
+        str, ScriptEntry, ScriptEntry, str, str, ScriptEntry
+    ]
+    entries = [ScriptEntry(item) if isinstance(item, str)
+               else ScriptEntry(item["response"], item.get("match")) for item in MIXED_SCRIPT]
+    head = "question: Q1 and then "
+    prompts = [(head, "x y"), (head, "x y", "z"), "Q2 here", "anything", "more", "no match",
+               ("Q", "1 again"), "after the end"]
+    built = config.build_backend({"type": "script", "script_file": "script.json"}, tmp_path)
+    replayed = _replay(built, prompts)
+    assert replayed == _replay(ScriptedBackend(entries), prompts)
+    assert [o if isinstance(o, type) else o[0] for o in replayed[0]] == [
+        "alpha beta", "gamma", "Tool call: finish[b]", "delta  epsilon zeta", "",
+        NoMatchingEntryError, "Tool call: finish[a]", ScriptExhaustedError,
+    ]
+
+
+@pytest.mark.parametrize("entry", [5, {"match": "Q1"}, None, ["a"]],
+                         ids=["int", "mapping-without-response", "null", "list"])
+@pytest.mark.parametrize("source", ["script", "script_file"])
+def test_bad_script_entry_is_config_error(tmp_path, entry, source):
+    script = ["fine", entry]
+    spec = {"type": "script", "script": script}
+    if source == "script_file":
+        (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
+        spec = {"type": "script", "script_file": "script.json"}
+    with pytest.raises(config.ConfigError, match="^bad script entry: "):
+        config.build_backend(spec, tmp_path)
