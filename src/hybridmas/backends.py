@@ -478,9 +478,10 @@ class HttpChatBackend:
     proxy URL, a bundle that cannot be loaded, a base_url that cannot be a
     request target and a credential that cannot be a header value each
     raise ValueError there, before any request. The credential is read on
-    each call from the environment variable named in config (never stored),
-    is checked again when it changes, and is the only source of the
-    Authorization header.
+    each call from the environment variable named in config, is checked
+    again when it changes, and is the only source of the Authorization
+    header. The last one read is held in memory with its header line, to
+    notice a change; it is never written to config, a log or a message.
 
     A request is sent as one user message whose content is the prompt's
     parts joined, with the temperature and max_tokens of its sampling

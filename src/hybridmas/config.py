@@ -180,7 +180,8 @@ def parse_model_profile(name: str, raw: dict) -> ModelProfile:
 
 def _load_script(spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
     """The spec's script with each entry checked: a plain string is kept as
-    it is, and only a {match, response} mapping becomes a ScriptEntry."""
+    it is, and only a {match, response} mapping, whose response is a string
+    and whose match is a string or null, becomes a ScriptEntry."""
     if "script" in spec:
         raw_entries = spec["script"]
     elif "script_file" in spec:
@@ -200,7 +201,8 @@ def _load_script(spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
         raise ConfigError("backend script must be a non-empty list")
     entries = []
     for item in raw_entries:
-        if isinstance(item, dict) and "response" in item:
+        if (isinstance(item, dict) and isinstance(item.get("response"), str)
+                and isinstance(item.get("match", ""), (str, type(None)))):
             item = ScriptEntry(item["response"], item.get("match"))
         elif not isinstance(item, str):
             raise ConfigError(f"bad script entry: {item!r}")

@@ -18,6 +18,11 @@ the memory. A seed over the executor's context cap, an executor call whose
 usage.total_tokens is over it, or one whose usage.prompt_tokens is below
 the previous executor call's since the reset (the server truncated the
 prompt without saying so), ends the task as out_of_context.
+
+A prompt binds its template's placeholders by name: each takes the value
+that the intervention hands over (its replan, summary or advice) or else
+the episode's own (the task's query, the tools, the current plan, the turn
+log since the last reset, the memory).
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .prompting import (
     parse_plan,
     parse_tool_call,
     render,
+    template_placeholders,
 )
 
 logger = logging.getLogger(__name__)
@@ -66,6 +72,14 @@ INVALID_TOOL_CALL_OBSERVATION = (
 )
 
 _MALFORMED = (MalformedPlanError, MalformedVerdictError)
+
+# Each family's executor seed, and each supervised family's verification
+# template and verdict parser.
+_SEED_TEMPLATES = {"monolithic": "direct_exec", "eva": "direct_exec", "pevr": "plan_exec"}
+_VERIFIERS = {
+    "pevr": ("verify_replan", parse_pevr_verdict),
+    "eva": ("verify_advice", parse_eva_verdict),
+}
 
 
 def effective_max_turns(config: RunConfig, task: TaskInstance) -> int:
@@ -165,6 +179,23 @@ class _Episode:
         self._seed, self._log, self._last_usage = seed, [], None
         return True
 
+    def _render(self, template: str, **bindings) -> tuple[str, ...]:
+        """Render template, binding each placeholder that bindings leaves
+        out to the episode's value of that name; the plan is the episode's
+        only while it has one."""
+        episode = {
+            "user_query": self.task.query,
+            "available_tools": self.env.tool_prompt,
+            "executor_context": self._log,
+            "memory": self._memory,
+        }
+        if self.plan is not None:
+            episode["plan"] = self.plan.text
+        for name in template_placeholders(template):
+            if name not in bindings and name in episode:
+                bindings[name] = episode[name]
+        return render(template, bindings)
+
     def _call(self, role, backend, prompt, t=0, parse=None, rejected=None):
         """Send prompt to backend for one model call in the given role
         (plan, execute or verify) at turn t (0 before the first turn), and
@@ -211,12 +242,8 @@ class _Episode:
         def rejected(text, usage):
             self.record.initial_plan = InitialPlanRecord("", usage)
 
-        prompt = render(
-            "plan",
-            {"user_query": self.task.query, "available_tools": self.env.tool_prompt},
-        )
         _, plan, usage = self._call(
-            "plan", self.supervisor, prompt, parse=parse_plan, rejected=rejected
+            "plan", self.supervisor, self._render("plan"), parse=parse_plan, rejected=rejected
         )
         if plan is None:
             raise _Terminate("backend_error")
@@ -226,20 +253,7 @@ class _Episode:
     def _seed_context(self) -> None:
         if self.config.family == "pevr":
             self.plan = self._initial_plan()
-            seed = render(
-                "plan_exec",
-                {
-                    "user_query": self.task.query,
-                    "plan": self.plan.text,
-                    "available_tools": self.env.tool_prompt,
-                },
-            )
-        else:
-            seed = render(
-                "direct_exec",
-                {"user_query": self.task.query, "available_tools": self.env.tool_prompt},
-            )
-        if not self._reseed(seed):
+        if not self._reseed(self._render(_SEED_TEMPLATES[self.config.family])):
             raise _Terminate("out_of_context")
 
     def _turn(self, t: int) -> None:
@@ -285,22 +299,9 @@ class _Episode:
                 SupervisorCallRecord(t, VerifierDecision(CONTINUE, None, text), usage, False)
             )
 
-        if self.config.family == "pevr":
-            template, parser = "verify_replan", parse_pevr_verdict
-            bindings = {
-                "plan": self.plan.text,
-                "executor_context": self._log,
-                "memory": self._memory,
-            }
-        else:
-            template, parser = "verify_advice", parse_eva_verdict
-            bindings = {
-                "user_query": self.task.query,
-                "executor_context": self._log,
-                "memory": self._memory,
-            }
+        template, parser = _VERIFIERS[self.config.family]
         _, decision, usage = self._call(
-            "verify", self.supervisor, render(template, bindings), t, parser, rejected
+            "verify", self.supervisor, self._render(template), t, parser, rejected
         )
         if decision is None:
             return
@@ -315,33 +316,15 @@ class _Episode:
         if self.config.family == "pevr":
             new_plan = Plan(decision.payload.replan.text, origin="replan", replan_turn=t)
             recorded = VerifierDecision(INTERVENE, ReplanHandoff(new_plan), decision.raw_text)
-            seed = render(
-                "replan_resume",
-                {
-                    "user_query": self.task.query,
-                    "replan": new_plan.text,
-                    "memory": self._memory,
-                    "available_tools": self.env.tool_prompt,
-                },
-            )
+            seed = self._render("replan_resume", replan=new_plan.text)
         else:
             advice = decision.payload.advice
             if self.config.architecture == "eva_nosummary":
-                summary_binding = self._memory
-                payload = AdviceMemoryHandoff(advice)
+                summary, payload = self._memory, AdviceMemoryHandoff(advice)
                 recorded = VerifierDecision(INTERVENE, payload, decision.raw_text)
             else:
-                summary_binding = decision.payload.summary
-                recorded = decision
-            seed = render(
-                "advice_resume",
-                {
-                    "user_query": self.task.query,
-                    "summary": summary_binding,
-                    "advice": advice,
-                    "available_tools": self.env.tool_prompt,
-                },
-            )
+                summary, recorded = decision.payload.summary, decision
+            seed = self._render("advice_resume", summary=summary, advice=advice)
         # A resume seed that alone exceeds the cap is not applied.
         applied = self._reseed(seed)
         self.record.supervisor_calls.append(SupervisorCallRecord(t, recorded, usage, applied))

@@ -312,6 +312,10 @@ MALFORMED_VALUES = {
         "http backend: timeout_s must be > 0",
     ),
     "backend-not-mapping": ({"backends": {"executor": "typewriter"}}, "backend spec"),
+    "script-response-int": (
+        {"backends": {"executor": {"type": "script", "script": [{"response": 5}]}}},
+        "bad script entry: ",
+    ),
     "environment-not-mapping": ({"environment": "scripted"}, "environment must be a mapping"),
     "models-not-mapping": ({"models": ["edge"]}, "models must be a mapping"),
     "model-not-mapping": ({"models": {"edge": "placement"}}, "models.edge must be a mapping"),

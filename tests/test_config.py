@@ -125,8 +125,15 @@ def test_script_file_of_both_forms_replays_as_its_entry_script(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("entry", [5, {"match": "Q1"}, None, ["a"]],
-                         ids=["int", "mapping-without-response", "null", "list"])
+def test_null_match_is_a_match_free_entry(tmp_path):
+    loaded = config._load_script({"script": [{"match": None, "response": "x"}]}, tmp_path)
+    assert loaded == [ScriptEntry("x")]
+
+
+@pytest.mark.parametrize(
+    "entry", [5, {"match": "Q1"}, None, ["a"], {"response": 5}, {"match": 5, "response": "x"}],
+    ids=["int", "mapping-without-response", "null", "list", "response-int", "match-int"],
+)
 @pytest.mark.parametrize("source", ["script", "script_file"])
 def test_bad_script_entry_is_config_error(tmp_path, entry, source):
     script = ["fine", entry]

@@ -17,6 +17,8 @@ from hybridmas.backends import (
     whitespace_token_count,
 )
 from hybridmas.core import (
+    ARCHITECTURES,
+    AUDIT_ARCHITECTURES,
     CONTINUE,
     INTERVENE,
     AdviceMemoryHandoff,
@@ -709,7 +711,7 @@ def _expected_requests(record, architecture, env, retried):
     with str bindings: an executor request is its seed, then a blank line
     and the turn log since the last applied reset; the verification at each
     turn in retried sent its request twice (a malformed verdict's retry)."""
-    pevr = architecture == "pevr"
+    pevr = ARCHITECTURES[architecture] == "pevr"
     turns, query, tools = record.turns, TASK.query, env.tool_prompt
     plans = {0: record.initial_plan.text} if pevr else {}
     if pevr:
@@ -753,9 +755,10 @@ class TestRequestText:
     where the orchestrator joins its parts would change no usage count
     that one token fewer elsewhere could not hide."""
 
-    @pytest.mark.parametrize("architecture", ["pevr", "eva", "eva_nosummary"])
+    @pytest.mark.parametrize("architecture", list(ARCHITECTURES))
     def test_every_request_is_its_rebuilt_text(self, architecture):
-        if architecture == "pevr":
+        family = ARCHITECTURES[architecture]
+        if family == "pevr":
             intervene = ["INTERVENE\n<REPLAN>R1</REPLAN>", "INTERVENE\n<REPLAN>R2</REPLAN>"]
             supervisor_script = [PLAN_RESPONSE]
         else:
@@ -764,8 +767,11 @@ class TestRequestText:
                 for n in ("q1", "q2")
             ]
             supervisor_script = []
-        # t=2 malformed, then retried; t=4 and t=8 applied; t=6 continue.
+        # t=2 malformed, then retried; t=4 and t=8 intervene (applied unless
+        # audited); t=6 continue.
         supervisor_script += ["not a verdict", "CONTINUE", intervene[0], "CONTINUE", intervene[1]]
+        if family == "monolithic":
+            supervisor_script = None
         executor_script = search_turns(9)
         executor_script[2] = "I cannot decide."  # a turn without a memory block
         env = ScriptedEnvironment(
@@ -775,13 +781,15 @@ class TestRequestText:
             architecture, executor_script, supervisor_script, env=env,
             max_turns=9, verify_interval=2,
         )
-        assert record.resets == [4, 8]
-        assert record.supervisor_calls[0].usage.generated_tokens == 4  # both attempts
+        applies = family != "monolithic" and architecture not in AUDIT_ARCHITECTURES
+        assert record.resets == ([4, 8] if applies else [])
+        if supervisor is not None:
+            assert record.supervisor_calls[0].usage.generated_tokens == 4  # both attempts
         expected_executor, expected_supervisor = _expected_requests(
             record, architecture, env, retried={2}
         )
         assert list(executor.requests) == expected_executor
-        assert list(supervisor.requests) == expected_supervisor
+        assert list(supervisor.requests if supervisor else []) == expected_supervisor
         assert [t.usage.prompt_tokens for t in record.turns] == [
             len(text.split()) for text in expected_executor
         ]
