@@ -8,24 +8,19 @@ directory.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, get_args, get_type_hints
 
 import yaml
 
 from .backends import HttpChatBackend, ScriptedBackend, ScriptEntry
-from .core import (
-    ARCHITECTURES,
-    ModelProfile,
-    Pricing,
-    RunConfig,
-    SamplingParams,
-    ToolCall,
-)
+from .core import ModelProfile, Pricing, RunConfig, SamplingParams, ToolCall
 from .environments import Observation, ScriptedEnvironment, WikiCorpus, WikiEnvironment
 
 
@@ -125,20 +120,6 @@ def parse_parallelism(value: Any, where: str) -> int:
     return parallelism
 
 
-def _set_keys(raw: dict, converters: dict[str, Callable[[Any, str], Any]], where: str) -> dict:
-    """converters[key](raw[key], where + key) for each key that raw sets. A
-    key that raw leaves out is left out here too, so that the constructor
-    it is passed to applies its own default."""
-    return {key: convert(raw[key], where + key) for key, convert in converters.items()
-            if key in raw}
-
-
-def _optional_integer(raw: dict, key: str, where: str) -> Optional[int]:
-    """raw[key] as an int, or None when it is missing or null."""
-    value = raw.get(key)
-    return None if value is None else _integer(value, f"{where}.{key}")
-
-
 def _decimal(value: Any, where: str) -> Decimal:
     try:
         number = Decimal(str(value))
@@ -149,39 +130,74 @@ def _decimal(value: Any, where: str) -> Decimal:
     return number
 
 
-def parse_model_profile(name: str, raw: dict) -> ModelProfile:
-    where = f"models.{name}"
-    placement = _require(raw, "placement", where)
-    rates = None
-    if raw.get("pricing") is not None:
-        rates = {
-            rate: _decimal(_require(raw["pricing"], rate, f"{where}.pricing"),
-                           f"{where}.pricing.{rate}")
-            for rate in ("prefill", "cached", "generated")
-        }
+# The converter of each type a config key may be declared with.
+_CONVERTERS = {int: _integer, float: _float, str: _string, Decimal: _decimal}
+
+
+def _known(raw: Any, keys: tuple, section: str) -> dict:
+    """raw, once it is a mapping whose every key is one of keys."""
+    for key in _mapping(raw, section):
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {section}")
+    return raw
+
+
+@lru_cache(maxsize=None)
+def _declaration(build, given: frozenset) -> tuple[dict, tuple]:
+    """({key: converter}, required keys) for the parameters of build that
+    given does not name. A key's converter follows its declared type; where
+    that type is Optional, it takes null as well."""
+    hints = get_type_hints(build.__init__)
+    converters, required = {}, []
+    for name, param in inspect.signature(build).parameters.items():
+        if name in given:
+            continue
+        declared = hints[name]
+        if type(None) in get_args(declared):
+            convert = _CONVERTERS[get_args(declared)[0]]
+            converters[name] = lambda value, where, convert=convert: (
+                None if value is None else convert(value, where))
+        else:
+            converters[name] = _CONVERTERS[declared]
+        if param.default is param.empty:
+            required.append(name)
+    return converters, tuple(required)
+
+
+def _construct(build, raw: Any, where: str, config_only=(), **given):
+    """build(**given, **keys), where keys are the keys of raw that build
+    declares and given does not name, each converted by its declared type
+    and located as where + key (where ends in the separator after the
+    section). A key that raw leaves out is left out here too, so that build
+    applies its own default. Any other key of raw is a ConfigError unless
+    config_only names it."""
+    section = where[:-1]
+    converters, required = _declaration(build, frozenset(given))
+    _known(raw, (*converters, *config_only), section)
+    for key in required:
+        _require(raw, key, section)
+    keys = {key: convert(raw[key], where + key)
+            for key, convert in converters.items() if key in raw}
     try:
-        return ModelProfile(
-            name=name,
-            placement=placement,
-            context_cap=_integer(_require(raw, "context_cap", where), f"{where}.context_cap"),
-            param_count=_float(raw["param_count"], f"{where}.param_count")
-            if raw.get("param_count") else None,
-            layers=_optional_integer(raw, "layers", where),
-            kv_heads=_optional_integer(raw, "kv_heads", where),
-            head_dim=_optional_integer(raw, "head_dim", where),
-            bytes_per_activation=_optional_integer(raw, "bytes_per_activation", where),
-            efficiency=_float(raw["efficiency"], f"{where}.efficiency")
-            if raw.get("efficiency") else None,
-            pricing=None if rates is None else Pricing(**rates),
-        )
+        return build(**given, **keys)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}")
+        raise ConfigError(f"{section}: {exc}")
+
+
+def parse_model_profile(name: str, raw: dict) -> ModelProfile:
+    where = f"models.{name}."
+    pricing = _mapping(raw, where[:-1]).get("pricing")
+    if pricing is not None:
+        pricing = _construct(Pricing, pricing, where + "pricing.")
+    return _construct(ModelProfile, raw, where, ("pricing",), name=name, pricing=pricing)
 
 
 def _load_script(spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
     """The spec's script with each entry checked: a plain string is kept as
     it is, and only a {match, response} mapping, whose response is a string
-    and whose match is a string or null, becomes a ScriptEntry."""
+    and whose match is a string or null, becomes a ScriptEntry. A mapping
+    with any other key is a bad entry: a misspelled match would answer any
+    request."""
     if "script" in spec:
         raw_entries = spec["script"]
     elif "script_file" in spec:
@@ -201,7 +217,8 @@ def _load_script(spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
         raise ConfigError("backend script must be a non-empty list")
     entries = []
     for item in raw_entries:
-        if (isinstance(item, dict) and isinstance(item.get("response"), str)
+        if (isinstance(item, dict) and item.keys() <= {"match", "response"}
+                and isinstance(item.get("response"), str)
                 and isinstance(item.get("match", ""), (str, type(None)))):
             item = ScriptEntry(item["response"], item.get("match"))
         elif not isinstance(item, str):
@@ -217,22 +234,10 @@ def build_backend(spec: dict, base_dir: Path):
     absolute, against the config's directory."""
     kind = _require(spec, "type", "backend spec")
     if kind == "script":
+        spec = _known(spec, ("type", "script", "script_file"), "script backend")
         return ScriptedBackend(_load_script(spec, base_dir))
     if kind == "http":
-        try:
-            credential_env = spec.get("credential_env")
-            if credential_env is not None:
-                _string(credential_env, "http backend credential_env")
-            return HttpChatBackend(
-                base_url=_string(_require(spec, "base_url", "http backend"),
-                                 "http backend base_url"),
-                model=_string(_require(spec, "model", "http backend"), "http backend model"),
-                credential_env=credential_env,
-                **_set_keys(spec, {"max_retries": _integer, "backoff_s": _float,
-                                   "backoff_cap_s": _float, "timeout_s": _float}, "http backend "),
-            )
-        except ValueError as exc:  # a base_url that is not an http(s) URL
-            raise ConfigError(f"http backend: {exc}")
+        return _construct(HttpChatBackend, spec, "http backend ", ("type",))
     raise ConfigError(f"unknown backend type {kind!r}")
 
 
@@ -240,13 +245,19 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
     """Return a zero-argument factory producing a fresh environment per
     trajectory. Corpora are shared; sessions are not."""
     env_type = cfg.run.environment_id
-    limit = _set_keys(cfg.environment, {"observation_limit": _observation_limit}, "environment.")
+    environment = cfg.environment
+    options = {}
+    if "observation_limit" in environment:
+        options["observation_limit"] = _observation_limit(
+            environment["observation_limit"], "environment.observation_limit")
     if env_type == "wiki":
         corpus = WikiCorpus.load(cfg.corpus)
-        return lambda: WikiEnvironment(corpus, **limit)
+        return lambda: WikiEnvironment(corpus, **options)
     if env_type == "scripted":
         table = {}
-        for entry in cfg.environment.get("table", []):
+        for entry in environment.get("table", []):
+            _known(entry, ("tool", "argument", "text", "terminal", "final_answer"),
+                   "environment.table entry")
             try:
                 call = ToolCall(entry["tool"], entry.get("argument", ""))
                 terminal = entry.get("terminal", False)
@@ -259,9 +270,11 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
                 table[call] = Observation(text, terminal, answer)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"environment.table: bad entry {entry!r}: {exc!r}")
-        options = _set_keys(cfg.environment, {"default": _string, "tools": _strings},
-                            "environment.")
-        return lambda: ScriptedEnvironment(table, **options, **limit)
+        if "default" in environment:
+            options["default"] = _string(environment["default"], "environment.default")
+        if "tools" in environment:
+            options["tools"] = _strings(environment["tools"], "environment.tools")
+        return lambda: ScriptedEnvironment(table, **options)
     raise ConfigError(f"unknown environment type {env_type!r}")
 
 
@@ -269,9 +282,8 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    raw = _load_yaml(path)
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+    raw = _known(_load_yaml(path), ("run", "models", "backends", "dataset", "corpus",
+                                    "environment", "output", "sweep", "parallelism"), "config")
     base_dir = path.parent
 
     models_raw = _mapping(_require(raw, "models", "config"), "models")
@@ -285,19 +297,14 @@ def load_config(path) -> ExperimentConfig:
             script_file = _string(spec["script_file"], f"backends.{name}.script_file")
             backend_specs[name] = {**spec, "script_file": base_dir.absolute() / script_file}
 
-    run_raw = _require(raw, "run", "config")
-    architecture = _string(_require(run_raw, "architecture", "run"), "run.architecture")
-    if architecture not in ARCHITECTURES:
-        raise ConfigError(f"unknown architecture {architecture!r}")
+    run_raw = _mapping(_require(raw, "run", "config"), "run")
 
     def resolve_role(role: str, required: bool):
-        if role not in run_raw or run_raw[role] is None:
+        if run_raw.get(role) is None:
             if required:
-                raise ConfigError(f"run.{role} is required for {architecture}")
+                raise ConfigError(f"run.{role} is required")
             return None, None
-        binding = run_raw[role]
-        if not isinstance(binding, dict):
-            raise ConfigError(f"run.{role} must be a mapping with model and backend keys")
+        binding = _known(run_raw[role], ("model", "backend"), f"run.{role}")
         model_name = _string(_require(binding, "model", f"run.{role}"), f"run.{role}.model")
         backend_name = _string(_require(binding, "backend", f"run.{role}"),
                                f"run.{role}.backend")
@@ -309,32 +316,19 @@ def load_config(path) -> ExperimentConfig:
             )
         return models[model_name], backend_name
 
+    # RunConfig requires a supervisor of every architecture but monolithic.
     executor_profile, executor_backend_name = resolve_role("executor", required=True)
-    supervisor_profile, supervisor_backend_name = resolve_role(
-        "supervisor", required=ARCHITECTURES[architecture] != "monolithic"
+    supervisor_profile, supervisor_backend_name = resolve_role("supervisor", required=False)
+
+    environment = _known(raw.get("environment") or {}, (
+        "type", "observation_limit", "table", "default", "tools"), "environment")
+    run_config = _construct(
+        RunConfig, run_raw, "run.", ("executor", "supervisor", "sampling"),
+        executor_profile=executor_profile,
+        supervisor_profile=supervisor_profile,
+        sampling=_construct(SamplingParams, run_raw.get("sampling") or {}, "run.sampling."),
+        environment_id=environment.get("type", RunConfig.environment_id),
     )
-
-    sampling_raw = _mapping(run_raw.get("sampling") or {}, "run.sampling")
-    environment = _mapping(raw.get("environment") or {}, "environment")
-
-    try:
-        sampling = SamplingParams(**_set_keys(
-            sampling_raw, {"temperature": _float, "max_generated_tokens": _integer},
-            "run.sampling.",
-        ))
-        settings = _set_keys(run_raw, {"verify_interval": _integer, "seed": _integer}, "run.")
-        if "type" in environment:
-            settings["environment_id"] = environment["type"]
-        run_config = RunConfig(
-            architecture=architecture,
-            executor_profile=executor_profile,
-            supervisor_profile=supervisor_profile,
-            max_turns=_optional_integer(run_raw, "max_turns", "run"),
-            sampling=sampling,
-            **settings,
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc))
 
     dataset = base_dir / _string(_require(raw, "dataset", "config"), "dataset")
     if not dataset.is_file():
@@ -368,5 +362,6 @@ def load_config(path) -> ExperimentConfig:
         environment=environment,
         output=output,
         sweep=sweep,
-        **_set_keys(raw, {"parallelism": parse_parallelism}, ""),
+        parallelism=parse_parallelism(raw.get("parallelism", ExperimentConfig.parallelism),
+                                      "parallelism"),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import (
@@ -411,13 +411,25 @@ def _json_value(v) -> str:
     return _dumps(v)
 
 
+def _decode_decimal(v) -> Decimal:
+    """A Decimal from its JSON string. A JSON number would bring its binary
+    rounding error into the exact sums, and a non-numeric string is no
+    amount; both make the line malformed."""
+    if v.__class__ is not str:
+        raise TypeError(f"a decimal must be a JSON string, not {v!r}")
+    try:
+        return Decimal(v)
+    except InvalidOperation:
+        raise ValueError(f"{v!r} is not a decimal")
+
+
 @lru_cache(maxsize=None)
 def _codec(tp) -> tuple[Callable, Optional[Callable]]:
     """(encode, decode) for values declared as tp: encode returns a value's
     JSON text, decode builds the value from its parsed JSON and is None
     where that is the value itself."""
     if tp is Decimal:
-        return (lambda v: _json_value(str(v))), Decimal
+        return (lambda v: _json_value(str(v))), _decode_decimal
     args = get_args(tp)
     if get_origin(tp) is list:
         enc, dec = _codec(args[0])

@@ -461,6 +461,57 @@ MALFORMED_VALUES = {
         {"backends": {"executor": {**HTTP_EXECUTOR, "credential_env": ["X"]}}},
         "http backend credential_env must be a string",
     ),
+    # A misspelled key, which ran the defaults' condition in its place.
+    "verify_interval-misspelled": (
+        {"run.verify_intreval": 7}, "unknown key 'verify_intreval' in run"
+    ),
+    "temperature-misspelled": ({"run.temprature": 0.5}, "unknown key 'temprature' in run"),
+    "parallelism-misspelled": ({"paralelism": 2}, "unknown key 'paralelism' in config"),
+    "executor-misspelled": (
+        {"run.executor": {"model": "edge", "backend": "executor", "bakend": "other"}},
+        "unknown key 'bakend' in run.executor",
+    ),
+    "efficiency-misspelled": (
+        {"models": {"edge": {**EDGE_MODEL, "efficency": 1.5e12}, "cloud": CLOUD_MODEL}},
+        "unknown key 'efficency' in models.edge",
+    ),
+    "pricing-misspelled": (
+        {"models": {"edge": EDGE_MODEL, "cloud": {**CLOUD_MODEL, "pricing": {
+            **CLOUD_MODEL["pricing"], "prefil": 2.5}}}},
+        "unknown key 'prefil' in models.cloud.pricing",
+    ),
+    "sampling-misspelled": (
+        {"run.sampling": {"temprature": 0.5}}, "unknown key 'temprature' in run.sampling"
+    ),
+    "http-misspelled": (
+        {"backends": {"executor": {**HTTP_EXECUTOR, "max_retry": 5}}},
+        "unknown key 'max_retry' in http backend",
+    ),
+    "script-misspelled": (
+        {"backends": {"executor": {"type": "script", "script": finish_script(),
+                                   "scirpt_file": "more.json"}}},
+        "unknown key 'scirpt_file' in script backend",
+    ),
+    "environment-misspelled": (
+        {"environment": {**SCRIPTED_ENV, "observation_limt": 10}},
+        "unknown key 'observation_limt' in environment",
+    ),
+    "table-entry-misspelled": (
+        {"environment": {**SCRIPTED_ENV, "table": [
+            {"tool": "search", "text": "x", "terminl": True}
+        ]}},
+        "unknown key 'terminl' in environment.table entry",
+    ),
+    # Declared fields that are set from other keys, or not by config at all.
+    "environment_id": ({"run.environment_id": "scripted"}, "unknown key 'environment_id' in run"),
+    "model-name": (
+        {"models": {"edge": {**EDGE_MODEL, "name": "other"}, "cloud": CLOUD_MODEL}},
+        "unknown key 'name' in models.edge",
+    ),
+    "tool_prompt": (
+        {"environment": {**SCRIPTED_ENV, "tool_prompt": "Tools: search."}},
+        "unknown key 'tool_prompt' in environment",
+    ),
 }
 
 

@@ -131,8 +131,11 @@ def test_null_match_is_a_match_free_entry(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "entry", [5, {"match": "Q1"}, None, ["a"], {"response": 5}, {"match": 5, "response": "x"}],
-    ids=["int", "mapping-without-response", "null", "list", "response-int", "match-int"],
+    "entry",
+    [5, {"match": "Q1"}, None, ["a"], {"response": 5}, {"match": 5, "response": "x"},
+     {"response": "x", "matc": "Q1"}],
+    ids=["int", "mapping-without-response", "null", "list", "response-int", "match-int",
+         "misspelled-match"],
 )
 @pytest.mark.parametrize("source", ["script", "script_file"])
 def test_bad_script_entry_is_config_error(tmp_path, entry, source):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -172,6 +173,20 @@ class TestSerialization:
             encoding="utf-8",
         )
         with pytest.raises(ValueError, match=rf"line 2: malformed trajectory record: .*{value}"):
+            read_trajectories(path)
+
+    # A JSON number would carry binary rounding error into the exact sums.
+    @pytest.mark.parametrize("value", [0.1, 1, "abc"], ids=["float", "int", "non-numeric"])
+    def test_cost_that_is_no_decimal_string_is_a_malformed_record(self, tmp_path, value):
+        broken = json.loads(record_to_json_line(make_full_record()))
+        broken["totals"]["cost_usd"] = value
+        path = tmp_path / "trajectories.jsonl"
+        path.write_text(
+            record_to_json_line(make_full_record()) + "\n" + json.dumps(broken) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: malformed "
+                                             rf"trajectory record: .*{re.escape(repr(value))}"):
             read_trajectories(path)
 
     def test_resets_subset_of_intervene_turns(self):
