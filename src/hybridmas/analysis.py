@@ -89,11 +89,10 @@ def trajectory_score(benchmark_tag: str, record: TrajectoryRecord, golds: Sequen
     return float(exact_match(record.final_answer, golds))
 
 
-def task_success(benchmark_tag: str, record: TrajectoryRecord, golds: Sequence[str]) -> bool:
-    """Success label, from the score: QA benchmarks require F1 strictly
-    above 0.5, generic tasks exact match, so abnormal termination is
-    always a failure."""
-    score = trajectory_score(benchmark_tag, record, golds)
+def task_success(benchmark_tag: str, score: float) -> bool:
+    """Success label, from the trajectory score: QA benchmarks require F1
+    strictly above 0.5, generic tasks exact match, so abnormal termination
+    (score 0) is always a failure."""
     if benchmark_tag in _QA_BENCHMARKS:
         return score > SUCCESS_F1_THRESHOLD
     return score == 1.0

@@ -126,8 +126,8 @@ def execute_condition(
     def run_one(task) -> TrajectoryRecord:
         record = run_trajectory(task, run_config, executor, supervisor, env_factory())
         if task.gold_answers:
-            record.success = analysis.task_success(task.benchmark_tag, record, task.gold_answers)
             record.score = analysis.trajectory_score(task.benchmark_tag, record, task.gold_answers)
+            record.success = analysis.task_success(task.benchmark_tag, record.score)
         return record
 
     # Both maps yield in task order, so the log's order does not depend on

@@ -1,6 +1,14 @@
 """Experiment configuration: a single YAML file naming the run condition,
-model profiles, backend bindings, dataset/corpus paths, and sweep values.
+model profiles, backend bindings, the environment, dataset/corpus paths,
+and sweep values.
 
+Each section's keys are the parameters of what it builds (RunConfig,
+SamplingParams, ModelProfile, Pricing, HttpChatBackend, WikiEnvironment or
+ScriptedEnvironment, and ToolCall and Observation for a table entry), each
+converted by its declared type; any other key is a ConfigError, and so is a
+value the constructor refuses. 0, false, "" and [] are values, checked as
+such, never a stand-in for a default.
+Every backend spec is checked at load, whether or not a role references it.
 Credentials are never stored in config, only the names of environment
 variables holding them. Relative paths resolve against the config file's
 directory.
@@ -11,11 +19,11 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Any, Callable, Optional, get_args, get_type_hints
+from typing import Any, Callable, Mapping, Optional, Sequence, get_args, get_type_hints
 
 import yaml
 
@@ -69,6 +77,12 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _given(mapping: dict, key: str, default: Any) -> Any:
+    """mapping[key], or default where the key is absent or null."""
+    value = mapping.get(key)
+    return default if value is None else value
+
+
 def _number(convert: Callable[[Any], Any], value: Any, where: str) -> Any:
     """convert(value), reporting a malformed value as a ConfigError."""
     try:
@@ -100,17 +114,22 @@ def _string(value: Any, where: str) -> str:
     return value
 
 
+def _path(value: Any, where: str) -> str:
+    if not _string(value, where):
+        raise ConfigError(f"{where} must be a non-empty path")
+    return value
+
+
 def _strings(value: Any, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
         raise ConfigError(f"{where} must be a list of strings, not {value!r}")
     return value
 
 
-def _observation_limit(value: Any, where: str) -> int:
-    limit = _integer(value, where)
-    if limit < 1:
-        raise ConfigError(f"{where} must be >= 1, not {limit}")
-    return limit
+def _boolean(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, not {value!r}")
+    return value
 
 
 def parse_parallelism(value: Any, where: str) -> int:
@@ -130,8 +149,21 @@ def _decimal(value: Any, where: str) -> Decimal:
     return number
 
 
+def _table(value: Any, where: str) -> dict[ToolCall, Observation]:
+    """A scripted environment's table: a list of entries, each read through
+    ToolCall and Observation, so that an entry's keys are their parameters."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of entries, not {value!r}")
+    call, observation = (tuple(inspect.signature(build).parameters)
+                         for build in (ToolCall, Observation))
+    return {_construct(ToolCall, entry, f"{where}[{i}].", observation):
+            _construct(Observation, entry, f"{where}[{i}].", call) for i, entry in enumerate(value)}
+
+
 # The converter of each type a config key may be declared with.
-_CONVERTERS = {int: _integer, float: _float, str: _string, Decimal: _decimal}
+_CONVERTERS = {int: _integer, float: _float, str: _string, Decimal: _decimal, bool: _boolean,
+               Sequence[str]: _strings, Observation | str: _string,
+               Mapping[ToolCall, Observation | str]: _table}
 
 
 def _known(raw: Any, keys: tuple, section: str) -> dict:
@@ -164,24 +196,31 @@ def _declaration(build, given: frozenset) -> tuple[dict, tuple]:
     return converters, tuple(required)
 
 
-def _construct(build, raw: Any, where: str, config_only=(), **given):
-    """build(**given, **keys), where keys are the keys of raw that build
-    declares and given does not name, each converted by its declared type
-    and located as where + key (where ends in the separator after the
-    section). A key that raw leaves out is left out here too, so that build
-    applies its own default. Any other key of raw is a ConfigError unless
-    config_only names it."""
+def _keywords(build, raw: Any, where: str, config_only=(), given=()) -> dict:
+    """The keys of raw that build declares and given does not name, each
+    converted by its declared type and located as where + key (where ends
+    in the separator after the section). A key that raw leaves out is left
+    out here too, so that build applies its own default. Any other key of
+    raw is a ConfigError unless config_only names it."""
     section = where[:-1]
     converters, required = _declaration(build, frozenset(given))
     _known(raw, (*converters, *config_only), section)
     for key in required:
         _require(raw, key, section)
-    keys = {key: convert(raw[key], where + key)
+    return {key: convert(raw[key], where + key)
             for key, convert in converters.items() if key in raw}
+
+
+def _build(build, section: str, keywords: dict):
+    """build(**keywords), reporting a value it refuses as a ConfigError."""
     try:
-        return build(**given, **keys)
+        return build(**keywords)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{section}: {exc}")
+
+
+def _construct(build, raw: Any, where: str, config_only=(), **given):
+    return _build(build, where[:-1], {**given, **_keywords(build, raw, where, config_only, given)})
 
 
 def parse_model_profile(name: str, raw: dict) -> ModelProfile:
@@ -200,7 +239,7 @@ def _load_script(spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
     request."""
     if "script" in spec:
         raw_entries = spec["script"]
-    elif "script_file" in spec:
+    else:
         path = base_dir / spec["script_file"]
         if not path.is_file():
             raise ConfigError(f"script file not found: {path}")
@@ -211,8 +250,6 @@ def _load_script(spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
                 raw_entries = json.loads(path.read_text(encoding="utf-8"))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid JSON in {path}: {exc}")
-    else:
-        raise ConfigError("scripted backends need a script or script_file key")
     if not isinstance(raw_entries, list) or not raw_entries:
         raise ConfigError("backend script must be a non-empty list")
     entries = []
@@ -227,55 +264,46 @@ def _load_script(spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
     return entries
 
 
+def _backend_keywords(spec: Any) -> tuple[str, dict]:
+    """(type, keywords) of a backend spec, its keys checked: a script spec
+    keeps its keys as they are, and an http spec's are converted by their
+    declared types. Neither is built, and no script file is read."""
+    kind = _require(spec, "type", "backend spec")
+    if kind == "script":
+        spec = _known(spec, ("type", "script", "script_file"), "script backend")
+        if "script" not in spec and "script_file" not in spec:
+            raise ConfigError("scripted backends need a script or script_file key")
+        return kind, spec
+    if kind == "http":
+        return kind, _keywords(HttpChatBackend, spec, "http backend ", ("type",))
+    raise ConfigError(f"unknown backend type {kind!r}")
+
+
 def build_backend(spec: dict, base_dir: Path):
     """Instantiate a backend from its config spec. Scripted backends hold
     per-run consumption state, so call this once per run. A relative
     script_file resolves against base_dir; load_config makes a config's
     absolute, against the config's directory."""
-    kind = _require(spec, "type", "backend spec")
+    kind, keywords = _backend_keywords(spec)
     if kind == "script":
-        spec = _known(spec, ("type", "script", "script_file"), "script backend")
         return ScriptedBackend(_load_script(spec, base_dir))
-    if kind == "http":
-        return _construct(HttpChatBackend, spec, "http backend ", ("type",))
-    raise ConfigError(f"unknown backend type {kind!r}")
+    return _build(HttpChatBackend, "http backend", keywords)
 
 
 def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
     """Return a zero-argument factory producing a fresh environment per
-    trajectory. Corpora are shared; sessions are not."""
-    env_type = cfg.run.environment_id
-    environment = cfg.environment
-    options = {}
-    if "observation_limit" in environment:
-        options["observation_limit"] = _observation_limit(
-            environment["observation_limit"], "environment.observation_limit")
-    if env_type == "wiki":
-        corpus = WikiCorpus.load(cfg.corpus)
-        return lambda: WikiEnvironment(corpus, **options)
-    if env_type == "scripted":
-        table = {}
-        for entry in environment.get("table", []):
-            _known(entry, ("tool", "argument", "text", "terminal", "final_answer"),
-                   "environment.table entry")
-            try:
-                call = ToolCall(entry["tool"], entry.get("argument", ""))
-                terminal = entry.get("terminal", False)
-                if not isinstance(terminal, bool):
-                    raise TypeError(f"terminal must be true or false, not {terminal!r}")
-                text, answer = entry["text"], entry.get("final_answer")
-                strings = (call.tool, call.argument, text, "" if answer is None else answer)
-                if not all(isinstance(value, str) for value in strings):
-                    raise TypeError("tool, argument, text and final_answer must be strings")
-                table[call] = Observation(text, terminal, answer)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"environment.table: bad entry {entry!r}: {exc!r}")
-        if "default" in environment:
-            options["default"] = _string(environment["default"], "environment.default")
-        if "tools" in environment:
-            options["tools"] = _strings(environment["tools"], "environment.tools")
-        return lambda: ScriptedEnvironment(table, **options)
-    raise ConfigError(f"unknown environment type {env_type!r}")
+    trajectory, its keywords read from cfg.environment through its
+    constructor's declaration; a wiki corpus is given, not a key. One is
+    built here, so that a value the constructor refuses is a ConfigError
+    before any output exists. Corpora are shared; sessions are not."""
+    build = {"wiki": WikiEnvironment, "scripted": ScriptedEnvironment}.get(cfg.run.environment_id)
+    if build is None:
+        raise ConfigError(f"unknown environment type {cfg.run.environment_id!r}")
+    keywords = _keywords(build, cfg.environment, "environment.", ("type",), ("corpus",))
+    if build is WikiEnvironment:
+        keywords["corpus"] = WikiCorpus.load(cfg.corpus)
+    _build(build, "environment", keywords)
+    return partial(build, **keywords)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -292,10 +320,14 @@ def load_config(path) -> ExperimentConfig:
     backend_specs = _require(raw, "backends", "config")
     if not isinstance(backend_specs, dict) or not backend_specs:
         raise ConfigError("backends section must be a non-empty mapping")
+    # Every spec is checked here, referenced by a role or not.
     for name, spec in backend_specs.items():
-        if isinstance(spec, dict) and "script_file" in spec:
-            script_file = _string(spec["script_file"], f"backends.{name}.script_file")
-            backend_specs[name] = {**spec, "script_file": base_dir.absolute() / script_file}
+        if _backend_keywords(spec)[0] == "script" and "script_file" in spec:
+            script_file = base_dir.absolute() / _path(spec["script_file"],
+                                                      f"backends.{name}.script_file")
+            if not script_file.is_file():
+                raise ConfigError(f"script file not found: {script_file}")
+            backend_specs[name] = {**spec, "script_file": script_file}
 
     run_raw = _mapping(_require(raw, "run", "config"), "run")
 
@@ -320,22 +352,21 @@ def load_config(path) -> ExperimentConfig:
     executor_profile, executor_backend_name = resolve_role("executor", required=True)
     supervisor_profile, supervisor_backend_name = resolve_role("supervisor", required=False)
 
-    environment = _known(raw.get("environment") or {}, (
-        "type", "observation_limit", "table", "default", "tools"), "environment")
+    environment = _mapping(_given(raw, "environment", {}), "environment")
     run_config = _construct(
         RunConfig, run_raw, "run.", ("executor", "supervisor", "sampling"),
         executor_profile=executor_profile,
         supervisor_profile=supervisor_profile,
-        sampling=_construct(SamplingParams, run_raw.get("sampling") or {}, "run.sampling."),
+        sampling=_construct(SamplingParams, _given(run_raw, "sampling", {}), "run.sampling."),
         environment_id=environment.get("type", RunConfig.environment_id),
     )
 
-    dataset = base_dir / _string(_require(raw, "dataset", "config"), "dataset")
+    dataset = base_dir / _path(_require(raw, "dataset", "config"), "dataset")
     if not dataset.is_file():
         raise ConfigError(f"dataset file not found: {dataset}")
-    corpus = None
-    if raw.get("corpus"):
-        corpus = base_dir / _string(raw["corpus"], "corpus")
+    corpus = raw.get("corpus")
+    if corpus is not None:
+        corpus = base_dir / _path(corpus, "corpus")
         if not corpus.is_file():
             raise ConfigError(f"corpus file not found: {corpus}")
     if run_config.environment_id == "wiki" and corpus is None:
@@ -346,11 +377,11 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(sweep, list) or not sweep:
             raise ConfigError("sweep must be a non-empty list of intervals")
         sweep = [_integer(v, "sweep") for v in sweep]
-        if any(v < 1 for v in sweep):
-            raise ConfigError("sweep values must be >= 1")
+        for interval in sweep:
+            _build(partial(replace, run_config), "sweep", {"verify_interval": interval})
 
     # An absolute output path replaces base_dir.
-    output = base_dir / _string(raw.get("output") or "out", "output")
+    output = base_dir / _path(_given(raw, "output", "out"), "output")
 
     return ExperimentConfig(
         run=run_config,

@@ -53,7 +53,7 @@ class ToolCall:
     """A single tool invocation, at most one per turn."""
 
     tool: str
-    argument: str
+    argument: str = ""
 
     def __post_init__(self):
         if not self.tool:

@@ -220,6 +220,8 @@ class WikiEnvironment:
     tools = ("search", "lookup", FINISH_TOOL)
 
     def __init__(self, corpus: WikiCorpus, observation_limit: int = DEFAULT_OBSERVATION_LIMIT):
+        if observation_limit < 1:
+            raise ValueError(f"observation_limit must be >= 1, not {observation_limit}")
         self.corpus = corpus
         self.observation_limit = observation_limit
         self.session = WikiSession()
@@ -277,7 +279,11 @@ class WikiEnvironment:
         return self._observe(f"(Result {index + 1} / {total}) {session.lookup_matches[index]}")
 
 
-DEFAULT_SCRIPTED_TOOL_PROMPT = """### `search[entity]`
+class ScriptedEnvironment:
+    """Lookup-table environment for deterministic tests. finish is always
+    terminal; unscripted calls yield the default observation."""
+
+    tool_prompt = """### `search[entity]`
 Returns information about the entity.
 
 ### `lookup[string]`
@@ -287,25 +293,20 @@ Returns the next matching detail from the current source.
 Terminates the episode and returns the final answer.
 """
 
-
-class ScriptedEnvironment:
-    """Lookup-table environment for deterministic tests. finish is always
-    terminal; unscripted calls yield the default observation."""
-
     def __init__(
         self,
         table: Optional[Mapping[ToolCall, Observation | str]] = None,
         default: Observation | str = "Nothing happens.",
         tools: Sequence[str] = ("search", "lookup", FINISH_TOOL),
-        tool_prompt: str = DEFAULT_SCRIPTED_TOOL_PROMPT,
         observation_limit: int = DEFAULT_OBSERVATION_LIMIT,
     ):
+        if observation_limit < 1:
+            raise ValueError(f"observation_limit must be >= 1, not {observation_limit}")
         self.table = {k: self._coerce(v) for k, v in (table or {}).items()}
         self.default = self._coerce(default)
         self.tools = tuple(tools)
         if FINISH_TOOL not in self.tools:
             self.tools = self.tools + (FINISH_TOOL,)
-        self.tool_prompt = tool_prompt
         self.observation_limit = observation_limit
 
     @staticmethod

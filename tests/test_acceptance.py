@@ -339,9 +339,11 @@ def test_acceptance_10_metric_checks():
         record.final_answer = "alpha beta"
         golds = ["alpha gamma"]
         assert analysis.rouge1_f1(record.final_answer, golds) == 0.5
-        assert analysis.task_success("fanoutqa", record, golds) is False
+        assert analysis.task_success("fanoutqa", analysis.trajectory_score("fanoutqa", record, golds)) is False
         record.final_answer = "alpha beta gamma"
-        assert analysis.task_success("fanoutqa", record, ["alpha beta delta"]) is True
+        golds = ["alpha beta delta"]
+        assert analysis.task_success(
+            "fanoutqa", analysis.trajectory_score("fanoutqa", record, golds)) is True
 
 
 def _audit_run(intervene: bool, correct: bool):
@@ -357,7 +359,8 @@ def _audit_run(intervene: bool, correct: bool):
         verify_interval=1,
     )
     assert record.resets == []  # audit never restarts
-    success = analysis.task_success("generic", record, list(TASK.gold_answers))
+    score = analysis.trajectory_score("generic", record, list(TASK.gold_answers))
+    success = analysis.task_success("generic", score)
     return record, success
 
 

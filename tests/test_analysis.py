@@ -112,34 +112,39 @@ def finished_record(answer, architecture="monolithic"):
     return record
 
 
+def labeled(benchmark_tag, record, golds):
+    """The success label the cli gives record: its score against golds."""
+    return task_success(benchmark_tag, trajectory_score(benchmark_tag, record, golds))
+
+
 class TestTaskSuccess:
     def test_fanout_above_threshold(self):
         # F1 = 0.6 > 0.5: pred and gold share 3 of 4/ something constructed:
         record = finished_record("alpha beta gamma")
         golds = ["alpha beta delta"]  # P=2/3, R=2/3 -> F1 = 2/3 > 0.5
         assert rouge1_f1(record.final_answer, golds) == pytest.approx(2 / 3)
-        assert task_success("fanoutqa", record, golds)
+        assert labeled("fanoutqa", record, golds)
 
     def test_threshold_is_strict(self):
         # P = R = 0.5 -> F1 = 0.5 exactly: labeled failure.
         record = finished_record("alpha beta")
         golds = ["alpha gamma"]
         assert rouge1_f1(record.final_answer, golds) == 0.5
-        assert not task_success("fanoutqa", record, golds)
+        assert not labeled("fanoutqa", record, golds)
 
     def test_abnormal_termination_fails(self):
         record = TrajectoryRecord("t", "monolithic", "d")
         record.termination = "out_of_context"
         record.final_answer = None
-        assert not task_success("fanoutqa", record, ["anything"])
+        assert not labeled("fanoutqa", record, ["anything"])
 
     def test_generic_uses_exact_match(self):
-        assert task_success("generic", finished_record("The Answer"), ["answer"])
-        assert not task_success("generic", finished_record("answer is close"), ["answer"])
+        assert labeled("generic", finished_record("The Answer"), ["answer"])
+        assert not labeled("generic", finished_record("answer is close"), ["answer"])
 
     def test_hotpot_same_rule_as_fanout(self):
         record = finished_record("alpha beta gamma")
-        assert task_success("hotpotqa", record, ["alpha beta delta"])
+        assert labeled("hotpotqa", record, ["alpha beta delta"])
 
     def test_score_helper(self):
         assert trajectory_score("fanoutqa", finished_record("the cat sat"), ["cat sat down"]) == 0.8

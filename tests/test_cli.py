@@ -13,6 +13,7 @@ from hybridmas import cli
 from hybridmas.analysis import condition_stats
 from hybridmas.cli import main
 from hybridmas.core import read_trajectories, record_to_json_line
+from hybridmas.environments import WikiCorpus
 
 EDGE_MODEL = {
     "placement": "edge",
@@ -403,28 +404,43 @@ MALFORMED_VALUES = {
     "default-int": ({"environment": {**SCRIPTED_ENV, "default": 5}}, "environment.default"),
     "table-text-int": (
         {"environment": {**SCRIPTED_ENV, "table": [{"tool": "search", "text": 5}]}},
-        "tool, argument, text and final_answer must be strings",
+        "environment.table[0].text must be a string",
     ),
     "table-final_answer-int": (
         {"environment": {**SCRIPTED_ENV, "table": [
             {"tool": "finish", "text": "done", "terminal": True, "final_answer": 42}
         ]}},
-        "tool, argument, text and final_answer must be strings",
+        "environment.table[0].final_answer must be a string",
     ),
     "table-argument-int": (
         {"environment": {**SCRIPTED_ENV, "table": [
-            {"tool": "search", "argument": 5, "text": "x"}
+            {"tool": "search", "text": "x"}, {"tool": "search", "argument": 5, "text": "x"}
         ]}},
-        "tool, argument, text and final_answer must be strings",
+        "environment.table[1].argument must be a string",
     ),
     "observation_limit-negative": (
         {"environment": {**SCRIPTED_ENV, "observation_limit": -5}},
-        "environment.observation_limit must be >= 1",
+        "environment: observation_limit must be >= 1",
     ),
     "observation_limit-zero": (
         {"environment": {**SCRIPTED_ENV, "observation_limit": 0}},
-        "environment.observation_limit must be >= 1",
+        "environment: observation_limit must be >= 1",
     ),
+    "table-final_answer-not-terminal": (
+        {"environment": {**SCRIPTED_ENV, "table": [
+            {"tool": "search", "text": "x", "final_answer": "a"}
+        ]}},
+        "environment.table[0]: final_answer requires a terminal observation",
+    ),
+    "table-empty-tool": (
+        {"environment": {**SCRIPTED_ENV, "table": [{"tool": "", "text": "x"}]}},
+        "environment.table[0]: tool name must be non-empty",
+    ),
+    "table-mapping": (
+        {"environment": {**SCRIPTED_ENV, "table": {"tool": "search", "text": "x"}}},
+        "environment.table must be a list of entries",
+    ),
+    "sweep-zero": ({"sweep": [1, 0]}, "sweep: verify_interval must be >= 1"),
     "table-terminal-str": (
         {"environment": {**SCRIPTED_ENV, "table": [
             {"tool": "search", "text": "x", "terminal": "no"}
@@ -500,7 +516,7 @@ MALFORMED_VALUES = {
         {"environment": {**SCRIPTED_ENV, "table": [
             {"tool": "search", "text": "x", "terminl": True}
         ]}},
-        "unknown key 'terminl' in environment.table entry",
+        "unknown key 'terminl' in environment.table[0]",
     ),
     # Declared fields that are set from other keys, or not by config at all.
     "environment_id": ({"run.environment_id": "scripted"}, "unknown key 'environment_id' in run"),
@@ -512,6 +528,22 @@ MALFORMED_VALUES = {
         {"environment": {**SCRIPTED_ENV, "tool_prompt": "Tools: search."}},
         "unknown key 'tool_prompt' in environment",
     ),
+    # Scripted-only keys, which a wiki environment ignored.
+    "wiki-table": (
+        {"environment": {"type": "wiki", "table": []}, "corpus": "tasks.jsonl"},
+        "unknown key 'table' in environment",
+    ),
+    "wiki-default": (
+        {"environment": {"type": "wiki", "default": "x"}, "corpus": "tasks.jsonl"},
+        "unknown key 'default' in environment",
+    ),
+    # Values that read as absent: only an absent or null key means its default.
+    **{
+        f"{key}-{name}": ({key: value}, where)
+        for key, where in (("output", "output must be"), ("run.sampling", "run.sampling must be"),
+                           ("environment", "environment must be"), ("corpus", "corpus must be"))
+        for name, value in (("zero", 0), ("false", False), ("empty-str", ""), ("empty-list", []))
+    },
 }
 
 
@@ -539,6 +571,94 @@ def test_integral_numbers_load_as_integers(tmp_path):
     cfg = cli.load_config(write_config(tmp_path, parallelism=2.0, sweep=[1.0, 3]))
     assert (cfg.parallelism, cfg.sweep) == (2, [1, 3])
     assert all(type(value) is int for value in (cfg.parallelism, *cfg.sweep))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_value_the_wiki_environment_refuses_exits_1(tmp_path, capsys, command):
+    (tmp_path / "corpus.jsonl").write_text('{"title": "A", "text": "A page."}\n',
+                                           encoding="utf-8")
+    config = write_config(tmp_path, environment={"type": "wiki", "observation_limit": 0},
+                          corpus="corpus.jsonl", sweep=[1])
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: environment: observation_limit must be >= 1, not 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_table_runs_as_no_table(tmp_path):
+    for name, environment in (("none", SCRIPTED_ENV), ("null", {**SCRIPTED_ENV, "table": None})):
+        config = write_config(tmp_path, environment=environment)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    none, null = (tmp_path / name / "monolithic-tv1" / "trajectories.jsonl"
+                  for name in ("none", "null"))
+    assert null.read_bytes() == none.read_bytes()
+
+
+UNCHECKED_SPECS = {
+    # A spec that no role references was never built, so never checked.
+    "unreferenced-http": (
+        {"executor": {"type": "script", "script": finish_script()},
+         "spare": {**HTTP_EXECUTOR, "max_retry": 5}},
+        "unknown key 'max_retry' in http backend",
+    ),
+    "unreferenced-script-file": (
+        {"executor": {"type": "script", "script": finish_script()},
+         "spare": {"type": "script", "script_file": "missing.json"}},
+        "script file not found: ",
+    ),
+    "unreferenced-type": (
+        {"executor": {"type": "script", "script": finish_script()}, "spare": {"type": "grpc"}},
+        "unknown backend type 'grpc'",
+    ),
+    # A referenced spec was checked only once the tasks and the corpus were read.
+    "referenced-http": (
+        {"executor": {**HTTP_EXECUTOR, "max_retry": 5}},
+        "unknown key 'max_retry' in http backend",
+    ),
+}
+
+
+@pytest.mark.parametrize("backends, message", list(UNCHECKED_SPECS.values()),
+                         ids=list(UNCHECKED_SPECS))
+def test_every_backend_spec_is_checked_before_any_input_is_read(
+    tmp_path, capsys, monkeypatch, backends, message
+):
+    loads = []
+    monkeypatch.setattr(cli, "load_tasks", lambda path: loads.append(path))
+    monkeypatch.setattr(WikiCorpus, "load", classmethod(lambda cls, path: loads.append(path)))
+    (tmp_path / "corpus.jsonl").write_text('{"title": "A", "text": "A page."}\n',
+                                           encoding="utf-8")
+    config = write_config(tmp_path, backends=backends, environment={"type": "wiki"},
+                          corpus="corpus.jsonl")
+    assert main(["run", "--config", str(config)]) == 1
+    assert message in capsys.readouterr().err
+    assert loads == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreferenced_spec_beside_the_golden_config_exits_1(tmp_path, capsys):
+    golden = GOLDEN_LOGS.parent
+    data = yaml.safe_load((golden / "eva.yaml").read_text(encoding="utf-8"))
+    data["dataset"] = str(golden / "tasks.jsonl")
+    data["backends"]["edge"]["script_file"] = str(golden / "executor.yaml")
+    data["backends"]["spare"] = {**HTTP_EXECUTOR, "max_retry": 5}
+    config = tmp_path / "eva.yaml"
+    config.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 1
+    assert "unknown key 'max_retry' in http backend" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_task_is_scored_once(tmp_path, monkeypatch):
+    scored = []
+    score = cli.analysis.trajectory_score
+    monkeypatch.setattr(cli.analysis, "trajectory_score",
+                        lambda tag, record, golds: scored.append(record.task_id)
+                        or score(tag, record, golds))
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+    assert scored == ["A", "B", "C"]
+    records = read_trajectories(tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl")
+    assert [(r.score, r.success) for r in records] == [(1.0, True)] * 3
 
 
 MALFORMED_LINES = {

@@ -12,7 +12,7 @@ from hybridmas import config
 from hybridmas.backends import (ChatRequest, HttpChatBackend, NoMatchingEntryError,
                                 ScriptedBackend, ScriptEntry, ScriptExhaustedError)
 from hybridmas.core import ModelProfile, Pricing, RunConfig, SamplingParams
-from hybridmas.environments import ScriptedEnvironment
+from hybridmas.environments import ScriptedEnvironment, WikiEnvironment
 
 YAML_FILES = sorted((Path(__file__).parent / "data").rglob("*.y*ml"))
 
@@ -79,6 +79,30 @@ def test_unset_keys_take_the_constructors_defaults(tmp_path):
     assert (env.default, env.tools, env.observation_limit) == (
         reference.default, reference.tools, reference.observation_limit
     )
+
+
+@pytest.mark.parametrize("env_type, build", [("wiki", WikiEnvironment),
+                                             ("scripted", ScriptedEnvironment)])
+def test_environment_keys_are_type_and_the_constructors_parameters(tmp_path, env_type, build):
+    """Every parameter of either environment is tried as a key; corpus is
+    the program's to give, not a key."""
+    (tmp_path / "corpus.jsonl").write_text('{"title": "A", "text": "A page."}\n', encoding="utf-8")
+    values = {"observation_limit": 5, "table": [], "default": "x", "tools": ["search"]}
+    candidates = {"type", *inspect.signature(WikiEnvironment).parameters,
+                  *inspect.signature(ScriptedEnvironment).parameters}
+    accepted = set()
+    for key in sorted(candidates):
+        environment = {"type": env_type}
+        environment.setdefault(key, values.get(key, "x"))
+        cfg = config.load_config(write_minimal_config(
+            tmp_path, corpus="corpus.jsonl", environment=environment))
+        try:
+            config.build_environment_factory(cfg)
+        except config.ConfigError as exc:
+            assert str(exc) == f"unknown key {key!r} in environment"
+            continue
+        accepted.add(key)
+    assert accepted == {"type", *inspect.signature(build).parameters} - {"corpus"}
 
 
 # Plain strings and mappings mixed, with the mapping form of a match-free entry too.
