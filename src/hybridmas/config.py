@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Mapping, Optional, get_args, get_type_hints
 
 import yaml
 
@@ -120,12 +120,6 @@ def _path(value: Any, where: str) -> str:
     return value
 
 
-def _strings(value: Any, where: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ConfigError(f"{where} must be a list of strings, not {value!r}")
-    return value
-
-
 def _boolean(value: Any, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where} must be true or false, not {value!r}")
@@ -151,19 +145,24 @@ def _decimal(value: Any, where: str) -> Decimal:
 
 def _table(value: Any, where: str) -> dict[ToolCall, Observation]:
     """A scripted environment's table: a list of entries, each read through
-    ToolCall and Observation, so that an entry's keys are their parameters."""
+    ToolCall and Observation, so that an entry's keys are their parameters.
+    A call that an earlier entry made is a ConfigError."""
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list of entries, not {value!r}")
-    call, observation = (tuple(inspect.signature(build).parameters)
-                         for build in (ToolCall, Observation))
-    return {_construct(ToolCall, entry, f"{where}[{i}].", observation):
-            _construct(Observation, entry, f"{where}[{i}].", call) for i, entry in enumerate(value)}
+    call_keys, observation_keys = (tuple(inspect.signature(build).parameters)
+                                   for build in (ToolCall, Observation))
+    table = {}
+    for i, entry in enumerate(value):
+        call = _construct(ToolCall, entry, f"{where}[{i}].", observation_keys)
+        if call in table:
+            raise ConfigError(f"{where}[{i}]: duplicate call {call.render()}")
+        table[call] = _construct(Observation, entry, f"{where}[{i}].", call_keys)
+    return table
 
 
 # The converter of each type a config key may be declared with.
 _CONVERTERS = {int: _integer, float: _float, str: _string, Decimal: _decimal, bool: _boolean,
-               Sequence[str]: _strings, Observation | str: _string,
-               Mapping[ToolCall, Observation | str]: _table}
+               Observation | str: _string, Mapping[ToolCall, Observation | str]: _table}
 
 
 def _known(raw: Any, keys: tuple, section: str) -> dict:
@@ -294,16 +293,18 @@ def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
     """Return a zero-argument factory producing a fresh environment per
     trajectory, its keywords read from cfg.environment through its
     constructor's declaration; a wiki corpus is given, not a key. One is
-    built here, so that a value the constructor refuses is a ConfigError
-    before any output exists. Corpora are shared; sessions are not."""
+    built here, over an empty corpus, so that a value the constructor
+    refuses is a ConfigError before any corpus is read or output exists.
+    Corpora are shared; lookup state is not."""
     build = {"wiki": WikiEnvironment, "scripted": ScriptedEnvironment}.get(cfg.run.environment_id)
     if build is None:
         raise ConfigError(f"unknown environment type {cfg.run.environment_id!r}")
     keywords = _keywords(build, cfg.environment, "environment.", ("type",), ("corpus",))
-    if build is WikiEnvironment:
-        keywords["corpus"] = WikiCorpus.load(cfg.corpus)
-    _build(build, "environment", keywords)
-    return partial(build, **keywords)
+    corpus = {"corpus": WikiCorpus(())} if build is WikiEnvironment else {}
+    _build(build, "environment", {**keywords, **corpus})
+    if corpus:
+        corpus["corpus"] = WikiCorpus.load(cfg.corpus)
+    return partial(build, **keywords, **corpus)
 
 
 def load_config(path) -> ExperimentConfig:

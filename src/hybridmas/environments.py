@@ -1,10 +1,11 @@
 """Tool environments and dataset loading.
 
-Provides the generic environment contract (reset/step over ToolCalls), a
-self-contained read-only Wikipedia environment with search/lookup/finish
-tools, a table-driven scripted environment for tests, and the JSONL task
-loader. Tool failures never raise: the agent must see them, so every
-failure becomes an observation.
+An environment is its tools (their names), tool_prompt (their description
+for the executor) and step (a ToolCall to an Observation); each trajectory
+gets a fresh one. Provides a self-contained read-only Wikipedia environment
+with search/lookup/finish tools, a table-driven scripted environment for
+tests, and the JSONL task loader. Tool failures never raise: the agent must
+see them, so every failure becomes an observation.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import itertools
 import json
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import TaskInstance, ToolCall
 from .prompting import load_asset
@@ -74,16 +75,6 @@ def normalize_title(title: str) -> str:
     return " ".join(title.lower().split())
 
 
-@dataclass(frozen=True)
-class WikiPage:
-    title: str
-    sentences: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.sentences:
-            raise ValueError("a page needs at least one sentence")
-
-
 class WikiCorpus:
     """Immutable page store keyed by normalized title, with an inverted
     index from each title token to the keys containing it; shareable
@@ -134,11 +125,10 @@ class WikiCorpus:
                 line_no = next(itertools.islice(line_nos, exc.line_no - 1, None))
             raise SchemaViolationError(line_no, exc.message) from None
 
-    def get(self, title: str) -> Optional[WikiPage]:
+    def sentences(self, title: str) -> Optional[list[str]]:
+        """The sentences of the page titled title, or None for no page."""
         page = self._pages.get(normalize_title(title))
-        if page is None:
-            return None
-        return WikiPage(page[0], tuple(split_sentences(page[1])))
+        return None if page is None else split_sentences(page[1])
 
     def titles(self) -> list[str]:
         return [title for title, _ in self._pages.values()]
@@ -202,20 +192,11 @@ def _read_jsonl(path) -> Iterator[tuple[int, object]]:
             yield line_no, value
 
 
-@dataclass
-class WikiSession:
-    """Per-trajectory lookup state: the currently referenced page and the
-    lookup cursor. The cursor resets when the query or page changes."""
-
-    current_page: Optional[WikiPage] = None
-    lookup_query: Optional[str] = None
-    lookup_matches: list[str] = field(default_factory=list)
-    lookup_cursor: int = 0
-
-
 class WikiEnvironment:
     """Read-only Wikipedia over a local corpus with exactly three tools:
-    search[entity], lookup[string], finish[answer]."""
+    search[entity], lookup[string], finish[answer]. A hit replaces the
+    searched page's sentences and starts its lookup afresh; a lookup
+    query other than the last one restarts the cursor over its matches."""
 
     tools = ("search", "lookup", FINISH_TOOL)
 
@@ -224,14 +205,14 @@ class WikiEnvironment:
             raise ValueError(f"observation_limit must be >= 1, not {observation_limit}")
         self.corpus = corpus
         self.observation_limit = observation_limit
-        self.session = WikiSession()
+        self.page: Optional[list[str]] = None
+        self.lookup_query: Optional[str] = None
+        self.lookup_matches: list[str] = []
+        self.lookup_cursor = 0
 
     @property
     def tool_prompt(self) -> str:
         return load_asset("wikienv_tools")
-
-    def reset(self, task: Optional[TaskInstance] = None) -> None:
-        self.session = WikiSession()
 
     def step(self, call: ToolCall) -> Observation:
         if call.tool == FINISH_TOOL:
@@ -248,41 +229,38 @@ class WikiEnvironment:
         return Observation(truncate_observation(text, self.observation_limit))
 
     def _search(self, entity: str) -> Observation:
-        page = self.corpus.get(entity)
-        if page is None:
+        sentences = self.corpus.sentences(entity)
+        if sentences is None:
             similar = self.corpus.similar_titles(entity)
             return self._observe(f"Could not find {entity}. Similar: {similar}.")
-        self.session.current_page = page
-        self.session.lookup_query = None
-        self.session.lookup_matches = []
-        self.session.lookup_cursor = 0
-        return self._observe(" ".join(page.sentences[:5]))
+        self.page, self.lookup_query, self.lookup_matches, self.lookup_cursor = (
+            sentences, None, [], 0)
+        return self._observe(" ".join(sentences[:5]))
 
     def _lookup(self, query: str) -> Observation:
-        session = self.session
-        if session.current_page is None:
+        if self.page is None:
             return self._observe("No page is currently selected. Use search[entity] first.")
-        if query != session.lookup_query:
+        if query != self.lookup_query:
             needle = query.lower()
-            session.lookup_query = query
-            session.lookup_matches = [
-                sentence
-                for sentence in session.current_page.sentences
-                if needle in sentence.lower()
-            ]
-            session.lookup_cursor = 0
-        if session.lookup_cursor >= len(session.lookup_matches):
+            self.lookup_query = query
+            self.lookup_matches = [sentence for sentence in self.page
+                                   if needle in sentence.lower()]
+            self.lookup_cursor = 0
+        if self.lookup_cursor >= len(self.lookup_matches):
             return self._observe(NO_MORE_RESULTS)
-        index = session.lookup_cursor
-        session.lookup_cursor += 1
-        total = len(session.lookup_matches)
-        return self._observe(f"(Result {index + 1} / {total}) {session.lookup_matches[index]}")
+        index = self.lookup_cursor
+        self.lookup_cursor += 1
+        total = len(self.lookup_matches)
+        return self._observe(f"(Result {index + 1} / {total}) {self.lookup_matches[index]}")
 
 
 class ScriptedEnvironment:
-    """Lookup-table environment for deterministic tests. finish is always
-    terminal; unscripted calls yield the default observation."""
+    """Lookup-table environment for deterministic tests, with the wiki
+    environment's tools. finish is always terminal; unscripted calls yield
+    the default observation. Each text is truncated to observation_limit
+    once, when the environment is built."""
 
+    tools = WikiEnvironment.tools
     tool_prompt = """### `search[entity]`
 Returns information about the entity.
 
@@ -297,37 +275,28 @@ Terminates the episode and returns the final answer.
         self,
         table: Optional[Mapping[ToolCall, Observation | str]] = None,
         default: Observation | str = "Nothing happens.",
-        tools: Sequence[str] = ("search", "lookup", FINISH_TOOL),
         observation_limit: int = DEFAULT_OBSERVATION_LIMIT,
     ):
         if observation_limit < 1:
             raise ValueError(f"observation_limit must be >= 1, not {observation_limit}")
-        self.table = {k: self._coerce(v) for k, v in (table or {}).items()}
-        self.default = self._coerce(default)
-        self.tools = tuple(tools)
-        if FINISH_TOOL not in self.tools:
-            self.tools = self.tools + (FINISH_TOOL,)
         self.observation_limit = observation_limit
 
-    @staticmethod
-    def _coerce(value: Observation | str) -> Observation:
-        return value if isinstance(value, Observation) else Observation(value)
+        def truncated(value: Observation | str) -> Observation:
+            observation = Observation(value) if isinstance(value, str) else value
+            return replace(observation,
+                           text=truncate_observation(observation.text, observation_limit))
 
-    def reset(self, task: Optional[TaskInstance] = None) -> None:
-        pass
+        self.table = {call: truncated(value) for call, value in (table or {}).items()}
+        self.default = truncated(default)
 
     def step(self, call: ToolCall) -> Observation:
         if call.tool == FINISH_TOOL:
             return Observation("Episode finished.", terminal=True, final_answer=call.argument)
         if call.tool not in self.tools:
-            available = ", ".join(f"{t}[...]" for t in self.tools)
-            return Observation(f"Invalid tool. Available tools: {available}.")
-        observation = self.table.get(call, self.default)
-        return Observation(
-            truncate_observation(observation.text, self.observation_limit),
-            observation.terminal,
-            observation.final_answer,
-        )
+            return Observation(
+                "Invalid tool. Available tools: search[...], lookup[...], finish[...]."
+            )
+        return self.table.get(call, self.default)
 
 
 def load_tasks(path) -> list[TaskInstance]:

@@ -338,7 +338,6 @@ class _Episode:
 
     def run(self) -> TrajectoryRecord:
         max_turns = effective_max_turns(self.config, self.task)
-        self.env.reset(self.task)
         try:
             self._seed_context()
             for t in range(1, max_turns + 1):
@@ -362,7 +361,8 @@ def run_trajectory(
     supervisor_backend=None,
     env=None,
 ) -> TrajectoryRecord:
-    """Execute one task under the configured architecture."""
+    """Execute one task under the configured architecture. Each trajectory
+    needs a fresh env: an environment keeps its state from step to step."""
     if env is None:
         raise ValueError("an environment is required")
     return _Episode(task, config, executor_backend, supervisor_backend, env).run()

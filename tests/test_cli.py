@@ -394,13 +394,16 @@ MALFORMED_VALUES = {
         {"backends": {"executor": {**HTTP_EXECUTOR, "base_url": "127.0.0.1:9"}}},
         "http backend: base_url must be an http or https URL",
     ),
-    # Scripted-environment values that were taken as given: a str of tools
-    # became one tool per letter, a number of text failed mid-batch, and a
-    # number of argument matched no call.
-    "tools-str": ({"environment": {**SCRIPTED_ENV, "tools": "search"}}, "environment.tools"),
-    "tools-entry": (
-        {"environment": {**SCRIPTED_ENV, "tools": ["search", 5]}}, "environment.tools"
+    # A scripted environment has the wiki environment's tools; tools is no key.
+    "tools-str": (
+        {"environment": {**SCRIPTED_ENV, "tools": "search"}}, "unknown key 'tools' in environment"
     ),
+    "tools-entry": (
+        {"environment": {**SCRIPTED_ENV, "tools": ["search", 5]}},
+        "unknown key 'tools' in environment",
+    ),
+    # Scripted-environment values that were taken as given: a number of text
+    # failed mid-batch, and a number of argument matched no call.
     "default-int": ({"environment": {**SCRIPTED_ENV, "default": 5}}, "environment.default"),
     "table-text-int": (
         {"environment": {**SCRIPTED_ENV, "table": [{"tool": "search", "text": 5}]}},
@@ -417,6 +420,14 @@ MALFORMED_VALUES = {
             {"tool": "search", "text": "x"}, {"tool": "search", "argument": 5, "text": "x"}
         ]}},
         "environment.table[1].argument must be a string",
+    ),
+    # A repeated call, whose later text silently replaced the earlier one.
+    "table-duplicate-call": (
+        {"environment": {**SCRIPTED_ENV, "table": [
+            {"tool": "search", "argument": "x", "text": "first"},
+            {"tool": "search", "argument": "x", "text": "second"},
+        ]}},
+        "environment.table[1]: duplicate call search[x]",
     ),
     "observation_limit-negative": (
         {"environment": {**SCRIPTED_ENV, "observation_limit": -5}},
@@ -574,15 +585,19 @@ def test_integral_numbers_load_as_integers(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_value_the_wiki_environment_refuses_exits_1(tmp_path, capsys, command):
+def test_value_the_wiki_environment_refuses_exits_1(tmp_path, capsys, monkeypatch, command):
     (tmp_path / "corpus.jsonl").write_text('{"title": "A", "text": "A page."}\n',
                                            encoding="utf-8")
     config = write_config(tmp_path, environment={"type": "wiki", "observation_limit": 0},
                           corpus="corpus.jsonl", sweep=[1])
+    loads = []
+    monkeypatch.setattr(WikiCorpus, "load", classmethod(lambda cls, path: loads.append(path)))
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err == "config error: environment: observation_limit must be >= 1, not 0\n"
     assert not (tmp_path / "out").exists()
+    # The value is refused before the corpus is read.
+    assert loads == []
 
 
 def test_null_table_runs_as_no_table(tmp_path):

@@ -10,12 +10,12 @@ from hybridmas import environments
 from hybridmas.core import ToolCall
 from hybridmas.environments import (
     NO_MORE_RESULTS,
+    TRUNCATION_MARKER,
     Observation,
     SchemaViolationError,
     ScriptedEnvironment,
     WikiCorpus,
     WikiEnvironment,
-    WikiPage,
     load_tasks,
     normalize_title,
     split_sentences,
@@ -245,10 +245,33 @@ class TestScriptedEnvironment:
         assert obs.terminal
         assert obs.final_answer == "42"
 
+    def test_texts_over_the_limit_are_truncated(self):
+        env = ScriptedEnvironment(
+            {
+                ToolCall("search", "A"): "a" * 11,
+                ToolCall("lookup", "B"): Observation("b" * 11, terminal=True, final_answer="B"),
+            },
+            default="d" * 11,
+            observation_limit=10,
+        )
+        assert env.step(ToolCall("search", "A")) == Observation("a" * 10 + TRUNCATION_MARKER)
+        assert env.step(ToolCall("lookup", "B")) == Observation(
+            "b" * 10 + TRUNCATION_MARKER, terminal=True, final_answer="B"
+        )
+        assert env.step(ToolCall("search", "C")) == Observation("d" * 10 + TRUNCATION_MARKER)
+
+    def test_texts_within_the_limit_are_unchanged(self):
+        env = ScriptedEnvironment(
+            {ToolCall("search", "A"): "a" * 10}, default="d" * 10, observation_limit=10
+        )
+        assert env.step(ToolCall("search", "A")) == Observation("a" * 10)
+        assert env.step(ToolCall("search", "C")) == Observation("d" * 10)
+
     def test_unknown_tool_observation(self):
-        env = ScriptedEnvironment(tools=("search", "finish"))
-        obs = env.step(ToolCall("lookup", "x"))
-        assert obs.text.startswith("Invalid tool.")
+        obs = ScriptedEnvironment().step(ToolCall("calculate", "x"))
+        assert obs == Observation(
+            "Invalid tool. Available tools: search[...], lookup[...], finish[...]."
+        )
 
 
 class TestLoadTasks:
@@ -317,13 +340,13 @@ class TestCorpusLoading:
         path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
         corpus = WikiCorpus.load(path)
         assert len(corpus) == 2
-        assert corpus.get("richard feynman").sentences == tuple(FEYNMAN_SENTENCES)
+        assert corpus.sentences("richard feynman") == FEYNMAN_SENTENCES
         assert corpus.digest() == WikiCorpus.load(path).digest()
 
     def test_segmentation_applied_at_load(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"title": "T", "text": "One. Two! Three?"}), encoding="utf-8")
-        assert WikiCorpus.load(path).get("t").sentences == ("One.", "Two!", "Three?")
+        assert WikiCorpus.load(path).sentences("t") == ["One.", "Two!", "Three?"]
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -405,15 +428,14 @@ class TestLazyPages:
     @example("\u200b")
     @example("She signed as A.A.L. Her work endured.")
     def test_read_page_matches_split_text(self, tmp_path_factory, text):
-        sentences = tuple(split_sentences(text))
+        sentences = split_sentences(text)
         path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
         path.write_text(json.dumps({"title": "T", "text": text}) + "\n", encoding="utf-8")
         if not sentences:
             with pytest.raises(ValueError):
                 WikiCorpus.load(path)
             return
-        page = WikiCorpus.load(path).get("t")
-        assert page == WikiPage("T", sentences)
+        assert WikiCorpus.load(path).sentences("t") == sentences
 
     def test_digest_is_unchanged(self):
         assert make_corpus().digest() == MAKE_CORPUS_DIGEST
@@ -434,7 +456,7 @@ class TestLazyPages:
         path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
         corpus = WikiCorpus.load(path)
         assert calls == []
-        assert corpus.get("Marie Curie").sentences == tuple(CURIE_SENTENCES)
+        assert corpus.sentences("Marie Curie") == CURIE_SENTENCES
         assert calls == [" ".join(CURIE_SENTENCES)]
 
     def test_duplicate_normalized_title_rejected_at_load(self, tmp_path):

@@ -31,7 +31,7 @@ from hybridmas.core import (
     record_to_json_line,
 )
 from hybridmas.core import ToolCall
-from hybridmas.environments import ScriptedEnvironment
+from hybridmas.environments import Observation, ScriptedEnvironment
 from hybridmas.orchestrator import (
     DEFAULT_MAX_TURNS,
     INVALID_TOOL_CALL_OBSERVATION,
@@ -862,6 +862,34 @@ class TestTurnParts:
         for observation in env.returned:
             assert any(key is observation for key in keys)
             assert not [key for key in keys if key is not observation and observation in key]
+
+
+class _ContractEnvironment:
+    """An environment with nothing but the contract: tools, tool_prompt and step."""
+
+    tools = ("search", "finish")
+    tool_prompt = "search[entity] and finish[answer]."
+
+    def step(self, call):
+        if call.tool == "finish":
+            return Observation("Done.", terminal=True, final_answer=call.argument)
+        return Observation(f"seen {call.argument}")
+
+
+class TestEnvironmentContract:
+    @pytest.mark.parametrize("architecture, supervisor_script", [
+        ("monolithic", None),
+        ("eva", ["INTERVENE\n<SUMMARY>s</SUMMARY>\n<ADVICE>a</ADVICE>"]),
+    ], ids=["monolithic", "eva"])
+    def test_tools_tool_prompt_and_step_are_enough(self, architecture, supervisor_script):
+        record, executor, _ = run_scripted(
+            architecture, search_turns(2) + ["Tool call: finish[yes]"], supervisor_script,
+            env=_ContractEnvironment(), max_turns=4, verify_interval=2,
+        )
+        assert (record.termination, record.final_answer) == ("finished", "yes")
+        assert [turn.observation for turn in record.turns] == ["seen q1", "seen q2", "Done."]
+        assert record.resets == ([2] if supervisor_script else [])
+        assert all(_ContractEnvironment.tool_prompt in request for request in executor.requests)
 
 
 class TestConfigResolution:
