@@ -193,31 +193,28 @@ class ConfusionReport:
     fp: int
     tn: int
     fn: int
-    fn_rate: float
-    fp_rate: float
-    fn_rate_conditional: float
-    fp_rate_conditional: float
-
-    @classmethod
-    def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> ConfusionReport:
-        """The one place the rates are derived from the four counts."""
-        total = tp + fp + tn + fn
-        failures = tp + fn
-        successes = fp + tn
-        return cls(
-            tp=tp,
-            fp=fp,
-            tn=tn,
-            fn=fn,
-            fn_rate=fn / total if total else 0.0,
-            fp_rate=fp / total if total else 0.0,
-            fn_rate_conditional=fn / failures if failures else 0.0,
-            fp_rate_conditional=fp / successes if successes else 0.0,
-        )
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
+
+    @property
+    def fn_rate(self) -> float:
+        return self.fn / self.total if self.total else 0.0
+
+    @property
+    def fp_rate(self) -> float:
+        return self.fp / self.total if self.total else 0.0
+
+    @property
+    def fn_rate_conditional(self) -> float:
+        failures = self.tp + self.fn
+        return self.fn / failures if failures else 0.0
+
+    @property
+    def fp_rate_conditional(self) -> float:
+        successes = self.fp + self.tn
+        return self.fp / successes if successes else 0.0
 
 
 def verifier_confusion(
@@ -246,7 +243,7 @@ def verifier_confusion(
             tp += 1
         else:
             fn += 1
-    return ConfusionReport.from_counts(tp, fp, tn, fn)
+    return ConfusionReport(tp, fp, tn, fn)
 
 
 @dataclass(frozen=True)
@@ -255,10 +252,6 @@ class InterventionHistogram:
 
     counts: Mapping[int, int]
     quartiles: tuple[float, float, float] | None
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def intervention_histogram(interventions: Iterable[int]) -> InterventionHistogram:

@@ -473,15 +473,14 @@ class HttpChatBackend:
     honoured; userinfo in the proxy URL is sent as Proxy-Authorization;
     HTTPS goes through a CONNECT tunnel) and the TLS context, verifying
     against the REQUESTS_CA_BUNDLE / CURL_CA_BUNDLE file or directory, or
-    the system trust store when neither is set. Later changes to those
-    variables do not apply, and ~/.netrc is never consulted. A malformed
-    proxy URL, a bundle that cannot be loaded, a base_url that cannot be a
-    request target and a credential that cannot be a header value each
-    raise ValueError there, before any request. The credential is read on
-    each call from the environment variable named in config, is checked
-    again when it changes, and is the only source of the Authorization
-    header. The last one read is held in memory with its header line, to
-    notice a change; it is never written to config, a log or a message.
+    the system trust store when neither is set, and the credential from the
+    environment variable named in config, the only source of the
+    Authorization header. Later changes to those variables do not apply,
+    and ~/.netrc is never consulted. A malformed proxy URL, a bundle that
+    cannot be loaded, a base_url that cannot be a request target and a
+    credential that cannot be a header value each raise ValueError there,
+    before any request. The credential is held in memory only as its header
+    line; it is never written to config, a log or a message.
 
     A request is sent as one user message whose content is the prompt's
     parts joined, with the temperature and max_tokens of its sampling
@@ -494,11 +493,11 @@ class HttpChatBackend:
     endpoint, kept alive across calls and opened at the thread's first
     call; http.client only opens it (TCP_NODELAY, the timeout, the tunnel,
     TLS). A request goes out in one write: the request line and fixed
-    headers, built once, then the Authorization and Content-Length lines
-    and the body, encoded once per call. The reply is read by a byte-level
-    reader framed by RFC 9112 §6, under http.client's limits on header
-    lines and header count. A connection is closed after a reply that asks
-    for it (Connection: close, or HTTP/1.0 without keep-alive), one
+    headers, Authorization among them, built once, then the Content-Length
+    line and the body, encoded once per call. The reply is read by a
+    byte-level reader framed by RFC 9112 §6, under http.client's limits on
+    header lines and header count. A connection is closed after a reply
+    that asks for it (Connection: close, or HTTP/1.0 without keep-alive), one
     delimited by the close, and one followed by bytes nobody asked for.
     Before a kept connection carries a request, a zero-timeout poll checks
     that the server has not closed it while idle; one it has closed is
@@ -543,7 +542,6 @@ class HttpChatBackend:
         self._host = url.hostname
         self._port = url.port or (443 if https else 80)
         self.model = model
-        self.credential_env = credential_env
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
@@ -584,17 +582,9 @@ class HttpChatBackend:
                 "Content-Type: application/json"]
         if self._proxy is not None and not https:  # a tunnel carries them in its CONNECT
             head += [f"{name}: {value}" for name, value in self._proxy_headers.items()]
-        self._head = "".join(line + "\r\n" for line in head).encode("ascii")
-        self._auth = ("", b"")  # the credential last read and its header line
-        self._authorization()
-
-    def _authorization(self) -> bytes:
-        """The Authorization line for the credential as it is now."""
-        credential = os.environ.get(self.credential_env, "") if self.credential_env else ""
-        auth = self._auth
-        if credential != auth[0]:
-            auth = self._auth = credential, _bearer_line(self.credential_env, credential)
-        return auth[1]
+        credential = os.environ.get(credential_env, "") if credential_env else ""
+        self._head = ("".join(line + "\r\n" for line in head).encode("ascii")
+                      + _bearer_line(credential_env, credential))
 
     def _connect(self) -> http.client.HTTPConnection:
         """This thread's connection; its socket opens at the first request."""
@@ -620,8 +610,7 @@ class HttpChatBackend:
         if connection.sock is None:
             connection.connect()
         sock = connection.sock
-        sock.sendall(b"%s%sContent-Length: %d\r\n\r\n%s"
-                     % (self._head, self._authorization(), len(body), body))
+        sock.sendall(b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(body), body))
         status, headers, data, reusable = _read_reply(sock)
         if not reusable:
             connection.close()

@@ -38,7 +38,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -217,7 +217,7 @@ class _ReportInputs:
         self.architectures: dict[str, str] = {}  # each non-empty log's first record's
         self.interventions: list[int] = []
         self.solve_sets: dict[str, set[str]] = {}
-        self.confusion_counts = (0, 0, 0, 0)  # tp, fp, tn, fn
+        self.confusion = analysis.ConfusionReport(0, 0, 0, 0)
         # confusion.csv is refused for the first record without a success
         # label, else for the first record of a non-audit run.
         self.unlabeled: Optional[str] = None
@@ -243,8 +243,8 @@ class _ReportInputs:
             # Its traceback would keep this log's records alive.
             self.non_audit = exc.with_traceback(None)
             return
-        counts = (report.tp, report.fp, report.tn, report.fn)
-        self.confusion_counts = tuple(map(sum, zip(self.confusion_counts, counts)))
+        self.confusion = analysis.ConfusionReport(
+            *map(sum, zip(astuple(self.confusion), astuple(report))))
 
 
 def cmd_report(args) -> int:
@@ -317,6 +317,11 @@ def _write_histogram(interventions: Sequence[int], path: Path) -> None:
     )
 
 
+# ConfusionReport counts and rates, the columns of confusion.csv.
+_CONFUSION_COLUMNS = ("tp", "fp", "tn", "fn", "fn_rate", "fp_rate", "fn_rate_conditional",
+                      "fp_rate_conditional")
+
+
 def _write_confusion(inputs: _ReportInputs, path: Path) -> None:
     if inputs.unlabeled is not None:
         raise ValueError(
@@ -325,8 +330,8 @@ def _write_confusion(inputs: _ReportInputs, path: Path) -> None:
         )
     if inputs.non_audit is not None:
         raise inputs.non_audit
-    report = analysis.ConfusionReport.from_counts(*inputs.confusion_counts)
-    _write_csv(path, [f.name for f in fields(report)], [astuple(report)])
+    report = inputs.confusion
+    _write_csv(path, _CONFUSION_COLUMNS, [[getattr(report, n) for n in _CONFUSION_COLUMNS]])
     print(f"confusion written to {path} (total {report.total})")
 
 

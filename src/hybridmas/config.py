@@ -8,7 +8,9 @@ ScriptedEnvironment, and ToolCall and Observation for a table entry), each
 converted by its declared type; any other key is a ConfigError, and so is a
 value the constructor refuses. 0, false, "" and [] are values, checked as
 such, never a stand-in for a default.
-Every backend spec is checked at load, whether or not a role references it.
+Every backend spec is checked at load, whether or not a role references it;
+the script of one that no role references is read and checked there too,
+since no run builds it. A sweep lists each interval once.
 Credentials are never stored in config, only the names of environment
 variables holding them. Relative paths resolve against the config file's
 directory.
@@ -162,7 +164,7 @@ def _table(value: Any, where: str) -> dict[ToolCall, Observation]:
 
 # The converter of each type a config key may be declared with.
 _CONVERTERS = {int: _integer, float: _float, str: _string, Decimal: _decimal, bool: _boolean,
-               Observation | str: _string, Mapping[ToolCall, Observation | str]: _table}
+               Mapping[ToolCall, Observation]: _table}
 
 
 def _known(raw: Any, keys: tuple, section: str) -> dict:
@@ -292,19 +294,15 @@ def build_backend(spec: dict, base_dir: Path):
 def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
     """Return a zero-argument factory producing a fresh environment per
     trajectory, its keywords read from cfg.environment through its
-    constructor's declaration; a wiki corpus is given, not a key. One is
-    built here, over an empty corpus, so that a value the constructor
-    refuses is a ConfigError before any corpus is read or output exists.
-    Corpora are shared; lookup state is not."""
+    constructor's declaration before any corpus is read; a wiki corpus is
+    given, not a key. Corpora are shared; lookup state is not."""
     build = {"wiki": WikiEnvironment, "scripted": ScriptedEnvironment}.get(cfg.run.environment_id)
     if build is None:
         raise ConfigError(f"unknown environment type {cfg.run.environment_id!r}")
     keywords = _keywords(build, cfg.environment, "environment.", ("type",), ("corpus",))
-    corpus = {"corpus": WikiCorpus(())} if build is WikiEnvironment else {}
-    _build(build, "environment", {**keywords, **corpus})
-    if corpus:
-        corpus["corpus"] = WikiCorpus.load(cfg.corpus)
-    return partial(build, **keywords, **corpus)
+    if build is WikiEnvironment:
+        keywords["corpus"] = WikiCorpus.load(cfg.corpus)
+    return partial(build, **keywords)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -352,6 +350,11 @@ def load_config(path) -> ExperimentConfig:
     # RunConfig requires a supervisor of every architecture but monolithic.
     executor_profile, executor_backend_name = resolve_role("executor", required=True)
     supervisor_profile, supervisor_backend_name = resolve_role("supervisor", required=False)
+    # A referenced script is read when its backend is built; no run builds another.
+    for name, spec in backend_specs.items():
+        if spec["type"] == "script" and name not in (executor_backend_name,
+                                                     supervisor_backend_name):
+            _load_script(spec, base_dir)
 
     environment = _mapping(_given(raw, "environment", {}), "environment")
     run_config = _construct(
@@ -378,7 +381,9 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(sweep, list) or not sweep:
             raise ConfigError("sweep must be a non-empty list of intervals")
         sweep = [_integer(v, "sweep") for v in sweep]
-        for interval in sweep:
+        for i, interval in enumerate(sweep):
+            if interval in sweep[:i]:
+                raise ConfigError(f"sweep: duplicate interval {interval}")
             _build(partial(replace, run_config), "sweep", {"verify_interval": interval})
 
     # An absolute output path replaces base_dir.

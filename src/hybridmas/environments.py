@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .core import TaskInstance, ToolCall
 from .prompting import load_asset
 
-DEFAULT_OBSERVATION_LIMIT = 4000
+OBSERVATION_LIMIT = 4000
 TRUNCATION_MARKER = "\n[observation truncated]"
 
 FINISH_TOOL = "finish"
@@ -50,10 +50,10 @@ class Observation:
             raise ValueError("final_answer requires a terminal observation")
 
 
-def truncate_observation(text: str, limit: int = DEFAULT_OBSERVATION_LIMIT) -> str:
-    if len(text) <= limit:
+def truncate_observation(text: str) -> str:
+    if len(text) <= OBSERVATION_LIMIT:
         return text
-    return text[:limit] + TRUNCATION_MARKER
+    return text[:OBSERVATION_LIMIT] + TRUNCATION_MARKER
 
 
 # --- sentence segmentation -------------------------------------------------
@@ -200,11 +200,8 @@ class WikiEnvironment:
 
     tools = ("search", "lookup", FINISH_TOOL)
 
-    def __init__(self, corpus: WikiCorpus, observation_limit: int = DEFAULT_OBSERVATION_LIMIT):
-        if observation_limit < 1:
-            raise ValueError(f"observation_limit must be >= 1, not {observation_limit}")
+    def __init__(self, corpus: WikiCorpus):
         self.corpus = corpus
-        self.observation_limit = observation_limit
         self.page: Optional[list[str]] = None
         self.lookup_query: Optional[str] = None
         self.lookup_matches: list[str] = []
@@ -226,7 +223,7 @@ class WikiEnvironment:
         )
 
     def _observe(self, text: str) -> Observation:
-        return Observation(truncate_observation(text, self.observation_limit))
+        return Observation(truncate_observation(text))
 
     def _search(self, entity: str) -> Observation:
         sentences = self.corpus.sentences(entity)
@@ -256,8 +253,9 @@ class WikiEnvironment:
 
 class ScriptedEnvironment:
     """Lookup-table environment for deterministic tests, with the wiki
-    environment's tools. finish is always terminal; unscripted calls yield
-    the default observation. Each text is truncated to observation_limit
+    environment's tools: table maps each scripted call to its Observation,
+    and any other search or lookup yields the default text, not terminal.
+    finish is always terminal. Each text is truncated to OBSERVATION_LIMIT
     once, when the environment is built."""
 
     tools = WikiEnvironment.tools
@@ -273,21 +271,12 @@ Terminates the episode and returns the final answer.
 
     def __init__(
         self,
-        table: Optional[Mapping[ToolCall, Observation | str]] = None,
-        default: Observation | str = "Nothing happens.",
-        observation_limit: int = DEFAULT_OBSERVATION_LIMIT,
+        table: Optional[Mapping[ToolCall, Observation]] = None,
+        default: str = "Nothing happens.",
     ):
-        if observation_limit < 1:
-            raise ValueError(f"observation_limit must be >= 1, not {observation_limit}")
-        self.observation_limit = observation_limit
-
-        def truncated(value: Observation | str) -> Observation:
-            observation = Observation(value) if isinstance(value, str) else value
-            return replace(observation,
-                           text=truncate_observation(observation.text, observation_limit))
-
-        self.table = {call: truncated(value) for call, value in (table or {}).items()}
-        self.default = truncated(default)
+        self.table = {call: replace(observation, text=truncate_observation(observation.text))
+                      for call, observation in (table or {}).items()}
+        self.default = Observation(truncate_observation(default))
 
     def step(self, call: ToolCall) -> Observation:
         if call.tool == FINISH_TOOL:

@@ -358,11 +358,9 @@ def run_trajectory(
     task: TaskInstance,
     config: RunConfig,
     executor_backend,
-    supervisor_backend=None,
-    env=None,
+    supervisor_backend,
+    env,
 ) -> TrajectoryRecord:
     """Execute one task under the configured architecture. Each trajectory
     needs a fresh env: an environment keeps its state from step to step."""
-    if env is None:
-        raise ValueError("an environment is required")
     return _Episode(task, config, executor_backend, supervisor_backend, env).run()

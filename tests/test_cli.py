@@ -262,17 +262,16 @@ MALFORMED_VALUES = {
     "max_generated_tokens": (
         {"run.sampling": {"max_generated_tokens": "many"}}, "run.sampling.max_generated_tokens"
     ),
-    "observation_limit-str": (
-        {"environment": {**SCRIPTED_ENV, "observation_limit": "lots"}},
-        "environment.observation_limit",
-    ),
-    "observation_limit-mapping": (
-        {"environment": {**SCRIPTED_ENV, "observation_limit": {}}},
-        "environment.observation_limit",
-    ),
+    # The limit is no key, whatever its value.
+    **{f"observation_limit-{kind}": (
+        {"environment": {**SCRIPTED_ENV, "observation_limit": value}},
+        "config error: unknown key 'observation_limit' in environment",
+    ) for kind, value in (("str", "lots"), ("mapping", {}), ("bool", True), ("negative", -5),
+                          ("zero", 0))},
     "table-missing-text": (
         {"environment": {**SCRIPTED_ENV, "table": [{"tool": "search"}]}}, "environment.table"
     ),
+    "sweep-duplicate": ({"sweep": [2, 1, 2]}, "config error: sweep: duplicate interval 2"),
     "table-not-mapping": (
         {"environment": {**SCRIPTED_ENV, "table": ["search"]}}, "environment.table"
     ),
@@ -340,10 +339,6 @@ MALFORMED_VALUES = {
     "max_retries-float": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "max_retries": 2.5}}},
         "http backend max_retries",
-    ),
-    "observation_limit-bool": (
-        {"environment": {**SCRIPTED_ENV, "observation_limit": True}},
-        "environment.observation_limit",
     ),
     "context_cap-float": (
         {"models": {"edge": {**EDGE_MODEL, "context_cap": 32768.5}, "cloud": CLOUD_MODEL}},
@@ -428,14 +423,6 @@ MALFORMED_VALUES = {
             {"tool": "search", "argument": "x", "text": "second"},
         ]}},
         "environment.table[1]: duplicate call search[x]",
-    ),
-    "observation_limit-negative": (
-        {"environment": {**SCRIPTED_ENV, "observation_limit": -5}},
-        "environment: observation_limit must be >= 1",
-    ),
-    "observation_limit-zero": (
-        {"environment": {**SCRIPTED_ENV, "observation_limit": 0}},
-        "environment: observation_limit must be >= 1",
     ),
     "table-final_answer-not-terminal": (
         {"environment": {**SCRIPTED_ENV, "table": [
@@ -594,9 +581,9 @@ def test_value_the_wiki_environment_refuses_exits_1(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(WikiCorpus, "load", classmethod(lambda cls, path: loads.append(path)))
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert err == "config error: environment: observation_limit must be >= 1, not 0\n"
+    assert err == "config error: unknown key 'observation_limit' in environment\n"
     assert not (tmp_path / "out").exists()
-    # The value is refused before the corpus is read.
+    # The key is refused before the corpus is read.
     assert loads == []
 
 
@@ -651,16 +638,37 @@ def test_every_backend_spec_is_checked_before_any_input_is_read(
     assert not (tmp_path / "out").exists()
 
 
-def test_unreferenced_spec_beside_the_golden_config_exits_1(tmp_path, capsys):
+def _golden_config_with_spare(tmp_path, spare):
+    """The golden eva.yaml in tmp_path, with the backend spec spare beside
+    its two, referenced by no role."""
     golden = GOLDEN_LOGS.parent
     data = yaml.safe_load((golden / "eva.yaml").read_text(encoding="utf-8"))
     data["dataset"] = str(golden / "tasks.jsonl")
     data["backends"]["edge"]["script_file"] = str(golden / "executor.yaml")
-    data["backends"]["spare"] = {**HTTP_EXECUTOR, "max_retry": 5}
+    data["backends"]["spare"] = spare
     config = tmp_path / "eva.yaml"
     config.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return config
+
+
+def test_unreferenced_spec_beside_the_golden_config_exits_1(tmp_path, capsys):
+    config = _golden_config_with_spare(tmp_path, {**HTTP_EXECUTOR, "max_retry": 5})
     assert main(["run", "--config", str(config)]) == 1
     assert "unknown key 'max_retry' in http backend" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("script, message", [
+    ({"script": 5}, "backend script must be a non-empty list"),
+    ({"script": [{"response": 5}]}, "bad script entry: {'response': 5}"),
+    ({"script_file": "empty.json"}, "backend script must be a non-empty list"),
+], ids=["not-a-list", "bad-entry", "file-not-a-list"])
+def test_unreferenced_script_beside_the_golden_config_exits_1(tmp_path, capsys, script,
+                                                              message):
+    (tmp_path / "empty.json").write_text("{}", encoding="utf-8")
+    config = _golden_config_with_spare(tmp_path, {"type": "script", **script})
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

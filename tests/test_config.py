@@ -76,9 +76,7 @@ def test_unset_keys_take_the_constructors_defaults(tmp_path):
 
     cfg = config.load_config(write_minimal_config(tmp_path, environment={"type": "scripted"}))
     env, reference = config.build_environment_factory(cfg)(), ScriptedEnvironment()
-    assert (env.default, env.tools, env.observation_limit) == (
-        reference.default, reference.tools, reference.observation_limit
-    )
+    assert (env.default, env.tools) == (reference.default, reference.tools)
 
 
 @pytest.mark.parametrize("env_type, build", [("wiki", WikiEnvironment),
@@ -87,7 +85,7 @@ def test_environment_keys_are_type_and_the_constructors_parameters(tmp_path, env
     """Every parameter of either environment is tried as a key; corpus is
     the program's to give, not a key."""
     (tmp_path / "corpus.jsonl").write_text('{"title": "A", "text": "A page."}\n', encoding="utf-8")
-    values = {"observation_limit": 5, "table": [], "default": "x", "tools": ["search"]}
+    values = {"table": [], "default": "x", "tools": ["search"]}
     candidates = {"type", *inspect.signature(WikiEnvironment).parameters,
                   *inspect.signature(ScriptedEnvironment).parameters}
     accepted = set()
@@ -170,3 +168,15 @@ def test_bad_script_entry_is_config_error(tmp_path, entry, source):
         spec = {"type": "script", "script_file": "script.json"}
     with pytest.raises(config.ConfigError, match="^bad script entry: "):
         config.build_backend(spec, tmp_path)
+
+
+def test_the_readme_config_example_loads(tmp_path):
+    """The README's config example, its keys read through the declarations."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config file\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "config.yaml").write_text(example, encoding="utf-8")
+    for name in ("tasks.jsonl", "corpus.jsonl"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    cfg = config.load_config(tmp_path / "config.yaml")
+    assert (cfg.run.architecture, cfg.sweep) == ("eva", [1, 2, 3, 5])
+    assert isinstance(config.build_environment_factory(cfg)(), WikiEnvironment)

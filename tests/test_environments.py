@@ -10,6 +10,7 @@ from hybridmas import environments
 from hybridmas.core import ToolCall
 from hybridmas.environments import (
     NO_MORE_RESULTS,
+    OBSERVATION_LIMIT,
     TRUNCATION_MARKER,
     Observation,
     SchemaViolationError,
@@ -214,11 +215,11 @@ class TestEnvStep:
             )
         assert outputs[0] == outputs[1]
 
-    def test_observation_truncation(self, corpus):
-        env = WikiEnvironment(corpus, observation_limit=20)
-        obs = env.step(ToolCall("search", "Richard Feynman"))
-        assert obs.text.startswith("Richard Feynman was "[:20])
-        assert obs.text.endswith("[observation truncated]")
+    def test_observation_truncation(self):
+        page = "x" * OBSERVATION_LIMIT + "."
+        env = WikiEnvironment(WikiCorpus([("Long", page)]))
+        obs = env.step(ToolCall("search", "Long"))
+        assert obs == Observation(page[:OBSERVATION_LIMIT] + TRUNCATION_MARKER)
 
 
 class TestObservation:
@@ -227,12 +228,13 @@ class TestObservation:
             Observation("x", terminal=False, final_answer="y")
 
     def test_truncate_noop_below_limit(self):
-        assert truncate_observation("short", 10) == "short"
+        assert truncate_observation("short") == "short"
+        assert truncate_observation("a" * OBSERVATION_LIMIT) == "a" * OBSERVATION_LIMIT
 
 
 class TestScriptedEnvironment:
     def test_table_lookup(self):
-        env = ScriptedEnvironment({ToolCall("search", "A"): "obs"})
+        env = ScriptedEnvironment({ToolCall("search", "A"): Observation("obs")})
         assert env.step(ToolCall("search", "A")).text == "obs"
 
     def test_default_for_unscripted(self):
@@ -240,32 +242,34 @@ class TestScriptedEnvironment:
         assert env.step(ToolCall("search", "missing")).text == "fallback"
 
     def test_finish_always_terminal(self):
-        env = ScriptedEnvironment({ToolCall("finish", "42"): "ignored"})
+        env = ScriptedEnvironment({ToolCall("finish", "42"): Observation("ignored")})
         obs = env.step(ToolCall("finish", "42"))
         assert obs.terminal
         assert obs.final_answer == "42"
 
     def test_texts_over_the_limit_are_truncated(self):
+        over = OBSERVATION_LIMIT + 1
         env = ScriptedEnvironment(
             {
-                ToolCall("search", "A"): "a" * 11,
-                ToolCall("lookup", "B"): Observation("b" * 11, terminal=True, final_answer="B"),
+                ToolCall("search", "A"): Observation("a" * over),
+                ToolCall("lookup", "B"): Observation("b" * over, terminal=True, final_answer="B"),
             },
-            default="d" * 11,
-            observation_limit=10,
+            default="d" * over,
         )
-        assert env.step(ToolCall("search", "A")) == Observation("a" * 10 + TRUNCATION_MARKER)
+        limit = OBSERVATION_LIMIT
+        assert env.step(ToolCall("search", "A")) == Observation("a" * limit + TRUNCATION_MARKER)
         assert env.step(ToolCall("lookup", "B")) == Observation(
-            "b" * 10 + TRUNCATION_MARKER, terminal=True, final_answer="B"
+            "b" * limit + TRUNCATION_MARKER, terminal=True, final_answer="B"
         )
-        assert env.step(ToolCall("search", "C")) == Observation("d" * 10 + TRUNCATION_MARKER)
+        assert env.step(ToolCall("search", "C")) == Observation("d" * limit + TRUNCATION_MARKER)
 
     def test_texts_within_the_limit_are_unchanged(self):
+        limit = OBSERVATION_LIMIT
         env = ScriptedEnvironment(
-            {ToolCall("search", "A"): "a" * 10}, default="d" * 10, observation_limit=10
+            {ToolCall("search", "A"): Observation("a" * limit)}, default="d" * limit
         )
-        assert env.step(ToolCall("search", "A")) == Observation("a" * 10)
-        assert env.step(ToolCall("search", "C")) == Observation("d" * 10)
+        assert env.step(ToolCall("search", "A")) == Observation("a" * limit)
+        assert env.step(ToolCall("search", "C")) == Observation("d" * limit)
 
     def test_unknown_tool_observation(self):
         obs = ScriptedEnvironment().step(ToolCall("calculate", "x"))

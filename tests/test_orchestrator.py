@@ -775,7 +775,7 @@ class TestRequestText:
         executor_script = search_turns(9)
         executor_script[2] = "I cannot decide."  # a turn without a memory block
         env = ScriptedEnvironment(
-            {ToolCall("search", f"q{i}"): f"result {i}" for i in range(1, 10)}
+            {ToolCall("search", f"q{i}"): Observation(f"result {i}") for i in range(1, 10)}
         )
         record, executor, supervisor = run_scripted(
             architecture, executor_script, supervisor_script, env=env,
@@ -904,10 +904,6 @@ class TestConfigResolution:
             run_trajectory(
                 TASK, make_run_config("eva"), ScriptedBackend(["x"]), None, ScriptedEnvironment()
             )
-
-    def test_env_required(self):
-        with pytest.raises(ValueError):
-            run_trajectory(TASK, make_run_config("monolithic"), ScriptedBackend(["x"]))
 
     def test_config_digest_differs_across_conditions(self):
         a, _, _ = run_scripted("eva", ["Tool call: finish[x]"], ["unused"], verify_interval=2)
