@@ -89,16 +89,13 @@ def execute_condition(
     are built here, for this condition alone: a scripted one is consumed by
     its run. Returns summary stats over the complete log."""
     run_config = replace(cfg.run, verify_interval=verify_interval)
-    base_dir = cfg.dataset.parent
-    executor = build_backend(cfg.backend_specs[cfg.executor_backend_name], base_dir)
+    executor = build_backend(cfg.backend_specs[cfg.executor_backend_name])
     supervisor = None
     if cfg.supervisor_backend_name is not None:
         if cfg.supervisor_backend_name == cfg.executor_backend_name:
             supervisor = executor
         else:
-            supervisor = build_backend(
-                cfg.backend_specs[cfg.supervisor_backend_name], base_dir
-            )
+            supervisor = build_backend(cfg.backend_specs[cfg.supervisor_backend_name])
 
     out_dir = _condition_dir(cfg, verify_interval)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,9 +8,10 @@ ScriptedEnvironment, and ToolCall and Observation for a table entry), each
 converted by its declared type; any other key is a ConfigError, and so is a
 value the constructor refuses. 0, false, "" and [] are values, checked as
 such, never a stand-in for a default.
-Every backend spec is checked at load, whether or not a role references it;
-the script of one that no role references is read and checked there too,
-since no run builds it. A sweep lists each interval once.
+load_config is the one reader of the file: every backend spec is checked
+at load, whether or not a role references it, and every script is read
+there, once. A backend and the environment are kept as builders that
+construct objects only. A sweep lists each interval once.
 Credentials are never stored in config, only the names of environment
 variables holding them. Relative paths resolve against the config file's
 directory.
@@ -53,15 +54,17 @@ def _load_yaml(path: Path) -> Any:
 @dataclass
 class ExperimentConfig:
     """A config file as load_config reads it, its paths resolved against
-    the file's directory; output defaults to "out" there."""
+    the file's directory; output defaults to "out" there. Each backend is
+    a zero-argument builder, and the environment a builder that takes a
+    wiki environment's corpus."""
 
     run: RunConfig
     executor_backend_name: str
     supervisor_backend_name: Optional[str]
-    backend_specs: dict[str, dict]
+    backend_specs: dict[str, Callable[[], object]]
     dataset: Path
     corpus: Optional[Path]
-    environment: dict
+    environment: Callable[..., object]
     output: Path
     sweep: Optional[list[int]]
     parallelism: int = 1
@@ -232,16 +235,16 @@ def parse_model_profile(name: str, raw: dict) -> ModelProfile:
     return _construct(ModelProfile, raw, where, ("pricing",), name=name, pricing=pricing)
 
 
-def _load_script(spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
-    """The spec's script with each entry checked: a plain string is kept as
-    it is, and only a {match, response} mapping, whose response is a string
-    and whose match is a string or null, becomes a ScriptEntry. A mapping
-    with any other key is a bad entry: a misspelled match would answer any
-    request."""
+def _load_script(name: str, spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
+    """The script of backends.<name>, each entry checked: a plain string is
+    kept as it is, and only a {match, response} mapping, whose response is a
+    string and whose match is a string or null, becomes a ScriptEntry. A
+    mapping with any other key is a bad entry: a misspelled match would
+    answer any request. A script_file resolves against base_dir."""
     if "script" in spec:
         raw_entries = spec["script"]
     else:
-        path = base_dir / spec["script_file"]
+        path = base_dir.absolute() / _path(spec["script_file"], f"backends.{name}.script_file")
         if not path.is_file():
             raise ConfigError(f"script file not found: {path}")
         if path.suffix in (".yaml", ".yml"):
@@ -265,44 +268,39 @@ def _load_script(spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
     return entries
 
 
-def _backend_keywords(spec: Any) -> tuple[str, dict]:
-    """(type, keywords) of a backend spec, its keys checked: a script spec
-    keeps its keys as they are, and an http spec's are converted by their
-    declared types. Neither is built, and no script file is read."""
+def _backend(name: str, spec: Any, base_dir: Path) -> Callable[[], object]:
+    """A zero-argument builder of the backend that backends.<name> describes,
+    its every key and value checked: a script spec's script is read here,
+    once (every build shares the list, which ScriptedBackend never
+    mutates), and an http spec is built once to check its values."""
     kind = _require(spec, "type", "backend spec")
     if kind == "script":
         spec = _known(spec, ("type", "script", "script_file"), "script backend")
         if "script" not in spec and "script_file" not in spec:
             raise ConfigError("scripted backends need a script or script_file key")
-        return kind, spec
+        return partial(ScriptedBackend, _load_script(name, spec, base_dir))
     if kind == "http":
-        return kind, _keywords(HttpChatBackend, spec, "http backend ", ("type",))
+        keywords = _keywords(HttpChatBackend, spec, "http backend ", ("type",))
+        _build(HttpChatBackend, "http backend", keywords)
+        return partial(HttpChatBackend, **keywords)
     raise ConfigError(f"unknown backend type {kind!r}")
 
 
-def build_backend(spec: dict, base_dir: Path):
-    """Instantiate a backend from its config spec. Scripted backends hold
-    per-run consumption state, so call this once per run. A relative
-    script_file resolves against base_dir; load_config makes a config's
-    absolute, against the config's directory."""
-    kind, keywords = _backend_keywords(spec)
-    if kind == "script":
-        return ScriptedBackend(_load_script(spec, base_dir))
-    return _build(HttpChatBackend, "http backend", keywords)
+def build_backend(spec: Callable[[], object], base_dir: Optional[Path] = None):
+    """A new backend from a builder of load_config's backend_specs, whose
+    values load_config has checked. Scripted backends hold per-run
+    consumption state, so call this once per run. base_dir is not read;
+    perfbench's worker still passes it."""
+    return spec()
 
 
 def build_environment_factory(cfg: ExperimentConfig) -> Callable[[], object]:
     """Return a zero-argument factory producing a fresh environment per
-    trajectory, its keywords read from cfg.environment through its
-    constructor's declaration before any corpus is read; a wiki corpus is
-    given, not a key. Corpora are shared; lookup state is not."""
-    build = {"wiki": WikiEnvironment, "scripted": ScriptedEnvironment}.get(cfg.run.environment_id)
-    if build is None:
-        raise ConfigError(f"unknown environment type {cfg.run.environment_id!r}")
-    keywords = _keywords(build, cfg.environment, "environment.", ("type",), ("corpus",))
-    if build is WikiEnvironment:
-        keywords["corpus"] = WikiCorpus.load(cfg.corpus)
-    return partial(build, **keywords)
+    trajectory: cfg.environment, given the loaded wiki corpus where the
+    environment is a wiki one. Corpora are shared; lookup state is not."""
+    if cfg.run.environment_id == "wiki":
+        return partial(cfg.environment, corpus=WikiCorpus.load(cfg.corpus))
+    return cfg.environment
 
 
 def load_config(path) -> ExperimentConfig:
@@ -320,13 +318,7 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(backend_specs, dict) or not backend_specs:
         raise ConfigError("backends section must be a non-empty mapping")
     # Every spec is checked here, referenced by a role or not.
-    for name, spec in backend_specs.items():
-        if _backend_keywords(spec)[0] == "script" and "script_file" in spec:
-            script_file = base_dir.absolute() / _path(spec["script_file"],
-                                                      f"backends.{name}.script_file")
-            if not script_file.is_file():
-                raise ConfigError(f"script file not found: {script_file}")
-            backend_specs[name] = {**spec, "script_file": script_file}
+    backend_specs = {name: _backend(name, spec, base_dir) for name, spec in backend_specs.items()}
 
     run_raw = _mapping(_require(raw, "run", "config"), "run")
 
@@ -350,19 +342,22 @@ def load_config(path) -> ExperimentConfig:
     # RunConfig requires a supervisor of every architecture but monolithic.
     executor_profile, executor_backend_name = resolve_role("executor", required=True)
     supervisor_profile, supervisor_backend_name = resolve_role("supervisor", required=False)
-    # A referenced script is read when its backend is built; no run builds another.
-    for name, spec in backend_specs.items():
-        if spec["type"] == "script" and name not in (executor_backend_name,
-                                                     supervisor_backend_name):
-            _load_script(spec, base_dir)
 
     environment = _mapping(_given(raw, "environment", {}), "environment")
+    environment_id = _string(_given(environment, "type", RunConfig.environment_id),
+                             "environment.type")
+    build = {"wiki": WikiEnvironment, "scripted": ScriptedEnvironment}.get(environment_id)
+    if build is None:
+        raise ConfigError(f"unknown environment type {environment_id!r}")
+    # A wiki corpus is given, not a key.
+    environment = partial(build, **_keywords(build, environment, "environment.", ("type",),
+                                             ("corpus",)))
     run_config = _construct(
         RunConfig, run_raw, "run.", ("executor", "supervisor", "sampling"),
         executor_profile=executor_profile,
         supervisor_profile=supervisor_profile,
         sampling=_construct(SamplingParams, _given(run_raw, "sampling", {}), "run.sampling."),
-        environment_id=environment.get("type", RunConfig.environment_id),
+        environment_id=environment_id,
     )
 
     dataset = base_dir / _path(_require(raw, "dataset", "config"), "dataset")

@@ -10,7 +10,9 @@ import pytest
 import yaml
 
 from hybridmas import cli
+from hybridmas import config as config_module
 from hybridmas.analysis import condition_stats
+from hybridmas.backends import ScriptEntry
 from hybridmas.cli import main
 from hybridmas.core import read_trajectories, record_to_json_line
 from hybridmas.environments import WikiCorpus
@@ -162,12 +164,8 @@ class TestCmdRun:
         assert main(["run", "--config", config]) == 0
         records = read_trajectories(tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl")
         assert [r.termination for r in records] == ["finished"] * 3
-        cfg = cli.load_config(config)
-        spec = cfg.backend_specs["executor"]
-        built = [cli.build_backend(spec, base)._entries for base in (cfg.dataset.parent, tmp_path)]
-        assert built[0] == built[1] == cli.build_backend(
-            {"type": "script", "script": finish_script()}, tmp_path
-        )._entries
+        built = cli.build_backend(cli.load_config(config).backend_specs["executor"])
+        assert built._entries == [ScriptEntry(e["response"], e["match"]) for e in finish_script()]
 
     def test_script_exhausted_marks_only_that_task(self, tmp_path):
         config = write_config(
@@ -317,6 +315,14 @@ MALFORMED_VALUES = {
         "bad script entry: ",
     ),
     "environment-not-mapping": ({"environment": "scripted"}, "environment must be a mapping"),
+    # A type that is no string: a list was unhashable (exit 2).
+    "environment-type-list": (
+        {"environment": {"type": ["scripted"]}},
+        "config error: environment.type must be a string, not ['scripted']",
+    ),
+    "environment-type-mapping": (
+        {"environment": {"type": {"scripted": None}}}, "environment.type must be a string"
+    ),
     "models-not-mapping": ({"models": ["edge"]}, "models must be a mapping"),
     "model-not-mapping": ({"models": {"edge": "placement"}}, "models.edge must be a mapping"),
     "sampling-not-mapping": ({"run.sampling": "greedy"}, "run.sampling must be a mapping"),
@@ -563,6 +569,9 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, overrides, where, comm
     assert err.startswith("config error: ") and where in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    # Refused by the one reader of the file, before anything is built.
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(config)
 
 
 def test_integral_numbers_load_as_integers(tmp_path):
@@ -612,10 +621,30 @@ UNCHECKED_SPECS = {
         {"executor": {"type": "script", "script": finish_script()}, "spare": {"type": "grpc"}},
         "unknown backend type 'grpc'",
     ),
+    # A value that only the constructor checks, of a spec no role references.
+    "unreferenced-max_retries": (
+        {"executor": {"type": "script", "script": finish_script()},
+         "spare": {**HTTP_EXECUTOR, "max_retries": -1}},
+        "http backend: max_retries must be >= 0",
+    ),
+    "unreferenced-base_url": (
+        {"executor": {"type": "script", "script": finish_script()},
+         "spare": {**HTTP_EXECUTOR, "base_url": "ftp://x"}},
+        "http backend: base_url must be an http or https URL",
+    ),
+    "unreferenced-timeout_s": (
+        {"executor": {"type": "script", "script": finish_script()},
+         "spare": {**HTTP_EXECUTOR, "timeout_s": 0}},
+        "http backend: timeout_s must be > 0",
+    ),
     # A referenced spec was checked only once the tasks and the corpus were read.
     "referenced-http": (
         {"executor": {**HTTP_EXECUTOR, "max_retry": 5}},
         "unknown key 'max_retry' in http backend",
+    ),
+    "referenced-timeout_s": (
+        {"executor": {**HTTP_EXECUTOR, "timeout_s": 0}},
+        "http backend: timeout_s must be > 0",
     ),
 }
 
@@ -908,24 +937,32 @@ class TestCmdSweep:
         data = yaml.safe_load(config.read_text(encoding="utf-8"))
         data["sweep"] = [1, 2, 3]
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
-        calls = []
+        calls, loaded = [], []
 
-        def counted(name):
-            real = getattr(cli, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args):
                 calls.append((name, args[0]) if name == "build_backend" else name)
-                return real(*args)
+                result = real(*args)
+                if name == "load_config":
+                    loaded.append(result)
+                return result
 
-            monkeypatch.setattr(cli, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("load_tasks", "build_environment_factory", "build_backend"):
-            counted(name)
+        for name in ("load_config", "load_tasks", "build_environment_factory", "build_backend"):
+            counted(cli, name)
+        counted(config_module, "_load_script")
         assert main(["sweep", "--config", str(config)]) == 0
-        # Backends are built per interval: a scripted one is consumed by its run.
-        per_interval = [("build_backend", data["backends"][role])
-                        for role in ("executor", "supervisor")]
-        assert calls == ["load_tasks", "build_environment_factory", *per_interval * 3]
+        # Each script is read once, at load. Each role's backend is built per
+        # interval: a scripted one is consumed by its run.
+        roles = {spec: role for role, spec in loaded[0].backend_specs.items()}
+        calls = [(call[0], roles[call[1]]) if isinstance(call, tuple) else call
+                 for call in calls]
+        per_interval = [("build_backend", "executor"), ("build_backend", "supervisor")]
+        assert calls == ["load_config", "_load_script", "_load_script", "load_tasks",
+                         "build_environment_factory", *per_interval * 3]
         for tv in (1, 2, 3):
             log = tmp_path / "out" / f"eva-tv{tv}" / "trajectories.jsonl"
             assert [r.termination for r in read_trajectories(log)] == ["finished"] * 3

@@ -69,7 +69,11 @@ def test_unset_keys_take_the_constructors_defaults(tmp_path):
     assert cfg.run == RunConfig("monolithic", cfg.run.executor_profile)
     assert cfg.run.sampling == SamplingParams()
     assert (cfg.output, cfg.sweep, cfg.parallelism) == (tmp_path / "out", None, 1)
-    backend = config.build_backend(cfg.backend_specs["executor"], tmp_path)
+    # A null type is unset, like any null key: the default wiki environment.
+    null_type = config.load_config(write_minimal_config(
+        tmp_path, corpus="corpus.jsonl", environment={"type": None}))
+    assert null_type.run == cfg.run
+    backend = config.build_backend(cfg.backend_specs["executor"])
     parameters = inspect.signature(HttpChatBackend).parameters
     for name in ("max_retries", "backoff_s", "backoff_cap_s", "timeout_s"):
         assert getattr(backend, name) == parameters[name].default
@@ -92,10 +96,9 @@ def test_environment_keys_are_type_and_the_constructors_parameters(tmp_path, env
     for key in sorted(candidates):
         environment = {"type": env_type}
         environment.setdefault(key, values.get(key, "x"))
-        cfg = config.load_config(write_minimal_config(
-            tmp_path, corpus="corpus.jsonl", environment=environment))
         try:
-            config.build_environment_factory(cfg)
+            config.load_config(write_minimal_config(
+                tmp_path, corpus="corpus.jsonl", environment=environment))
         except config.ConfigError as exc:
             assert str(exc) == f"unknown key {key!r} in environment"
             continue
@@ -127,10 +130,15 @@ def _replay(backend, prompts):
     return outcomes, list(backend.requests)
 
 
+def _script_backend(tmp_path, **spec) -> ScriptedBackend:
+    """The backend of the script spec spec, loaded as load_config loads it."""
+    return config.build_backend(config._backend("executor", {"type": "script", **spec}, tmp_path))
+
+
 def test_script_file_of_both_forms_replays_as_its_entry_script(tmp_path):
     (tmp_path / "script.json").write_text(json.dumps(MIXED_SCRIPT), encoding="utf-8")
-    loaded = config._load_script({"script_file": "script.json"}, tmp_path)
-    assert [type(entry) for entry in loaded] == [
+    built = _script_backend(tmp_path, script_file="script.json")
+    assert [type(entry) for entry in built._entries] == [
         str, ScriptEntry, ScriptEntry, str, str, ScriptEntry
     ]
     entries = [ScriptEntry(item) if isinstance(item, str)
@@ -138,7 +146,6 @@ def test_script_file_of_both_forms_replays_as_its_entry_script(tmp_path):
     head = "question: Q1 and then "
     prompts = [(head, "x y"), (head, "x y", "z"), "Q2 here", "anything", "more", "no match",
                ("Q", "1 again"), "after the end"]
-    built = config.build_backend({"type": "script", "script_file": "script.json"}, tmp_path)
     replayed = _replay(built, prompts)
     assert replayed == _replay(ScriptedBackend(entries), prompts)
     assert [o if isinstance(o, type) else o[0] for o in replayed[0]] == [
@@ -148,8 +155,8 @@ def test_script_file_of_both_forms_replays_as_its_entry_script(tmp_path):
 
 
 def test_null_match_is_a_match_free_entry(tmp_path):
-    loaded = config._load_script({"script": [{"match": None, "response": "x"}]}, tmp_path)
-    assert loaded == [ScriptEntry("x")]
+    built = _script_backend(tmp_path, script=[{"match": None, "response": "x"}])
+    assert built._entries == [ScriptEntry("x")]
 
 
 @pytest.mark.parametrize(
@@ -162,12 +169,12 @@ def test_null_match_is_a_match_free_entry(tmp_path):
 @pytest.mark.parametrize("source", ["script", "script_file"])
 def test_bad_script_entry_is_config_error(tmp_path, entry, source):
     script = ["fine", entry]
-    spec = {"type": "script", "script": script}
+    spec = {"script": script}
     if source == "script_file":
         (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
-        spec = {"type": "script", "script_file": "script.json"}
+        spec = {"script_file": "script.json"}
     with pytest.raises(config.ConfigError, match="^bad script entry: "):
-        config.build_backend(spec, tmp_path)
+        _script_backend(tmp_path, **spec)
 
 
 def test_the_readme_config_example_loads(tmp_path):
