@@ -236,11 +236,6 @@ class ScriptedBackend:
                 return ChatResponse(response, usage, wall_time_ms=0)
             raise NoMatchingEntryError("no unconsumed entry matches the request")
 
-    def count_tokens(self, parts: Sequence[str]) -> Optional[int]:
-        """Tokens of the text that the parts join to."""
-        with self._lock:
-            return self._tokens(parts)
-
 
 def _parse_usage(block) -> TokenUsage:
     """Token counts from a chat-completions usage block, with cached tokens
@@ -683,6 +678,3 @@ class HttpChatBackend:
             )
             return ChatResponse(text or "", usage, wall_time_ms)
         raise last_error
-
-    def count_tokens(self, parts: Sequence[str]) -> Optional[int]:
-        return None

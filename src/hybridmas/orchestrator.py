@@ -14,10 +14,11 @@ followed by the observation that the environment returned, the same str
 object, as its own part; every later prompt reuses those same str objects.
 The executor context is the seed's parts, then a blank line and the turn
 log since the last reset; verification prompts splice in the turn log and
-the memory. A seed over the executor's context cap, an executor call whose
-usage.total_tokens is over it, or one whose usage.prompt_tokens is below
-the previous executor call's since the reset (the server truncated the
-prompt without saying so), ends the task as out_of_context.
+the memory. A seed is sent like any prompt. An executor call whose
+usage.total_tokens is over the executor's context cap, or one whose
+usage.prompt_tokens is below the previous executor call's since the reset
+(the server truncated the prompt without saying so), ends the task as
+out_of_context.
 
 A prompt binds its template's placeholders by name: each takes the value
 that the intervention hands over (its replan, summary or advice) or else
@@ -170,15 +171,6 @@ class _Episode:
             parts.append("\n\n")
         parts += block
 
-    def _reseed(self, seed: tuple[str, ...]) -> bool:
-        """Start a fresh executor context from seed; False, changing nothing,
-        when the seed alone (0 tokens if uncountable) exceeds the cap."""
-        tokens = self.executor.count_tokens(seed) or 0
-        if tokens > self.config.executor_profile.context_cap:
-            return False
-        self._seed, self._log, self._last_usage = seed, [], None
-        return True
-
     def _render(self, template: str, **bindings) -> tuple[str, ...]:
         """Render template, binding each placeholder that bindings leaves
         out to the episode's value of that name; the plan is the episode's
@@ -253,8 +245,7 @@ class _Episode:
     def _seed_context(self) -> None:
         if self.config.family == "pevr":
             self.plan = self._initial_plan()
-        if not self._reseed(self._render(_SEED_TEMPLATES[self.config.family])):
-            raise _Terminate("out_of_context")
+        self._seed = self._render(_SEED_TEMPLATES[self.config.family])
 
     def _turn(self, t: int) -> None:
         """Run one executor turn."""
@@ -325,11 +316,8 @@ class _Episode:
             else:
                 summary, recorded = decision.payload.summary, decision
             seed = self._render("advice_resume", summary=summary, advice=advice)
-        # A resume seed that alone exceeds the cap is not applied.
-        applied = self._reseed(seed)
-        self.record.supervisor_calls.append(SupervisorCallRecord(t, recorded, usage, applied))
-        if not applied:
-            raise _Terminate("out_of_context")
+        self._seed, self._log, self._last_usage = seed, [], None
+        self.record.supervisor_calls.append(SupervisorCallRecord(t, recorded, usage, applied=True))
         self.record.resets.append(t)
         if self.config.family == "pevr":
             self.plan = recorded.payload.replan

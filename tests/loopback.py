@@ -1,7 +1,7 @@
 """Loopback HTTP servers for tests that drive the real chat client: a
 handler that replies from a per-server plan, a keep-alive variant that
-counts connections, the server they run on, and a completion body to
-plan."""
+counts connections, one that enforces a context window, the server they
+run on, and a completion body to plan."""
 
 import json
 import threading
@@ -19,10 +19,13 @@ class _PlannedHandler(BaseHTTPRequestHandler):
         # (status, body) or (status, body, {extra header: value})
         status, body, *headers = plan[index]
         self.server.hits += 1
+        self._send(status, body, headers[0] if headers else {})
+
+    def _send(self, status, body, headers):
         # bytes go out as they are, so a test can send a body that is not JSON
         payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
-        for name, value in (headers[0] if headers else {}).items():
+        for name, value in headers.items():
             self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -53,6 +56,27 @@ class _KeepAliveHandler(_PlannedHandler):
         with self.server.lock:
             self.server.requests.append((self.path, dict(self.headers)))
         super().do_POST()
+
+
+class _WindowHandler(_PlannedHandler):
+    """A server with a context window of server.window tokens: a prompt
+    whose whitespace-token count is over it gets vLLM's overflow 400, and
+    any other the next of server.replies, with that count as its prompt
+    usage. Every request counts as a hit."""
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = json.loads(self.rfile.read(length))
+        self.server.bodies.append(body)
+        self.server.hits += 1
+        prompt = len(body["messages"][0]["content"].split())
+        if prompt > self.server.window:
+            message = (f"This model's maximum context length is {self.server.window} tokens. "
+                       f"However, you requested {prompt} tokens.")
+            self._send(400, {"object": "error", "message": message}, {})
+        else:
+            reply = self.server.replies.pop(0)
+            self._send(200, _ok_body(reply, prompt, len(reply.split())), {})
 
 
 class _TestServer(ThreadingHTTPServer):

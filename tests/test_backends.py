@@ -74,10 +74,7 @@ class TestScriptedBackend:
             for i in range(steps):
                 prompt += (f"a{n}", f"b{i}" if i % 3 else " ")  # glued, then spaced
                 tokens = len("".join(prompt).split())
-                if i % 2:
-                    assert backend.complete(ChatRequest(prompt)).usage.prompt_tokens == tokens
-                else:
-                    assert backend.count_tokens(prompt) == tokens
+                assert backend.complete(ChatRequest(prompt)).usage.prompt_tokens == tokens
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -88,7 +85,7 @@ class TestScriptedBackend:
                     future.result(timeout=30)
         finally:
             sys.setswitchinterval(interval)
-        assert len(backend.requests) == threads * steps // 2
+        assert len(backend.requests) == threads * steps
 
     def test_exhausted(self):
         backend = ScriptedBackend(["only"])
@@ -118,10 +115,11 @@ class TestScriptedBackend:
         with pytest.raises(ValueError):
             ScriptedBackend([])
 
-    def test_count_tokens_matches_usage_synthesis(self):
+    def test_prompt_tokens_equal_whitespace_token_count(self):
         backend = ScriptedBackend(["x"])
         text = "alpha beta  gamma\ndelta"
-        assert backend.count_tokens((text,)) == whitespace_token_count(text) == 4
+        usage = backend.complete(ChatRequest((text,))).usage
+        assert usage.prompt_tokens == whitespace_token_count(text) == 4
 
 
 # --- scripted backend against reference implementations -------------------
@@ -163,11 +161,11 @@ def _call_texts(draw):
 @example(["ab xy", "alpha", "ab xy\n\nalpha"])
 @example(["ab", "xy", "U.S.A\n\n\n\xa0caf\u00e9\x85\n\n", "\n\n", ""])
 def test_scripted_usage_equals_whitespace_split(texts):
-    backend = ScriptedBackend(["r"] * len(texts))
+    backend = ScriptedBackend(["r"] * 2 * len(texts))
     for text in texts:
-        assert backend.count_tokens((text,)) == len(text.split())
+        assert backend.complete(ChatRequest((text,))).usage.prompt_tokens == len(text.split())
         assert backend.complete(ChatRequest(text)).usage.prompt_tokens == len(text.split())
-    assert backend.requests == texts
+    assert backend.requests == [text for text in texts for _ in range(2)]
 
 
 # Request parts: empty, whitespace-only, halves of one token, and the
@@ -194,14 +192,14 @@ def _part_calls(draw):
 @example([(" ", "ab", " "), ("ab", "\n\n", "ab"), ("\xa0", "ab", "\u3000")])
 @example([("a\x1c", "b"), ("a", "\x85b"), ("a\u3000", "b\xa0"), ("\x85", "\x85")])
 def test_scripted_usage_over_part_boundaries(calls):
-    backend = ScriptedBackend(["r"] * len(calls))
+    backend = ScriptedBackend(["r"] * 2 * len(calls))
     for parts in calls:
         tokens = len("".join(parts).split())
-        assert backend.count_tokens(parts) == tokens
-        assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == tokens
+        for _ in range(2):  # the second is the same request as the last one
+            assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == tokens
     # requests keeps parts and reads as the joined texts
-    texts = ["".join(parts) for parts in calls]
-    assert [backend.requests[i] for i in range(len(calls))] == texts
+    texts = ["".join(parts) for parts in calls for _ in range(2)]
+    assert [backend.requests[i] for i in range(len(texts))] == texts
     assert backend.requests == texts
     assert list(backend.requests) == texts
     assert backend.requests[-1] == texts[-1]
@@ -252,17 +250,16 @@ def _request_histories(draw):
 @example([("ab", "c"), ("ab",), ("ab", "\xa0", "c"), ("ab", "\xa0", "c", "d")], True)
 @example([("ab",), ("x",), ("ab", "c"), ("x", "y"), ["ab", "c", "d"]], False)
 @example([("ab", "xy"), ("ab", "".join(["x", "y"]), "z"), ("".join(["a", "b"]), "xy", "z")], False)
-def test_scripted_usage_over_request_histories(requests, complete_first):
-    backend = ScriptedBackend(["r"] * len(requests))
+def test_scripted_usage_over_request_histories(requests, drawn_first):
+    backend = ScriptedBackend(["r"] * 2 * len(requests))
     for parts in requests:
         tokens = len("".join(parts).split())
-        if complete_first:
-            assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == tokens
-            assert backend.count_tokens(parts) == tokens
-        else:
-            assert backend.count_tokens(parts) == tokens
-            assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == tokens
-    assert backend.requests == ["".join(parts) for parts in requests]
+        # Each request is sent twice, as drawn and as value-equal copies of
+        # its parts, in either order: the second is the last one again.
+        copies = tuple(_fresh(part) for part in parts)
+        for sent in (parts, copies) if drawn_first else (copies, parts):
+            assert backend.complete(ChatRequest(sent)).usage.prompt_tokens == tokens
+    assert backend.requests == ["".join(parts) for parts in requests for _ in range(2)]
 
 
 def test_scripted_usage_of_a_list_changed_after_it_was_sent():
@@ -270,7 +267,7 @@ def test_scripted_usage_of_a_list_changed_after_it_was_sent():
     parts = ["ab"]
     assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == 1
     parts += [" ", "c"]
-    assert backend.count_tokens(parts) == 2
+    assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == 2
     parts[0] = "a b"
     assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == 3
 
@@ -561,10 +558,6 @@ class TestHttpBackend:
             sys.setswitchinterval(interval)
         assert texts == ["hello"] * calls
         assert backend.attempts_logged == calls
-
-    def test_count_tokens_unknown(self, mock_server):
-        backend = _backend(mock_server)
-        assert backend.count_tokens(("anything",)) is None
 
 
 def _closed_port() -> int:

@@ -541,6 +541,30 @@ MALFORMED_VALUES = {
         {"environment": {"type": "wiki", "default": "x"}, "corpus": "tasks.jsonl"},
         "unknown key 'default' in environment",
     ),
+    # Refusals of a model profile, an environment type, the dataset and the
+    # executor binding.
+    "placement-unknown": (
+        {"models": {"edge": {**EDGE_MODEL, "placement": "fog"}, "cloud": CLOUD_MODEL}},
+        "models.edge: unknown placement 'fog'",
+    ),
+    "context_cap-zero": (
+        {"models": {"edge": {**EDGE_MODEL, "context_cap": 0}, "cloud": CLOUD_MODEL}},
+        "models.edge: context_cap must be > 0",
+    ),
+    **{f"edge-without-{key}": (
+        {"models": {"edge": {k: v for k, v in EDGE_MODEL.items() if k != key},
+                    "cloud": CLOUD_MODEL}},
+        f"models.edge: edge profiles require {key} > 0",
+    ) for key in ("param_count", "efficiency")},
+    "cloud-without-pricing": (
+        {"models": {"edge": EDGE_MODEL, "cloud": {**CLOUD_MODEL, "pricing": None}}},
+        "models.cloud: cloud profiles require pricing",
+    ),
+    "environment-type-unknown": (
+        {"environment": {"type": "grpc"}}, "config error: unknown environment type 'grpc'"
+    ),
+    "dataset-missing": ({"dataset": "missing.jsonl"}, "config error: dataset file not found: "),
+    "executor-missing": ({"run.executor": None}, "config error: run.executor is required"),
     # Values that read as absent: only an absent or null key means its default.
     **{
         f"{key}-{name}": ({key: value}, where)
@@ -572,6 +596,28 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, overrides, where, comm
     # Refused by the one reader of the file, before anything is built.
     with pytest.raises(cli.ConfigError):
         cli.load_config(config)
+
+
+def test_roles_naming_one_backend_share_one_build(tmp_path, monkeypatch):
+    config = write_config(
+        tmp_path, sweep=[1, 2],
+        run={"architecture": "eva", "max_turns": 4, "verify_interval": 1, "seed": 0,
+             "executor": {"model": "edge", "backend": "executor"},
+             "supervisor": {"model": "cloud", "backend": "executor"}},
+    )
+    built = []
+    build = cli.build_backend
+
+    def counting_build(spec):
+        built.append(build(spec))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_backend", counting_build)
+    assert main(["sweep", "--config", str(config)]) == 0
+    assert len(built) == 2  # one per condition
+    for interval in (1, 2):
+        log = tmp_path / "out" / f"eva-tv{interval}" / "trajectories.jsonl"
+        assert [r.termination for r in read_trajectories(log)] == ["finished"] * 3
 
 
 def test_integral_numbers_load_as_integers(tmp_path):

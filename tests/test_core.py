@@ -160,20 +160,32 @@ class TestSerialization:
             read_trajectories(path)
 
     @pytest.mark.parametrize(
-        "key, value", [("termination", "bogus"), ("architecture", "nonsense")]
+        "path, value, message",
+        [
+            (("termination",), "bogus", "bogus"),
+            (("architecture",), "nonsense", "nonsense"),
+            (("supervisor_calls", 0, "decision", "payload", "replan", "origin"), "guess",
+             "unknown plan origin 'guess'"),
+            (("supervisor_calls", 1, "decision", "verdict"), "maybe", "unknown verdict 'maybe'"),
+            (("turns", 0, "t"), 0, "turn index is 1-based"),
+        ],
+        ids=["termination-bogus", "architecture-nonsense", "plan-origin", "verdict", "turn-t"],
     )
     def test_illegal_termination_or_architecture_is_a_malformed_record(
-        self, tmp_path, key, value
+        self, tmp_path, path, value, message
     ):
         broken = json.loads(record_to_json_line(make_full_record()))
-        broken[key] = value
-        path = tmp_path / "trajectories.jsonl"
-        path.write_text(
+        parent = broken
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        log = tmp_path / "trajectories.jsonl"
+        log.write_text(
             record_to_json_line(make_full_record()) + "\n" + json.dumps(broken) + "\n",
             encoding="utf-8",
         )
-        with pytest.raises(ValueError, match=rf"line 2: malformed trajectory record: .*{value}"):
-            read_trajectories(path)
+        with pytest.raises(ValueError, match=rf"line 2: malformed trajectory record: .*{message}"):
+            read_trajectories(log)
 
     # A JSON number would carry binary rounding error into the exact sums.
     @pytest.mark.parametrize("value", [0.1, 1, "abc"], ids=["float", "int", "non-numeric"])

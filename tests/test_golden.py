@@ -52,7 +52,7 @@ def test_stored_memory_equals_the_memory_derived_from_turns():
                     )
                     assert memory == derived
                     checked += 1
-    assert checked == 4  # pevr and eva_nosummary: one applied, one refused by the cap
+    assert checked == 4  # pevr and eva_nosummary: louvre's and iceland's interventions
 
 
 def _key_paths(value, path=()):

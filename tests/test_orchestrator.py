@@ -3,6 +3,7 @@ termination semantics, all under scripted backends and environments."""
 
 import logging
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 
@@ -41,7 +42,7 @@ from hybridmas.orchestrator import (
 )
 from hybridmas.prompting import format_memory, render
 from conftest import EDGE_PROFILE, make_run_config, unconsumed
-from loopback import _PlannedHandler, _ok_body, _serve
+from loopback import _PlannedHandler, _WindowHandler, _ok_body, _serve
 
 TASK = TaskInstance("task-1", "Did Richard Feynman win a Nobel Prize?", ("yes",), "hotpotqa")
 
@@ -68,9 +69,6 @@ class _FailingBackend:
 
     def complete(self, request):
         raise self.exc
-
-    def count_tokens(self, parts):
-        return whitespace_token_count("".join(parts))
 
 
 class TestMonolithic:
@@ -383,9 +381,6 @@ class _OverflowAfter:
         self.left -= 1
         return self.backend.complete(request)
 
-    def count_tokens(self, parts):
-        return self.backend.count_tokens(parts)
-
 
 class TestContextOverflow:
     """A call the endpoint rejects as a context overflow ends the task as
@@ -436,7 +431,7 @@ class TestContextOverflow:
 
 class _BilledBackend:
     """Answers every call with a search, billing the given (prompt,
-    generated) tokens in turn; it cannot count tokens."""
+    generated) tokens in turn."""
 
     def __init__(self, usages):
         self.usages = iter(usages)
@@ -445,18 +440,39 @@ class _BilledBackend:
         prompt, generated = next(self.usages)
         return ChatResponse("Tool call: search[q]", TokenUsage(prompt, 0, generated))
 
-    def count_tokens(self, parts):
-        return None
+
+def _window_server(window, replies):
+    server = _serve(_WindowHandler)
+    server.window, server.replies = window, replies
+    return server
+
+
+def _resume_script(architecture):
+    """A supervisor script whose intervention at turn 2 hands over 2000
+    words, so the resume seed alone exceeds a 1000-token cap."""
+    long = " ".join(["word"] * 2000)
+    if architecture == "pevr":
+        return [PLAN_RESPONSE, f"INTERVENE\n<REPLAN>{long}</REPLAN>"]
+    return [f"INTERVENE\n<SUMMARY>{long}</SUMMARY>\n<ADVICE>a</ADVICE>"]
+
+
+def _cloud_cost(usage):
+    """CLOUD_PROFILE's bill for one call, at 2.5 and 10 dollars per 1e6
+    prompt and generated tokens."""
+    return (Decimal(usage.prompt_tokens) * Decimal("2.5") + Decimal(usage.generated_tokens) * 10
+            ) / 1_000_000
 
 
 class TestContextCap:
-    """The executor's context cap is checked when a seed is set, on the
-    seed alone, and after each executor call, on that call's total. A
-    prompt shorter than the previous executor call's with no reset between
-    was truncated by the server, and also ends the task."""
+    """A seed is sent like any prompt. The executor's context cap is
+    checked after each executor call, on that call's total; a server that
+    refuses a prompt over its window answers with the overflow 400. Either
+    ends the task as out_of_context, so an applied intervention always
+    resets. A prompt shorter than the previous executor call's with no
+    reset between was truncated by the server, and also ends the task."""
 
     @pytest.mark.parametrize("architecture", ["monolithic", "pevr"])
-    def test_a_first_seed_over_the_cap_sends_no_executor_request(self, architecture):
+    def test_a_first_seed_over_the_window_is_refused_by_the_server(self, architecture):
         env = ScriptedEnvironment()
         plan = {"plan": PLAN_TEXT} if architecture == "pevr" else {}
         seed = render(
@@ -466,35 +482,75 @@ class TestContextCap:
         tokens = whitespace_token_count("".join(seed))
         # At the cap the seed is taken, and the first turn's total is over it.
         for cap, turns in ((tokens - 1, 0), (tokens, 1)):
-            record, executor, supervisor = run_scripted(
-                architecture, ["Tool call: finish[yes]"], [PLAN_RESPONSE] if plan else None,
-                env=env, executor_profile=replace(EDGE_PROFILE, context_cap=cap),
-            )
+            server = _window_server(cap, ["Tool call: finish[yes]"])
+            supervisor = ScriptedBackend([PLAN_RESPONSE]) if plan else None
+            try:
+                executor = HttpChatBackend(
+                    f"http://127.0.0.1:{server.server_address[1]}", "test-model"
+                )
+                record = run_trajectory(
+                    TASK,
+                    make_run_config(
+                        architecture, executor_profile=replace(EDGE_PROFILE, context_cap=cap)
+                    ),
+                    executor, supervisor, env,
+                )
+            finally:
+                server.shutdown()
+                server.server_close()
             assert record.termination == "out_of_context"
-            assert len(record.turns) == len(executor.requests) == turns
+            assert len(record.turns) == turns
+            # The refused call is sent once: an overflow is never retried.
+            assert executor.attempts_logged == server.hits == 1
             if plan:
                 assert record.initial_plan.text == PLAN_TEXT
                 assert len(supervisor.requests) == 1
+                assert record.totals.cost_usd == _cloud_cost(record.initial_plan.usage)
 
     @pytest.mark.parametrize("architecture", ["pevr", "eva"])
-    def test_a_resume_seed_over_the_cap_is_not_applied(self, architecture):
-        long = " ".join(["word"] * 2000)
-        if architecture == "pevr":
-            script = [PLAN_RESPONSE, f"INTERVENE\n<REPLAN>{long}</REPLAN>"]
-        else:
-            script = [f"INTERVENE\n<SUMMARY>{long}</SUMMARY>\n<ADVICE>a</ADVICE>"]
+    def test_a_resume_seed_over_the_window_is_applied_then_refused(self, architecture):
+        server = _window_server(1000, search_turns(4))
+        supervisor = ScriptedBackend(_resume_script(architecture))
+        try:
+            executor = HttpChatBackend(
+                f"http://127.0.0.1:{server.server_address[1]}", "test-model"
+            )
+            record = run_trajectory(
+                TASK,
+                make_run_config(
+                    architecture, max_turns=4, verify_interval=2,
+                    executor_profile=replace(EDGE_PROFILE, context_cap=1000),
+                ),
+                executor, supervisor, ScriptedEnvironment(),
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert record.termination == "out_of_context"
+        assert len(record.turns) == 2
+        assert executor.attempts_logged == server.hits == 3
+        assert "word word" in server.bodies[2]["messages"][0]["content"]
+        [call] = record.supervisor_calls
+        assert (call.at_turn, call.decision.verdict, call.applied) == (2, INTERVENE, True)
+        assert record.resets == [2]
+        assert call.usage == _scripted_usage(supervisor.requests[-1], _resume_script(
+            architecture)[-1])
+        plan = record.initial_plan.usage if architecture == "pevr" else TokenUsage(0, 0, 0)
+        assert record.totals.cost_usd == _cloud_cost(plan) + _cloud_cost(call.usage)
+
+    @pytest.mark.parametrize("architecture", ["pevr", "eva"])
+    def test_a_resume_seed_over_the_cap_is_sent(self, architecture):
         record, executor, _ = run_scripted(
-            architecture, search_turns(4), script, max_turns=4, verify_interval=2,
-            executor_profile=replace(EDGE_PROFILE, context_cap=1000),
+            architecture, search_turns(4), _resume_script(architecture), max_turns=4,
+            verify_interval=2, executor_profile=replace(EDGE_PROFILE, context_cap=1000),
         )
         assert record.termination == "out_of_context"
-        assert max(t.usage.total_tokens for t in record.turns) <= 1000
-        assert len(record.turns) == len(executor.requests) == 2
-        [call] = record.supervisor_calls
-        assert call.at_turn == 2
-        assert call.decision.verdict == INTERVENE
-        assert not call.applied
-        assert record.resets == []
+        assert record.resets == [2]
+        assert [call.applied for call in record.supervisor_calls] == [True]
+        assert len(record.turns) == len(executor.requests) == 3
+        assert max(t.usage.total_tokens for t in record.turns[:2]) <= 1000
+        assert record.turns[2].usage.total_tokens > 1000
+        assert "word word" in executor.requests[2]
 
     def test_each_calls_own_total_is_checked_against_the_cap(self):
         config = make_run_config(
