@@ -56,6 +56,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
+# The size of the blocks a log's torn tail is looked for in, from its end.
+_TAIL_BLOCK = 1 << 16
+
 
 def _condition_dir(cfg: ExperimentConfig, verify_interval: int) -> Path:
     return cfg.output / f"{cfg.run.architecture}-tv{verify_interval}"
@@ -63,16 +66,20 @@ def _condition_dir(cfg: ExperimentConfig, verify_interval: int) -> Path:
 
 def _drop_torn_tail(path: Path) -> None:
     """Truncate a log whose final line was cut short (the process was killed
-    mid-write) back to its last complete line, so that the task reruns."""
+    mid-write) back to its last complete line, so that the task reruns. Only
+    the torn line is read, a block at a time from the end."""
     with open(path, "rb+") as fh:
-        size = fh.seek(0, os.SEEK_END)
-        if size == 0:
+        size = keep = fh.seek(0, os.SEEK_END)
+        while keep > 0:
+            start = max(keep - _TAIL_BLOCK, 0)
+            fh.seek(start)
+            newline = fh.read(keep - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            keep = start
+        if keep == size:
             return
-        fh.seek(size - 1)
-        if fh.read(1) == b"\n":
-            return
-        fh.seek(0)
-        keep = fh.read().rfind(b"\n") + 1
         fh.truncate(keep)
     logger.warning("%s: dropped %d bytes of a torn final line", path, size - keep)
 
@@ -165,8 +172,11 @@ def cmd_run(args) -> int:
         cfg = _load_with_overrides(args)
         if sweep and not cfg.sweep:
             raise ConfigError("sweep requires a non-empty sweep list in the config")
-        tasks = load_tasks(cfg.dataset)
-        env_factory = build_environment_factory(cfg)
+        try:
+            tasks = load_tasks(cfg.dataset)
+            env_factory = build_environment_factory(cfg)
+        except SchemaViolationError as exc:  # a bad input line; a bad log line is exit 2
+            raise ConfigError(str(exc)) from None
         summaries = []
         for interval in cfg.sweep if sweep else [cfg.run.verify_interval]:
             summaries.append(execute_condition(cfg, interval, tasks, env_factory))
@@ -182,7 +192,7 @@ def cmd_run(args) -> int:
             ]
             _write_csv(points_path, header, rows)
             print(f"sweep points written to {points_path}")
-    except (ConfigError, SchemaViolationError) as exc:  # a bad config or input line
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - runtime boundary for exit code 2

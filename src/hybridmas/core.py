@@ -1,5 +1,11 @@
-"""Domain types shared across the engine, and the JSONL form of a
-trajectory record.
+"""Domain types shared across the engine, the JSONL form of a trajectory
+record, and the one reader of JSON-lines files.
+
+Every JSON-lines input (the task dataset, the wiki corpus and trajectory
+logs) is read by read_jsonl under one rule: lines are split by universal
+newlines and numbered from 1, a line that is blank once stripped is skipped
+but counted, and any other line must be exactly one JSON value once
+stripped, else it is refused with its number in json.loads' own words.
 
 Token lengths everywhere are backend-reported counts, never produced by a
 local tokenizer. Out-of-context is a terminal trajectory state, never a
@@ -18,6 +24,7 @@ from typing import (
     Callable,
     ClassVar,
     Iterable,
+    Iterator,
     Optional,
     Union,
     get_args,
@@ -390,6 +397,7 @@ class TrajectoryRecord:
 # The bytes a JSON string must escape, besides any non-ASCII character.
 _ESCAPED = bytes(range(0x20)) + b'"\\'
 _dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _json_value(v) -> str:
@@ -498,15 +506,46 @@ def write_trajectories(path, records: Iterable[TrajectoryRecord], append: bool =
             fh.write("\n")
 
 
-def read_trajectories(path) -> list[TrajectoryRecord]:
-    records = []
+class SchemaViolationError(ValueError):
+    """A refused line of a JSON-lines file (or page given in memory, with no
+    path): its number from 1, and why."""
+
+    def __init__(self, line_no: int, message: str, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
+        self.line_no = line_no
+        self.message = message
+
+
+def read_jsonl(path, malformed: str = "invalid JSON") -> Iterator[tuple[int, object]]:
+    """Yield (line number, value) for each non-blank line of the JSON-lines
+    file at path, one line at a time. A line that is not one JSON value is
+    refused as "<malformed>: " and json.loads' words for it."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            # raw_decode skips json.loads' wrapper on a line that is one
+            # whole value; any other line goes to json.loads for its words.
             try:
-                records.append(record_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: malformed trajectory record: {exc}")
+                value, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaViolationError(line_no, f"{malformed}: {exc}", path)
+            yield line_no, value
+
+
+def read_trajectories(path) -> list[TrajectoryRecord]:
+    malformed = "malformed trajectory record"
+    records = []
+    for line_no, value in read_jsonl(path, malformed):
+        try:
+            records.append(record_from_dict(value))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaViolationError(line_no, f"{malformed}: {exc}", path)
     return records

@@ -218,6 +218,17 @@ class TestCmdRun:
         assert [r.task_id for r in read_trajectories(log)] == ["A", "B", "C"]
         assert f"dropped {len(torn.encode())} bytes" in caplog.text
 
+    @pytest.mark.parametrize(
+        "head, torn",
+        [(1, cli._TAIL_BLOCK - 1), (1, cli._TAIL_BLOCK), (3, 3 * cli._TAIL_BLOCK + 5),
+         (0, 2 * cli._TAIL_BLOCK + 1)],
+    )
+    def test_a_torn_line_longer_than_a_block_is_dropped(self, tmp_path, head, torn):
+        log = tmp_path / "trajectories.jsonl"
+        log.write_bytes(b'{"a":1}\n' * head + b"x" * torn)
+        cli._drop_torn_tail(log)
+        assert log.read_bytes() == b'{"a":1}\n' * head
+
     def test_resume_still_rejects_a_malformed_complete_line(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config)]) == 0
@@ -765,6 +776,10 @@ MALFORMED_LINES = {
         TASKS[1], ['{"title": "Alpha", "text": "A page."}', '{"title": "Beta", "text": " "}'],
         "line 2: page 'Beta' needs at least one sentence",
     ),
+    "page-without-word": (
+        TASKS[1], ['{"title": "Alpha", "text": "A page."}', '{"title": " ", "text": "B."}'],
+        "line 2: page title ' ' has no word",
+    ),
     # A question that is no string failed mid-batch or was spliced into the
     # prompt; an id that is none of the two became its str(), "None" for null.
     "question-int": ({**TASKS[1], "question": 5}, None, "line 2: question must be a string"),
@@ -784,13 +799,14 @@ MALFORMED_LINES = {
 )
 def test_malformed_input_line_exits_1(tmp_path, capsys, command, second_task, lines, message):
     environment = {"type": "scripted"} if lines is None else {"type": "wiki"}
+    source = tmp_path / ("tasks.jsonl" if lines is None else "corpus.jsonl")
     config = write_config(tmp_path, environment=environment, corpus="corpus.jsonl", sweep=[1])
     write_tasks(tmp_path / "tasks.jsonl", [TASKS[0], second_task])
     lines = lines or ['{"title": "Alpha", "text": "A page."}']
     (tmp_path / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
+    assert err.startswith(f"config error: {source}: {message}")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -801,7 +817,8 @@ def test_task_with_empty_question_exits_1(tmp_path, capsys, command):
     write_tasks(tmp_path / "tasks.jsonl", [TASKS[0], {**TASKS[1], "question": ""}])
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: line 2: ") and "query must be non-empty" in err
+    dataset = tmp_path / "tasks.jsonl"
+    assert err == f"config error: {dataset}: line 2: task query must be non-empty\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,7 @@ from hybridmas.core import (
     InitialPlanRecord,
     Plan,
     ReplanHandoff,
+    SchemaViolationError,
     SupervisorCallRecord,
     TaskInstance,
     TokenUsage,
@@ -29,6 +30,7 @@ from hybridmas.core import (
     record_to_json_line,
     write_trajectories,
 )
+from hybridmas.environments import WikiCorpus, load_tasks
 from decimal import Decimal
 
 
@@ -209,6 +211,51 @@ class TestSerialization:
             if call.decision.verdict == "intervene"
         }
         assert set(record.resets) <= intervene_turns
+
+
+# --- the one JSON-lines line rule, through each reader --------------------
+
+# Each reader: its loader, a valid line i, the names of what it read, and the
+# words before json.loads' own in a refusal.
+_READERS = {
+    "dataset": (
+        load_tasks,
+        lambda i: json.dumps({"id": f"t{i}", "question": "Q?", "answers": []}),
+        lambda tasks: [task.id for task in tasks],
+        "invalid JSON",
+    ),
+    "corpus": (
+        WikiCorpus.load,
+        lambda i: json.dumps({"title": f"t{i}", "text": "A."}),
+        WikiCorpus.titles,
+        "invalid JSON",
+    ),
+    "log": (
+        read_trajectories,
+        lambda i: record_to_json_line(replace(make_full_record(), task_id=f"t{i}")),
+        lambda records: [record.task_id for record in records],
+        "malformed trajectory record",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_every_reader_keeps_the_one_line_rule(tmp_path, reader):
+    load, line, names, malformed = _READERS[reader]
+    path = tmp_path / "data.jsonl"
+    # Blank and whitespace-only lines are skipped; CRLF reads like LF.
+    path.write_bytes(f"\n \t\r\n{line(1)}\r\n\r\n{line(2)}\n\n".encode())
+    assert names(load(path)) == ["t1", "t2"]
+    two_values, trailing_garbage, truncated = line(3) + line(4), line(3) + " x", line(3)[:-1]
+    for bad in (two_values, trailing_garbage, truncated):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(bad)
+        # The skipped lines still count: the bad line is line 4.
+        path.write_bytes(f"{line(1)}\r\n \r\n\n{bad}\r\n{line(2)}\n".encode())
+        with pytest.raises(SchemaViolationError) as exc_info:
+            load(path)
+        assert exc_info.value.line_no == 4
+        assert str(exc_info.value) == f"{path}: line 4: {malformed}: {expected.value}"
 
 
 # --- the JSONL writer against json.dumps -----------------------------------

@@ -115,7 +115,8 @@ _queries = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(_titles(), min_size=1, max_size=25, unique_by=normalize_title),
+    # A title with no word is refused at load.
+    st.lists(_titles().filter(str.split), min_size=1, max_size=25, unique_by=normalize_title),
     _queries,
     st.integers(0, 30),
 )
@@ -384,6 +385,8 @@ class TestCorpusLoading:
             ({"title": "Ada Lovelace", "text": {"a": "A."}}, "title and text must be strings"),
             ({"title": "Ada Lovelace", "text": 0}, "title and text must be strings"),
             (["Ada Lovelace", "A."], "corpus lines need title and text"),
+            ({"title": "", "text": "A."}, "page title '' has no word"),
+            ({"title": " \t", "text": "A."}, "page title ' \\t' has no word"),
         ],
     )
     def test_bad_page_reports_its_line(self, tmp_path, row, message):
@@ -393,7 +396,7 @@ class TestCorpusLoading:
         with pytest.raises(SchemaViolationError) as exc_info:
             WikiCorpus.load(path)
         assert exc_info.value.line_no == 3
-        assert str(exc_info.value).startswith(f"line 3: {message}")
+        assert str(exc_info.value).startswith(f"{path}: line 3: {message}")
 
     def test_pages_in_memory_report_their_position(self):
         with pytest.raises(SchemaViolationError) as exc_info:
@@ -482,4 +485,4 @@ def test_invalid_json_reads_as_json_loads_words_it(tmp_path, line):
     for load in (WikiCorpus.load, load_tasks):
         with pytest.raises(SchemaViolationError) as exc_info:
             load(path)
-        assert str(exc_info.value) == f"line 2: invalid JSON: {expected.value}"
+        assert str(exc_info.value) == f"{path}: line 2: invalid JSON: {expected.value}"

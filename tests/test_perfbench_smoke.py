@@ -4,7 +4,9 @@ traced scripted workload with interventions and every layer span it
 patches into the program, the HTTP workload untraced and traced (the span
 around ``HttpChatBackend.complete`` and the stub-log child spans), whose
 calls go through ``HttpChatBackend`` to the benchmark's loopback stub, and
-the wiki-miss workload over the same client. No timing bound."""
+the wiki-miss workload over the same client, untraced and traced (the spans
+around ``WikiCorpus.load`` and ``WikiCorpus.similar_titles``). No timing
+bound."""
 
 import json
 import subprocess
@@ -24,6 +26,7 @@ def _run_tiny(workload, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    return result
 
 
 def test_tiny_traced_long_horizon_run_passes_its_checks():
@@ -40,3 +43,10 @@ def test_tiny_traced_http_run_passes_its_checks():
 
 def test_tiny_wiki_miss_run_passes_its_checks():
     _run_tiny("wiki-200k-miss", "0")
+
+
+def test_tiny_traced_wiki_miss_run_times_the_corpus():
+    metrics = _run_tiny("wiki-200k-miss", "1")["metrics"]
+    # A span that no longer wraps the code the program calls reads 0.
+    assert metrics["environments.corpus_load_s"]["value"] > 0
+    assert metrics["environments.search_miss_ms.p50"]["value"] > 0
