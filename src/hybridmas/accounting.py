@@ -80,7 +80,7 @@ def aggregate(
     record: TrajectoryRecord, profiles: Mapping[str, ModelProfile]
 ) -> TrajectoryTotals:
     """Totals over one trajectory: dollar and joule sums by each call's
-    profile placement, plus the context/KV maxima over executor calls.
+    profile placement, plus the KV bytes at the record's max_context_tokens.
 
     profiles maps roles to profiles: "executor" required, "supervisor"
     required when the record holds supervisor calls.
@@ -92,10 +92,8 @@ def aggregate(
         if "supervisor" not in profiles:
             raise ValueError("record has supervisor calls but no supervisor profile")
         calls.append((profiles["supervisor"], call.usage))
-    max_context = max((turn.usage.total_tokens for turn in record.turns), default=0)
     return TrajectoryTotals(
         sum((api_cost_usd(p, u) for p, u in calls if p.placement == "cloud"), Decimal(0)),
         math.fsum(energy_joules(p, u) for p, u in calls if p.placement == "edge"),
-        max_context,
-        kv_cache_bytes(executor, max_context) if executor.has_kv_geometry else 0,
+        kv_cache_bytes(executor, record.max_context_tokens) if executor.has_kv_geometry else 0,
     )

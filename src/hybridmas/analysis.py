@@ -137,7 +137,7 @@ def condition_stats(records: Sequence[TrajectoryRecord]) -> ConditionStats:
         performance=_mean([_performance(r) for r in records]),
         cost_usd=sum((r.totals.cost_usd for r in records), Decimal(0)),
         energy_joules=sum(r.totals.energy_joules for r in records),
-        mean_max_context_tokens=_mean([r.totals.max_context_tokens for r in records]),
+        mean_max_context_tokens=_mean([r.max_context_tokens for r in records]),
         mean_max_kv_bytes=_mean([r.totals.max_kv_bytes for r in records]),
         max_max_kv_bytes=max((r.totals.max_kv_bytes for r in records), default=0),
     )

@@ -253,11 +253,23 @@ class _ReportInputs:
         self.confusion = analysis.ConfusionReport(
             *map(sum, zip(astuple(self.confusion), astuple(report))))
 
+    def checked_confusion(self) -> analysis.ConfusionReport:
+        """The confusion over every log, unless confusion.csv is refused."""
+        if self.unlabeled is not None:
+            raise ValueError(
+                f"record {self.unlabeled} has no success label; "
+                "run against a dataset with gold answers first"
+            )
+        if self.non_audit is not None:
+            raise self.non_audit
+        return self.confusion
+
 
 def cmd_report(args) -> int:
     """Read the logs one at a time, in argument order, and write the CSVs
-    once every log has been read. Two logs with one label are refused, and
-    so is --overlap over other than 2 or 3 logs, before any log is read."""
+    once every log has been read and confusion.csv has not been refused.
+    Two logs with one label are refused, and so is --overlap over other
+    than 2 or 3 logs, before any log is read."""
     paths = [Path(p) for p in args.paths]
     for path in paths:
         if not path.is_file():
@@ -283,12 +295,13 @@ def cmd_report(args) -> int:
         inputs = _ReportInputs(args)
         for label, path in labeled.items():
             inputs.add(label, read_trajectories(path))
+        confusion = inputs.checked_confusion() if args.confusion else None
         if args.frontier:
             _write_frontier(inputs.stats, args.axis, out_dir / "frontier.csv")
         if args.histogram:
             _write_histogram(inputs.interventions, out_dir / "histogram.csv")
         if args.confusion:
-            _write_confusion(inputs, out_dir / "confusion.csv")
+            _write_confusion(confusion, out_dir / "confusion.csv")
         if args.overlap:
             _write_overlap(inputs.solve_sets, out_dir / "overlap.csv")
         if args.kv_growth:
@@ -329,15 +342,7 @@ _CONFUSION_COLUMNS = ("tp", "fp", "tn", "fn", "fn_rate", "fp_rate", "fn_rate_con
                       "fp_rate_conditional")
 
 
-def _write_confusion(inputs: _ReportInputs, path: Path) -> None:
-    if inputs.unlabeled is not None:
-        raise ValueError(
-            f"record {inputs.unlabeled} has no success label; "
-            "run against a dataset with gold answers first"
-        )
-    if inputs.non_audit is not None:
-        raise inputs.non_audit
-    report = inputs.confusion
+def _write_confusion(report: analysis.ConfusionReport, path: Path) -> None:
     _write_csv(path, _CONFUSION_COLUMNS, [[getattr(report, n) for n in _CONFUSION_COLUMNS]])
     print(f"confusion written to {path} (total {report.total})")
 

@@ -7,6 +7,10 @@ newlines and numbered from 1, a line that is blank once stripped is skipped
 but counted, and any other line must be exactly one JSON value once
 stripped, else it is refused with its number in json.loads' own words.
 
+A trajectory record stores only what cannot be derived from it: an
+intervention was applied exactly when its turn is in resets, and the
+largest executor context is computed from the turns.
+
 Token lengths everywhere are backend-reported counts, never produced by a
 local tokenizer. Out-of-context is a terminal trajectory state, never a
 silently clamped one; the orchestrator checks the executor's context cap.
@@ -144,14 +148,10 @@ class Plan:
     """A natural-language execution plan, initial or issued as a replan."""
 
     text: str
-    origin: str = "initial"
-    replan_turn: Optional[int] = None
 
     def __post_init__(self):
         if not self.text:
             raise ValueError("plan text must be non-empty")
-        if self.origin not in ("initial", "replan"):
-            raise ValueError(f"unknown plan origin {self.origin!r}")
 
 
 @dataclass(frozen=True)
@@ -324,16 +324,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SupervisorCallRecord:
-    """One supervisor verification call; applied=False in audit modes."""
+    """One supervisor verification call. Its decision was applied exactly
+    when its at_turn is in the trajectory's resets."""
 
     at_turn: int
     decision: VerifierDecision
     usage: TokenUsage
-    applied: bool
-
-    def __post_init__(self):
-        if self.applied and self.decision.verdict != INTERVENE:
-            raise ValueError("only intervene decisions can be applied")
 
 
 @dataclass(frozen=True)
@@ -347,11 +343,10 @@ class InitialPlanRecord:
 
 @dataclass
 class TrajectoryTotals:
-    """Per-trajectory accounting: dollar/joule sums and context/KV maxima."""
+    """Per-trajectory accounting: dollar/joule sums and the KV maximum."""
 
     cost_usd: Decimal = Decimal(0)
     energy_joules: float = 0.0
-    max_context_tokens: int = 0
     max_kv_bytes: int = 0
 
 
@@ -379,7 +374,12 @@ class TrajectoryRecord:
             raise ValueError(f"unknown termination {self.termination!r}")
 
     def applied_interventions(self) -> int:
-        return sum(1 for call in self.supervisor_calls if call.applied)
+        return len(self.resets)
+
+    @property
+    def max_context_tokens(self) -> int:
+        """The largest executor usage.total_tokens, or 0 with no turns."""
+        return max((turn.usage.total_tokens for turn in self.turns), default=0)
 
 
 # --- JSONL serialization -------------------------------------------------
@@ -520,24 +520,37 @@ class SchemaViolationError(ValueError):
 def read_jsonl(path, malformed: str = "invalid JSON") -> Iterator[tuple[int, object]]:
     """Yield (line number, value) for each non-blank line of the JSON-lines
     file at path, one line at a time. A line that is not one JSON value is
-    refused as "<malformed>: " and json.loads' words for it."""
+    refused as "<malformed>: " and json.loads' words for it, and a line
+    that is not UTF-8 text as "not UTF-8 text: " and the codec's."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            # raw_decode skips json.loads' wrapper on a line that is one
-            # whole value; any other line goes to json.loads for its words.
-            try:
-                value, end = _raw_decode(line)
-            except json.JSONDecodeError:
-                end = None
-            if end != len(line):
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                # raw_decode skips json.loads' wrapper on a line that is one
+                # whole value; any other line goes to json.loads for its words.
                 try:
-                    value = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaViolationError(line_no, f"{malformed}: {exc}", path)
-            yield line_no, value
+                    value, end = _raw_decode(line)
+                except json.JSONDecodeError:
+                    end = None
+                if end != len(line):
+                    try:
+                        value = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise SchemaViolationError(line_no, f"{malformed}: {exc}", path)
+                yield line_no, value
+        except UnicodeDecodeError:
+            # The file is decoded a block at a time, so find the line by
+            # reading it again as latin-1, which decodes any bytes, split the
+            # same way: no byte of a UTF-8 sequence is a newline.
+            with open(path, "r", encoding="latin-1") as raw:
+                for line_no, line in enumerate(raw, start=1):
+                    try:
+                        line.encode("latin-1").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise SchemaViolationError(line_no, f"not UTF-8 text: {exc}", path)
+            raise
 
 
 def read_trajectories(path) -> list[TrajectoryRecord]:

@@ -5,8 +5,10 @@ no-restart audit variants.
 Turn indices are 1-based. Verification runs after the environment step of
 every turn divisible by the verification interval, while the episode is
 still live; a finish short-circuits any verification scheduled for the
-same turn. An applied intervention resets the executor context and
-re-seeds it from the handoff.
+same turn. Each answered verification is recorded as one supervisor call.
+An applied intervention resets the executor context, re-seeds it from the
+handoff and appends its turn to the record's resets, the one record of
+which interventions were applied.
 
 Prompts are sent as tuples of text parts. Each turn is rendered once, as it
 lands, into a turn-log block and a memory block, each a small head part
@@ -31,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Optional
 
 from . import accounting
@@ -42,7 +44,6 @@ from .core import (
     AdviceMemoryHandoff,
     InitialPlanRecord,
     Plan,
-    ReplanHandoff,
     RunConfig,
     SupervisorCallRecord,
     TaskInstance,
@@ -285,42 +286,35 @@ class _Episode:
             self._verify(t)
 
     def _verify(self, t: int) -> None:
-        def rejected(text, usage):
-            self.record.supervisor_calls.append(
-                SupervisorCallRecord(t, VerifierDecision(CONTINUE, None, text), usage, False)
-            )
+        def log(decision, usage):
+            self.record.supervisor_calls.append(SupervisorCallRecord(t, decision, usage))
 
         template, parser = _VERIFIERS[self.config.family]
         _, decision, usage = self._call(
-            "verify", self.supervisor, self._render(template), t, parser, rejected
+            "verify", self.supervisor, self._render(template), t, parser,
+            lambda text, usage: log(VerifierDecision(CONTINUE, None, text), usage),
         )
         if decision is None:
             return
-        if decision.verdict != INTERVENE or self.config.is_audit:
-            self.record.supervisor_calls.append(
-                SupervisorCallRecord(t, decision, usage, applied=False)
-            )
-            return
-        self._apply_intervention(t, decision, usage)
+        if decision.verdict == INTERVENE and not self.config.is_audit:
+            decision = self._apply_intervention(t, decision)
+        log(decision, usage)
 
-    def _apply_intervention(self, t: int, decision: VerifierDecision, usage: TokenUsage) -> None:
+    def _apply_intervention(self, t: int, decision: VerifierDecision) -> VerifierDecision:
+        """Reset the executor context onto the handoff's seed and return the
+        decision to record; under eva_nosummary it hands over the advice alone."""
+        payload = decision.payload
         if self.config.family == "pevr":
-            new_plan = Plan(decision.payload.replan.text, origin="replan", replan_turn=t)
-            recorded = VerifierDecision(INTERVENE, ReplanHandoff(new_plan), decision.raw_text)
-            seed = self._render("replan_resume", replan=new_plan.text)
+            seed = self._render("replan_resume", replan=payload.replan.text)
+            self.plan = payload.replan
+        elif self.config.architecture == "eva_nosummary":
+            seed = self._render("advice_resume", summary=self._memory, advice=payload.advice)
+            decision = replace(decision, payload=AdviceMemoryHandoff(payload.advice))
         else:
-            advice = decision.payload.advice
-            if self.config.architecture == "eva_nosummary":
-                summary, payload = self._memory, AdviceMemoryHandoff(advice)
-                recorded = VerifierDecision(INTERVENE, payload, decision.raw_text)
-            else:
-                summary, recorded = decision.payload.summary, decision
-            seed = self._render("advice_resume", summary=summary, advice=advice)
+            seed = self._render("advice_resume", summary=payload.summary, advice=payload.advice)
         self._seed, self._log, self._last_usage = seed, [], None
-        self.record.supervisor_calls.append(SupervisorCallRecord(t, recorded, usage, applied=True))
         self.record.resets.append(t)
-        if self.config.family == "pevr":
-            self.plan = recorded.payload.replan
+        return decision
 
     # -- entry point --------------------------------------------------------
 

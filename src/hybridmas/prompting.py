@@ -144,6 +144,13 @@ def _extract_block(text: str, tag: str) -> str | None:
     return text[start + len(opening):end]
 
 
+def _handoff_block(text: str, tag: str) -> str | None:
+    """The block as _extract_block finds it, or None when it is blank once
+    stripped: a handoff hands over nothing without it."""
+    block = _extract_block(text, tag)
+    return block if block and not block.isspace() else None
+
+
 def parse_plan(text: str) -> Plan:
     """Extract the plan between <PLAN> tags, trimmed of surrounding
     whitespace."""
@@ -165,33 +172,32 @@ def parse_pevr_verdict(text: str) -> VerifierDecision:
     """Parse a plan-based verification output: CONTINUE, or INTERVENE with
     a <REPLAN> block.
 
-    Block content is returned byte-exact (no trimming); the replan memory
-    log is attached later by the orchestrator.
+    Block content is returned byte-exact (no trimming); a block that is
+    blank once stripped counts as missing.
     """
     token = _first_token(text)
     if token == "CONTINUE":
         return VerifierDecision(CONTINUE, None, text)
     if token == "INTERVENE":
-        replan = _extract_block(text, "REPLAN")
-        if not replan:
-            raise MalformedVerdictError("INTERVENE without a <REPLAN> block")
-        return VerifierDecision(
-            INTERVENE, ReplanHandoff(Plan(replan, origin="replan")), text
-        )
+        replan = _handoff_block(text, "REPLAN")
+        if replan is None:
+            raise MalformedVerdictError("INTERVENE without a non-blank <REPLAN> block")
+        return VerifierDecision(INTERVENE, ReplanHandoff(Plan(replan)), text)
     raise MalformedVerdictError(f"first token is neither CONTINUE nor INTERVENE: {token!r}")
 
 
 def parse_eva_verdict(text: str) -> VerifierDecision:
     """Parse a query-based verification output: CONTINUE, or INTERVENE with
-    both <SUMMARY> and <ADVICE> blocks (byte-exact content)."""
+    both <SUMMARY> and <ADVICE> blocks (byte-exact content; a block that is
+    blank once stripped counts as missing)."""
     token = _first_token(text)
     if token == "CONTINUE":
         return VerifierDecision(CONTINUE, None, text)
     if token == "INTERVENE":
-        summary = _extract_block(text, "SUMMARY")
-        advice = _extract_block(text, "ADVICE")
-        if not summary or not advice:
-            raise MalformedVerdictError("INTERVENE requires <SUMMARY> and <ADVICE> blocks")
+        summary = _handoff_block(text, "SUMMARY")
+        advice = _handoff_block(text, "ADVICE")
+        if summary is None or advice is None:
+            raise MalformedVerdictError("INTERVENE requires non-blank <SUMMARY> and <ADVICE>")
         return VerifierDecision(INTERVENE, AdviceHandoff(summary, advice), text)
     raise MalformedVerdictError(f"first token is neither CONTINUE nor INTERVENE: {token!r}")
 

@@ -1,10 +1,9 @@
 """Rewrite every golden artifact under tests/data/golden/ from the
 program: logs/ and the run summaries in reports/run.txt by `hybridmas run`
-on each architecture's config, logs_with_memory/ from logs/ by adding each
-replan and no-summary intervention's tool-call memory (derived from the
-turns up to its at_turn; empty in an audit run, which hands nothing over),
-and the report CSVs that tests/test_golden.py checks by `hybridmas report`
-over logs_with_memory/.
+on each architecture's config, logs_with_memory/ from logs/ by putting back
+what the earlier format stored (see with_memory), and the report CSVs that
+tests/test_golden.py checks by `hybridmas report` over logs_with_memory/.
+Prints each file whose bytes changed, or that none did.
 
 Run from the repository root after a deliberate change of the golden runs:
 
@@ -14,7 +13,6 @@ Run from the repository root after a deliberate change of the golden runs:
 import contextlib
 import io
 import json
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -25,11 +23,17 @@ from test_golden import ARCHITECTURES, GOLDEN, REPORTS
 
 
 def with_memory(line: str) -> str:
-    """A logs/ line in the earlier format: each replan payload holds the
-    memory after its replan, each advice_memory payload before its advice."""
+    """A logs/ line in the earlier format, which stored what is now derived:
+    each supervisor call's applied (its at_turn is in resets), each replan's
+    origin ("replan") and replan_turn (its at_turn when applied, else null),
+    totals.max_context_tokens before max_kv_bytes, and each replan and
+    no-summary intervention's tool-call memory (derived from the turns up to
+    its at_turn; empty in an audit run, which hands nothing over), after its
+    replan or before its advice."""
     data = json.loads(line)
     record = record_from_dict(data)
     for call in data["supervisor_calls"]:
+        applied = call["applied"] = call["at_turn"] in record.resets
         payload = call["decision"]["payload"]
         if payload is None or payload["kind"] not in ("replan", "advice_memory"):
             continue
@@ -37,15 +41,26 @@ def with_memory(line: str) -> str:
             format_memory([t for t in record.turns if t.t <= call["at_turn"]])
         )
         if payload["kind"] == "replan":
+            payload["replan"].update(origin="replan",
+                                     replan_turn=call["at_turn"] if applied else None)
             payload["memory"] = memory
         else:
             call["decision"]["payload"] = {"kind": "advice_memory", "memory": memory,
                                            "advice": payload["advice"]}
+    kv_bytes = data["totals"].pop("max_kv_bytes")
+    data["totals"].update(max_context_tokens=record.max_context_tokens, max_kv_bytes=kv_bytes)
     return json.dumps(data, separators=(",", ":"))
 
 
+def write_golden(path: Path, data: bytes, changed: list) -> None:
+    """Write data to path, noting path in changed when its bytes differ."""
+    if not path.is_file() or path.read_bytes() != data:
+        path.write_bytes(data)
+        changed.append(path)
+
+
 def main_regenerate() -> None:
-    summaries = []
+    summaries, changed = [], []
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for architecture in ARCHITECTURES:
@@ -56,20 +71,25 @@ def main_regenerate() -> None:
             if code != 0:
                 raise SystemExit(f"hybridmas run failed on {architecture}.yaml")
             summaries.append(stdout.getvalue().strip().rsplit(" out=", 1)[0])
-            log = GOLDEN / "logs" / f"{architecture}.jsonl"
-            shutil.copyfile(out / f"{architecture}-tv2" / "trajectories.jsonl", log)
-            lines = log.read_text(encoding="utf-8").splitlines()
-            (GOLDEN / "logs_with_memory" / f"{architecture}.jsonl").write_text(
-                "".join(with_memory(line) + "\n" for line in lines), encoding="utf-8"
-            )
+            log = (out / f"{architecture}-tv2" / "trajectories.jsonl").read_bytes()
+            write_golden(GOLDEN / "logs" / f"{architecture}.jsonl", log, changed)
+            lines = log.decode("utf-8").splitlines()
+            write_golden(GOLDEN / "logs_with_memory" / f"{architecture}.jsonl",
+                         "".join(with_memory(line) + "\n" for line in lines).encode("utf-8"),
+                         changed)
         for flags, architectures, outputs in REPORTS:
             logs = [str(GOLDEN / "logs_with_memory" / f"{a}.jsonl") for a in architectures]
             with contextlib.redirect_stdout(io.StringIO()):
                 if main(["report", *logs, *flags, "--out", str(out)]) != 0:
                     raise SystemExit(f"hybridmas report {' '.join(flags)} failed")
             for written, golden in outputs.items():
-                shutil.copyfile(out / written, GOLDEN / "reports" / golden)
-    (GOLDEN / "reports" / "run.txt").write_text("\n".join(summaries) + "\n", encoding="utf-8")
+                write_golden(GOLDEN / "reports" / golden, (out / written).read_bytes(), changed)
+    write_golden(GOLDEN / "reports" / "run.txt",
+                 ("\n".join(summaries) + "\n").encode("utf-8"), changed)
+    for path in changed:
+        print(f"changed {path.relative_to(GOLDEN)}")
+    if not changed:
+        print("no golden file changed")
 
 
 if __name__ == "__main__":

@@ -228,17 +228,26 @@ def test_acceptance_07_parser_grammar_suite():
         rng = random.Random(7)
         cases = 10_000
 
+        # A handoff block that is blank once stripped is a malformed verdict.
         for _ in range(cases):
             body = _random_text(rng, PAYLOAD_ALPHABET)
-            assert parse_pevr_verdict(f"INTERVENE\n<REPLAN>{body}</REPLAN>").payload.replan.text == body
+            text = f"INTERVENE\n<REPLAN>{body}</REPLAN>"
+            if body.strip():
+                assert parse_pevr_verdict(text).payload.replan.text == body
+            else:
+                with pytest.raises(MalformedVerdictError):
+                    parse_pevr_verdict(text)
 
         for _ in range(cases):
             summary = _random_text(rng, PAYLOAD_ALPHABET)
             advice = _random_text(rng, PAYLOAD_ALPHABET)
-            decision = parse_eva_verdict(
-                f"INTERVENE\n<SUMMARY>{summary}</SUMMARY>\n<ADVICE>{advice}</ADVICE>"
-            )
-            assert (decision.payload.summary, decision.payload.advice) == (summary, advice)
+            text = f"INTERVENE\n<SUMMARY>{summary}</SUMMARY>\n<ADVICE>{advice}</ADVICE>"
+            if summary.strip() and advice.strip():
+                decision = parse_eva_verdict(text)
+                assert (decision.payload.summary, decision.payload.advice) == (summary, advice)
+            else:
+                with pytest.raises(MalformedVerdictError):
+                    parse_eva_verdict(text)
             with pytest.raises(MalformedVerdictError):
                 parse_pevr_verdict(
                     f"INTERVENE\n<SUMMARY>{summary}</SUMMARY>\n<ADVICE>{advice}</ADVICE>"
@@ -393,9 +402,7 @@ def test_acceptance_12_context_bounding():
             verify_interval=16,
         )
         assert pevr_reset.resets == [16, 32, 48, 64, 80]
-        assert (
-            pevr_reset.totals.max_context_tokens < mono.totals.max_context_tokens
-        )
+        assert pevr_reset.max_context_tokens < mono.max_context_tokens
 
         # Same architecture, supervision disabled: resets are the only thing
         # that can shrink the maximum.
@@ -406,10 +413,7 @@ def test_acceptance_12_context_bounding():
             max_turns=80,
             verify_interval=16,
         )
-        assert (
-            pevr_reset.totals.max_context_tokens
-            < pevr_continue.totals.max_context_tokens
-        )
+        assert pevr_reset.max_context_tokens < pevr_continue.max_context_tokens
 
         # With no interventions the supervised run's context maximum equals
         # the monolithic one (EVA shares the monolithic seed exactly).
@@ -421,7 +425,7 @@ def test_acceptance_12_context_bounding():
             verify_interval=16,
         )
         assert eva_continue.resets == []
-        assert eva_continue.totals.max_context_tokens == mono.totals.max_context_tokens
+        assert eva_continue.max_context_tokens == mono.max_context_tokens
 
 
 def test_acceptance_13_determinism(tmp_path):

@@ -157,7 +157,7 @@ class TestAggregate:
         per_call = energy_joules(EDGE_PROFILE, usage(1000, 0, 200))
         assert totals.energy_joules == 3 * per_call
         assert totals.cost_usd == Decimal(0)
-        assert totals.max_context_tokens == 1200
+        assert record.max_context_tokens == 1200
 
     def test_cloud_supervisor_plus_edge_executor(self):
         record = TrajectoryRecord("t", "eva", "d")
@@ -167,7 +167,6 @@ class TestAggregate:
                 1,
                 VerifierDecision("continue", None, "CONTINUE"),
                 usage(200_000, 100_000, 50_000),
-                False,
             )
         ]
         totals = aggregate(record, {"executor": EDGE_PROFILE, "supervisor": CLOUD_PROFILE})
@@ -175,10 +174,11 @@ class TestAggregate:
         assert totals.energy_joules == energy_joules(EDGE_PROFILE, usage(1000, 0, 200))
 
     def test_empty_trajectory(self):
-        totals = aggregate(TrajectoryRecord("t", "monolithic", "d"), {"executor": EDGE_PROFILE})
+        record = TrajectoryRecord("t", "monolithic", "d")
+        totals = aggregate(record, {"executor": EDGE_PROFILE})
         assert totals.cost_usd == Decimal(0)
         assert totals.energy_joules == 0.0
-        assert totals.max_context_tokens == 0
+        assert record.max_context_tokens == 0
         assert totals.max_kv_bytes == 0
 
     def test_order_invariance(self):
@@ -193,7 +193,7 @@ class TestAggregate:
         record = TrajectoryRecord("t", "monolithic", "d")
         record.turns = [edge_turn(1, 100, 10), edge_turn(2, 300, 10), edge_turn(3, 200, 10)]
         totals = aggregate(record, {"executor": EDGE_PROFILE})
-        assert totals.max_context_tokens == 310
+        assert record.max_context_tokens == 310
         assert totals.max_kv_bytes == kv_cache_bytes(EDGE_PROFILE, 310)
 
     def test_reversed_placement_executor_without_geometry(self):

@@ -29,6 +29,7 @@ from hybridmas.core import (
     TokenUsage,
     TrajectoryRecord,
     TrajectoryTotals,
+    TurnRecord,
     VerifierDecision,
 )
 
@@ -156,7 +157,8 @@ class TestTaskSuccess:
 def stats_record(success, score, cost, context, kv):
     return TrajectoryRecord(
         "t", "eva", "d", success=success, score=score,
-        totals=TrajectoryTotals(Decimal(cost), 0.5, context, kv),
+        turns=[TurnRecord(1, "r", None, "obs", TokenUsage(context, 0, 0))],
+        totals=TrajectoryTotals(Decimal(cost), 0.5, kv),
     )
 
 
@@ -277,7 +279,6 @@ def audit_record(task_id, verdicts, architecture="eva_audit"):
                 else VerifierDecision("continue", None, "CONTINUE")
             ),
             TokenUsage(1, 0, 1),
-            False,
         )
         for i, verdict in enumerate(verdicts)
     ]
@@ -326,7 +327,6 @@ def record_with_interventions(task_id, applied_count):
             i + 1,
             VerifierDecision("intervene", AdviceHandoff("s", "a"), "raw"),
             TokenUsage(1, 0, 1),
-            True,
         )
         for i in range(applied_count)
     ]

@@ -1228,9 +1228,11 @@ class TestCmdReport:
         paths = [tmp_path / "unlabeled.jsonl" if name == "unlabeled"
                  else GOLDEN_LOGS / f"{name}.jsonl" for name in logs]
         out = tmp_path / "reports"
-        assert main(["report", *map(str, paths), "--confusion", "--out", str(out)]) == 2
-        assert f"runtime error: {error}" in capsys.readouterr().err
-        assert not (out / "confusion.csv").exists()
+        assert main(["report", *map(str, paths), *ALL_REPORT_FLAGS, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"runtime error: {error}" in captured.err
+        assert captured.out == ""
+        assert list(out.glob("*.csv")) == []
 
     def test_repeated_label_is_config_error(self, tmp_path, capsys):
         paths = []

@@ -63,19 +63,13 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             TaskInstance("id", "")
 
-    def test_applied_requires_intervene(self):
-        with pytest.raises(ValueError):
-            SupervisorCallRecord(
-                2, VerifierDecision("continue", None, "CONTINUE"), TokenUsage(), True
-            )
-
     def test_plan_text_nonempty(self):
         with pytest.raises(ValueError):
             Plan("")
 
 
 def make_full_record() -> TrajectoryRecord:
-    plan = Plan("1. search\n2. finish", origin="replan", replan_turn=2)
+    plan = Plan("1. search\n2. finish")
     return TrajectoryRecord(
         task_id="task-9",
         architecture="pevr",
@@ -90,10 +84,9 @@ def make_full_record() -> TrajectoryRecord:
                 2,
                 VerifierDecision("intervene", ReplanHandoff(plan), "raw"),
                 TokenUsage(40, 10, 8),
-                True,
             ),
             SupervisorCallRecord(
-                3, VerifierDecision("continue", None, "CONTINUE"), TokenUsage(9, 0, 1), False
+                3, VerifierDecision("continue", None, "CONTINUE"), TokenUsage(9, 0, 1)
             ),
         ],
         initial_plan=InitialPlanRecord("1. search\n2. finish", TokenUsage(25, 0, 12)),
@@ -102,7 +95,7 @@ def make_full_record() -> TrajectoryRecord:
         termination="finished",
         success=True,
         score=1.0,
-        totals=TrajectoryTotals(Decimal("0.000875"), 12.5, 300, 1234),
+        totals=TrajectoryTotals(Decimal("0.000875"), 12.5, 1234),
     )
 
 
@@ -119,13 +112,11 @@ class TestSerialization:
                 2,
                 VerifierDecision("intervene", AdviceHandoff("sum", "adv"), "raw"),
                 TokenUsage(5, 0, 5),
-                False,
             ),
             SupervisorCallRecord(
                 4,
                 VerifierDecision("intervene", AdviceMemoryHandoff("adv"), "raw"),
                 TokenUsage(5, 0, 5),
-                False,
             ),
         ]
         records[1].architecture = "eva_audit"
@@ -166,12 +157,10 @@ class TestSerialization:
         [
             (("termination",), "bogus", "bogus"),
             (("architecture",), "nonsense", "nonsense"),
-            (("supervisor_calls", 0, "decision", "payload", "replan", "origin"), "guess",
-             "unknown plan origin 'guess'"),
             (("supervisor_calls", 1, "decision", "verdict"), "maybe", "unknown verdict 'maybe'"),
             (("turns", 0, "t"), 0, "turn index is 1-based"),
         ],
-        ids=["termination-bogus", "architecture-nonsense", "plan-origin", "verdict", "turn-t"],
+        ids=["termination-bogus", "architecture-nonsense", "verdict", "turn-t"],
     )
     def test_illegal_termination_or_architecture_is_a_malformed_record(
         self, tmp_path, path, value, message
@@ -256,6 +245,18 @@ def test_every_reader_keeps_the_one_line_rule(tmp_path, reader):
             load(path)
         assert exc_info.value.line_no == 4
         assert str(exc_info.value) == f"{path}: line 4: {malformed}: {expected.value}"
+    # A line that is not UTF-8 text is refused with its number, though the
+    # file is decoded a block of lines at a time, in the codec's words for
+    # the line with its newline. A lone CR ends a line too.
+    valid = line(3).encode()
+    for bad in (valid[:6] + b"\xff\xfe" + valid[6:], valid + b"\xc3"):
+        with pytest.raises(UnicodeDecodeError) as expected:
+            (bad + b"\n").decode("utf-8")
+        path.write_bytes(f"{line(1)}\r \r\n\n".encode() + bad + f"\r\n{line(2)}\n".encode())
+        with pytest.raises(SchemaViolationError) as exc_info:
+            names(load(path))
+        assert exc_info.value.line_no == 4
+        assert str(exc_info.value) == f"{path}: line 4: not UTF-8 text: {expected.value}"
 
 
 # --- the JSONL writer against json.dumps -----------------------------------
@@ -311,11 +312,8 @@ _turns = st.builds(
     _usages(),
     _big_ints,
 )
-_plans = st.builds(
-    Plan, _texts.filter(bool), st.sampled_from(["initial", "replan"]), st.none() | _big_ints
-)
 _handoffs = st.one_of(
-    st.builds(ReplanHandoff, _plans),
+    st.builds(ReplanHandoff, st.builds(Plan, _texts.filter(bool))),
     st.builds(AdviceHandoff, _texts, _texts),
     st.builds(AdviceMemoryHandoff, _texts),
 )
@@ -323,13 +321,7 @@ _decisions = st.one_of(
     st.builds(VerifierDecision, st.just("continue"), st.none(), _texts),
     st.builds(VerifierDecision, st.just("intervene"), _handoffs, _texts),
 )
-
-
-@st.composite
-def _supervisor_calls(draw):
-    decision = draw(_decisions)
-    applied = decision.verdict == "intervene" and draw(st.booleans())
-    return SupervisorCallRecord(draw(_big_ints), decision, draw(_usages()), applied)
+_supervisor_calls = st.builds(SupervisorCallRecord, _big_ints, _decisions, _usages())
 
 
 _records = st.builds(
@@ -338,7 +330,7 @@ _records = st.builds(
     architecture=st.sampled_from(tuple(ARCHITECTURES)),
     config_digest=_texts,
     turns=st.lists(_turns, max_size=3),
-    supervisor_calls=st.lists(_supervisor_calls(), max_size=3),
+    supervisor_calls=st.lists(_supervisor_calls, max_size=3),
     initial_plan=st.none() | st.builds(InitialPlanRecord, _texts, _usages()),
     resets=st.lists(_big_ints, max_size=3),
     final_answer=st.none() | _texts,
@@ -349,7 +341,6 @@ _records = st.builds(
         TrajectoryTotals,
         st.decimals(allow_nan=False, allow_infinity=False),
         _floats,
-        _big_ints,
         _big_ints,
     ),
 )

@@ -29,6 +29,23 @@ def test_run_writes_the_golden_log(architecture, tmp_path, capsys):
     assert summary in (GOLDEN / "reports" / "run.txt").read_text(encoding="utf-8").splitlines()
 
 
+def test_a_run_resumes_into_a_log_of_the_earlier_format(tmp_path, capsys):
+    """A run into a log whose first line is in the earlier format keeps that
+    line, runs the other two tasks and reports over all three."""
+    first = (GOLDEN / "logs_with_memory" / "pevr.jsonl").read_bytes().splitlines(keepends=True)[0]
+    log = tmp_path / "pevr-tv2" / "trajectories.jsonl"
+    log.parent.mkdir()
+    log.write_bytes(first)
+    assert main(["run", "--config", str(GOLDEN / "pevr.yaml"), "--out", str(tmp_path)]) == 0
+    written = log.read_bytes().splitlines(keepends=True)
+    current = (GOLDEN / "logs" / "pevr.jsonl").read_bytes().splitlines(keepends=True)
+    assert first != current[0]  # the earlier format is kept as it was
+    assert written == [first, *current[1:]]
+    summary = capsys.readouterr().out.strip().rsplit(" out=", 1)[0]
+    assert summary.startswith("run architecture=pevr ")
+    assert summary in (GOLDEN / "reports" / "run.txt").read_text(encoding="utf-8").splitlines()
+
+
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
 def test_stored_memory_log_reencodes_to_the_current_log(architecture):
     records = read_trajectories(GOLDEN / "logs_with_memory" / f"{architecture}.jsonl")

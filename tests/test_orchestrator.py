@@ -99,7 +99,7 @@ class TestMonolithic:
         assert len(record.turns) == 3
         assert record.turns[-1].t == 3
         # The fatal call still bills: its usage dominates the context maximum.
-        assert record.totals.max_context_tokens == lens[2]
+        assert record.max_context_tokens == lens[2]
 
     def test_no_tool_call_consumes_turn(self):
         record, executor, _ = run_scripted(
@@ -187,10 +187,8 @@ class TestPevr:
         assert record.resets == [4]
         call = record.supervisor_calls[1]
         assert call.at_turn == 4
-        assert call.applied
         assert isinstance(call.decision.payload, ReplanHandoff)
         assert call.decision.payload.replan.text == "New plan R"
-        assert call.decision.payload.replan.replan_turn == 4
 
         expected_memory = "\n\n".join(
             f"Tool call: search[q{i}]\nOutput: obs" for i in range(1, 5)
@@ -330,7 +328,6 @@ class TestModelCallFailures:
         assert call.at_turn == 2
         assert call.decision == VerifierDecision(CONTINUE, None, "garbage verdict")
         assert call.usage == _scripted_usage(supervisor.requests[-2], "garbage verdict")
-        assert not call.applied
         assert record.resets == []
 
     @pytest.mark.parametrize(
@@ -426,7 +423,7 @@ class TestContextOverflow:
         assert record.termination == "out_of_context"
         [call] = record.supervisor_calls
         assert call.decision == VerifierDecision(CONTINUE, None, "garbage verdict")
-        assert not call.applied
+        assert record.resets == []
 
 
 class _BilledBackend:
@@ -531,7 +528,7 @@ class TestContextCap:
         assert executor.attempts_logged == server.hits == 3
         assert "word word" in server.bodies[2]["messages"][0]["content"]
         [call] = record.supervisor_calls
-        assert (call.at_turn, call.decision.verdict, call.applied) == (2, INTERVENE, True)
+        assert (call.at_turn, call.decision.verdict) == (2, INTERVENE)
         assert record.resets == [2]
         assert call.usage == _scripted_usage(supervisor.requests[-1], _resume_script(
             architecture)[-1])
@@ -546,7 +543,7 @@ class TestContextCap:
         )
         assert record.termination == "out_of_context"
         assert record.resets == [2]
-        assert [call.applied for call in record.supervisor_calls] == [True]
+        assert [call.at_turn for call in record.supervisor_calls] == [2]
         assert len(record.turns) == len(executor.requests) == 3
         assert max(t.usage.total_tokens for t in record.turns[:2]) <= 1000
         assert record.turns[2].usage.total_tokens > 1000
@@ -702,7 +699,6 @@ class TestAudit:
         )
         assert record.resets == []
         assert len(record.supervisor_calls) == 3
-        assert all(not c.applied for c in record.supervisor_calls)
         assert all(c.decision.verdict == "intervene" for c in record.supervisor_calls)
         # Executor context keeps growing: no reset ever happened.
         prompts = [t.usage.prompt_tokens for t in record.turns]
@@ -786,7 +782,7 @@ def _expected_requests(record, architecture, env, retried):
         else:
             request = _text("verify_advice", user_query=query, executor_context=log, memory=memory)
         supervisor += [request] * (2 if t in retried else 1)
-        if not call.applied:
+        if t not in record.resets:
             continue
         payload = call.decision.payload
         if pevr:

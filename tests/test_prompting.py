@@ -125,6 +125,11 @@ class TestParsePevrVerdict:
         with pytest.raises(MalformedVerdictError):
             parse_pevr_verdict("INTERVENE\n<SUMMARY>s</SUMMARY>\n<ADVICE>a</ADVICE>")
 
+    @pytest.mark.parametrize("block", ["", "  \n ", "\t"])
+    def test_blank_replan_is_malformed(self, block):
+        with pytest.raises(MalformedVerdictError):
+            parse_pevr_verdict(f"INTERVENE\n<REPLAN>{block}</REPLAN>")
+
 
 class TestParseEvaVerdict:
     def test_continue(self):
@@ -142,6 +147,14 @@ class TestParseEvaVerdict:
     def test_rejects_replan_shape(self):
         with pytest.raises(MalformedVerdictError):
             parse_eva_verdict("INTERVENE\n<REPLAN>p</REPLAN>")
+
+    @pytest.mark.parametrize("summary, advice", [("", "a"), ("s", ""), (" \n", "a"),
+                                                 ("s", "\t "), (" ", " ")])
+    def test_blank_summary_or_advice_is_malformed(self, summary, advice):
+        with pytest.raises(MalformedVerdictError):
+            parse_eva_verdict(
+                f"INTERVENE\n<SUMMARY>{summary}</SUMMARY>\n<ADVICE>{advice}</ADVICE>"
+            )
 
 
 class TestParseToolCall:
@@ -241,18 +254,24 @@ tag_free_text = st.text(
 @settings(max_examples=300)
 @given(tag_free_text, tag_free_text)
 def test_eva_round_trip_is_exact(summary, advice):
-    decision = parse_eva_verdict(
-        "INTERVENE\n<SUMMARY>" + summary + "</SUMMARY>\n<ADVICE>" + advice + "</ADVICE>"
-    )
-    assert decision.payload.summary == summary
-    assert decision.payload.advice == advice
+    text = "INTERVENE\n<SUMMARY>" + summary + "</SUMMARY>\n<ADVICE>" + advice + "</ADVICE>"
+    if not (summary.strip() and advice.strip()):
+        with pytest.raises(MalformedVerdictError):
+            parse_eva_verdict(text)
+    else:
+        payload = parse_eva_verdict(text).payload
+        assert (payload.summary, payload.advice) == (summary, advice)
 
 
 @settings(max_examples=300)
 @given(tag_free_text)
 def test_pevr_round_trip_is_exact(replan):
-    decision = parse_pevr_verdict("INTERVENE\n<REPLAN>" + replan + "</REPLAN>")
-    assert decision.payload.replan.text == replan
+    text = "INTERVENE\n<REPLAN>" + replan + "</REPLAN>"
+    if not replan.strip():
+        with pytest.raises(MalformedVerdictError):
+            parse_pevr_verdict(text)
+    else:
+        assert parse_pevr_verdict(text).payload.replan.text == replan
 
 
 @settings(max_examples=300)
