@@ -266,10 +266,11 @@ class _ReportInputs:
 
 
 def cmd_report(args) -> int:
-    """Read the logs one at a time, in argument order, and write the CSVs
-    once every log has been read and confusion.csv has not been refused.
-    Two logs with one label are refused, and so is --overlap over other
-    than 2 or 3 logs, before any log is read."""
+    """Read the logs one at a time, in argument order, and make the output
+    directory and write the CSVs once every log has been read and
+    confusion.csv has not been refused, so a refused report leaves no
+    output. Two logs with one label are refused, and so is --overlap over
+    other than 2 or 3 logs, before any log is read."""
     paths = [Path(p) for p in args.paths]
     for path in paths:
         if not path.is_file():
@@ -290,12 +291,12 @@ def cmd_report(args) -> int:
         print(f"config error: --overlap needs 2 or 3 logs, got {len(labeled)}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         inputs = _ReportInputs(args)
         for label, path in labeled.items():
             inputs.add(label, read_trajectories(path))
         confusion = inputs.checked_confusion() if args.confusion else None
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.frontier:
             _write_frontier(inputs.stats, args.axis, out_dir / "frontier.csv")
         if args.histogram:

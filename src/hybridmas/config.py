@@ -4,10 +4,10 @@ and sweep values.
 
 Each section's keys are the parameters of what it builds (RunConfig,
 SamplingParams, ModelProfile, Pricing, HttpChatBackend, WikiEnvironment or
-ScriptedEnvironment, and ToolCall and Observation for a table entry), each
-converted by its declared type; any other key is a ConfigError, and so is a
-value the constructor refuses. 0, false, "" and [] are values, checked as
-such, never a stand-in for a default.
+ScriptedEnvironment, and ToolCall plus its observation text for a table
+entry), each converted by its declared type; any other key is a
+ConfigError, and so is a value the constructor refuses. 0, false, "" and
+[] are values, checked as such, never a stand-in for a default.
 load_config is the one reader of the file: every backend spec is checked
 at load, whether or not a role references it, and every script is read
 there, once. A backend and the environment are kept as builders that
@@ -32,7 +32,7 @@ import yaml
 
 from .backends import HttpChatBackend, ScriptedBackend, ScriptEntry
 from .core import ModelProfile, Pricing, RunConfig, SamplingParams, ToolCall
-from .environments import Observation, ScriptedEnvironment, WikiCorpus, WikiEnvironment
+from .environments import ScriptedEnvironment, WikiCorpus, WikiEnvironment
 
 
 class ConfigError(Exception):
@@ -125,12 +125,6 @@ def _path(value: Any, where: str) -> str:
     return value
 
 
-def _boolean(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, not {value!r}")
-    return value
-
-
 def parse_parallelism(value: Any, where: str) -> int:
     parallelism = _integer(value, where)
     if parallelism < 1:
@@ -148,26 +142,29 @@ def _decimal(value: Any, where: str) -> Decimal:
     return number
 
 
-def _table(value: Any, where: str) -> dict[ToolCall, Observation]:
-    """A scripted environment's table: a list of entries, each read through
-    ToolCall and Observation, so that an entry's keys are their parameters.
-    A call that an earlier entry made is a ConfigError."""
+def _table(value: Any, where: str) -> dict[ToolCall, str]:
+    """A scripted environment's table: a list of entries, each the
+    parameters of a ToolCall (tool, argument) and its observation text. A
+    call of a tool that the environment lacks, which no reply can reach, or
+    one that an earlier entry made is a ConfigError."""
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list of entries, not {value!r}")
-    call_keys, observation_keys = (tuple(inspect.signature(build).parameters)
-                                   for build in (ToolCall, Observation))
     table = {}
     for i, entry in enumerate(value):
-        call = _construct(ToolCall, entry, f"{where}[{i}].", observation_keys)
+        at = f"{where}[{i}]"
+        call = _construct(ToolCall, entry, at + ".", ("text",))
+        if call.tool not in ScriptedEnvironment.tools:
+            raise ConfigError(f"{at}: tool {call.tool!r} is not "
+                              + " or ".join(ScriptedEnvironment.tools))
         if call in table:
-            raise ConfigError(f"{where}[{i}]: duplicate call {call.render()}")
-        table[call] = _construct(Observation, entry, f"{where}[{i}].", call_keys)
+            raise ConfigError(f"{at}: duplicate call {call.render()}")
+        table[call] = _string(_require(entry, "text", at), at + ".text")
     return table
 
 
 # The converter of each type a config key may be declared with.
-_CONVERTERS = {int: _integer, float: _float, str: _string, Decimal: _decimal, bool: _boolean,
-               Mapping[ToolCall, Observation]: _table}
+_CONVERTERS = {int: _integer, float: _float, str: _string, Decimal: _decimal,
+               Mapping[ToolCall, str]: _table}
 
 
 def _known(raw: Any, keys: tuple, section: str) -> dict:

@@ -58,6 +58,9 @@ TERMINATIONS = (
 CONTINUE = "continue"
 INTERVENE = "intervene"
 
+# The ReAct loop's own tool: finish[answer] ends the episode with answer.
+FINISH_TOOL = "finish"
+
 
 @dataclass(frozen=True)
 class ToolCall:

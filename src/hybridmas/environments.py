@@ -1,11 +1,13 @@
 """Tool environments and dataset loading.
 
 An environment is its tools (their names), tool_prompt (their description
-for the executor) and step (a ToolCall to an Observation); each trajectory
-gets a fresh one. Provides a self-contained read-only Wikipedia environment
-with search/lookup/finish tools, a table-driven scripted environment for
-tests, and the JSONL task loader. Tool failures never raise: the agent must
-see them, so every failure becomes an observation.
+for the executor, finish included) and step (a ToolCall of one of its tools
+to the observation text); each trajectory gets a fresh one. finish[answer]
+is not an environment's tool: the orchestrator's ReAct loop answers it and
+ends the episode, without a step. Provides a self-contained read-only
+Wikipedia environment with search and lookup, a table-driven scripted
+environment for tests, and the JSONL task loader. Tool failures never
+raise: the agent must see them, so every failure becomes an observation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import re
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional
 
 from .core import SchemaViolationError, TaskInstance, ToolCall, read_jsonl
@@ -25,22 +26,7 @@ from .prompting import load_asset
 OBSERVATION_LIMIT = 4000
 TRUNCATION_MARKER = "\n[observation truncated]"
 
-FINISH_TOOL = "finish"
 NO_MORE_RESULTS = "No more results."
-
-
-@dataclass(frozen=True)
-class Observation:
-    """What the agent sees after a tool call. final_answer is present only
-    when the episode terminated via finish."""
-
-    text: str
-    terminal: bool = False
-    final_answer: Optional[str] = None
-
-    def __post_init__(self):
-        if self.final_answer is not None and not self.terminal:
-            raise ValueError("final_answer requires a terminal observation")
 
 
 def truncate_observation(text: str) -> str:
@@ -157,12 +143,12 @@ class WikiCorpus:
 
 
 class WikiEnvironment:
-    """Read-only Wikipedia over a local corpus with exactly three tools:
-    search[entity], lookup[string], finish[answer]. A hit replaces the
+    """Read-only Wikipedia over a local corpus with two tools,
+    search[entity] and lookup[string]. A hit replaces the
     searched page's sentences and starts its lookup afresh; a lookup
     query other than the last one restarts the cursor over its matches."""
 
-    tools = ("search", "lookup", FINISH_TOOL)
+    tools = ("search", "lookup")
 
     def __init__(self, corpus: WikiCorpus):
         self.corpus = corpus
@@ -175,32 +161,25 @@ class WikiEnvironment:
     def tool_prompt(self) -> str:
         return load_asset("wikienv_tools")
 
-    def step(self, call: ToolCall) -> Observation:
-        if call.tool == FINISH_TOOL:
-            return Observation("Episode finished.", terminal=True, final_answer=call.argument)
+    def step(self, call: ToolCall) -> str:
         if call.tool == "search":
-            return self._search(call.argument)
+            return truncate_observation(self._search(call.argument))
         if call.tool == "lookup":
-            return self._lookup(call.argument)
-        return Observation(
-            "Invalid tool. Available tools: search[entity], lookup[string], finish[answer]."
-        )
+            return truncate_observation(self._lookup(call.argument))
+        return "Invalid tool. Available tools: search[entity], lookup[string], finish[answer]."
 
-    def _observe(self, text: str) -> Observation:
-        return Observation(truncate_observation(text))
-
-    def _search(self, entity: str) -> Observation:
+    def _search(self, entity: str) -> str:
         sentences = self.corpus.sentences(entity)
         if sentences is None:
             similar = self.corpus.similar_titles(entity)
-            return self._observe(f"Could not find {entity}. Similar: {similar}.")
+            return f"Could not find {entity}. Similar: {similar}."
         self.page, self.lookup_query, self.lookup_matches, self.lookup_cursor = (
             sentences, None, [], 0)
-        return self._observe(" ".join(sentences[:5]))
+        return " ".join(sentences[:5])
 
-    def _lookup(self, query: str) -> Observation:
+    def _lookup(self, query: str) -> str:
         if self.page is None:
-            return self._observe("No page is currently selected. Use search[entity] first.")
+            return "No page is currently selected. Use search[entity] first."
         if query != self.lookup_query:
             needle = query.lower()
             self.lookup_query = query
@@ -208,19 +187,18 @@ class WikiEnvironment:
                                    if needle in sentence.lower()]
             self.lookup_cursor = 0
         if self.lookup_cursor >= len(self.lookup_matches):
-            return self._observe(NO_MORE_RESULTS)
+            return NO_MORE_RESULTS
         index = self.lookup_cursor
         self.lookup_cursor += 1
         total = len(self.lookup_matches)
-        return self._observe(f"(Result {index + 1} / {total}) {self.lookup_matches[index]}")
+        return f"(Result {index + 1} / {total}) {self.lookup_matches[index]}"
 
 
 class ScriptedEnvironment:
     """Lookup-table environment for deterministic tests, with the wiki
-    environment's tools: table maps each scripted call to its Observation,
-    and any other search or lookup yields the default text, not terminal.
-    finish is always terminal. Each text is truncated to OBSERVATION_LIMIT
-    once, when the environment is built."""
+    environment's tools: table maps each scripted call to its observation
+    text, and any other search or lookup yields the default text. Each text
+    is truncated to OBSERVATION_LIMIT once, when the environment is built."""
 
     tools = WikiEnvironment.tools
     tool_prompt = """### `search[entity]`
@@ -235,20 +213,15 @@ Terminates the episode and returns the final answer.
 
     def __init__(
         self,
-        table: Optional[Mapping[ToolCall, Observation]] = None,
+        table: Optional[Mapping[ToolCall, str]] = None,
         default: str = "Nothing happens.",
     ):
-        self.table = {call: replace(observation, text=truncate_observation(observation.text))
-                      for call, observation in (table or {}).items()}
-        self.default = Observation(truncate_observation(default))
+        self.table = {call: truncate_observation(text) for call, text in (table or {}).items()}
+        self.default = truncate_observation(default)
 
-    def step(self, call: ToolCall) -> Observation:
-        if call.tool == FINISH_TOOL:
-            return Observation("Episode finished.", terminal=True, final_answer=call.argument)
+    def step(self, call: ToolCall) -> str:
         if call.tool not in self.tools:
-            return Observation(
-                "Invalid tool. Available tools: search[...], lookup[...], finish[...]."
-            )
+            return "Invalid tool. Available tools: search[...], lookup[...], finish[...]."
         return self.table.get(call, self.default)
 
 

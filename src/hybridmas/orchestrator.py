@@ -2,7 +2,11 @@
 plan-supervised and advice-supervised hybrid architectures, and their
 no-restart audit variants.
 
-Turn indices are 1-based. Verification runs after the environment step of
+Turn indices are 1-based. The loop owns finish[answer]: each reply is
+parsed against the environment's tools plus FINISH_TOOL, and a finish call
+is never stepped; its turn observes "Episode finished." and the task ends
+finished with the call's argument as the final answer, once the turn has
+passed the context checks. Verification runs after the environment step of
 every turn divisible by the verification interval, while the episode is
 still live; a finish short-circuits any verification scheduled for the
 same turn. Each answered verification is recorded as one supervisor call.
@@ -40,6 +44,7 @@ from . import accounting
 from .backends import BackendError, ChatRequest, ContextOverflowError
 from .core import (
     CONTINUE,
+    FINISH_TOOL,
     INTERVENE,
     AdviceMemoryHandoff,
     InitialPlanRecord,
@@ -72,6 +77,7 @@ DEFAULT_MAX_TURNS = {"hotpotqa": 10, "fanoutqa": 20, "generic": 40}
 INVALID_TOOL_CALL_OBSERVATION = (
     "Invalid tool call format. Emit exactly one call as tool[argument]."
 )
+FINISHED_OBSERVATION = "Episode finished."
 
 _MALFORMED = (MalformedPlanError, MalformedVerdictError)
 
@@ -146,6 +152,7 @@ class _Episode:
         self.executor = executor_backend
         self.supervisor = supervisor_backend
         self.env = env
+        self._tools = (*env.tools, FINISH_TOOL)
         if config.family != "monolithic" and supervisor_backend is None:
             raise ValueError(f"{config.architecture} requires a supervisor backend")
         self.plan: Optional[Plan] = None
@@ -253,15 +260,15 @@ class _Episode:
         prompt = (*self._seed, "\n\n", *self._log) if self._log else self._seed
         response, _, usage = self._call("execute", self.executor, prompt, t)
 
-        observation = None
+        finished = False
         try:
-            call, reasoning = parse_tool_call(response.text, self.env.tools)
+            call, reasoning = parse_tool_call(response.text, self._tools)
         except NoToolCallError:
-            call, reasoning, text = None, response.text, INVALID_TOOL_CALL_OBSERVATION
+            call, reasoning, observation = None, response.text, INVALID_TOOL_CALL_OBSERVATION
         else:
-            observation = self.env.step(call)
-            text = observation.text
-        turn = TurnRecord(t, reasoning, call, text, usage, response.wall_time_ms)
+            finished = call.tool == FINISH_TOOL
+            observation = FINISHED_OBSERVATION if finished else self.env.step(call)
+        turn = TurnRecord(t, reasoning, call, observation, usage, response.wall_time_ms)
 
         self.record.turns.append(turn)
         last, self._last_usage = self._last_usage, usage
@@ -278,8 +285,8 @@ class _Episode:
         self._extend(self._log, render_turn_log([turn]))
         self._extend(self._memory, format_memory([turn]))
 
-        if observation is not None and observation.terminal:
-            self.record.final_answer = observation.final_answer
+        if finished:
+            self.record.final_answer = call.argument
             raise _Terminate("finished")
 
         if self.config.family != "monolithic" and t % self.config.verify_interval == 0:

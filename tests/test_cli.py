@@ -421,11 +421,12 @@ MALFORMED_VALUES = {
         {"environment": {**SCRIPTED_ENV, "table": [{"tool": "search", "text": 5}]}},
         "environment.table[0].text must be a string",
     ),
+    # The loop answers finish itself: its terminal and final_answer are no keys.
     "table-final_answer-int": (
         {"environment": {**SCRIPTED_ENV, "table": [
             {"tool": "finish", "text": "done", "terminal": True, "final_answer": 42}
         ]}},
-        "environment.table[0].final_answer must be a string",
+        "unknown key 'final_answer' in environment.table[0]",
     ),
     "table-argument-int": (
         {"environment": {**SCRIPTED_ENV, "table": [
@@ -445,11 +446,23 @@ MALFORMED_VALUES = {
         {"environment": {**SCRIPTED_ENV, "table": [
             {"tool": "search", "text": "x", "final_answer": "a"}
         ]}},
-        "environment.table[0]: final_answer requires a terminal observation",
+        "unknown key 'final_answer' in environment.table[0]",
     ),
     "table-empty-tool": (
         {"environment": {**SCRIPTED_ENV, "table": [{"tool": "", "text": "x"}]}},
         "environment.table[0]: tool name must be non-empty",
+    ),
+    # Entries no reply can reach: the loop answers finish without a step, and
+    # a reply can call only the environment's own tools.
+    "table-finish": (
+        {"environment": {**SCRIPTED_ENV, "table": [
+            {"tool": "search", "text": "x"}, {"tool": "finish", "argument": "42", "text": "x"}
+        ]}},
+        "environment.table[1]: tool 'finish' is not search or lookup",
+    ),
+    "table-undeclared-tool": (
+        {"environment": {**SCRIPTED_ENV, "table": [{"tool": "calculate", "text": "x"}]}},
+        "environment.table[0]: tool 'calculate' is not search or lookup",
     ),
     "table-mapping": (
         {"environment": {**SCRIPTED_ENV, "table": {"tool": "search", "text": "x"}}},
@@ -460,7 +473,7 @@ MALFORMED_VALUES = {
         {"environment": {**SCRIPTED_ENV, "table": [
             {"tool": "search", "text": "x", "terminal": "no"}
         ]}},
-        "terminal must be true or false",
+        "unknown key 'terminal' in environment.table[0]",
     ),
     # Values that must be strings: a list was unhashable or a number could
     # not be joined to a path (exit 2), and an http model list was sent as is.
@@ -1232,7 +1245,18 @@ class TestCmdReport:
         captured = capsys.readouterr()
         assert f"runtime error: {error}" in captured.err
         assert captured.out == ""
-        assert list(out.glob("*.csv")) == []
+        assert not out.exists()
+
+    def test_malformed_log_leaves_no_output(self, tmp_path, capsys):
+        lines = (GOLDEN_LOGS / "eva.jsonl").read_text(encoding="utf-8").splitlines()
+        log = tmp_path / "eva.jsonl"
+        log.write_text(lines[0] + "\n{not json\n", encoding="utf-8")
+        out = tmp_path / "reports"
+        assert main(["report", str(log), "--frontier", "--histogram", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"runtime error: {log}: line 2: malformed trajectory record" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_repeated_label_is_config_error(self, tmp_path, capsys):
         paths = []

@@ -12,7 +12,6 @@ from hybridmas.environments import (
     NO_MORE_RESULTS,
     OBSERVATION_LIMIT,
     TRUNCATION_MARKER,
-    Observation,
     SchemaViolationError,
     ScriptedEnvironment,
     WikiCorpus,
@@ -47,24 +46,23 @@ class TestWikiSearch:
     def test_returns_first_five_sentences(self, corpus):
         env = WikiEnvironment(corpus)
         obs = env.step(ToolCall("search", "Richard Feynman"))
-        assert obs.text == " ".join(FEYNMAN_SENTENCES[:5])
-        assert not obs.terminal
+        assert obs == " ".join(FEYNMAN_SENTENCES[:5])
 
     def test_short_page_returns_all(self, corpus):
         env = WikiEnvironment(corpus)
         obs = env.step(ToolCall("search", "Marie Curie"))
-        assert obs.text == " ".join(CURIE_SENTENCES)
+        assert obs == " ".join(CURIE_SENTENCES)
 
     def test_title_normalization(self, corpus):
         env = WikiEnvironment(corpus)
         obs = env.step(ToolCall("search", "  richard   FEYNMAN "))
-        assert obs.text.startswith("Richard Feynman was")
+        assert obs.startswith("Richard Feynman was")
 
     def test_miss_lists_similar_titles(self, corpus):
         env = WikiEnvironment(corpus)
         obs = env.step(ToolCall("search", "Fynman"))
-        assert obs.text.startswith("Could not find Fynman.")
-        assert "Richard Feynman" in obs.text
+        assert obs.startswith("Could not find Fynman.")
+        assert "Richard Feynman" in obs
 
     def test_miss_ranking_prefers_token_overlap(self, corpus):
         ranked = corpus.similar_titles("Marie the chemist")
@@ -75,7 +73,7 @@ class TestWikiSearch:
         env.step(ToolCall("search", "Marie Curie"))
         env.step(ToolCall("search", "No Such Page"))
         obs = env.step(ToolCall("lookup", "radioactivity"))
-        assert "(Result 1 / 1)" in obs.text
+        assert "(Result 1 / 1)" in obs
 
 
 def reference_similar_titles(titles, query, k=5):
@@ -132,7 +130,7 @@ class TestWikiLookup:
     def test_requires_page(self, corpus):
         env = WikiEnvironment(corpus)
         obs = env.step(ToolCall("lookup", "Nobel Prize"))
-        assert "search" in obs.text.lower()
+        assert "search" in obs.lower()
 
     def test_enumerates_matches_in_order(self, corpus):
         env = WikiEnvironment(corpus)
@@ -142,15 +140,15 @@ class TestWikiLookup:
         assert n == 3
         for i, sentence in enumerate(matching, start=1):
             obs = env.step(ToolCall("lookup", "Nobel Prize"))
-            assert obs.text == f"(Result {i} / {n}) {sentence}"
-        assert env.step(ToolCall("lookup", "Nobel Prize")).text == NO_MORE_RESULTS
-        assert env.step(ToolCall("lookup", "Nobel Prize")).text == NO_MORE_RESULTS
+            assert obs == f"(Result {i} / {n}) {sentence}"
+        assert env.step(ToolCall("lookup", "Nobel Prize")) == NO_MORE_RESULTS
+        assert env.step(ToolCall("lookup", "Nobel Prize")) == NO_MORE_RESULTS
 
     def test_lookup_is_case_insensitive(self, corpus):
         env = WikiEnvironment(corpus)
         env.step(ToolCall("search", "Richard Feynman"))
         obs = env.step(ToolCall("lookup", "nobel prize"))
-        assert obs.text.startswith("(Result 1 / 3)")
+        assert obs.startswith("(Result 1 / 3)")
 
     def test_new_query_resets_cursor(self, corpus):
         env = WikiEnvironment(corpus)
@@ -158,9 +156,9 @@ class TestWikiLookup:
         env.step(ToolCall("lookup", "Nobel Prize"))
         env.step(ToolCall("lookup", "Nobel Prize"))
         obs = env.step(ToolCall("lookup", "physics"))
-        assert obs.text.startswith("(Result 1 /")
+        assert obs.startswith("(Result 1 /")
         obs = env.step(ToolCall("lookup", "Nobel Prize"))
-        assert obs.text.startswith("(Result 1 / 3)")
+        assert obs.startswith("(Result 1 / 3)")
 
     def test_search_resets_lookup_state(self, corpus):
         env = WikiEnvironment(corpus)
@@ -168,27 +166,20 @@ class TestWikiLookup:
         env.step(ToolCall("lookup", "Nobel Prize"))
         env.step(ToolCall("search", "Richard Feynman"))
         obs = env.step(ToolCall("lookup", "Nobel Prize"))
-        assert obs.text.startswith("(Result 1 / 3)")
+        assert obs.startswith("(Result 1 / 3)")
 
     def test_zero_matches(self, corpus):
         env = WikiEnvironment(corpus)
         env.step(ToolCall("search", "Richard Feynman"))
-        assert env.step(ToolCall("lookup", "zebra")).text == NO_MORE_RESULTS
+        assert env.step(ToolCall("lookup", "zebra")) == NO_MORE_RESULTS
 
 
 class TestEnvStep:
-    def test_finish_is_terminal(self, corpus):
-        env = WikiEnvironment(corpus)
-        obs = env.step(ToolCall("finish", "yes"))
-        assert obs.terminal
-        assert obs.final_answer == "yes"
-
     def test_unknown_tool(self, corpus):
         env = WikiEnvironment(corpus)
         obs = env.step(ToolCall("teleport", "x"))
-        assert not obs.terminal
-        assert obs.text.startswith("Invalid tool.")
-        assert "search[entity]" in obs.text
+        assert obs.startswith("Invalid tool.")
+        assert "search[entity]" in obs
 
     def test_corpus_read_only_under_random_episodes(self, corpus):
         digest = corpus.digest()
@@ -197,11 +188,9 @@ class TestEnvStep:
         for _ in range(100):
             env = WikiEnvironment(corpus)
             for _ in range(rng.randint(1, 10)):
-                tool = rng.choice(["search", "lookup", "finish", "bogus"])
+                tool = rng.choice(["search", "lookup", "bogus"])
                 arg = rng.choice(titles + ["Nobel Prize", "physics", "zzz"])
-                obs = env.step(ToolCall(tool, arg))
-                if obs.terminal:
-                    break
+                env.step(ToolCall(tool, arg))
         assert corpus.digest() == digest
 
     def test_deterministic_given_state(self, corpus):
@@ -210,8 +199,8 @@ class TestEnvStep:
             env = WikiEnvironment(corpus)
             outputs.append(
                 [
-                    env.step(ToolCall("search", "Richard Feynman")).text,
-                    env.step(ToolCall("lookup", "Nobel Prize")).text,
+                    env.step(ToolCall("search", "Richard Feynman")),
+                    env.step(ToolCall("lookup", "Nobel Prize")),
                 ]
             )
         assert outputs[0] == outputs[1]
@@ -220,14 +209,10 @@ class TestEnvStep:
         page = "x" * OBSERVATION_LIMIT + "."
         env = WikiEnvironment(WikiCorpus([("Long", page)]))
         obs = env.step(ToolCall("search", "Long"))
-        assert obs == Observation(page[:OBSERVATION_LIMIT] + TRUNCATION_MARKER)
+        assert obs == page[:OBSERVATION_LIMIT] + TRUNCATION_MARKER
 
 
 class TestObservation:
-    def test_final_answer_requires_terminal(self):
-        with pytest.raises(ValueError):
-            Observation("x", terminal=False, final_answer="y")
-
     def test_truncate_noop_below_limit(self):
         assert truncate_observation("short") == "short"
         assert truncate_observation("a" * OBSERVATION_LIMIT) == "a" * OBSERVATION_LIMIT
@@ -235,48 +220,38 @@ class TestObservation:
 
 class TestScriptedEnvironment:
     def test_table_lookup(self):
-        env = ScriptedEnvironment({ToolCall("search", "A"): Observation("obs")})
-        assert env.step(ToolCall("search", "A")).text == "obs"
+        env = ScriptedEnvironment({ToolCall("search", "A"): "obs"})
+        assert env.step(ToolCall("search", "A")) == "obs"
 
     def test_default_for_unscripted(self):
         env = ScriptedEnvironment(default="fallback")
-        assert env.step(ToolCall("search", "missing")).text == "fallback"
-
-    def test_finish_always_terminal(self):
-        env = ScriptedEnvironment({ToolCall("finish", "42"): Observation("ignored")})
-        obs = env.step(ToolCall("finish", "42"))
-        assert obs.terminal
-        assert obs.final_answer == "42"
+        assert env.step(ToolCall("search", "missing")) == "fallback"
 
     def test_texts_over_the_limit_are_truncated(self):
         over = OBSERVATION_LIMIT + 1
         env = ScriptedEnvironment(
             {
-                ToolCall("search", "A"): Observation("a" * over),
-                ToolCall("lookup", "B"): Observation("b" * over, terminal=True, final_answer="B"),
+                ToolCall("search", "A"): "a" * over,
+                ToolCall("lookup", "B"): "b" * over,
             },
             default="d" * over,
         )
         limit = OBSERVATION_LIMIT
-        assert env.step(ToolCall("search", "A")) == Observation("a" * limit + TRUNCATION_MARKER)
-        assert env.step(ToolCall("lookup", "B")) == Observation(
-            "b" * limit + TRUNCATION_MARKER, terminal=True, final_answer="B"
-        )
-        assert env.step(ToolCall("search", "C")) == Observation("d" * limit + TRUNCATION_MARKER)
+        assert env.step(ToolCall("search", "A")) == "a" * limit + TRUNCATION_MARKER
+        assert env.step(ToolCall("lookup", "B")) == "b" * limit + TRUNCATION_MARKER
+        assert env.step(ToolCall("search", "C")) == "d" * limit + TRUNCATION_MARKER
 
     def test_texts_within_the_limit_are_unchanged(self):
         limit = OBSERVATION_LIMIT
         env = ScriptedEnvironment(
-            {ToolCall("search", "A"): Observation("a" * limit)}, default="d" * limit
+            {ToolCall("search", "A"): "a" * limit}, default="d" * limit
         )
-        assert env.step(ToolCall("search", "A")) == Observation("a" * limit)
-        assert env.step(ToolCall("search", "C")) == Observation("d" * limit)
+        assert env.step(ToolCall("search", "A")) == "a" * limit
+        assert env.step(ToolCall("search", "C")) == "d" * limit
 
     def test_unknown_tool_observation(self):
         obs = ScriptedEnvironment().step(ToolCall("calculate", "x"))
-        assert obs == Observation(
-            "Invalid tool. Available tools: search[...], lookup[...], finish[...]."
-        )
+        assert obs == "Invalid tool. Available tools: search[...], lookup[...], finish[...]."
 
 
 class TestLoadTasks:
@@ -408,7 +383,7 @@ class TestCorpusLoading:
         env = WikiEnvironment(corpus)
         assert "search[entity]" in env.tool_prompt
         assert "finish[answer]" in env.tool_prompt
-        assert env.tools == ("search", "lookup", "finish")
+        assert env.tools == ("search", "lookup")
 
 
 # Pieces of page text: sentence ends, abbreviations, inner periods, Unicode

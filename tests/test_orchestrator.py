@@ -6,6 +6,7 @@ from dataclasses import replace
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridmas import orchestrator
 from hybridmas.backends import (
@@ -32,7 +33,7 @@ from hybridmas.core import (
     record_to_json_line,
 )
 from hybridmas.core import ToolCall
-from hybridmas.environments import Observation, ScriptedEnvironment
+from hybridmas.environments import ScriptedEnvironment
 from hybridmas.orchestrator import (
     DEFAULT_MAX_TURNS,
     INVALID_TOOL_CALL_OBSERVATION,
@@ -827,7 +828,7 @@ class TestRequestText:
         executor_script = search_turns(9)
         executor_script[2] = "I cannot decide."  # a turn without a memory block
         env = ScriptedEnvironment(
-            {ToolCall("search", f"q{i}"): Observation(f"result {i}") for i in range(1, 10)}
+            {ToolCall("search", f"q{i}"): f"result {i}" for i in range(1, 10)}
         )
         record, executor, supervisor = run_scripted(
             architecture, executor_script, supervisor_script, env=env,
@@ -858,9 +859,8 @@ class _FreshObservations(ScriptedEnvironment):
     def step(self, call):
         observation = super().step(call)
         if call.tool == "search":
-            text = "".join(["fresh observation ", f"for {call.argument} ~zq~"])
-            observation = replace(observation, text=text)
-        self.returned.append(observation.text)
+            observation = "".join(["fresh observation ", f"for {call.argument} ~zq~"])
+        self.returned.append(observation)
         return observation
 
 
@@ -919,13 +919,11 @@ class TestTurnParts:
 class _ContractEnvironment:
     """An environment with nothing but the contract: tools, tool_prompt and step."""
 
-    tools = ("search", "finish")
+    tools = ("search",)
     tool_prompt = "search[entity] and finish[answer]."
 
     def step(self, call):
-        if call.tool == "finish":
-            return Observation("Done.", terminal=True, final_answer=call.argument)
-        return Observation(f"seen {call.argument}")
+        return f"seen {call.argument}"
 
 
 class TestEnvironmentContract:
@@ -939,9 +937,75 @@ class TestEnvironmentContract:
             env=_ContractEnvironment(), max_turns=4, verify_interval=2,
         )
         assert (record.termination, record.final_answer) == ("finished", "yes")
-        assert [turn.observation for turn in record.turns] == ["seen q1", "seen q2", "Done."]
+        assert [turn.observation for turn in record.turns] == [
+            "seen q1", "seen q2", "Episode finished."
+        ]
         assert record.resets == ([2] if supervisor_script else [])
         assert all(_ContractEnvironment.tool_prompt in request for request in executor.requests)
+
+
+class _RecordingEnvironment(ScriptedEnvironment):
+    """The scripted environment, keeping every call it is stepped with."""
+
+    def __init__(self):
+        super().__init__(default="obs")
+        self.calls = []
+
+    def step(self, call):
+        self.calls.append(call)
+        return super().step(call)
+
+
+# Arguments spell no tool name, so a finish reply parses back to its own call.
+_ARGUMENTS = st.text(alphabet="abxyz 0[]?.", max_size=12)
+_REPLIES = st.one_of(
+    _ARGUMENTS.map(lambda x: f"Look.\nTool call: search[{x}]"),
+    _ARGUMENTS.map(lambda x: f"Read.\nTool call: lookup[{x}]"),
+    _ARGUMENTS.map(lambda x: f"Done.\nTool call: finish[{x}]"),
+    st.just("I cannot decide."),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["monolithic", "pevr", "eva"]),
+    st.lists(_REPLIES, min_size=5, max_size=5),
+    st.integers(1, 3),
+)
+def test_the_loop_owns_finish(architecture, replies, interval):
+    """An episode ends finished at its first finish call, which no
+    environment steps and no verification follows; with none it runs out
+    of turns."""
+    max_turns = len(replies)
+    supervisor_script = None if architecture == "monolithic" else ["CONTINUE"] * max_turns
+    if architecture == "pevr":
+        supervisor_script = [PLAN_RESPONSE, *supervisor_script]
+    env = _RecordingEnvironment()
+    record, _, supervisor = run_scripted(
+        architecture, replies, supervisor_script, env=env,
+        max_turns=max_turns, verify_interval=interval,
+    )
+    finishes = [t for t, reply in enumerate(replies, 1) if "finish[" in reply]
+    if finishes:
+        last = finishes[0]
+        answer = replies[last - 1].split("finish[", 1)[1][:-1]
+        assert (record.termination, record.final_answer) == ("finished", answer)
+        assert record.turns[-1].action == ToolCall("finish", answer)
+        assert record.turns[-1].observation == "Episode finished."
+    else:
+        last = max_turns
+        assert (record.termination, record.final_answer) == ("turn_budget_exhausted", None)
+        assert record.turns[-1].observation != "Episode finished."
+    assert len(record.turns) == last
+    verified = [t for t in range(1, last + 1) if t % interval == 0 and t not in finishes]
+    assert [call.at_turn for call in record.supervisor_calls] == (
+        [] if supervisor is None else verified
+    )
+    if supervisor is not None:
+        assert len(supervisor.requests) == len(verified) + (architecture == "pevr")
+    assert all(call.tool != "finish" for call in env.calls)
+    assert env.calls == [turn.action for turn in record.turns
+                         if turn.action is not None and turn.action.tool != "finish"]
 
 
 class TestConfigResolution:
