@@ -213,64 +213,15 @@ def _report_label(path: Path) -> str:
     return path.parent.name if path.name == "trajectories.jsonl" else path.stem
 
 
-class _ReportInputs:
-    """The small per-label values that the requested CSVs need, reduced
-    from one log at a time, so that report holds one log's records at a
-    time. Keys and lists follow the order in which the logs were read."""
-
-    def __init__(self, args):
-        self.args = args
-        self.stats: dict[str, analysis.ConditionStats] = {}  # non-empty logs only
-        self.architectures: dict[str, str] = {}  # each non-empty log's first record's
-        self.interventions: list[int] = []
-        self.solve_sets: dict[str, set[str]] = {}
-        self.confusion = analysis.ConfusionReport(0, 0, 0, 0)
-        # confusion.csv is refused for the first record without a success
-        # label, else for the first record of a non-audit run.
-        self.unlabeled: Optional[str] = None
-        self.non_audit: Optional[analysis.NonAuditRecordError] = None
-
-    def add(self, label: str, records: Sequence[TrajectoryRecord]) -> None:
-        args = self.args
-        if records and (args.frontier or args.kv_growth):
-            self.stats[label] = analysis.condition_stats(records)
-            self.architectures[label] = records[0].architecture
-        if args.histogram:
-            self.interventions.extend(r.applied_interventions() for r in records)
-        if args.overlap:
-            self.solve_sets[label] = {r.task_id for r in records if r.success}
-        if not args.confusion or self.unlabeled is not None:
-            return
-        self.unlabeled = next((r.task_id for r in records if r.success is None), None)
-        if self.unlabeled is not None or self.non_audit is not None:
-            return
-        try:
-            report = analysis.verifier_confusion([(r, r.success) for r in records])
-        except analysis.NonAuditRecordError as exc:
-            # Its traceback would keep this log's records alive.
-            self.non_audit = exc.with_traceback(None)
-            return
-        self.confusion = analysis.ConfusionReport(
-            *map(sum, zip(astuple(self.confusion), astuple(report))))
-
-    def checked_confusion(self) -> analysis.ConfusionReport:
-        """The confusion over every log, unless confusion.csv is refused."""
-        if self.unlabeled is not None:
-            raise ValueError(
-                f"record {self.unlabeled} has no success label; "
-                "run against a dataset with gold answers first"
-            )
-        if self.non_audit is not None:
-            raise self.non_audit
-        return self.confusion
-
-
 def cmd_report(args) -> int:
-    """Read the logs one at a time, in argument order, and make the output
-    directory and write the CSVs once every log has been read and
-    confusion.csv has not been refused, so a refused report leaves no
-    output. Two logs with one label are refused, and so is --overlap over
-    other than 2 or 3 logs, before any log is read."""
+    """Read the logs one at a time, in argument order, and reduce each to
+    the small values the requested CSVs need before reading the next. Make
+    the output directory and write the CSVs once every log has been read
+    and confusion.csv has not been refused (for the first record without a
+    success label, else for the first record of a non-audit run), so a
+    refused report leaves no output. Two logs with one label are refused,
+    and so is --overlap over other than 2 or 3 logs, before any log is
+    read."""
     paths = [Path(p) for p in args.paths]
     for path in paths:
         if not path.is_file():
@@ -290,23 +241,51 @@ def cmd_report(args) -> int:
     if args.overlap and len(labeled) not in analysis.OVERLAP_SET_COUNTS:
         print(f"config error: --overlap needs 2 or 3 logs, got {len(labeled)}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out)
+    stats: dict[str, analysis.ConditionStats] = {}  # non-empty logs only
+    architectures: dict[str, str] = {}  # each non-empty log's first record's
+    interventions: list[int] = []
+    solve_sets: dict[str, set[str]] = {}
+    confusion = analysis.ConfusionReport(0, 0, 0, 0)
+    unlabeled: Optional[str] = None
+    non_audit: Optional[analysis.NonAuditRecordError] = None
     try:
-        inputs = _ReportInputs(args)
         for label, path in labeled.items():
-            inputs.add(label, read_trajectories(path))
-        confusion = inputs.checked_confusion() if args.confusion else None
+            records = read_trajectories(path)
+            if records and (args.frontier or args.kv_growth):
+                stats[label] = analysis.condition_stats(records)
+                architectures[label] = records[0].architecture
+            if args.histogram:
+                interventions.extend(r.applied_interventions() for r in records)
+            if args.overlap:
+                solve_sets[label] = {r.task_id for r in records if r.success}
+            if args.confusion and unlabeled is None:
+                unlabeled = next((r.task_id for r in records if r.success is None), None)
+            if args.confusion and unlabeled is None and non_audit is None:
+                try:
+                    report = analysis.verifier_confusion([(r, r.success) for r in records])
+                    confusion = analysis.ConfusionReport(
+                        *map(sum, zip(astuple(confusion), astuple(report))))
+                except analysis.NonAuditRecordError as exc:
+                    # Its traceback would keep this log's records alive.
+                    non_audit = exc.with_traceback(None)
+            del records
+        if unlabeled is not None:
+            raise ValueError(f"record {unlabeled} has no success label; "
+                             "run against a dataset with gold answers first")
+        if non_audit is not None:
+            raise non_audit
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.frontier:
-            _write_frontier(inputs.stats, args.axis, out_dir / "frontier.csv")
+            _write_frontier(stats, args.axis, out_dir / "frontier.csv")
         if args.histogram:
-            _write_histogram(inputs.interventions, out_dir / "histogram.csv")
+            _write_histogram(interventions, out_dir / "histogram.csv")
         if args.confusion:
             _write_confusion(confusion, out_dir / "confusion.csv")
         if args.overlap:
-            _write_overlap(inputs.solve_sets, out_dir / "overlap.csv")
+            _write_overlap(solve_sets, out_dir / "overlap.csv")
         if args.kv_growth:
-            _write_kv_growth(inputs.stats, inputs.architectures, out_dir / "kv_growth.csv")
+            _write_kv_growth(stats, architectures, out_dir / "kv_growth.csv")
     except Exception as exc:  # noqa: BLE001
         logger.exception("report failed")
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -129,8 +129,7 @@ def render_turn_log(turns) -> tuple[str, ...]:
     binding: one block per turn, "\n\n" parts between blocks. A block is a
     head part (the reasoning if any, the tool call if any, then
     "Observation: ") and then the turn's observation, the same str object,
-    as its own part; a None observation is rendered as "None" in the
-    head."""
+    as its own part."""
     parts: list[str] = []
     for turn in turns:
         if parts:
@@ -138,10 +137,7 @@ def render_turn_log(turns) -> tuple[str, ...]:
         head = f"{turn.reasoning}\n" if turn.reasoning else ""
         if turn.action is not None:
             head += f"Tool call: {turn.action.render()}\n"
-        if turn.observation is None:
-            parts.append(head + "Observation: None")
-        else:
-            parts += (head + "Observation: ", turn.observation)
+        parts += (head + "Observation: ", turn.observation)
     return tuple(parts)
 
 

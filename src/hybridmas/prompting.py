@@ -240,15 +240,13 @@ def format_memory(turns: Sequence[TurnRecord]) -> tuple[str, ...]:
     """Render the tool-call log as text parts: one block per acted turn, in
     order, with the call and its observed output, "\n\n" parts between
     blocks. A block is a head part ending in "Output: " and then the
-    turn's observation, the same str object, as its own part (none for a
-    None observation). Reasoning traces are excluded."""
+    turn's observation, the same str object, as its own part. Reasoning
+    traces are excluded."""
     parts: list[str] = []
     for turn in turns:
         if turn.action is None:
             continue
         if parts:
             parts.append("\n\n")
-        parts.append(f"Tool call: {turn.action.render()}\nOutput: ")
-        if turn.observation is not None:
-            parts.append(turn.observation)
+        parts += (f"Tool call: {turn.action.render()}\nOutput: ", turn.observation)
     return tuple(parts)

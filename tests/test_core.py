@@ -308,7 +308,7 @@ _turns = st.builds(
     st.integers(min_value=1, max_value=2**100),
     _texts,
     st.none() | _tool_calls,
-    st.none() | _texts,
+    _texts,
     _usages(),
     _big_ints,
 )

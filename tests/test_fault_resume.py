@@ -219,8 +219,22 @@ def test_escaped_exception_at_parallelism_2(tmp_path, fault_server, monkeypatch,
     config = _write_config(tmp_path, fault_server, n_tasks)
     ids = [f"t{i:02d}" for i in range(n_tasks)]
     started = []
-    previous_done = threading.Event()
+    previous_done, cancelled = threading.Event(), threading.Event()
     real = cli.run_trajectory
+
+    class Pool(cli.ThreadPoolExecutor):
+        def map(self, *args, **kwargs):
+            results = super().map(*args, **kwargs)
+
+            def watched():
+                # The pool's result generator cancels the tasks not yet
+                # started as it ends.
+                try:
+                    yield from results
+                finally:
+                    cancelled.set()
+
+            return watched()
 
     def run_or_raise(task, *args):
         started.append(task.id)
@@ -229,12 +243,17 @@ def test_escaped_exception_at_parallelism_2(tmp_path, fault_server, monkeypatch,
             # had the chance to run ahead.
             previous_done.wait(timeout=60)
             raise RuntimeError("not a backend error")
+        if task.id > ids[failing]:
+            # Hold a task taken up past the failing one until the rest are
+            # cancelled, however slowly the main thread gets there.
+            cancelled.wait(timeout=60)
         record = real(task, *args)
         if task.id == ids[failing - 1]:
             previous_done.set()
         return record
 
     monkeypatch.setattr(cli, "run_trajectory", run_or_raise)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
     assert main(["run", "--config", str(config)]) == 2
     assert "runtime error: not a backend error" in capsys.readouterr().err
     log = tmp_path / "out" / "monolithic-tv1" / "trajectories.jsonl"

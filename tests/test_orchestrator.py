@@ -871,7 +871,7 @@ class TestTurnParts:
     TURNS = [
         TurnRecord(1, "I cannot decide.", None, INVALID_TOOL_CALL_OBSERVATION, TokenUsage()),
         TurnRecord(2, "", ToolCall("search", "x"), "obs x", TokenUsage()),
-        TurnRecord(3, "Think.", ToolCall("lookup", "y"), None, TokenUsage()),
+        TurnRecord(3, "Think.", ToolCall("lookup", "y"), "", TokenUsage()),
         TurnRecord(4, "Done.", ToolCall("finish", "z"), "Episode finished.", TokenUsage()),
     ]
 
@@ -879,7 +879,7 @@ class TestTurnParts:
         assert "".join(render_turn_log(self.TURNS)) == (
             f"I cannot decide.\nObservation: {INVALID_TOOL_CALL_OBSERVATION}\n\n"
             "Tool call: search[x]\nObservation: obs x\n\n"
-            "Think.\nTool call: lookup[y]\nObservation: None\n\n"
+            "Think.\nTool call: lookup[y]\nObservation: \n\n"
             "Done.\nTool call: finish[z]\nObservation: Episode finished."
         )
         assert render_turn_log([]) == ()

@@ -30,7 +30,12 @@ def _run_tiny(workload, trace):
 
 
 def test_tiny_traced_long_horizon_run_passes_its_checks():
-    _run_tiny("long-horizon-scripted", "1")
+    metrics = _run_tiny("long-horizon-scripted", "1")["metrics"]
+    # A span that no longer wraps the code the program calls reads 0.
+    for name in ("core.read_ms_per_mb", "analysis.report_ms",
+                 "orchestrator.render_turn_log_ms.p50", "prompting.format_memory_ms.p50",
+                 "backends.scripted_call_ms.p50"):
+        assert metrics[name]["value"] > 0, name
 
 
 def test_tiny_http_run_passes_its_checks():

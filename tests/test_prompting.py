@@ -225,7 +225,7 @@ class TestFormatMemory:
         turns = [
             TurnRecord(1, "garbled output", None, "Invalid tool call format.", TokenUsage()),
             TurnRecord(2, "", ToolCall("search", "x"), "obs x", TokenUsage()),
-            TurnRecord(3, "think", ToolCall("lookup", "y"), None, TokenUsage()),
+            TurnRecord(3, "think", ToolCall("lookup", "y"), "", TokenUsage()),
             TurnRecord(4, "think", ToolCall("finish", "z"), "done", TokenUsage()),
         ]
         assert "".join(format_memory(turns)) == (
