@@ -260,14 +260,14 @@ def cmd_report(args) -> int:
                 solve_sets[label] = {r.task_id for r in records if r.success}
             if args.confusion and unlabeled is None:
                 unlabeled = next((r.task_id for r in records if r.success is None), None)
-            if args.confusion and unlabeled is None and non_audit is None:
-                try:
-                    report = analysis.verifier_confusion([(r, r.success) for r in records])
-                    confusion = analysis.ConfusionReport(
-                        *map(sum, zip(astuple(confusion), astuple(report))))
-                except analysis.NonAuditRecordError as exc:
-                    # Its traceback would keep this log's records alive.
-                    non_audit = exc.with_traceback(None)
+                if unlabeled is None and non_audit is None:
+                    try:
+                        report = analysis.verifier_confusion([(r, r.success) for r in records])
+                        confusion = analysis.ConfusionReport(
+                            *map(sum, zip(astuple(confusion), astuple(report))))
+                    except analysis.NonAuditRecordError as exc:
+                        # Its traceback would keep this log's records alive.
+                        non_audit = exc.with_traceback(None)
             del records
         if unlabeled is not None:
             raise ValueError(f"record {unlabeled} has no success label; "

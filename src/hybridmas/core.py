@@ -525,30 +525,35 @@ def read_jsonl(path, malformed: str = "invalid JSON") -> Iterator[tuple[int, obj
     file at path, one line at a time. A line that is not one JSON value is
     refused as "<malformed>: " and json.loads' words for it, and a line
     that is not UTF-8 text as "not UTF-8 text: " and the codec's."""
-    # A byte that is not UTF-8 reads as a lone surrogate, so a line that is
-    # not ASCII is checked by turning it back into its bytes.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                # raw_decode skips json.loads' wrapper on a line that is one
+                # whole value; any other line goes to json.loads for its words.
                 try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise SchemaViolationError(line_no, f"not UTF-8 text: {exc}", path)
-            line = line.strip()
-            if not line:
-                continue
-            # raw_decode skips json.loads' wrapper on a line that is one
-            # whole value; any other line goes to json.loads for its words.
-            try:
-                value, end = _raw_decode(line)
-            except json.JSONDecodeError:
-                end = None
-            if end != len(line):
-                try:
-                    value = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaViolationError(line_no, f"{malformed}: {exc}", path)
-            yield line_no, value
+                    value, end = _raw_decode(line)
+                except json.JSONDecodeError:
+                    end = None
+                if end != len(line):
+                    try:
+                        value = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise SchemaViolationError(line_no, f"{malformed}: {exc}", path)
+                yield line_no, value
+        except UnicodeDecodeError:
+            # The file is decoded a block at a time, so find the line by
+            # reading it again as latin-1, which decodes any bytes, split the
+            # same way: no byte of a UTF-8 sequence is a newline.
+            with open(path, "r", encoding="latin-1") as raw:
+                for line_no, line in enumerate(raw, start=1):
+                    try:
+                        line.encode("latin-1").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise SchemaViolationError(line_no, f"not UTF-8 text: {exc}", path)
+            raise
 
 
 def read_trajectories(path) -> list[TrajectoryRecord]:
