@@ -7,12 +7,9 @@ analysis toolkit for cost-performance trade-offs.
 """
 
 from .core import (
-    AdviceHandoff,
-    AdviceMemoryHandoff,
     ModelProfile,
     Plan,
     Pricing,
-    ReplanHandoff,
     RunConfig,
     SamplingParams,
     SupervisorCallRecord,

@@ -298,12 +298,15 @@ _HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 class _ReplyReader:
     """Reads one HTTP/1.1 reply from a socket. A short read or a framing
-    error raises http.client.HTTPException or ValueError."""
+    error raises http.client.HTTPException or ValueError. A field line
+    outside RFC 9112 §5's grammar (no colon, or whitespace around the
+    name) is read as well as it can be, and sets lax."""
 
     def __init__(self, sock):
         self._sock = sock
         self._buf = b""
         self._pos = 0
+        self.lax = False
 
     def _recv(self) -> bytes:
         data = self._sock.recv(65536)
@@ -342,6 +345,8 @@ class _ReplyReader:
                 values[-1] += b" " + line.strip()
                 continue
             name, colon, value = line.partition(b":")
+            if not colon or name != name.strip():
+                self.lax = True
             if colon:
                 values = fields.setdefault(name.strip().lower(), [])
                 values.append(value.strip())
@@ -434,8 +439,9 @@ def _read_reply(sock) -> tuple[int, dict[bytes, list[bytes]], bytes, bool]:
         body = reader.take(_content_length(headers[b"content-length"]))
     else:
         body, reusable = reader.rest(), False
-    if reader.leftover():
-        reusable = False  # bytes past the reply: the framing is not to be trusted
+    # Bytes past the reply, or a lax field line: the framing is not to be trusted.
+    if reader.leftover() or reader.lax:
+        reusable = False
     return status, headers, body, reusable
 
 
@@ -493,7 +499,8 @@ class HttpChatBackend:
     byte-level reader framed by RFC 9112 §6, under http.client's limits on
     header lines and header count. A connection is closed after a reply
     that asks for it (Connection: close, or HTTP/1.0 without keep-alive), one
-    delimited by the close, and one followed by bytes nobody asked for.
+    delimited by the close, one with a field line outside the grammar, and
+    one followed by bytes nobody asked for.
     Before a kept connection carries a request, a zero-timeout poll checks
     that the server has not closed it while idle; one it has closed is
     replaced at no retried attempt. Every reply is read whole, so a 4xx or

@@ -8,8 +8,9 @@ but counted, and any other line must be exactly one JSON value once
 stripped, else it is refused with its number in json.loads' own words.
 
 A trajectory record stores only what cannot be derived from it: an
-intervention was applied exactly when its turn is in resets, and the
-largest executor context is computed from the turns.
+intervention was applied exactly when its turn is in resets, its handoff
+is parsed again from the supervisor's reply, and the largest executor
+context is computed from the turns.
 
 Token lengths everywhere are backend-reported counts, never produced by a
 local tokenizer. Out-of-context is a terminal trajectory state, never a
@@ -26,7 +27,6 @@ from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import (
     Callable,
-    ClassVar,
     Iterable,
     Iterator,
     Optional,
@@ -158,54 +158,17 @@ class Plan:
 
 
 @dataclass(frozen=True)
-class ReplanHandoff:
-    """Intervention payload for plan-based supervision: the replacement
-    plan. The executor is re-seeded with it and with the tool-call memory,
-    which is derived from the trajectory's turns and not stored here."""
-
-    kind: ClassVar[str] = "replan"
-    replan: Plan
-
-
-@dataclass(frozen=True)
-class AdviceHandoff:
-    """Intervention payload for query-based supervision: summary of
-    completed work plus advisory guidance."""
-
-    kind: ClassVar[str] = "advice"
-    summary: str
-    advice: str
-
-
-@dataclass(frozen=True)
-class AdviceMemoryHandoff:
-    """Summary-free intervention payload (no-summary ablation only): the
-    advice. The verbatim tool-call memory stands in for the summary when
-    the executor is re-seeded; it is derived from the trajectory's turns
-    and not stored here."""
-
-    kind: ClassVar[str] = "advice_memory"
-    advice: str
-
-
-Handoff = Union[ReplanHandoff, AdviceHandoff, AdviceMemoryHandoff]
-
-
-@dataclass(frozen=True)
 class VerifierDecision:
-    """Supervisor verdict for one verification call."""
+    """Supervisor verdict for one verification call, and the reply it was
+    parsed from. An intervention's handoff is not stored: it is the family
+    parser's parse of raw_text."""
 
     verdict: str
-    payload: Optional[Handoff] = None
-    raw_text: str = ""
+    raw_text: str
 
     def __post_init__(self):
         if self.verdict not in (CONTINUE, INTERVENE):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == INTERVENE and self.payload is None:
-            raise ValueError("intervene decisions require a payload")
-        if self.verdict == CONTINUE and self.payload is not None:
-            raise ValueError("continue decisions carry no payload")
 
 
 @dataclass(frozen=True)
@@ -390,12 +353,12 @@ class TrajectoryRecord:
 # One compact JSON object per line, non-ASCII written as UTF-8, lowercase
 # snake-case keys, append-only files. The dataclass declarations above are
 # the format: every field is written under its own name in declaration
-# order, a Decimal as a string (so cost_usd re-sums exactly), and a handoff
-# payload starts with its "kind". The writer emits each line's text
-# directly, byte for byte what json.dumps(..., ensure_ascii=False,
-# separators=(",", ":")) makes of the same fields as a dict. Reading
-# requires every declared key, ignores unknown ones and constructs each
-# dataclass, so its __post_init__ validation runs.
+# order, and a Decimal as a string (so cost_usd re-sums exactly). The
+# writer emits each line's text directly, byte for byte what
+# json.dumps(..., ensure_ascii=False, separators=(",", ":")) makes of the
+# same fields as a dict. Reading requires every declared key, ignores
+# unknown ones and constructs each dataclass, so its __post_init__
+# validation runs.
 
 # The bytes a JSON string must escape, besides any non-ASCII character.
 _ESCAPED = bytes(range(0x20)) + b'"\\'
@@ -448,17 +411,8 @@ def _codec(tp) -> tuple[Callable, Optional[Callable]]:
             lambda v: "[" + ",".join(map(enc, v)) + "]",
             list if dec is None else (lambda v: [dec(x) for x in v]),
         )
-    if get_origin(tp) is Union:
-        members = [a for a in args if a is not type(None)]
-        if len(members) == 1:
-            enc, dec = _codec(members[0])
-        else:
-            by_type = {m: _codec(m) for m in members}
-            by_kind = {m.kind: codec[1] for m, codec in by_type.items()}
-            enc, dec = (
-                lambda v: by_type[type(v)][0](v),
-                lambda v: by_kind[v["kind"]](v),
-            )
+    if get_origin(tp) is Union:  # Optional[X]
+        enc, dec = _codec(next(a for a in args if a is not type(None)))
         return (
             lambda v: "null" if v is None else enc(v),
             None if dec is None else (lambda v: None if v is None else dec(v)),
@@ -473,8 +427,7 @@ def _dataclass_codec(cls) -> tuple[Callable, Callable]:
     like hand-written ones: one f-string and one constructor call."""
     hints = get_type_hints(cls)
     namespace = {"cls": cls}
-    items = [f'"kind":{_json_value(cls.kind)}'] if hasattr(cls, "kind") else []
-    args = []
+    items, args = [], []
     for f in fields(cls):
         encode, decode = _codec(hints[f.name])
         namespace[f"encode_{f.name}"] = encode

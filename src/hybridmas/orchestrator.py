@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Optional
 
 from . import accounting
@@ -46,7 +46,6 @@ from .core import (
     CONTINUE,
     FINISH_TOOL,
     INTERVENE,
-    AdviceMemoryHandoff,
     InitialPlanRecord,
     Plan,
     RunConfig,
@@ -293,31 +292,31 @@ class _Episode:
             self.record.supervisor_calls.append(SupervisorCallRecord(t, decision, usage))
 
         template, parser = _VERIFIERS[self.config.family]
-        _, decision, usage = self._call(
+        _, parsed, usage = self._call(
             "verify", self.supervisor, self._render(template), t, parser,
-            lambda text, usage: log(VerifierDecision(CONTINUE, None, text), usage),
+            lambda text, usage: log(VerifierDecision(CONTINUE, text), usage),
         )
-        if decision is None:
+        if parsed is None:
             return
+        decision, handoff = parsed
         if decision.verdict == INTERVENE and not self.config.is_audit:
-            decision = self._apply_intervention(t, decision)
+            self._apply_intervention(t, handoff)
         log(decision, usage)
 
-    def _apply_intervention(self, t: int, decision: VerifierDecision) -> VerifierDecision:
-        """Reset the executor context onto the handoff's seed and return the
-        decision to record; under eva_nosummary it hands over the advice alone."""
-        payload = decision.payload
+    def _apply_intervention(self, t: int, handoff: Plan | tuple[str, str]) -> None:
+        """Reset the executor context onto the handoff's seed: a replan, or
+        a summary and advice, where eva_nosummary hands over the memory in
+        place of the summary."""
         if self.config.family == "pevr":
-            seed = self._render("replan_resume", replan=payload.replan.text)
-            self.plan = payload.replan
-        elif self.config.architecture == "eva_nosummary":
-            seed = self._render("advice_resume", summary=self._memory, advice=payload.advice)
-            decision = replace(decision, payload=AdviceMemoryHandoff(payload.advice))
+            seed = self._render("replan_resume", replan=handoff.text)
+            self.plan = handoff
         else:
-            seed = self._render("advice_resume", summary=payload.summary, advice=payload.advice)
+            summary, advice = handoff
+            if self.config.architecture == "eva_nosummary":
+                summary = self._memory
+            seed = self._render("advice_resume", summary=summary, advice=advice)
         self._seed, self._log, self._last_usage = seed, [], None
         self.record.resets.append(t)
-        return decision
 
     # -- entry point --------------------------------------------------------
 

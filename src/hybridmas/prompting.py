@@ -16,16 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .core import (
-    CONTINUE,
-    INTERVENE,
-    AdviceHandoff,
-    Plan,
-    ReplanHandoff,
-    ToolCall,
-    TurnRecord,
-    VerifierDecision,
-)
+from .core import CONTINUE, INTERVENE, Plan, ToolCall, TurnRecord, VerifierDecision
 
 TEMPLATE_IDS = (
     "plan",
@@ -168,37 +159,39 @@ def _first_token(text: str) -> str | None:
     return tokens[0] if tokens else None
 
 
-def parse_pevr_verdict(text: str) -> VerifierDecision:
+def parse_pevr_verdict(text: str) -> tuple[VerifierDecision, Plan | None]:
     """Parse a plan-based verification output: CONTINUE, or INTERVENE with
-    a <REPLAN> block.
+    a <REPLAN> block. Returns the decision and its handoff, the replan
+    (None for CONTINUE).
 
     Block content is returned byte-exact (no trimming); a block that is
     blank once stripped counts as missing.
     """
     token = _first_token(text)
     if token == "CONTINUE":
-        return VerifierDecision(CONTINUE, None, text)
+        return VerifierDecision(CONTINUE, text), None
     if token == "INTERVENE":
         replan = _handoff_block(text, "REPLAN")
         if replan is None:
             raise MalformedVerdictError("INTERVENE without a non-blank <REPLAN> block")
-        return VerifierDecision(INTERVENE, ReplanHandoff(Plan(replan)), text)
+        return VerifierDecision(INTERVENE, text), Plan(replan)
     raise MalformedVerdictError(f"first token is neither CONTINUE nor INTERVENE: {token!r}")
 
 
-def parse_eva_verdict(text: str) -> VerifierDecision:
+def parse_eva_verdict(text: str) -> tuple[VerifierDecision, tuple[str, str] | None]:
     """Parse a query-based verification output: CONTINUE, or INTERVENE with
     both <SUMMARY> and <ADVICE> blocks (byte-exact content; a block that is
-    blank once stripped counts as missing)."""
+    blank once stripped counts as missing). Returns the decision and its
+    handoff, (summary, advice) (None for CONTINUE)."""
     token = _first_token(text)
     if token == "CONTINUE":
-        return VerifierDecision(CONTINUE, None, text)
+        return VerifierDecision(CONTINUE, text), None
     if token == "INTERVENE":
         summary = _handoff_block(text, "SUMMARY")
         advice = _handoff_block(text, "ADVICE")
         if summary is None or advice is None:
             raise MalformedVerdictError("INTERVENE requires non-blank <SUMMARY> and <ADVICE>")
-        return VerifierDecision(INTERVENE, AdviceHandoff(summary, advice), text)
+        return VerifierDecision(INTERVENE, text), (summary, advice)
     raise MalformedVerdictError(f"first token is neither CONTINUE nor INTERVENE: {token!r}")
 
 

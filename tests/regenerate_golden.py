@@ -17,36 +17,44 @@ import tempfile
 from pathlib import Path
 
 from hybridmas.cli import main
-from hybridmas.core import AUDIT_ARCHITECTURES, record_from_dict
-from hybridmas.prompting import format_memory
+from hybridmas.core import ARCHITECTURES as FAMILIES
+from hybridmas.core import AUDIT_ARCHITECTURES, INTERVENE, record_from_dict
+from hybridmas.prompting import format_memory, parse_eva_verdict, parse_pevr_verdict
 from test_golden import ARCHITECTURES, GOLDEN, REPORTS
 
 
 def with_memory(line: str) -> str:
     """A logs/ line in the earlier format, which stored what is now derived:
-    each supervisor call's applied (its at_turn is in resets), each replan's
+    each supervisor call's applied (its at_turn is in resets), its
+    decision's payload before its raw_text (null for CONTINUE, else the
+    family parser's handoff of raw_text after its "kind"), each replan's
     origin ("replan") and replan_turn (its at_turn when applied, else null),
     totals.max_context_tokens before max_kv_bytes, and each replan and
     no-summary intervention's tool-call memory (derived from the turns up to
     its at_turn; empty in an audit run, which hands nothing over), after its
-    replan or before its advice."""
+    replan or in place of its summary."""
     data = json.loads(line)
     record = record_from_dict(data)
     for call in data["supervisor_calls"]:
         applied = call["applied"] = call["at_turn"] in record.resets
-        payload = call["decision"]["payload"]
-        if payload is None or payload["kind"] not in ("replan", "advice_memory"):
-            continue
-        memory = "" if record.architecture in AUDIT_ARCHITECTURES else "".join(
-            format_memory([t for t in record.turns if t.t <= call["at_turn"]])
-        )
-        if payload["kind"] == "replan":
-            payload["replan"].update(origin="replan",
-                                     replan_turn=call["at_turn"] if applied else None)
-            payload["memory"] = memory
-        else:
-            call["decision"]["payload"] = {"kind": "advice_memory", "memory": memory,
-                                           "advice": payload["advice"]}
+        verdict, raw_text = call["decision"]["verdict"], call["decision"]["raw_text"]
+        payload = None
+        if verdict == INTERVENE:
+            memory = "" if record.architecture in AUDIT_ARCHITECTURES else "".join(
+                format_memory([t for t in record.turns if t.t <= call["at_turn"]])
+            )
+            if FAMILIES[record.architecture] == "pevr":
+                replan = parse_pevr_verdict(raw_text)[1].text
+                payload = {"kind": "replan",
+                           "replan": {"text": replan, "origin": "replan",
+                                      "replan_turn": call["at_turn"] if applied else None},
+                           "memory": memory}
+            else:
+                summary, advice = parse_eva_verdict(raw_text)[1]
+                payload = ({"kind": "advice_memory", "memory": memory, "advice": advice}
+                           if record.architecture == "eva_nosummary"
+                           else {"kind": "advice", "summary": summary, "advice": advice})
+        call["decision"] = {"verdict": verdict, "payload": payload, "raw_text": raw_text}
     kv_bytes = data["totals"].pop("max_kv_bytes")
     data["totals"].update(max_context_tokens=record.max_context_tokens, max_kv_bytes=kv_bytes)
     return json.dumps(data, separators=(",", ":"))

@@ -165,7 +165,7 @@ class TestAggregate:
         record.supervisor_calls = [
             SupervisorCallRecord(
                 1,
-                VerifierDecision("continue", None, "CONTINUE"),
+                VerifierDecision("continue", "CONTINUE"),
                 usage(200_000, 100_000, 50_000),
             )
         ]

@@ -24,7 +24,6 @@ from hybridmas.analysis import (
     verifier_confusion,
 )
 from hybridmas.core import (
-    AdviceHandoff,
     SupervisorCallRecord,
     TokenUsage,
     TrajectoryRecord,
@@ -274,9 +273,9 @@ def audit_record(task_id, verdicts, architecture="eva_audit"):
         SupervisorCallRecord(
             i + 1,
             (
-                VerifierDecision("intervene", AdviceHandoff("s", "a"), "raw")
+                VerifierDecision("intervene", "raw")
                 if verdict == "I"
-                else VerifierDecision("continue", None, "CONTINUE")
+                else VerifierDecision("continue", "CONTINUE")
             ),
             TokenUsage(1, 0, 1),
         )
@@ -325,7 +324,7 @@ def record_with_interventions(task_id, applied_count):
     record.supervisor_calls = [
         SupervisorCallRecord(
             i + 1,
-            VerifierDecision("intervene", AdviceHandoff("s", "a"), "raw"),
+            VerifierDecision("intervene", "raw"),
             TokenUsage(1, 0, 1),
         )
         for i in range(applied_count)

@@ -1101,6 +1101,29 @@ class TestReplyReader:
         assert backend.attempts_logged == 2
         assert server.connections == 2
 
+    # A field line outside the grammar (RFC 9112 §5) is read, but the
+    # connection is not reused, as http.client would not; a list of one
+    # length repeated is one length (RFC 9110 §8.6) and keeps it.
+    @pytest.mark.parametrize(
+        "reply, connections",
+        [
+            (_reply(headers=b"X-No-Colon\r\n"), 2),
+            (_reply().replace(b"Content-Length:", b"Content-Length :"), 2),
+            (_reply().replace(b"Content-Length: %d" % len(_OK),
+                              b"Content-Length: %d, %d" % (len(_OK), len(_OK))), 1),
+        ],
+        ids=["no-colon", "space-before-colon", "repeated-length"],
+    )
+    def test_a_lax_field_line_is_read_on_a_connection_not_reused(
+        self, raw_server, reply, connections
+    ):
+        server = raw_server((reply, False))
+        backend = _backend(server)
+        for _ in range(2):
+            assert backend.complete(ChatRequest("hi")).text == "hello"
+        assert backend.attempts_logged == 2
+        assert server.connections == connections
+
     def test_body_cut_short_is_retried_on_a_fresh_connection(self, raw_server):
         server = raw_server((_reply()[:-5], True), (_reply(), False))
         backend = _backend(server)

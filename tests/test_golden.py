@@ -91,13 +91,14 @@ def _golden_line(architecture: str, task_id: str) -> dict:
     raise LookupError(task_id)
 
 
-# Lines whose applied interventions carry each payload kind.
+# Lines with an applied intervention, under each way of handing one over.
 @pytest.mark.parametrize("architecture", ["pevr", "eva", "eva_nosummary"])
 def test_every_missing_key_is_a_malformed_line(architecture, tmp_path):
     data = _golden_line(architecture, "louvre")
     good = json.dumps(data)
     paths = list(_key_paths(data))
-    assert ("supervisor_calls", 0, "decision", "payload", "kind") in paths
+    assert ("supervisor_calls", 0, "decision", "verdict") in paths
+    assert ("supervisor_calls", 0, "decision", "raw_text") in paths
     for path in paths:
         broken = copy.deepcopy(data)
         parent = broken
@@ -111,12 +112,27 @@ def test_every_missing_key_is_a_malformed_line(architecture, tmp_path):
 
 
 def test_unknown_keys_are_ignored(tmp_path):
+    """Undeclared keys are ignored, the payload that earlier logs stored
+    included, whatever its kind."""
     data = _golden_line("pevr", "louvre")
     data["schema"] = 2
-    data["supervisor_calls"][0]["decision"]["payload"]["memory"] = "Tool call: x[y]"
+    lines = []
+    for payload in ({"kind": "replan", "replan": {"text": "R"}, "memory": "Tool call: x[y]"},
+                    {"kind": "no such kind"}):
+        data["supervisor_calls"][0]["decision"]["payload"] = payload
+        lines.append(json.dumps(data) + "\n")
     log = tmp_path / "trajectories.jsonl"
-    log.write_text(json.dumps(data) + "\n", encoding="utf-8")
-    assert read_trajectories(log) == read_trajectories(GOLDEN / "logs" / "pevr.jsonl")[:1]
+    log.write_text("".join(lines), encoding="utf-8")
+    assert read_trajectories(log) == read_trajectories(GOLDEN / "logs" / "pevr.jsonl")[:1] * 2
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_with_memory_rewrites_the_log_into_the_stored_earlier_form(architecture):
+    from regenerate_golden import with_memory  # it imports this module
+
+    lines = (GOLDEN / "logs" / f"{architecture}.jsonl").read_text(encoding="utf-8").split("\n")
+    rewritten = "".join(with_memory(line) + "\n" for line in lines[:-1]).encode("utf-8")
+    assert rewritten == (GOLDEN / "logs_with_memory" / f"{architecture}.jsonl").read_bytes()
 
 
 REPORTS = [

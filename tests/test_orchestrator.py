@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridmas import orchestrator
+from hybridmas.analysis import verifier_confusion
 from hybridmas.backends import (
     BackendError,
     ChatResponse,
@@ -23,9 +24,7 @@ from hybridmas.core import (
     AUDIT_ARCHITECTURES,
     CONTINUE,
     INTERVENE,
-    AdviceMemoryHandoff,
     InitialPlanRecord,
-    ReplanHandoff,
     TaskInstance,
     TokenUsage,
     TurnRecord,
@@ -41,7 +40,13 @@ from hybridmas.orchestrator import (
     render_turn_log,
     run_trajectory,
 )
-from hybridmas.prompting import format_memory, render
+from hybridmas.prompting import (
+    MalformedVerdictError,
+    format_memory,
+    parse_eva_verdict,
+    parse_pevr_verdict,
+    render,
+)
 from conftest import EDGE_PROFILE, make_run_config, unconsumed
 from loopback import _PlannedHandler, _WindowHandler, _ok_body, _serve
 
@@ -188,8 +193,9 @@ class TestPevr:
         assert record.resets == [4]
         call = record.supervisor_calls[1]
         assert call.at_turn == 4
-        assert isinstance(call.decision.payload, ReplanHandoff)
-        assert call.decision.payload.replan.text == "New plan R"
+        assert call.decision == VerifierDecision(
+            INTERVENE, "INTERVENE\n<REPLAN>New plan R</REPLAN>"
+        )
 
         expected_memory = "\n\n".join(
             f"Tool call: search[q{i}]\nOutput: obs" for i in range(1, 5)
@@ -327,7 +333,7 @@ class TestModelCallFailures:
         assert supervisor.requests[-1] == supervisor.requests[-2]  # the retry
         [call] = record.supervisor_calls
         assert call.at_turn == 2
-        assert call.decision == VerifierDecision(CONTINUE, None, "garbage verdict")
+        assert call.decision == VerifierDecision(CONTINUE, "garbage verdict")
         assert call.usage == _scripted_usage(supervisor.requests[-2], "garbage verdict")
         assert record.resets == []
 
@@ -423,7 +429,7 @@ class TestContextOverflow:
         )
         assert record.termination == "out_of_context"
         [call] = record.supervisor_calls
-        assert call.decision == VerifierDecision(CONTINUE, None, "garbage verdict")
+        assert call.decision == VerifierDecision(CONTINUE, "garbage verdict")
         assert record.resets == []
 
 
@@ -666,9 +672,10 @@ class TestEva:
         ))
         assert executor.requests[2] == expected_seed
         assert "ignored" not in executor.requests[2]
-        payload = record.supervisor_calls[0].decision.payload
-        assert isinstance(payload, AdviceMemoryHandoff)
-        assert payload.advice == "try q3"
+        # The stored reply is the supervisor's, summary and all.
+        assert record.supervisor_calls[0].decision == VerifierDecision(
+            INTERVENE, "INTERVENE\n<SUMMARY>ignored</SUMMARY>\n<ADVICE>try q3</ADVICE>"
+        )
 
     def test_verifier_sees_turn_log_and_memory(self):
         _, _, supervisor = run_scripted(
@@ -785,15 +792,16 @@ def _expected_requests(record, architecture, env, retried):
         supervisor += [request] * (2 if t in retried else 1)
         if t not in record.resets:
             continue
-        payload = call.decision.payload
         if pevr:
-            plans[t] = payload.replan.text
+            plans[t] = parse_pevr_verdict(call.decision.raw_text)[1].text
             seeds[t] = _text("replan_resume", user_query=query, replan=plans[t], memory=memory,
                              available_tools=tools)
         else:
-            summary = memory if architecture == "eva_nosummary" else payload.summary
-            seeds[t] = _text("advice_resume", user_query=query, summary=summary,
-                             advice=payload.advice, available_tools=tools)
+            summary, advice = parse_eva_verdict(call.decision.raw_text)[1]
+            if architecture == "eva_nosummary":
+                summary = memory
+            seeds[t] = _text("advice_resume", user_query=query, summary=summary, advice=advice,
+                             available_tools=tools)
     executor = []
     for t in range(1, len(turns) + 1):
         reset = max(r for r in seeds if r < t)
@@ -1006,6 +1014,87 @@ def test_the_loop_owns_finish(architecture, replies, interval):
     assert all(call.tool != "finish" for call in env.calls)
     assert env.calls == [turn.action for turn in record.turns
                          if turn.action is not None and turn.action.tool != "finish"]
+
+
+# One verify call's replies: a good CONTINUE ("C") or INTERVENE ("I"), a
+# malformed reply then a good one, or two malformed replies. Neither family's
+# parser takes any of the malformed replies.
+_GOOD = st.sampled_from(["C", "I"])
+_MALFORMED = st.sampled_from(
+    ["maybe", "continue", "INTERVENE", "INTERVENE\n<REPLAN> </REPLAN>\n<SUMMARY>s</SUMMARY>"]
+)
+_VERIFY_REPLIES = st.one_of(
+    _GOOD.map(lambda good: [good]),
+    st.tuples(_MALFORMED, _GOOD).map(list),
+    st.tuples(_MALFORMED, _MALFORMED).map(list),
+)
+
+
+def _verify_reply(family, reply, t):
+    """The supervisor's text for a drawn reply at turn t; a good INTERVENE
+    hands over a replan, or a summary and advice, that name t."""
+    if reply == "C":
+        return "CONTINUE"
+    if reply != "I":
+        return reply
+    if family == "pevr":
+        return f"INTERVENE\n<REPLAN>replan {t}</REPLAN>"
+    return f"INTERVENE\n<SUMMARY>summary {t}</SUMMARY>\n<ADVICE>advice {t}</ADVICE>"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["pevr", "eva", "eva_nosummary", "pevr_audit", "eva_audit"]),
+    st.integers(1, 2),
+    st.lists(_VERIFY_REPLIES, min_size=4, max_size=4),
+)
+def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, drawn):
+    """Each stored decision is the verdict its family parser reads from its
+    reply (CONTINUE where the parser refuses it), a reset follows each
+    well-formed INTERVENE outside audit, and the executor is re-seeded with
+    the handoff parsed from that reply."""
+    family, audit = ARCHITECTURES[architecture], architecture in AUDIT_ARCHITECTURES
+    max_turns = 4
+    verified = list(range(interval, max_turns + 1, interval))
+    drawn = drawn[:len(verified)]
+    replies = [[_verify_reply(family, reply, t) for reply in draw]
+               for t, draw in zip(verified, drawn)]
+    script = [PLAN_RESPONSE] if family == "pevr" else []
+    record, executor, supervisor = run_scripted(
+        architecture, search_turns(max_turns), script + sum(replies, []),
+        max_turns=max_turns, verify_interval=interval,
+    )
+    assert unconsumed(supervisor) == []
+    assert [call.at_turn for call in record.supervisor_calls] == verified
+    assert [call.decision.raw_text for call in record.supervisor_calls] == [
+        texts[-1] for texts in replies
+    ]
+    parse = parse_pevr_verdict if family == "pevr" else parse_eva_verdict
+    for call in record.supervisor_calls:
+        try:
+            verdict = parse(call.decision.raw_text)[0].verdict
+        except MalformedVerdictError:
+            verdict = CONTINUE
+        assert call.decision.verdict == verdict
+    intervened = [t for t, draw in zip(verified, drawn) if draw[-1] == "I"]
+    assert record.resets == ([] if audit else intervened)
+    for t in record.resets:
+        if t == max_turns:
+            continue
+        request = executor.requests[t]  # the first after the reset
+        if family == "pevr":
+            assert f"<REPLAN>\nreplan {t}\n</REPLAN>" in request
+            continue
+        if architecture == "eva_nosummary":
+            summary = "".join(format_memory([turn for turn in record.turns if turn.t <= t]))
+            assert f"summary {t}" not in request
+        else:
+            summary = f"summary {t}"
+        assert f"<SUMMARY>\n{summary}\n</SUMMARY>" in request
+        assert f"<ADVICE>\nadvice {t}\n</ADVICE>" in request
+    if audit:
+        confusion = verifier_confusion([(record, False)])
+        assert (confusion.tp, confusion.fn) == ((1, 0) if intervened else (0, 1))
 
 
 class TestConfigResolution:

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridmas.core import AdviceHandoff, ReplanHandoff, TokenUsage, ToolCall, TurnRecord
+from hybridmas.core import Plan, TokenUsage, ToolCall, TurnRecord
 from hybridmas.prompting import (
     TEMPLATE_IDS,
     MalformedPlanError,
@@ -103,15 +103,14 @@ class TestParsePlan:
 
 class TestParsePevrVerdict:
     def test_continue(self):
-        decision = parse_pevr_verdict("CONTINUE")
+        decision, replan = parse_pevr_verdict("CONTINUE")
         assert decision.verdict == "continue"
-        assert decision.payload is None
+        assert replan is None
 
     def test_intervene_with_replan(self):
-        decision = parse_pevr_verdict("INTERVENE\n<REPLAN>do steps 3–5</REPLAN>")
+        decision, replan = parse_pevr_verdict("INTERVENE\n<REPLAN>do steps 3–5</REPLAN>")
         assert decision.verdict == "intervene"
-        assert isinstance(decision.payload, ReplanHandoff)
-        assert decision.payload.replan.text == "do steps 3–5"
+        assert replan == Plan("do steps 3–5")
 
     def test_intervene_without_payload(self):
         with pytest.raises(MalformedVerdictError):
@@ -133,12 +132,14 @@ class TestParsePevrVerdict:
 
 class TestParseEvaVerdict:
     def test_continue(self):
-        assert parse_eva_verdict("CONTINUE").verdict == "continue"
+        decision, handoff = parse_eva_verdict("CONTINUE")
+        assert decision.verdict == "continue"
+        assert handoff is None
 
     def test_intervene_with_summary_and_advice(self):
-        decision = parse_eva_verdict("INTERVENE\n<SUMMARY>s</SUMMARY>\n<ADVICE>a</ADVICE>")
-        assert isinstance(decision.payload, AdviceHandoff)
-        assert (decision.payload.summary, decision.payload.advice) == ("s", "a")
+        decision, handoff = parse_eva_verdict("INTERVENE\n<SUMMARY>s</SUMMARY>\n<ADVICE>a</ADVICE>")
+        assert decision.verdict == "intervene"
+        assert handoff == ("s", "a")
 
     def test_missing_summary(self):
         with pytest.raises(MalformedVerdictError):
@@ -259,8 +260,7 @@ def test_eva_round_trip_is_exact(summary, advice):
         with pytest.raises(MalformedVerdictError):
             parse_eva_verdict(text)
     else:
-        payload = parse_eva_verdict(text).payload
-        assert (payload.summary, payload.advice) == (summary, advice)
+        assert parse_eva_verdict(text)[1] == (summary, advice)
 
 
 @settings(max_examples=300)
@@ -271,7 +271,7 @@ def test_pevr_round_trip_is_exact(replan):
         with pytest.raises(MalformedVerdictError):
             parse_pevr_verdict(text)
     else:
-        assert parse_pevr_verdict(text).payload.replan.text == replan
+        assert parse_pevr_verdict(text)[1].text == replan
 
 
 @settings(max_examples=300)
