@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
-from typing import Mapping
+from typing import Optional
 
 from .core import (
     ModelProfile,
@@ -77,21 +77,20 @@ def kv_cache_bytes(profile: ModelProfile, context_tokens: int) -> int:
 
 
 def aggregate(
-    record: TrajectoryRecord, profiles: Mapping[str, ModelProfile]
+    record: TrajectoryRecord, executor: ModelProfile, supervisor: Optional[ModelProfile] = None
 ) -> TrajectoryTotals:
     """Totals over one trajectory: dollar and joule sums by each call's
     profile placement, plus the KV bytes at the record's max_context_tokens.
 
-    profiles maps roles to profiles: "executor" required, "supervisor"
-    required when the record holds supervisor calls.
+    Each turn is billed to executor, and the initial plan and each
+    supervisor call to supervisor, which a record holding either needs.
     """
-    executor = profiles["executor"]
     plan = () if record.initial_plan is None else (record.initial_plan,)
     calls = [(executor, turn.usage) for turn in record.turns]
     for call in (*plan, *record.supervisor_calls):
-        if "supervisor" not in profiles:
+        if supervisor is None:
             raise ValueError("record has supervisor calls but no supervisor profile")
-        calls.append((profiles["supervisor"], call.usage))
+        calls.append((supervisor, call.usage))
     return TrajectoryTotals(
         sum((api_cost_usd(p, u) for p, u in calls if p.placement == "cloud"), Decimal(0)),
         math.fsum(energy_joules(p, u) for p, u in calls if p.placement == "edge"),

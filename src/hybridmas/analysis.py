@@ -7,6 +7,7 @@ All functions here are pure over immutable inputs.
 
 from __future__ import annotations
 
+import math
 import re
 import statistics
 import string
@@ -136,7 +137,7 @@ def condition_stats(records: Sequence[TrajectoryRecord]) -> ConditionStats:
         success_rate=_mean([r.success for r in records if r.success is not None]),
         performance=_mean([_performance(r) for r in records]),
         cost_usd=sum((r.totals.cost_usd for r in records), Decimal(0)),
-        energy_joules=sum(r.totals.energy_joules for r in records),
+        energy_joules=math.fsum(r.totals.energy_joules for r in records),
         mean_max_context_tokens=_mean([r.max_context_tokens for r in records]),
         mean_max_kv_bytes=_mean([r.totals.max_kv_bytes for r in records]),
         max_max_kv_bytes=max((r.totals.max_kv_bytes for r in records), default=0),

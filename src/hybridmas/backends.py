@@ -296,20 +296,36 @@ _MAX_HEADERS = 100
 _HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 
-class _ReplyReader:
-    """Reads one HTTP/1.1 reply from a socket. A short read or a framing
-    error raises http.client.HTTPException or ValueError. A field line
-    outside RFC 9112 §5's grammar (no colon, or whitespace around the
-    name) is read as well as it can be, and sets lax."""
+def _time_left(deadline: float) -> float:
+    """The seconds until deadline, a time.monotonic() reading; TimeoutError
+    once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("the attempt ran out of time")
+    return left
 
-    def __init__(self, sock):
+
+class _ReplyReader:
+    """Reads one HTTP/1.1 reply from a socket, each read bounded by the
+    time left until deadline. A short read or a framing error raises
+    http.client.HTTPException or ValueError, and a passed deadline
+    TimeoutError. A field line outside RFC 9112 §5's grammar (no colon, or
+    whitespace around the name) is read as well as it can be, and sets
+    lax."""
+
+    def __init__(self, sock, deadline: float):
         self._sock = sock
+        self._deadline = deadline
         self._buf = b""
         self._pos = 0
         self.lax = False
 
+    def _read(self) -> bytes:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._sock.recv(65536)
+
     def _recv(self) -> bytes:
-        data = self._sock.recv(65536)
+        data = self._read()
         if not data:
             raise http.client.RemoteDisconnected("the server closed the connection mid-reply")
         return data
@@ -386,7 +402,7 @@ class _ReplyReader:
     def rest(self) -> bytes:
         """Every byte until the server closes the connection."""
         chunks = [self._buf[self._pos:]]
-        while data := self._sock.recv(65536):
+        while data := self._read():
             chunks.append(data)
         self._buf, self._pos = b"", 0
         return b"".join(chunks)
@@ -408,10 +424,11 @@ def _tokens(values: list[bytes]) -> list[bytes]:
     return [token.strip().lower() for value in values for token in value.split(b",")]
 
 
-def _read_reply(sock) -> tuple[int, dict[bytes, list[bytes]], bytes, bool]:
-    """Read one reply, framed by RFC 9112 §6: its status, its header fields,
-    its body, and whether the connection may carry another request."""
-    reader = _ReplyReader(sock)
+def _read_reply(sock, deadline: float) -> tuple[int, dict[bytes, list[bytes]], bytes, bool]:
+    """Read one reply by deadline, framed by RFC 9112 §6: its status, its
+    header fields, its body, and whether the connection may carry another
+    request."""
+    reader = _ReplyReader(sock, deadline)
     status = 100
     while 100 <= status < 200:  # interim replies are skipped
         parts = reader.line().split(None, 2)
@@ -486,9 +503,11 @@ class HttpChatBackend:
     A request is sent as one user message whose content is the prompt's
     parts joined, with the temperature and max_tokens of its sampling
     settings and its seed when set. max_retries, backoff_s and
-    backoff_cap_s below 0, and a timeout_s (the bound on connecting and on
-    each socket read) not above 0, raise ValueError when the backend is
-    built.
+    backoff_cap_s below 0, and a timeout_s not above 0, raise ValueError
+    when the backend is built. timeout_s bounds each attempt as a whole:
+    the request must be sent and the whole reply read by timeout_s after
+    the attempt began (opening a connection waits at most timeout_s for
+    each of its steps), or the attempt fails as a transport error.
 
     Each thread that calls complete() keeps one HTTP/1.1 connection to the
     endpoint, kept alive across calls and opened at the thread's first
@@ -605,15 +624,17 @@ class HttpChatBackend:
 
     def _post(self, body: bytes) -> tuple[int, dict[bytes, list[bytes]], bytes]:
         """POST body over this thread's connection, in one write; the status,
-        header fields and body of the reply."""
+        header fields and body of the reply, all within timeout_s."""
+        deadline = time.monotonic() + self.timeout_s
         connection = getattr(self._local, "connection", None) or self._connect()
         if connection.sock is not None and _closed_by_peer(connection.sock):
             connection.close()
         if connection.sock is None:
             connection.connect()
         sock = connection.sock
+        sock.settimeout(_time_left(deadline))
         sock.sendall(b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(body), body))
-        status, headers, data, reusable = _read_reply(sock)
+        status, headers, data, reusable = _read_reply(sock, deadline)
         if not reusable:
             connection.close()
         return status, headers, data

@@ -9,10 +9,12 @@ finished with the call's argument as the final answer, once the turn has
 passed the context checks. Verification runs after the environment step of
 every turn divisible by the verification interval, while the episode is
 still live; a finish short-circuits any verification scheduled for the
-same turn. Each answered verification is recorded as one supervisor call.
-An applied intervention resets the executor context, re-seeds it from the
-handoff and appends its turn to the record's resets, the one record of
-which interventions were applied.
+same turn. A plan or verify call that got a reply is recorded once, as the
+initial plan or as one supervisor call, with its last reply and the usage
+of every reply, also when its retry then failed. An applied intervention
+resets the executor context, re-seeds it from the handoff and appends its
+turn to the record's resets, the one record of which interventions were
+applied.
 
 Prompts are sent as tuples of text parts. Each turn is rendered once, as it
 lands, into a turn-log block and a memory block, each a small head part
@@ -191,69 +193,67 @@ class _Episode:
                 bindings[name] = episode[name]
         return render(template, bindings)
 
-    def _call(self, role, backend, prompt, t=0, parse=None, rejected=None):
+    def _call(self, role, backend, prompt, t=0, parse=None, record=None):
         """Send prompt to backend for one model call in the given role
-        (plan, execute or verify) at turn t (0 before the first turn), and
-        return (response, parsed output, usage).
+        (plan, execute or verify) at turn t (0 before the first turn).
+        Without parse, return the response.
 
-        Output that parse rejects is asked for once more, and usage sums
-        both attempts. Output rejected twice is passed to rejected(text,
-        usage) and parses as None. A BackendError is logged once and ends
-        the task, as out_of_context for a ContextOverflowError and as
-        backend_error otherwise; if the retry raised it, the first attempt
-        is passed to rejected before the task ends.
+        With parse, output that parse rejects is asked for once more, and
+        the call returns the parsed output, or None when both were
+        rejected. Whenever a reply arrived, record(text, parsed, usage) is
+        called once, with the last reply's text, the parsed output or None
+        and the usage summed over every reply, also when the retry raised.
+        A BackendError is logged once and ends the task, as out_of_context
+        for a ContextOverflowError and as backend_error otherwise.
         """
         request = ChatRequest(prompt, self.config.sampling, self.config.seed)
-        first = None
+        response = parsed = None
         try:
             response = backend.complete(request)
             if parse is None:
-                return response, None, response.usage
+                return response
+            usage = response.usage
             try:
-                return response, parse(response.text), response.usage
+                parsed = parse(response.text)
             except _MALFORMED:
-                first = response
                 response = backend.complete(request)
+                usage += response.usage
+                try:
+                    parsed = parse(response.text)
+                except _MALFORMED:
+                    logger.warning(
+                        "task %s turn %d: %s output malformed twice", self.task.id, t, role
+                    )
+            return parsed
         except BackendError as exc:
             logger.warning(
                 "task %s turn %d: %s call failed, ending the task: %s", self.task.id, t, role, exc
             )
-            if first is not None:
-                rejected(first.text, first.usage)
             if isinstance(exc, ContextOverflowError):
                 raise _Terminate("out_of_context")
             raise _Terminate("backend_error")
-        usage = first.usage + response.usage
-        try:
-            return response, parse(response.text), usage
-        except _MALFORMED:
-            logger.warning("task %s turn %d: %s output malformed twice", self.task.id, t, role)
-            rejected(response.text, usage)
-            return response, None, usage
+        finally:
+            if parse is not None and response is not None:
+                record(response.text, parsed, usage)
 
     # -- phases -----------------------------------------------------------
 
-    def _initial_plan(self) -> Plan:
-        def rejected(text, usage):
-            self.record.initial_plan = InitialPlanRecord("", usage)
-
-        _, plan, usage = self._call(
-            "plan", self.supervisor, self._render("plan"), parse=parse_plan, rejected=rejected
-        )
-        if plan is None:
-            raise _Terminate("backend_error")
-        self.record.initial_plan = InitialPlanRecord(plan.text, usage)
-        return plan
-
     def _seed_context(self) -> None:
         if self.config.family == "pevr":
-            self.plan = self._initial_plan()
+            def record(text, plan, usage):
+                self.record.initial_plan = InitialPlanRecord(plan.text if plan else "", usage)
+
+            prompt = self._render("plan")
+            self.plan = self._call("plan", self.supervisor, prompt, 0, parse_plan, record)
+            if self.plan is None:
+                raise _Terminate("backend_error")
         self._seed = self._render(_SEED_TEMPLATES[self.config.family])
 
     def _turn(self, t: int) -> None:
         """Run one executor turn."""
         prompt = (*self._seed, "\n\n", *self._log) if self._log else self._seed
-        response, _, usage = self._call("execute", self.executor, prompt, t)
+        response = self._call("execute", self.executor, prompt, t)
+        usage = response.usage
 
         finished = False
         try:
@@ -288,20 +288,14 @@ class _Episode:
             self._verify(t)
 
     def _verify(self, t: int) -> None:
-        def log(decision, usage):
+        def record(text, parsed, usage):
+            decision = VerifierDecision(CONTINUE, text) if parsed is None else parsed[0]
             self.record.supervisor_calls.append(SupervisorCallRecord(t, decision, usage))
 
         template, parser = _VERIFIERS[self.config.family]
-        _, parsed, usage = self._call(
-            "verify", self.supervisor, self._render(template), t, parser,
-            lambda text, usage: log(VerifierDecision(CONTINUE, text), usage),
-        )
-        if parsed is None:
-            return
-        decision, handoff = parsed
-        if decision.verdict == INTERVENE and not self.config.is_audit:
-            self._apply_intervention(t, handoff)
-        log(decision, usage)
+        parsed = self._call("verify", self.supervisor, self._render(template), t, parser, record)
+        if parsed is not None and parsed[0].verdict == INTERVENE and not self.config.is_audit:
+            self._apply_intervention(t, parsed[1])
 
     def _apply_intervention(self, t: int, handoff: Plan | tuple[str, str]) -> None:
         """Reset the executor context onto the handoff's seed: a replan, or
@@ -328,13 +322,9 @@ class _Episode:
                 self._turn(t)
         except _Terminate as term:
             self.record.termination = term.reason
-        return self._finalize()
-
-    def _finalize(self) -> TrajectoryRecord:
-        profiles = {"executor": self.config.executor_profile}
-        if self.config.supervisor_profile is not None:
-            profiles["supervisor"] = self.config.supervisor_profile
-        self.record.totals = accounting.aggregate(self.record, profiles)
+        self.record.totals = accounting.aggregate(
+            self.record, self.config.executor_profile, self.config.supervisor_profile
+        )
         return self.record
 
 

@@ -153,7 +153,7 @@ class TestAggregate:
     def test_three_edge_calls(self):
         record = TrajectoryRecord("t", "monolithic", "d")
         record.turns = [edge_turn(i, 1000, 200) for i in range(1, 4)]
-        totals = aggregate(record, {"executor": EDGE_PROFILE})
+        totals = aggregate(record, EDGE_PROFILE)
         per_call = energy_joules(EDGE_PROFILE, usage(1000, 0, 200))
         assert totals.energy_joules == 3 * per_call
         assert totals.cost_usd == Decimal(0)
@@ -169,13 +169,13 @@ class TestAggregate:
                 usage(200_000, 100_000, 50_000),
             )
         ]
-        totals = aggregate(record, {"executor": EDGE_PROFILE, "supervisor": CLOUD_PROFILE})
+        totals = aggregate(record, EDGE_PROFILE, CLOUD_PROFILE)
         assert totals.cost_usd == Decimal("0.875")
         assert totals.energy_joules == energy_joules(EDGE_PROFILE, usage(1000, 0, 200))
 
     def test_empty_trajectory(self):
         record = TrajectoryRecord("t", "monolithic", "d")
-        totals = aggregate(record, {"executor": EDGE_PROFILE})
+        totals = aggregate(record, EDGE_PROFILE)
         assert totals.cost_usd == Decimal(0)
         assert totals.energy_joules == 0.0
         assert record.max_context_tokens == 0
@@ -184,15 +184,15 @@ class TestAggregate:
     def test_order_invariance(self):
         record = TrajectoryRecord("t", "monolithic", "d")
         record.turns = [edge_turn(i, 100 * i, 7 * i) for i in range(1, 8)]
-        forward = aggregate(record, {"executor": EDGE_PROFILE})
+        forward = aggregate(record, EDGE_PROFILE)
         record.turns = list(reversed(record.turns))
-        backward = aggregate(record, {"executor": EDGE_PROFILE})
+        backward = aggregate(record, EDGE_PROFILE)
         assert forward == backward
 
     def test_max_kv_from_max_context(self):
         record = TrajectoryRecord("t", "monolithic", "d")
         record.turns = [edge_turn(1, 100, 10), edge_turn(2, 300, 10), edge_turn(3, 200, 10)]
-        totals = aggregate(record, {"executor": EDGE_PROFILE})
+        totals = aggregate(record, EDGE_PROFILE)
         assert record.max_context_tokens == 310
         assert totals.max_kv_bytes == kv_cache_bytes(EDGE_PROFILE, 310)
 
@@ -200,14 +200,14 @@ class TestAggregate:
         # Cloud executor (no KV geometry): dollars accrue, max_kv reported 0.
         record = TrajectoryRecord("t", "eva", "d")
         record.turns = [edge_turn(1, 1_000_000, 0)]
-        totals = aggregate(record, {"executor": CLOUD_PROFILE, "supervisor": EDGE_PROFILE})
+        totals = aggregate(record, CLOUD_PROFILE, EDGE_PROFILE)
         assert totals.cost_usd == Decimal("2.5")
         assert totals.max_kv_bytes == 0
 
     def test_energy_uses_exact_summation(self):
         record = TrajectoryRecord("t", "monolithic", "d")
         record.turns = [edge_turn(i, 1, 0) for i in range(1, 1001)]
-        totals = aggregate(record, {"executor": EDGE_PROFILE})
+        totals = aggregate(record, EDGE_PROFILE)
         exact = math.fsum(
             energy_joules(EDGE_PROFILE, usage(1, 0, 0)) for _ in range(1000)
         )

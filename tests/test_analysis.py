@@ -1,5 +1,6 @@
 """Scoring, Pareto filtering, and the audit statistics."""
 
+import math
 import random
 from decimal import Decimal
 
@@ -183,6 +184,16 @@ class TestConditionStats:
         stats = condition_stats([stats_record(True, None, "0", 0, 0)])
         assert stats.performance == 1.0
         assert stats.mean_score == 0.0
+
+    def test_energy_sum_is_exact_in_any_order(self):
+        energies = (1e16, 1.0, 1.0)
+        records = [
+            TrajectoryRecord("t", "eva", "d", totals=TrajectoryTotals(Decimal(0), joules, 0))
+            for joules in energies
+        ]
+        forward = condition_stats(records).energy_joules
+        backward = condition_stats(records[::-1]).energy_joules
+        assert forward == backward == math.fsum(energies)
 
     def test_empty(self):
         stats = condition_stats([])

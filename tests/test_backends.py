@@ -963,10 +963,12 @@ class _RawServer:
     """A loopback server that answers each request with the next of its
     replies, (bytes sent as they are, close the connection after), the
     last one repeated; it records every request's bytes and counts the
-    connections it accepts."""
+    connections it accepts. With a pause, each reply goes out in 6-byte
+    pieces, each after a pause of that many seconds."""
 
-    def __init__(self, replies):
+    def __init__(self, replies, pause=0):
         self.replies = list(replies)
+        self.pause = pause
         self.requests = []
         self.connections = 0
         self._peers = []
@@ -1003,7 +1005,13 @@ class _RawServer:
                 self.requests.append(data[:len(head) + length])
                 data = data[len(head) + length:]
                 reply, close = self.replies.pop(0) if len(self.replies) > 1 else self.replies[0]
-                peer.sendall(reply)
+                pieces = [reply[i:i + 6] for i in range(0, len(reply), 6)]
+                for piece in pieces if self.pause else [reply]:
+                    time.sleep(self.pause)
+                    try:
+                        peer.sendall(piece)
+                    except OSError:  # the client gave up on the reply
+                        return
                 if close:
                     return
 
@@ -1020,8 +1028,8 @@ class _RawServer:
 def raw_server():
     servers = []
 
-    def serve(*replies):
-        servers.append(_RawServer(replies))
+    def serve(*replies, pause=0):
+        servers.append(_RawServer(replies, pause))
         return servers[-1]
 
     yield serve
@@ -1123,6 +1131,26 @@ class TestReplyReader:
             assert backend.complete(ChatRequest("hi")).text == "hello"
         assert backend.attempts_logged == 2
         assert server.connections == connections
+
+    def test_timeout_s_bounds_an_attempt_whose_reply_trickles_in(self, raw_server):
+        # Each read waits 0.05 s, well under timeout_s; the reply takes 1.2 s.
+        server = raw_server((_reply(), False), pause=0.05)
+        backend = _backend(server, max_retries=0, timeout_s=0.3)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="request failed"):
+            backend.complete(ChatRequest("hi"))
+        assert time.monotonic() - started < 0.3 + 0.5
+        assert backend.attempts_logged == 1
+
+    def test_timeout_s_bounds_each_retried_attempt(self, raw_server):
+        server = raw_server((_reply(), False), pause=0.05)
+        backend = _backend(server, max_retries=1, timeout_s=0.3)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="request failed"):
+            backend.complete(ChatRequest("hi"))
+        assert time.monotonic() - started < 2 * 0.3 + backend.backoff_s + 0.5
+        assert backend.attempts_logged == 2
+        assert server.connections == 2
 
     def test_body_cut_short_is_retried_on_a_fresh_connection(self, raw_server):
         server = raw_server((_reply()[:-5], True), (_reply(), False))

@@ -1016,23 +1016,50 @@ def test_the_loop_owns_finish(architecture, replies, interval):
                          if turn.action is not None and turn.action.tool != "finish"]
 
 
-# One verify call's replies: a good CONTINUE ("C") or INTERVENE ("I"), a
-# malformed reply then a good one, or two malformed replies. Neither family's
-# parser takes any of the malformed replies.
+# One plan or verify call's replies: a good CONTINUE ("C") or INTERVENE ("I"),
+# a malformed reply then a good one, two malformed replies, a malformed reply
+# then a failed retry, or a failed first attempt, where "E" is a BackendError
+# and "O" a ContextOverflowError. Neither family's parser nor the plan parser
+# takes any of the malformed replies, and a plan call reads "C" and "I" as a
+# good plan.
 _GOOD = st.sampled_from(["C", "I"])
 _MALFORMED = st.sampled_from(
     ["maybe", "continue", "INTERVENE", "INTERVENE\n<REPLAN> </REPLAN>\n<SUMMARY>s</SUMMARY>"]
 )
-_VERIFY_REPLIES = st.one_of(
+_ERROR = st.sampled_from(["E", "O"])
+_CALL_REPLIES = st.one_of(
     _GOOD.map(lambda good: [good]),
     st.tuples(_MALFORMED, _GOOD).map(list),
     st.tuples(_MALFORMED, _MALFORMED).map(list),
+    st.tuples(_MALFORMED, _ERROR).map(list),
+    _ERROR.map(lambda error: [error]),
 )
 
 
+class _ErringBackend:
+    """Answers from a script whose "E" and "O" entries fail the call, as a
+    BackendError and as a ContextOverflowError."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.backend = ScriptedBackend([entry for entry in script if entry not in ("E", "O")]
+                                       or ["unused"])
+        self.errors = {
+            "E": _FailingBackend(RejectedError(401, "bad key")),
+            "O": _FailingBackend(ContextOverflowError(400, "maximum context length exceeded")),
+        }
+
+    def complete(self, request):
+        entry = self.script.pop(0)
+        return self.errors.get(entry, self.backend).complete(request)
+
+
 def _verify_reply(family, reply, t):
-    """The supervisor's text for a drawn reply at turn t; a good INTERVENE
-    hands over a replan, or a summary and advice, that name t."""
+    """The supervisor's text for a drawn reply at turn t (0: the plan call);
+    a good INTERVENE hands over a replan, or a summary and advice, that name
+    t."""
+    if t == 0 and reply in ("C", "I"):
+        return PLAN_RESPONSE
     if reply == "C":
         return "CONTINUE"
     if reply != "I":
@@ -1046,29 +1073,59 @@ def _verify_reply(family, reply, t):
 @given(
     st.sampled_from(["pevr", "eva", "eva_nosummary", "pevr_audit", "eva_audit"]),
     st.integers(1, 2),
-    st.lists(_VERIFY_REPLIES, min_size=4, max_size=4),
+    _CALL_REPLIES,
+    st.lists(_CALL_REPLIES, min_size=4, max_size=4),
 )
-def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, drawn):
+def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, plan, drawn):
     """Each stored decision is the verdict its family parser reads from its
     reply (CONTINUE where the parser refuses it), a reset follows each
     well-formed INTERVENE outside audit, and the executor is re-seeded with
-    the handoff parsed from that reply."""
+    the handoff parsed from that reply. A plan or verify call that got a
+    reply is recorded once, with its last reply and the usage of every
+    reply, also when its retry failed; the task ends at the first call that
+    failed, and a call whose first attempt failed leaves no record."""
     family, audit = ARCHITECTURES[architecture], architecture in AUDIT_ARCHITECTURES
     max_turns = 4
     verified = list(range(interval, max_turns + 1, interval))
-    drawn = drawn[:len(verified)]
-    replies = [[_verify_reply(family, reply, t) for reply in draw]
-               for t, draw in zip(verified, drawn)]
-    script = [PLAN_RESPONSE] if family == "pevr" else []
-    record, executor, supervisor = run_scripted(
-        architecture, search_turns(max_turns), script + sum(replies, []),
-        max_turns=max_turns, verify_interval=interval,
-    )
-    assert unconsumed(supervisor) == []
-    assert [call.at_turn for call in record.supervisor_calls] == verified
-    assert [call.decision.raw_text for call in record.supervisor_calls] == [
-        texts[-1] for texts in replies
-    ]
+    calls = [(0, plan)] if family == "pevr" else []
+    calls += zip(verified, drawn)
+    for i, (t, draw) in enumerate(calls):
+        if draw[-1] in ("E", "O") or (t == 0 and draw[-1] not in ("C", "I")):
+            calls = calls[:i + 1]
+            termination = "out_of_context" if draw[-1] == "O" else "backend_error"
+            break
+    else:
+        termination = "turn_budget_exhausted"
+    replies = [(t, [_verify_reply(family, reply, t) for reply in draw]) for t, draw in calls]
+    supervisor = _ErringBackend(sum((texts for _, texts in replies), []))
+    executor = ScriptedBackend(search_turns(max_turns))
+    config = make_run_config(architecture, max_turns=max_turns, verify_interval=interval)
+    record = run_trajectory(TASK, config, executor, supervisor, ScriptedEnvironment(default="obs"))
+    assert supervisor.script == []
+    assert record.termination == termination
+    assert len(record.turns) == (calls[-1][0] if termination != "turn_budget_exhausted"
+                                 else max_turns)
+
+    answered = iter(supervisor.backend.requests)
+    recorded = []  # (turn, last reply, usage of every reply) of each call that got one
+    for t, texts in replies:
+        texts = [text for text in texts if text not in ("E", "O")]
+        if texts:
+            usages = [_scripted_usage(next(answered), text) for text in texts]
+            recorded.append((t, texts[-1], sum(usages[1:], usages[0])))
+    if family == "pevr":
+        expected = None
+        if recorded and recorded[0][0] == 0:
+            _, text, usage = recorded.pop(0)
+            expected = InitialPlanRecord(PLAN_TEXT if text == PLAN_RESPONSE else "", usage)
+        assert record.initial_plan == expected
+    assert [(call.at_turn, call.decision.raw_text, call.usage)
+            for call in record.supervisor_calls] == recorded
+    costs = [_cloud_cost(call.usage) for call in record.supervisor_calls]
+    if record.initial_plan is not None:
+        costs.append(_cloud_cost(record.initial_plan.usage))
+    assert record.totals.cost_usd == sum(costs, Decimal(0))
+
     parse = parse_pevr_verdict if family == "pevr" else parse_eva_verdict
     for call in record.supervisor_calls:
         try:
@@ -1076,7 +1133,7 @@ def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, dra
         except MalformedVerdictError:
             verdict = CONTINUE
         assert call.decision.verdict == verdict
-    intervened = [t for t, draw in zip(verified, drawn) if draw[-1] == "I"]
+    intervened = [t for t, draw in calls if t and draw[-1] == "I"]
     assert record.resets == ([] if audit else intervened)
     for t in record.resets:
         if t == max_turns:

@@ -34,7 +34,10 @@ def test_tiny_traced_long_horizon_run_passes_its_checks():
     # A span that no longer wraps the code the program calls reads 0.
     for name in ("core.read_ms_per_mb", "analysis.report_ms",
                  "orchestrator.render_turn_log_ms.p50", "prompting.format_memory_ms.p50",
-                 "backends.scripted_call_ms.p50"):
+                 "backends.scripted_call_ms.p50", "accounting.aggregate_us_per_call",
+                 "prompting.render_ms.p50", "prompting.parse_tool_call_us.p50",
+                 "environments.step_us.p50", "analysis.score_us",
+                 "orchestrator.resets_per_task"):
         assert metrics[name]["value"] > 0, name
 
 
