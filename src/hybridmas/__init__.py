@@ -8,7 +8,6 @@ analysis toolkit for cost-performance trade-offs.
 
 from .core import (
     ModelProfile,
-    Plan,
     Pricing,
     RunConfig,
     SamplingParams,

@@ -10,7 +10,8 @@ stripped, else it is refused with its number in json.loads' own words.
 A trajectory record stores only what cannot be derived from it: an
 intervention was applied exactly when its turn is in resets, its handoff
 is parsed again from the supervisor's reply, and the largest executor
-context is computed from the turns.
+context is computed from the turns. A record's resets must be strictly
+increasing turns of its INTERVENE calls, and empty in audit.
 
 Token lengths everywhere are backend-reported counts, never produced by a
 local tokenizer. Out-of-context is a terminal trajectory state, never a
@@ -144,17 +145,6 @@ class TurnRecord:
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("turn index is 1-based")
-
-
-@dataclass(frozen=True)
-class Plan:
-    """A natural-language execution plan, initial or issued as a replan."""
-
-    text: str
-
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError("plan text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -338,6 +328,16 @@ class TrajectoryRecord:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.termination not in TERMINATIONS:
             raise ValueError(f"unknown termination {self.termination!r}")
+        if self.resets:
+            if self.architecture in AUDIT_ARCHITECTURES:
+                raise ValueError(f"{self.architecture} applies no intervention, "
+                                 f"but resets are {self.resets}")
+            intervened = {c.at_turn for c in self.supervisor_calls
+                          if c.decision.verdict == INTERVENE}
+            if (not intervened.issuperset(self.resets)
+                    or any(a >= b for a, b in zip(self.resets, self.resets[1:]))):
+                raise ValueError(f"resets {self.resets} are not strictly increasing turns "
+                                 "of INTERVENE calls")
 
     def applied_interventions(self) -> int:
         return len(self.resets)

@@ -12,9 +12,9 @@ still live; a finish short-circuits any verification scheduled for the
 same turn. A plan or verify call that got a reply is recorded once, as the
 initial plan or as one supervisor call, with its last reply and the usage
 of every reply, also when its retry then failed. An applied intervention
-resets the executor context, re-seeds it from the handoff and appends its
-turn to the record's resets, the one record of which interventions were
-applied.
+resets the executor context, re-seeds it from its family's resume template
+and appends its turn to the record's resets, the one record of which
+interventions were applied.
 
 Prompts are sent as tuples of text parts. Each turn is rendered once, as it
 lands, into a turn-log block and a memory block, each a small head part
@@ -28,10 +28,13 @@ usage.prompt_tokens is below the previous executor call's since the reset
 (the server truncated the prompt without saying so), ends the task as
 out_of_context.
 
-A prompt binds its template's placeholders by name: each takes the value
-that the intervention hands over (its replan, summary or advice) or else
-the episode's own (the task's query, the tools, the current plan, the turn
-log since the last reset, the memory).
+What the supervisor hands over is a set of prompt bindings, named by the
+family parser that reads its reply: the plan call's plan, then each applied
+intervention's replan as the plan (pevr), or its summary and advice (eva;
+eva_nosummary binds the memory as the summary). A prompt binds its
+template's placeholders by name: each takes the value that the supervisor
+last handed over, or else the episode's own (the task's query, the tools,
+the turn log since the last reset, the memory).
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .core import (
     FINISH_TOOL,
     INTERVENE,
     InitialPlanRecord,
-    Plan,
     RunConfig,
     SupervisorCallRecord,
     TaskInstance,
@@ -83,11 +85,11 @@ FINISHED_OBSERVATION = "Episode finished."
 _MALFORMED = (MalformedPlanError, MalformedVerdictError)
 
 # Each family's executor seed, and each supervised family's verification
-# template and verdict parser.
+# template, verdict parser and resume template.
 _SEED_TEMPLATES = {"monolithic": "direct_exec", "eva": "direct_exec", "pevr": "plan_exec"}
 _VERIFIERS = {
-    "pevr": ("verify_replan", parse_pevr_verdict),
-    "eva": ("verify_advice", parse_eva_verdict),
+    "pevr": ("verify_replan", parse_pevr_verdict, "replan_resume"),
+    "eva": ("verify_advice", parse_eva_verdict, "advice_resume"),
 }
 
 
@@ -152,7 +154,8 @@ class _Episode:
         self._tools = (*env.tools, FINISH_TOOL)
         if config.family != "monolithic" and supervisor_backend is None:
             raise ValueError(f"{config.architecture} requires a supervisor backend")
-        self.plan: Optional[Plan] = None
+        # The bindings that the supervisor last handed over.
+        self._handoff: dict = {}
         # The executor context: the seed's parts, the turn log's parts since
         # the last reset and the usage of the last executor call since it.
         self._seed: tuple[str, ...] = ()
@@ -176,22 +179,17 @@ class _Episode:
             parts.append("\n\n")
         parts += block
 
-    def _render(self, template: str, **bindings) -> tuple[str, ...]:
-        """Render template, binding each placeholder that bindings leaves
-        out to the episode's value of that name; the plan is the episode's
-        only while it has one."""
-        episode = {
+    def _render(self, template: str) -> tuple[str, ...]:
+        """Render template, binding each placeholder to the value of that
+        name that the supervisor last handed over, or else the episode's."""
+        values = {
             "user_query": self.task.query,
             "available_tools": self.env.tool_prompt,
             "executor_context": self._log,
             "memory": self._memory,
+            **self._handoff,
         }
-        if self.plan is not None:
-            episode["plan"] = self.plan.text
-        for name in template_placeholders(template):
-            if name not in bindings and name in episode:
-                bindings[name] = episode[name]
-        return render(template, bindings)
+        return render(template, {name: values[name] for name in template_placeholders(template)})
 
     def _call(self, role, backend, prompt, t=0, parse=None, record=None):
         """Send prompt to backend for one model call in the given role
@@ -241,12 +239,12 @@ class _Episode:
     def _seed_context(self) -> None:
         if self.config.family == "pevr":
             def record(text, plan, usage):
-                self.record.initial_plan = InitialPlanRecord(plan.text if plan else "", usage)
+                self.record.initial_plan = InitialPlanRecord(plan or "", usage)
 
-            prompt = self._render("plan")
-            self.plan = self._call("plan", self.supervisor, prompt, 0, parse_plan, record)
-            if self.plan is None:
+            plan = self._call("plan", self.supervisor, self._render("plan"), 0, parse_plan, record)
+            if plan is None:
                 raise _Terminate("backend_error")
+            self._handoff = {"plan": plan}
         self._seed = self._render(_SEED_TEMPLATES[self.config.family])
 
     def _turn(self, t: int) -> None:
@@ -288,28 +286,22 @@ class _Episode:
             self._verify(t)
 
     def _verify(self, t: int) -> None:
+        """Verify the episode at turn t, and apply an INTERVENE outside
+        audit: reset the executor context onto the resume seed rendered
+        from the intervention's handoff, where eva_nosummary hands over the
+        memory in place of the summary."""
         def record(text, parsed, usage):
             decision = VerifierDecision(CONTINUE, text) if parsed is None else parsed[0]
             self.record.supervisor_calls.append(SupervisorCallRecord(t, decision, usage))
 
-        template, parser = _VERIFIERS[self.config.family]
+        template, parser, resume = _VERIFIERS[self.config.family]
         parsed = self._call("verify", self.supervisor, self._render(template), t, parser, record)
-        if parsed is not None and parsed[0].verdict == INTERVENE and not self.config.is_audit:
-            self._apply_intervention(t, parsed[1])
-
-    def _apply_intervention(self, t: int, handoff: Plan | tuple[str, str]) -> None:
-        """Reset the executor context onto the handoff's seed: a replan, or
-        a summary and advice, where eva_nosummary hands over the memory in
-        place of the summary."""
-        if self.config.family == "pevr":
-            seed = self._render("replan_resume", replan=handoff.text)
-            self.plan = handoff
-        else:
-            summary, advice = handoff
-            if self.config.architecture == "eva_nosummary":
-                summary = self._memory
-            seed = self._render("advice_resume", summary=summary, advice=advice)
-        self._seed, self._log, self._last_usage = seed, [], None
+        if parsed is None or parsed[0].verdict != INTERVENE or self.config.is_audit:
+            return
+        self._handoff = parsed[1]
+        if self.config.architecture == "eva_nosummary":
+            self._handoff["summary"] = self._memory
+        self._seed, self._log, self._last_usage = self._render(resume), [], None
         self.record.resets.append(t)
 
     # -- entry point --------------------------------------------------------

@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .core import CONTINUE, INTERVENE, Plan, ToolCall, TurnRecord, VerifierDecision
+from .core import CONTINUE, INTERVENE, ToolCall, TurnRecord, VerifierDecision
 
 TEMPLATE_IDS = (
     "plan",
@@ -135,14 +135,7 @@ def _extract_block(text: str, tag: str) -> str | None:
     return text[start + len(opening):end]
 
 
-def _handoff_block(text: str, tag: str) -> str | None:
-    """The block as _extract_block finds it, or None when it is blank once
-    stripped: a handoff hands over nothing without it."""
-    block = _extract_block(text, tag)
-    return block if block and not block.isspace() else None
-
-
-def parse_plan(text: str) -> Plan:
+def parse_plan(text: str) -> str:
     """Extract the plan between <PLAN> tags, trimmed of surrounding
     whitespace."""
     block = _extract_block(text, "PLAN")
@@ -151,7 +144,7 @@ def parse_plan(text: str) -> Plan:
     body = block.strip()
     if not body:
         raise MalformedPlanError("empty <PLAN> block")
-    return Plan(body)
+    return body
 
 
 def _first_token(text: str) -> str | None:
@@ -159,40 +152,39 @@ def _first_token(text: str) -> str | None:
     return tokens[0] if tokens else None
 
 
-def parse_pevr_verdict(text: str) -> tuple[VerifierDecision, Plan | None]:
-    """Parse a plan-based verification output: CONTINUE, or INTERVENE with
-    a <REPLAN> block. Returns the decision and its handoff, the replan
-    (None for CONTINUE).
-
-    Block content is returned byte-exact (no trimming); a block that is
-    blank once stripped counts as missing.
-    """
+def _parse_verdict(
+    text: str, tags: Mapping[str, str]
+) -> tuple[VerifierDecision, dict[str, str] | None]:
+    """Parse a verification output: CONTINUE, or INTERVENE with a block per
+    key of tags. Returns the decision and its handoff (None for CONTINUE):
+    each block's content, byte-exact, bound to the name that tags gives it.
+    A block that is missing, or blank once stripped, makes the verdict
+    malformed: a handoff hands over nothing without it."""
     token = _first_token(text)
     if token == "CONTINUE":
         return VerifierDecision(CONTINUE, text), None
-    if token == "INTERVENE":
-        replan = _handoff_block(text, "REPLAN")
-        if replan is None:
-            raise MalformedVerdictError("INTERVENE without a non-blank <REPLAN> block")
-        return VerifierDecision(INTERVENE, text), Plan(replan)
-    raise MalformedVerdictError(f"first token is neither CONTINUE nor INTERVENE: {token!r}")
+    if token != "INTERVENE":
+        raise MalformedVerdictError(f"first token is neither CONTINUE nor INTERVENE: {token!r}")
+    handoff = {}
+    for tag, name in tags.items():
+        block = _extract_block(text, tag)
+        if not block or block.isspace():
+            raise MalformedVerdictError(f"INTERVENE without a non-blank <{tag}> block")
+        handoff[name] = block
+    return VerifierDecision(INTERVENE, text), handoff
 
 
-def parse_eva_verdict(text: str) -> tuple[VerifierDecision, tuple[str, str] | None]:
-    """Parse a query-based verification output: CONTINUE, or INTERVENE with
-    both <SUMMARY> and <ADVICE> blocks (byte-exact content; a block that is
-    blank once stripped counts as missing). Returns the decision and its
-    handoff, (summary, advice) (None for CONTINUE)."""
-    token = _first_token(text)
-    if token == "CONTINUE":
-        return VerifierDecision(CONTINUE, text), None
-    if token == "INTERVENE":
-        summary = _handoff_block(text, "SUMMARY")
-        advice = _handoff_block(text, "ADVICE")
-        if summary is None or advice is None:
-            raise MalformedVerdictError("INTERVENE requires non-blank <SUMMARY> and <ADVICE>")
-        return VerifierDecision(INTERVENE, text), (summary, advice)
-    raise MalformedVerdictError(f"first token is neither CONTINUE nor INTERVENE: {token!r}")
+def parse_pevr_verdict(text: str) -> tuple[VerifierDecision, dict[str, str] | None]:
+    """Parse a plan-based verification output: an INTERVENE hands over its
+    <REPLAN> block as the resume prompt's plan."""
+    return _parse_verdict(text, {"REPLAN": "plan"})
+
+
+def parse_eva_verdict(text: str) -> tuple[VerifierDecision, dict[str, str] | None]:
+    """Parse a query-based verification output: an INTERVENE hands over its
+    <SUMMARY> and <ADVICE> blocks as the resume prompt's summary and
+    advice."""
+    return _parse_verdict(text, {"SUMMARY": "summary", "ADVICE": "advice"})
 
 
 _TOOL_CALL_LABEL_RE = re.compile(r"tool\s*call\s*:?\s*$", re.IGNORECASE)

@@ -44,13 +44,14 @@ def with_memory(line: str) -> str:
                 format_memory([t for t in record.turns if t.t <= call["at_turn"]])
             )
             if FAMILIES[record.architecture] == "pevr":
-                replan = parse_pevr_verdict(raw_text)[1].text
+                replan = parse_pevr_verdict(raw_text)[1]["plan"]
                 payload = {"kind": "replan",
                            "replan": {"text": replan, "origin": "replan",
                                       "replan_turn": call["at_turn"] if applied else None},
                            "memory": memory}
             else:
-                summary, advice = parse_eva_verdict(raw_text)[1]
+                handoff = parse_eva_verdict(raw_text)[1]
+                summary, advice = handoff["summary"], handoff["advice"]
                 payload = ({"kind": "advice_memory", "memory": memory, "advice": advice}
                            if record.architecture == "eva_nosummary"
                            else {"kind": "advice", "summary": summary, "advice": advice})

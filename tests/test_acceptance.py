@@ -158,7 +158,7 @@ def test_acceptance_05_reset_semantics():
             "replan_resume",
             {
                 "user_query": TASK.query,
-                "replan": "search the remaining topics",
+                "plan": "search the remaining topics",
                 "memory": memory,
                 "available_tools": env.tool_prompt,
             },
@@ -233,7 +233,7 @@ def test_acceptance_07_parser_grammar_suite():
             body = _random_text(rng, PAYLOAD_ALPHABET)
             text = f"INTERVENE\n<REPLAN>{body}</REPLAN>"
             if body.strip():
-                assert parse_pevr_verdict(text)[1].text == body
+                assert parse_pevr_verdict(text)[1] == {"plan": body}
             else:
                 with pytest.raises(MalformedVerdictError):
                     parse_pevr_verdict(text)
@@ -243,7 +243,7 @@ def test_acceptance_07_parser_grammar_suite():
             advice = _random_text(rng, PAYLOAD_ALPHABET)
             text = f"INTERVENE\n<SUMMARY>{summary}</SUMMARY>\n<ADVICE>{advice}</ADVICE>"
             if summary.strip() and advice.strip():
-                assert parse_eva_verdict(text)[1] == (summary, advice)
+                assert parse_eva_verdict(text)[1] == {"summary": summary, "advice": advice}
             else:
                 with pytest.raises(MalformedVerdictError):
                     parse_eva_verdict(text)
@@ -258,7 +258,7 @@ def test_acceptance_07_parser_grammar_suite():
             body = _random_text(rng, PAYLOAD_ALPHABET)
             expected = body.strip()
             if expected:
-                assert parse_plan(f"<PLAN>{body}</PLAN>").text == expected
+                assert parse_plan(f"<PLAN>{body}</PLAN>") == expected
 
         tools = ("search", "lookup", "finish")
         for _ in range(cases):

@@ -945,7 +945,7 @@ class TestRunLoop:
         assert record_to_json_line(record) == lines[0]
         assert record.turns[0].reasoning == f"First {odd}\nthen search."
         assert record.turns[0].observation == f"found {odd}"
-        assert parse_eva_verdict(record.supervisor_calls[0].decision.raw_text)[1][1] == odd
+        assert parse_eva_verdict(record.supervisor_calls[0].decision.raw_text)[1]["advice"] == odd
         assert record.final_answer == odd
         # A resume reads the log back and finds nothing pending.
         before = log.read_bytes()

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from hybridmas.core import (
     ARCHITECTURES,
+    AUDIT_ARCHITECTURES,
     TERMINATIONS,
     InitialPlanRecord,
-    Plan,
     SchemaViolationError,
     SupervisorCallRecord,
     TaskInstance,
@@ -53,10 +53,6 @@ class TestTypeInvariants:
             TaskInstance("", "q")
         with pytest.raises(ValueError):
             TaskInstance("id", "")
-
-    def test_plan_text_nonempty(self):
-        with pytest.raises(ValueError):
-            Plan("")
 
 
 def make_full_record() -> TrajectoryRecord:
@@ -182,6 +178,30 @@ class TestSerialization:
                                              rf"trajectory record: .*{re.escape(repr(value))}"):
             read_trajectories(path)
 
+    # Each case would count an intervention that was never applied.
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"resets": [3]}, "not strictly increasing turns of INTERVENE calls"),
+            ({"resets": [5]}, "not strictly increasing turns of INTERVENE calls"),
+            ({"resets": [2, 2]}, "not strictly increasing turns of INTERVENE calls"),
+            ({"architecture": "pevr_audit"}, "applies no intervention"),
+        ],
+        ids=["continue-turn", "no-call-turn", "repeated", "audit"],
+    )
+    def test_resets_that_no_intervention_explains_are_a_malformed_record(
+        self, tmp_path, changes, message
+    ):
+        broken = {**json.loads(record_to_json_line(make_full_record())), **changes}
+        path = tmp_path / "trajectories.jsonl"
+        path.write_text(
+            record_to_json_line(make_full_record()) + "\n" + json.dumps(broken) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: malformed "
+                                             rf"trajectory record: .*{message}"):
+            read_trajectories(path)
+
     def test_resets_subset_of_intervene_turns(self):
         record = make_full_record()
         intervene_turns = {
@@ -303,30 +323,39 @@ _decisions = st.builds(VerifierDecision, st.sampled_from(["continue", "intervene
 _supervisor_calls = st.builds(SupervisorCallRecord, _big_ints, _decisions, _usages())
 
 
-_records = st.builds(
-    TrajectoryRecord,
-    task_id=_texts,
-    architecture=st.sampled_from(tuple(ARCHITECTURES)),
-    config_digest=_texts,
-    turns=st.lists(_turns, max_size=3),
-    supervisor_calls=st.lists(_supervisor_calls, max_size=3),
-    initial_plan=st.none() | st.builds(InitialPlanRecord, _texts, _usages()),
-    resets=st.lists(_big_ints, max_size=3),
-    final_answer=st.none() | _texts,
-    termination=st.sampled_from(TERMINATIONS),
-    success=st.none() | st.booleans(),
-    score=st.none() | _floats,
-    totals=st.builds(
-        TrajectoryTotals,
-        st.decimals(allow_nan=False, allow_infinity=False),
-        _floats,
-        _big_ints,
-    ),
-)
+@st.composite
+def _records(draw):
+    """A record whose resets are a subsequence of its own INTERVENE calls'
+    turns, in increasing order, and empty in audit."""
+    architecture = draw(st.sampled_from(tuple(ARCHITECTURES)))
+    calls = draw(st.lists(_supervisor_calls, max_size=3))
+    intervened = sorted({c.at_turn for c in calls if c.decision.verdict == "intervene"})
+    if architecture in AUDIT_ARCHITECTURES:
+        intervened = []
+    return draw(st.builds(
+        TrajectoryRecord,
+        task_id=_texts,
+        architecture=st.just(architecture),
+        config_digest=_texts,
+        turns=st.lists(_turns, max_size=3),
+        supervisor_calls=st.just(calls),
+        initial_plan=st.none() | st.builds(InitialPlanRecord, _texts, _usages()),
+        resets=st.just([t for t in intervened if draw(st.booleans())]),
+        final_answer=st.none() | _texts,
+        termination=st.sampled_from(TERMINATIONS),
+        success=st.none() | st.booleans(),
+        score=st.none() | _floats,
+        totals=st.builds(
+            TrajectoryTotals,
+            st.decimals(allow_nan=False, allow_infinity=False),
+            _floats,
+            _big_ints,
+        ),
+    ))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_records)
+@given(_records())
 def test_json_line_is_json_dumps_of_the_reference_dict(record):
     line = record_to_json_line(record)
     assert line == json.dumps(reference_dict(record), ensure_ascii=False, separators=(",", ":"))

@@ -6,13 +6,18 @@ CSVs computed from them."""
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
+import yaml
 
+from hybridmas.backends import ChatRequest
 from hybridmas.cli import main
+from hybridmas.config import load_config
 from hybridmas.core import read_trajectories, record_from_dict, record_to_json_line
 from hybridmas.prompting import format_memory
+from loopback import _PlannedHandler, _ok_body, _serve
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 ARCHITECTURES = ("monolithic", "pevr", "eva", "eva_nosummary", "pevr_audit", "eva_audit")
@@ -27,6 +32,52 @@ def test_run_writes_the_golden_log(architecture, tmp_path, capsys):
     assert written.read_bytes() == (GOLDEN / "logs" / f"{architecture}.jsonl").read_bytes()
     summary = capsys.readouterr().out.strip().rsplit(" out=", 1)[0]
     assert summary in (GOLDEN / "reports" / "run.txt").read_text(encoding="utf-8").splitlines()
+
+
+class _ScriptedHandler(_PlannedHandler):
+    """Answers each request from server.backends[model], a ScriptedBackend,
+    with the backend's reply and synthesized usage, 0 tokens cached.
+
+    Neither side has a context window yet. Once the scripted backend
+    refuses a prompt over its window, this handler must refuse the same
+    prompts with the overflow 400, as loopback's _WindowHandler does, or
+    the two logs part."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        request = ChatRequest(body["messages"][0]["content"])
+        response = self.server.backends[body["model"]].complete(request)
+        usage = response.usage
+        self._send(200, _ok_body(response.text, usage.prompt_tokens, usage.generated_tokens, 0),
+                   {})
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_http_run_served_the_golden_script_writes_the_golden_log(architecture, tmp_path):
+    """The same replies give the same log over HTTP as from the scripted
+    backend, but for each executor turn's wall_time_ms."""
+    golden_config = GOLDEN / f"{architecture}.yaml"
+    specs = load_config(golden_config).backend_specs
+    server = _serve(_ScriptedHandler)
+    server.backends = {name: build() for name, build in specs.items()}
+    try:
+        data = yaml.safe_load(golden_config.read_text(encoding="utf-8"))
+        data["dataset"] = str(GOLDEN / "tasks.jsonl")
+        data["backends"] = {
+            name: {"type": "http", "base_url": f"http://127.0.0.1:{server.server_address[1]}",
+                   "model": name, "max_retries": 0}
+            for name in specs
+        }
+        config = tmp_path / f"{architecture}.yaml"
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--parallelism", "1"]) == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+    written = (tmp_path / "out" / f"{architecture}-tv2" / "trajectories.jsonl").read_bytes()
+    zeroed = re.sub(rb'"wall_time_ms":\d+', b'"wall_time_ms":0', written)
+    assert zeroed == (GOLDEN / "logs" / f"{architecture}.jsonl").read_bytes()
 
 
 def test_a_run_resumes_into_a_log_of_the_earlier_format(tmp_path, capsys):

@@ -204,7 +204,7 @@ class TestPevr:
             "replan_resume",
             {
                 "user_query": TASK.query,
-                "replan": "New plan R",
+                "plan": "New plan R",
                 "memory": expected_memory,
                 "available_tools": env.tool_prompt,
             },
@@ -793,11 +793,12 @@ def _expected_requests(record, architecture, env, retried):
         if t not in record.resets:
             continue
         if pevr:
-            plans[t] = parse_pevr_verdict(call.decision.raw_text)[1].text
-            seeds[t] = _text("replan_resume", user_query=query, replan=plans[t], memory=memory,
+            plans[t] = parse_pevr_verdict(call.decision.raw_text)[1]["plan"]
+            seeds[t] = _text("replan_resume", user_query=query, plan=plans[t], memory=memory,
                              available_tools=tools)
         else:
-            summary, advice = parse_eva_verdict(call.decision.raw_text)[1]
+            handoff = parse_eva_verdict(call.decision.raw_text)[1]
+            summary, advice = handoff["summary"], handoff["advice"]
             if architecture == "eva_nosummary":
                 summary = memory
             seeds[t] = _text("advice_resume", user_query=query, summary=summary, advice=advice,
@@ -1083,7 +1084,10 @@ def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, pla
     the handoff parsed from that reply. A plan or verify call that got a
     reply is recorded once, with its last reply and the usage of every
     reply, also when its retry failed; the task ends at the first call that
-    failed, and a call whose first attempt failed leaves no record."""
+    failed, and a call whose first attempt failed leaves no record. Every
+    verify request and resume seed is its text rebuilt from the record: a
+    pevr verify request carries the replan of the latest reset before its
+    turn, else the initial plan."""
     family, audit = ARCHITECTURES[architecture], architecture in AUDIT_ARCHITECTURES
     max_turns = 4
     verified = list(range(interval, max_turns + 1, interval))
@@ -1100,7 +1104,8 @@ def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, pla
     supervisor = _ErringBackend(sum((texts for _, texts in replies), []))
     executor = ScriptedBackend(search_turns(max_turns))
     config = make_run_config(architecture, max_turns=max_turns, verify_interval=interval)
-    record = run_trajectory(TASK, config, executor, supervisor, ScriptedEnvironment(default="obs"))
+    env = ScriptedEnvironment(default="obs")
+    record = run_trajectory(TASK, config, executor, supervisor, env)
     assert supervisor.script == []
     assert record.termination == termination
     assert len(record.turns) == (calls[-1][0] if termination != "turn_budget_exhausted"
@@ -1108,11 +1113,14 @@ def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, pla
 
     answered = iter(supervisor.backend.requests)
     recorded = []  # (turn, last reply, usage of every reply) of each call that got one
+    verify_requests = []  # (turn, request) of each verify request that got a reply
     for t, texts in replies:
         texts = [text for text in texts if text not in ("E", "O")]
         if texts:
-            usages = [_scripted_usage(next(answered), text) for text in texts]
+            requests = [next(answered) for _ in texts]
+            usages = [_scripted_usage(request, text) for request, text in zip(requests, texts)]
             recorded.append((t, texts[-1], sum(usages[1:], usages[0])))
+            verify_requests += [(t, request) for request in requests if t]
     if family == "pevr":
         expected = None
         if recorded and recorded[0][0] == 0:
@@ -1135,20 +1143,39 @@ def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, pla
         assert call.decision.verdict == verdict
     intervened = [t for t, draw in calls if t and draw[-1] == "I"]
     assert record.resets == ([] if audit else intervened)
+
+    def memory_through(t):
+        return "".join(format_memory([turn for turn in record.turns if turn.t <= t]))
+
+    # A verify request at turn t carries the turn log since the latest reset
+    # before t and, for pevr, that reset's replan, or the initial plan when no
+    # reset came before t (always in pevr_audit, which has no resets).
+    for t, request in verify_requests:
+        reset = max((r for r in record.resets if r < t), default=0)
+        log = "".join(render_turn_log([turn for turn in record.turns if reset < turn.t <= t]))
+        if family == "pevr":
+            plan = f"replan {reset}" if reset else PLAN_TEXT
+            assert request == _text("verify_replan", plan=plan, executor_context=log,
+                                    memory=memory_through(t))
+        else:
+            assert request == _text("verify_advice", user_query=TASK.query, executor_context=log,
+                                    memory=memory_through(t))
+    # The first executor request after a reset is the resume seed, rendered
+    # from the handoff parsed from the reply and the memory through turn t.
     for t in record.resets:
         if t == max_turns:
             continue
-        request = executor.requests[t]  # the first after the reset
+        [call] = [call for call in record.supervisor_calls if call.at_turn == t]
+        handoff = parse(call.decision.raw_text)[1]
         if family == "pevr":
-            assert f"<REPLAN>\nreplan {t}\n</REPLAN>" in request
-            continue
-        if architecture == "eva_nosummary":
-            summary = "".join(format_memory([turn for turn in record.turns if turn.t <= t]))
-            assert f"summary {t}" not in request
+            seed = _text("replan_resume", user_query=TASK.query, memory=memory_through(t),
+                         available_tools=env.tool_prompt, **handoff)
         else:
-            summary = f"summary {t}"
-        assert f"<SUMMARY>\n{summary}\n</SUMMARY>" in request
-        assert f"<ADVICE>\nadvice {t}\n</ADVICE>" in request
+            if architecture == "eva_nosummary":
+                handoff["summary"] = memory_through(t)
+            seed = _text("advice_resume", user_query=TASK.query, available_tools=env.tool_prompt,
+                         **handoff)
+        assert executor.requests[t] == seed
     if audit:
         confusion = verifier_confusion([(record, False)])
         assert (confusion.tp, confusion.fn) == ((1, 0) if intervened else (0, 1))

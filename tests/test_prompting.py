@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridmas.core import Plan, TokenUsage, ToolCall, TurnRecord
+from hybridmas.core import TokenUsage, ToolCall, TurnRecord
 from hybridmas.prompting import (
     TEMPLATE_IDS,
     MalformedPlanError,
@@ -86,15 +86,14 @@ class TestRender:
 
 class TestParsePlan:
     def test_basic(self):
-        plan = parse_plan("<PLAN>\n1. search X\n</PLAN>")
-        assert plan.text == "1. search X"
+        assert parse_plan("<PLAN>\n1. search X\n</PLAN>") == "1. search X"
 
     def test_missing_tags(self):
         with pytest.raises(MalformedPlanError):
             parse_plan("no tags here")
 
     def test_surrounding_noise_ignored(self):
-        assert parse_plan("preamble <PLAN>a</PLAN> trailing").text == "a"
+        assert parse_plan("preamble <PLAN>a</PLAN> trailing") == "a"
 
     def test_empty_body(self):
         with pytest.raises(MalformedPlanError):
@@ -110,7 +109,7 @@ class TestParsePevrVerdict:
     def test_intervene_with_replan(self):
         decision, replan = parse_pevr_verdict("INTERVENE\n<REPLAN>do steps 3–5</REPLAN>")
         assert decision.verdict == "intervene"
-        assert replan == Plan("do steps 3–5")
+        assert replan == {"plan": "do steps 3–5"}
 
     def test_intervene_without_payload(self):
         with pytest.raises(MalformedVerdictError):
@@ -139,7 +138,7 @@ class TestParseEvaVerdict:
     def test_intervene_with_summary_and_advice(self):
         decision, handoff = parse_eva_verdict("INTERVENE\n<SUMMARY>s</SUMMARY>\n<ADVICE>a</ADVICE>")
         assert decision.verdict == "intervene"
-        assert handoff == ("s", "a")
+        assert handoff == {"summary": "s", "advice": "a"}
 
     def test_missing_summary(self):
         with pytest.raises(MalformedVerdictError):
@@ -260,7 +259,7 @@ def test_eva_round_trip_is_exact(summary, advice):
         with pytest.raises(MalformedVerdictError):
             parse_eva_verdict(text)
     else:
-        assert parse_eva_verdict(text)[1] == (summary, advice)
+        assert parse_eva_verdict(text)[1] == {"summary": summary, "advice": advice}
 
 
 @settings(max_examples=300)
@@ -271,7 +270,7 @@ def test_pevr_round_trip_is_exact(replan):
         with pytest.raises(MalformedVerdictError):
             parse_pevr_verdict(text)
     else:
-        assert parse_pevr_verdict(text)[1].text == replan
+        assert parse_pevr_verdict(text)[1] == {"plan": replan}
 
 
 @settings(max_examples=300)
@@ -282,7 +281,7 @@ def test_plan_round_trip_trims(body):
         with pytest.raises(MalformedPlanError):
             parse_plan("<PLAN>" + body + "</PLAN>")
     else:
-        assert parse_plan("<PLAN>" + body + "</PLAN>").text == trimmed
+        assert parse_plan("<PLAN>" + body + "</PLAN>") == trimmed
 
 
 @settings(max_examples=300)
