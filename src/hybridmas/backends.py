@@ -71,28 +71,36 @@ class NoMatchingEntryError(BackendError):
     """No unconsumed scripted entry matches the request."""
 
 
+def join_parts(parts: Sequence[str | Sequence[str]]) -> str:
+    """The text of prompt parts: each part is a str, or a group (a tuple of
+    str) that is joined in its place."""
+    return "".join([part if isinstance(part, str) else "".join(part) for part in parts])
+
+
 @dataclass(frozen=True)
 class ChatRequest:
     """One model call: a single user message whose content is the prompt,
     sent with the run's sampling settings and seed (None: no seed is sent).
-    The prompt is a str or a sequence of text parts whose join is the text
-    sent; a sequence is kept as the same object, not copied. Passing the
-    same str objects as parts across calls lets a backend that counts
-    tokens count a part it has seen once."""
+    The prompt is a str or a sequence of parts whose join is the text sent:
+    a part is a str, or a group, a tuple of str that is joined in its place
+    (join_parts). A sequence is kept as the same object, not copied.
+    Passing the same str objects as parts, and a growing group as the same
+    leading parts, across calls lets a backend that counts tokens count
+    each text it has seen once."""
 
-    prompt: str | Sequence[str]
+    prompt: str | Sequence[str | tuple[str, ...]]
     sampling: SamplingParams = SamplingParams()
     seed: Optional[int] = None
 
     @property
-    def parts(self) -> Sequence[str]:
-        """The prompt as text parts; a str is one part."""
+    def parts(self) -> Sequence[str | tuple[str, ...]]:
+        """The prompt as parts; a str is one part."""
         prompt = self.prompt
         return (prompt,) if isinstance(prompt, str) else prompt
 
     @property
     def text(self) -> str:
-        return "".join(self.parts)
+        return join_parts(self.parts)
 
 
 @dataclass
@@ -121,9 +129,9 @@ class _JoinedRequests(Sequence):
     list of str compares equal when its texts are the same."""
 
     def __init__(self):
-        self._parts: list[tuple[str, ...]] = []
+        self._parts: list[Sequence[str | tuple[str, ...]]] = []
 
-    def append(self, parts: tuple[str, ...]) -> None:
+    def append(self, parts: Sequence[str | tuple[str, ...]]) -> None:
         self._parts.append(parts)
 
     def __len__(self) -> int:
@@ -131,8 +139,8 @@ class _JoinedRequests(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ["".join(parts) for parts in self._parts[index]]
-        return "".join(self._parts[index])
+            return [join_parts(parts) for parts in self._parts[index]]
+        return join_parts(self._parts[index])
 
     def __eq__(self, other) -> bool:
         return list(self) == other
@@ -148,24 +156,26 @@ class ScriptedBackend:
     request; the request's text is joined only to look for a match.
 
     Usage is synthesized as whitespace-token counts: prompt_tokens is
-    len(text.split()) of the request's text. It is counted from the
-    request's parts with a cache, part -> (tokens, starts with a
-    non-space, ends with a non-space), that lives as long as the backend,
-    so a part resent on every turn (the same str object) is counted once
-    and looked up in O(1). The orchestrator sends each turn as a small
-    head part plus the observation as its own part, so a turn's new text
-    is counted once however many later prompts carry it. The counts are
-    summed, less one at each boundary where a part ending in a non-space
-    meets one starting with a non-space (a token glued across the
-    boundary); empty parts are skipped. This is exact for any split of any
-    text. The backend also keeps its last request's parts, their total and
-    whether their text ends inside a token: a request whose leading parts
-    equal the last request's (an executor turn resends the previous prompt
-    and appends to it) is counted on from that total over its new parts
-    only, and any other request is counted from scratch. requests keeps
-    each request's parts, the prompt's own tuple, and joins them on read.
-    Wall time is always 0 so logs stay byte-reproducible. Consumption, the
-    cache and the last request are serialized by an internal lock.
+    len(text.split()) of the request's text, for any split of the text into
+    parts and groups. A text's count is kept as its state: (tokens, starts
+    in a token, ends in a token), None for the empty text. Joining two
+    texts adds their tokens, less one where the first ends in a token and
+    the second starts in one (a token glued across the boundary); an empty
+    part or group adds nothing and no glue. One rule counts the request
+    and each group in it: the backend looks up the last sequence that it
+    counted under the same first part, and when the new sequence starts
+    with it (compared by value) it counts on from that sequence's state
+    over the new parts only; otherwise it folds the sequence part by part.
+    A str part's state comes from a cache, part -> state, that lives as
+    long as the backend, so a part resent on every turn (the same str
+    object) is counted once and looked up in O(1). The orchestrator sends
+    the turn log as one group that grows by a turn's head part and
+    observation, so a turn's text is counted once however many later
+    prompts carry it, and a verify prompt's turn log and memory are counted
+    on from the last executor and verify prompts. requests keeps each
+    request's parts, the prompt's own tuple, and joins them on read. Wall
+    time is always 0 so logs stay byte-reproducible. Consumption and the
+    counts are serialized by an internal lock.
     """
 
     def __init__(self, script: Sequence[ScriptEntry | str]):
@@ -175,35 +185,46 @@ class ScriptedBackend:
         self._consumed = [False] * len(script)
         self._first = 0  # index of the first unconsumed entry
         self._part_tokens: dict[str, tuple[int, bool, bool]] = {}
-        self._last: tuple[tuple[str, ...], int, bool] = ((), 0, False)
+        # first part -> (the last sequence counted under it, its state)
+        self._last: dict = {}
         self._lock = threading.Lock()
         self.requests = _JoinedRequests()
 
-    def _tokens(self, parts: Sequence[str]) -> int:
-        """whitespace_token_count("".join(parts)) from the cached counts of
-        the parts, folded on from the last request's state when parts
-        starts with the last request's parts. Call with the lock held."""
+    def _state(self, parts: Sequence) -> Optional[tuple[int, bool, bool]]:
+        """The state of join_parts(parts): counted on from the last sequence
+        counted under the same first part when parts starts with it, and
+        else folded part by part. Call with the lock held."""
         parts = tuple(parts)  # the same object when parts is a tuple
-        last, total, glued = self._last  # glued: the last non-empty part ended in a non-space
+        if not parts:
+            return None
+        last, state = self._last.get(parts[0], ((), None))
         n = len(last)
         if parts[:n] != last:
-            n, total, glued = 0, 0, False
+            n, state = 0, None
+        # starts_in_token is None until a non-empty part
+        tokens, starts_in_token, glued = state or (0, None, False)
         cache = self._part_tokens
         for part in parts[n:]:
-            if not part:
-                continue
-            info = cache.get(part)
-            if info is None:
-                info = cache[part] = (
-                    len(part.split()), not part[0].isspace(), not part[-1].isspace()
-                )
-            count, starts_in_token, ends_in_token = info
-            total += count
-            if glued and starts_in_token:
-                total -= 1
-            glued = ends_in_token
-        self._last = parts, total, glued
-        return total
+            if isinstance(part, str):
+                if not part:
+                    continue
+                info = cache.get(part)
+                if info is None:
+                    info = cache[part] = (
+                        len(part.split()), not part[0].isspace(), not part[-1].isspace()
+                    )
+            else:
+                info = self._state(part)
+                if info is None:
+                    continue
+            count, starts, ends = info
+            tokens += count - (glued and starts)
+            glued = ends
+            if starts_in_token is None:
+                starts_in_token = starts
+        state = None if starts_in_token is None else (tokens, starts_in_token, glued)
+        self._last[parts[0]] = parts, state
+        return state
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         parts = request.parts
@@ -228,8 +249,9 @@ class ScriptedBackend:
                 self._consumed[i] = True
                 while self._first < len(self._entries) and self._consumed[self._first]:
                     self._first += 1
+                state = self._state(parts)
                 usage = TokenUsage(
-                    prompt_tokens=self._tokens(parts),
+                    prompt_tokens=state[0] if state else 0,
                     cached_tokens=0,
                     generated_tokens=whitespace_token_count(response),
                 )

@@ -356,26 +356,38 @@ class TrajectoryRecord:
 # order, and a Decimal as a string (so cost_usd re-sums exactly). The
 # writer emits each line's text directly, byte for byte what
 # json.dumps(..., ensure_ascii=False, separators=(",", ":")) makes of the
-# same fields as a dict. Reading requires every declared key, ignores
-# unknown ones and constructs each dataclass, so its __post_init__
-# validation runs.
+# same fields as a dict. A str longer than _LONG_STR chars (an observation
+# that many turns return, say) gets its JSON text from a small cache of the
+# last _LONG_STRS such strs, so that a log escapes it once. Reading
+# requires every declared key, ignores unknown ones and constructs each
+# dataclass, so its __post_init__ validation runs.
 
 # The bytes a JSON string must escape, besides any non-ASCII character.
 _ESCAPED = bytes(range(0x20)) + b'"\\'
+_LONG_STR = 1024
+_LONG_STRS = 32
 _dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def _json_str(v: str) -> str:
+    """The JSON text of a str. An ASCII string with nothing to escape is
+    quoted as it is, which is several times cheaper than escaping it."""
+    if v.isascii() and len(v.encode("ascii").translate(None, _ESCAPED)) == len(v):
+        return '"' + v + '"'
+    return encode_basestring(v)
+
+
+_json_long_str = lru_cache(maxsize=_LONG_STRS)(_json_str)
+
+
 def _json_value(v) -> str:
     """The JSON text of a value that is not a dataclass, as json.dumps
-    writes it. An ASCII string with nothing to escape is quoted as it is,
-    which is several times cheaper than escaping it; ints, bools and
-    finite floats are written here too, and anything else by json.dumps."""
+    writes it. Strs, ints, bools and finite floats are written here, and
+    anything else by json.dumps."""
     cls = v.__class__
     if cls is str:
-        if v.isascii() and len(v.encode("ascii").translate(None, _ESCAPED)) == len(v):
-            return '"' + v + '"'
-        return encode_basestring(v)
+        return _json_str(v) if len(v) <= _LONG_STR else _json_long_str(v)
     if cls is int:
         return int.__repr__(v)
     if cls is bool:

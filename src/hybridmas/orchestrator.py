@@ -16,13 +16,16 @@ resets the executor context, re-seeds it from its family's resume template
 and appends its turn to the record's resets, the one record of which
 interventions were applied.
 
-Prompts are sent as tuples of text parts. Each turn is rendered once, as it
-lands, into a turn-log block and a memory block, each a small head part
-followed by the observation that the environment returned, the same str
-object, as its own part; every later prompt reuses those same str objects.
-The executor context is the seed's parts, then a blank line and the turn
-log since the last reset; verification prompts splice in the turn log and
-the memory. A seed is sent like any prompt. An executor call whose
+Prompts are sent as tuples of parts, a part being a str or a group (a
+tuple of str). Each turn is rendered once, as it lands, into a turn-log
+block and a memory block, each a small head part followed by the
+observation that the environment returned, the same str object, as its own
+part; every later prompt reuses those same str objects. The executor
+context is the seed's parts, then a blank line and the turn log since the
+last reset as one group; verification prompts bind the turn log and the
+memory as one group each. A group grows from one prompt to the next, so a
+backend that counts tokens counts it on from its last count (see
+ScriptedBackend). A seed is sent like any prompt. An executor call whose
 usage.total_tokens is over the executor's context cap, or one whose
 usage.prompt_tokens is below the previous executor call's since the reset
 (the server truncated the prompt without saying so), ends the task as
@@ -158,7 +161,7 @@ class _Episode:
         self._handoff: dict = {}
         # The executor context: the seed's parts, the turn log's parts since
         # the last reset and the usage of the last executor call since it.
-        self._seed: tuple[str, ...] = ()
+        self._seed: tuple = ()
         self._log: list[str] = []
         self._last_usage: Optional[TokenUsage] = None
         # The whole trajectory's memory, one block per turn with a tool call.
@@ -179,7 +182,7 @@ class _Episode:
             parts.append("\n\n")
         parts += block
 
-    def _render(self, template: str) -> tuple[str, ...]:
+    def _render(self, template: str) -> tuple:
         """Render template, binding each placeholder to the value of that
         name that the supervisor last handed over, or else the episode's."""
         values = {
@@ -249,7 +252,7 @@ class _Episode:
 
     def _turn(self, t: int) -> None:
         """Run one executor turn."""
-        prompt = (*self._seed, "\n\n", *self._log) if self._log else self._seed
+        prompt = (*self._seed, "\n\n", tuple(self._log)) if self._log else self._seed
         response = self._call("execute", self.executor, prompt, t)
         usage = response.usage
 

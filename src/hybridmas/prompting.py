@@ -3,7 +3,8 @@
 Templates are packaged verbatim as text assets, one file per prompt, using
 ``{{ name }}`` placeholder syntax. Rendering substitutes placeholder spans
 and touches nothing else, so prompt bytes stay auditable; a rendered prompt
-is a tuple of text parts whose join is the prompt.
+is a tuple of parts whose join is the prompt, a part being a str or a group
+(a tuple of str, joined in its place).
 
 All parsers are pure functions. Verdict tokens (CONTINUE / INTERVENE) are
 matched case-sensitively: a lax grammar would corrupt audit statistics.
@@ -93,14 +94,17 @@ def template_placeholders(template_id: str) -> frozenset[str]:
     return frozenset(name for _, name in _template_pieces(template_id) if name is not None)
 
 
-def render(template_id: str, bindings: Mapping[str, str | Sequence[str]]) -> tuple[str, ...]:
+def render(
+    template_id: str, bindings: Mapping[str, str | Sequence[str]]
+) -> tuple[str | tuple[str, ...], ...]:
     """Substitute ``{{ name }}`` spans with bindings, leaving all other
     template bytes untouched.
 
-    The prompt comes back as its parts, to be joined as they are: the
-    template's literal spans (the same str objects on every call) with each
-    binding spliced in, a str as one part and a sequence of str as its
-    parts. Bindings must cover exactly the template's placeholders.
+    The prompt comes back as its parts, to be joined as they are
+    (backends.join_parts): the template's literal spans (the same str
+    objects on every call) with each binding in its place as one part, a
+    str as itself and a sequence of str as a group, the tuple of its strs.
+    Bindings must cover exactly the template's placeholders.
     """
     pieces = _template_pieces(template_id)
     placeholders = template_placeholders(template_id)
@@ -110,16 +114,13 @@ def render(template_id: str, bindings: Mapping[str, str | Sequence[str]]) -> tup
     for name in placeholders:
         if name not in bindings:
             raise MissingBindingError(name)
-    parts: list[str] = []
+    parts: list[str | tuple[str, ...]] = []
     for literal, name in pieces:
         if literal:
             parts.append(literal)
         if name is not None:
             value = bindings[name]
-            if isinstance(value, str):
-                parts.append(value)
-            else:
-                parts.extend(value)
+            parts.append(value if isinstance(value, str) else tuple(value))
     return tuple(parts)
 
 

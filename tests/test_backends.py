@@ -272,6 +272,73 @@ def test_scripted_usage_of_a_list_changed_after_it_was_sent():
     assert backend.complete(ChatRequest(parts)).usage.prompt_tokens == 3
 
 
+def _joined(request):
+    return "".join(part if isinstance(part, str) else "".join(part) for part in request)
+
+
+@st.composite
+def _grouped_requests(draw):
+    """Requests shaped as prompts are: a head of str parts (a seed), two
+    groups (a turn log and a memory) with a str between them, and a tail of
+    str parts. Each step
+    changes the request or one group as a run does: it grows, is replaced
+    (as a reset replaces the turn log), is emptied, or is replaced by one
+    that starts with the same first part and goes on differently. Some
+    requests are sent as value-equal copies of their strs."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_PART_EDGES), _PART_TEXT), min_size=1,
+                         max_size=8))
+    strs = st.lists(st.sampled_from(pool), max_size=3).map(tuple)
+    head, groups, tail = draw(strs), [draw(strs), draw(strs)], ()
+    between = draw(st.sampled_from(pool))
+    requests = []
+    for _ in range(draw(st.integers(1, 10))):
+        step = draw(st.sampled_from(["grow", "replace", "empty", "same-first"]))
+        level = draw(st.sampled_from(["request", 0, 1]))
+        if level == "request":
+            if step == "grow":
+                tail += draw(strs)
+            elif step == "replace":
+                head, tail = draw(strs), draw(strs)
+            elif step == "empty":
+                requests.append(())
+                continue
+            else:
+                head, tail = head[:1] + draw(strs), draw(strs)
+        else:
+            group = groups[level]
+            if step == "grow":
+                group += draw(strs)
+            elif step == "replace":
+                group = draw(strs)
+            elif step == "empty":
+                group = ()
+            else:
+                group = group[:1] + draw(strs)
+            groups[level] = group
+        request = (*head, groups[0], between, groups[1], *tail)
+        if draw(st.booleans()):
+            request = tuple(_fresh(part) if isinstance(part, str) else tuple(map(_fresh, part))
+                            for part in request)
+        requests.append(request)
+    return requests
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grouped_requests())
+@example([(("ab", " ", "c"),), (("ab", "c", "x"),)])
+@example([("ab", " ", "c"), ("ab", "c", "x")])
+@example([("h", ("ab", "c"), ""), ("h", ("ab", "c", " ", "x"), ""), ("h", (), "", ("x",))])
+@example([(("", "ab"), "c"), (("", " "), "c"), ((), ("",), "c")])
+@example([("ab", (), "c"), ("ab", ("",), "c"), ("ab", ("", "x"), "c")])
+def test_scripted_usage_of_growing_groups(requests):
+    backend = ScriptedBackend(["r"] * len(requests))
+    for request in requests:
+        joined = _joined(request)
+        assert backend.complete(ChatRequest(request)).usage.prompt_tokens == len(joined.split())
+        assert ChatRequest(request).text == joined
+    assert backend.requests == [_joined(request) for request in requests]
+
+
 class ReferenceScript:
     """The all() check plus the scan from entry 0 that the cursor replaced."""
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridmas.core import (
+    _LONG_STR,
     ARCHITECTURES,
     AUDIT_ARCHITECTURES,
     TERMINATIONS,
@@ -360,4 +361,43 @@ def test_json_line_is_json_dumps_of_the_reference_dict(record):
     line = record_to_json_line(record)
     assert line == json.dumps(reference_dict(record), ensure_ascii=False, separators=(",", ":"))
     if not any(map(math.isnan, (record.totals.energy_joules, record.score or 0.0))):
+        assert record_from_dict(json.loads(line)) == record
+
+
+# Strs over the writer's cache threshold: a drawn unit repeated, either
+# printable ASCII with nothing to escape or _texts' mix of quotes,
+# backslashes, control characters and non-ASCII text.
+_plain_units = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def _long_texts(draw):
+    unit = draw(_plain_units | _texts.filter(bool))
+    size = draw(st.integers(_LONG_STR, _LONG_STR + 64) | st.just(4000))
+    return (unit * (size // len(unit) + 1))[:size]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_long_texts(), min_size=1, max_size=3), st.data())
+def test_long_strs_are_written_as_json_dumps_writes_them(pool, data):
+    """Records that repeat a few long strs, as the same object or as equal
+    strs that are distinct objects, in observations, reasoning and final
+    answers: each line is json.dumps of the reference dict and reads back
+    as its record."""
+
+    def text():
+        chosen = data.draw(st.sampled_from(pool))
+        return "".join(list(chosen)) if data.draw(st.booleans()) else chosen
+
+    for _ in range(data.draw(st.integers(1, 4))):
+        record = make_full_record()
+        record.turns = [replace(turn, reasoning=text(), observation=text())
+                        for turn in record.turns]
+        record.final_answer = text()
+        line = record_to_json_line(record)
+        assert line == json.dumps(reference_dict(record), ensure_ascii=False, separators=(",", ":"))
         assert record_from_dict(json.loads(line)) == record

@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from hybridmas.backends import ChatRequest
+from hybridmas import cli
 from hybridmas.cli import main
 from hybridmas.config import load_config
 from hybridmas.core import read_trajectories, record_from_dict, record_to_json_line
@@ -36,7 +37,8 @@ def test_run_writes_the_golden_log(architecture, tmp_path, capsys):
 
 class _ScriptedHandler(_PlannedHandler):
     """Answers each request from server.backends[model], a ScriptedBackend,
-    with the backend's reply and synthesized usage, 0 tokens cached.
+    with the backend's reply and synthesized usage, 0 tokens cached, and
+    appends (model, message content) to server.contents.
 
     Neither side has a context window yet. Once the scripted backend
     refuses a prompt over its window, this handler must refuse the same
@@ -45,21 +47,44 @@ class _ScriptedHandler(_PlannedHandler):
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        request = ChatRequest(body["messages"][0]["content"])
+        content = body["messages"][0]["content"]
+        self.server.contents.append((body["model"], content))
+        request = ChatRequest(content)
         response = self.server.backends[body["model"]].complete(request)
         usage = response.usage
         self._send(200, _ok_body(response.text, usage.prompt_tokens, usage.generated_tokens, 0),
                    {})
 
 
+def _scripted_requests(config_path, out, monkeypatch) -> dict:
+    """Each backend name's request texts, in order, from an in-process
+    scripted run of the config."""
+    built = []
+
+    def build_backend(spec):
+        built.append(spec())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_backend", build_backend)
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    config = load_config(config_path)
+    names = [config.executor_backend_name, config.supervisor_backend_name]
+    return {name: list(backend.requests) for name, backend in zip(names, built)}
+
+
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
-def test_http_run_served_the_golden_script_writes_the_golden_log(architecture, tmp_path):
+def test_http_run_served_the_golden_script_writes_the_golden_log(
+    architecture, tmp_path, monkeypatch
+):
     """The same replies give the same log over HTTP as from the scripted
-    backend, but for each executor turn's wall_time_ms."""
+    backend, but for each executor turn's wall_time_ms, and the server
+    receives each request's text as the scripted backend reads it."""
     golden_config = GOLDEN / f"{architecture}.yaml"
     specs = load_config(golden_config).backend_specs
     server = _serve(_ScriptedHandler)
     server.backends = {name: build() for name, build in specs.items()}
+    server.contents = []
     try:
         data = yaml.safe_load(golden_config.read_text(encoding="utf-8"))
         data["dataset"] = str(GOLDEN / "tasks.jsonl")
@@ -78,6 +103,10 @@ def test_http_run_served_the_golden_script_writes_the_golden_log(architecture, t
     written = (tmp_path / "out" / f"{architecture}-tv2" / "trajectories.jsonl").read_bytes()
     zeroed = re.sub(rb'"wall_time_ms":\d+', b'"wall_time_ms":0', written)
     assert zeroed == (GOLDEN / "logs" / f"{architecture}.jsonl").read_bytes()
+    scripted = _scripted_requests(golden_config, tmp_path / "scripted", monkeypatch)
+    assert {name: [content for model, content in server.contents if model == name]
+            for name in scripted} == scripted
+    assert len(server.contents) == sum(map(len, scripted.values()))
 
 
 def test_a_run_resumes_into_a_log_of_the_earlier_format(tmp_path, capsys):

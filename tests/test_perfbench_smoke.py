@@ -37,7 +37,7 @@ def test_tiny_traced_long_horizon_run_passes_its_checks():
                  "backends.scripted_call_ms.p50", "accounting.aggregate_us_per_call",
                  "prompting.render_ms.p50", "prompting.parse_tool_call_us.p50",
                  "environments.step_us.p50", "analysis.score_us",
-                 "orchestrator.resets_per_task"):
+                 "orchestrator.resets_per_task", "core.encode_ms_per_mb", "core.write_s"):
         assert metrics[name]["value"] > 0, name
 
 

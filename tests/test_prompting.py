@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridmas.backends import join_parts
 from hybridmas.core import TokenUsage, ToolCall, TurnRecord
 from hybridmas.prompting import (
     TEMPLATE_IDS,
@@ -57,17 +58,23 @@ class TestRender:
         text = "".join(render("verify_advice", full_bindings("verify_advice")))
         assert "INTERVENE" in text.splitlines()
 
-    def test_sequence_binding_is_spliced_as_its_parts(self):
+    def test_sequence_binding_is_one_group_part(self):
         memory = ["Tool call: search[a]", "\n\n", "Tool call: search[b]"]
         bindings = {**full_bindings("verify_advice"), "memory": memory}
         parts = render("verify_advice", bindings)
         joined = render("verify_advice", {**bindings, "memory": "".join(memory)})
-        assert "".join(parts) == "".join(joined)
+        # The sequence is one part, the tuple of its strs, in the place of
+        # the str binding; the joined text is the same.
+        groups = [part for part in parts if not isinstance(part, str)]
+        assert groups == [tuple(memory)]
+        assert [part if isinstance(part, str) else "".join(part) for part in parts] == list(joined)
+        assert join_parts(parts) == "".join(joined)
         # Template spans and bindings come back as the same str objects on
         # every call.
         again = render("verify_advice", bindings)
         assert len(again) == len(parts)
-        assert all(a is b for a, b in zip(parts, again))
+        assert all(a is b for a, b in zip(parts, again) if isinstance(a, str))
+        assert all(a is b for a, b in zip(groups[0], memory))
 
     @pytest.mark.parametrize("template_id", TEMPLATE_IDS)
     def test_render_preserves_bytes_outside_placeholders(self, template_id):
