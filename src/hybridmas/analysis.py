@@ -1,6 +1,7 @@
-"""Answer scoring, success labeling, per-condition statistics, Pareto
-frontiers, and the study statistics: intervention distributions, verifier
-confusion rates on audit runs, and solve-set overlaps.
+"""Answer scoring, success labeling, per-condition statistics, the Pareto
+frontier over dollars, joules and performance, and the study statistics:
+intervention distributions, verifier confusion rates on audit runs, and
+solve-set overlaps.
 
 All functions here are pure over immutable inputs.
 """
@@ -144,44 +145,25 @@ def condition_stats(records: Sequence[TrajectoryRecord]) -> ConditionStats:
     )
 
 
-@dataclass(frozen=True)
-class ConfigPoint:
-    """One configuration on a cost/performance plane. The cost axis is
-    dollars or joules depending on the analysis."""
+def pareto_frontier(points: Sequence[tuple[Decimal | float, float, float]]) -> list[bool]:
+    """For each (cost_usd, energy_joules, performance) point, in order,
+    whether it is on the frontier: no other point has cost and energy no
+    higher and performance no lower, with at least one of the three
+    strictly better. Exact duplicates both stay on the frontier.
 
-    label: str
-    cost: float
-    performance: float
-
-    def __post_init__(self):
-        if self.cost < 0:
-            raise ValueError("cost must be >= 0")
-        if not 0.0 <= self.performance <= 1.0:
-            raise ValueError("performance must lie in [0, 1]")
-
-
-def pareto_frontier(points: Sequence[ConfigPoint]) -> list[ConfigPoint]:
-    """All points not dominated by any other (dominated: some q has
-    cost <= and performance >= with at least one strict). Exact duplicates
-    are all retained. Output sorted by cost ascending.
-
-    Sort-and-sweep, O(n log n); the test suite checks it against a
-    brute-force dominance filter.
+    A point's dominator sorts before it by (cost, energy, -performance),
+    and dominance is transitive, so each point in that order is kept
+    unless a point kept before it dominates it.
     """
-    ordered = sorted(points, key=lambda p: (p.cost, -p.performance))
-    frontier: list[ConfigPoint] = []
-    best_performance: float | None = None
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j].cost == ordered[i].cost:
-            j += 1
-        group_best = max(p.performance for p in ordered[i:j])
-        if best_performance is None or group_best > best_performance:
-            frontier.extend(p for p in ordered[i:j] if p.performance == group_best)
-            best_performance = group_best
-        i = j
-    return sorted(frontier, key=lambda p: (p.cost, p.performance, p.label))
+    kept: list[tuple] = []
+    on_frontier = [False] * len(points)
+    for i in sorted(range(len(points)), key=lambda i: (*points[i][:2], -points[i][2])):
+        cost, energy, performance = point = points[i]
+        if not any(q[0] <= cost and q[1] <= energy and q[2] >= performance and q != point
+                   for q in kept):
+            kept.append(point)
+            on_frontier[i] = True
+    return on_frontier
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,15 @@ and turn trajectory logs into analysis CSVs.
 
 Commands
     run     execute every task under the configured architecture
-    sweep   one run per verification interval, plus a frontier-input CSV
+    sweep   one run per verification interval, plus sweep_points.csv:
+            label,cost_usd,energy_joules,performance,architecture,
+            verify_interval
     report  read trajectory JSONL files and emit analysis CSVs
 
 Exit codes: 0 success, 1 configuration error (including a missing or
 malformed dataset or corpus line and a backend that cannot be built),
-2 runtime error.
+2 runtime error, and also a command line that argparse refuses (an unknown
+flag, a missing --config), with its usage on stderr.
 
 Output layout: <output>/<architecture>-tv<interval>/trajectories.jsonl.
 Records are appended as each task ends, in task order: a record that ends
@@ -21,8 +24,11 @@ configuration (its config_digest differs) is refused with exit 2 and
 nothing is appended to it (a torn final line is still dropped), so one log
 never mixes two conditions.
 
-Report CSVs (stable column names):
-    frontier.csv    label,axis,cost,performance        (Pareto-filtered)
+Report CSVs (stable column names; frontier.csv's were label,axis,cost,
+performance until the --axis flag was dropped for one frontier over all
+three objectives):
+    frontier.csv    label,cost_usd,energy_joules,performance,on_frontier
+                    (one row per non-empty log, in argument order)
     histogram.csv   intervention_count,frequency
     confusion.csv   tp,fp,tn,fn,fn_rate,fp_rate,fn_rate_conditional,fp_rate_conditional
     overlap.csv     region,count                       (exclusive Venn regions)
@@ -40,7 +46,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import analysis
 from .backends import ScriptedBackend
@@ -183,14 +189,8 @@ def cmd_run(args) -> int:
             _print_summary(summaries[-1])
         if sweep:
             points_path = cfg.output / "sweep_points.csv"
-            header = ("label", "architecture", "verify_interval", "performance", "cost_usd",
-                      "energy_joules")
-            rows = [
-                (f"{s['architecture']}-tv{s['verify_interval']}", s["architecture"],
-                 s["verify_interval"], s["performance"], s["cost_usd"], s["energy_joules"])
-                for s in summaries
-            ]
-            _write_csv(points_path, header, rows)
+            _write_points(points_path, [(f"{s['architecture']}-tv{s['verify_interval']}", s)
+                                        for s in summaries], ("architecture", "verify_interval"))
             print(f"sweep points written to {points_path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -207,6 +207,19 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+# The per-condition values of frontier.csv and sweep_points.csv, after the label.
+_POINT_COLUMNS = ("cost_usd", "energy_joules", "performance")
+
+
+def _write_points(path: Path, rows: Sequence[tuple[str, Mapping]], extra: Sequence[str]) -> None:
+    """Write one row per (label, values): the label, then the values of
+    _POINT_COLUMNS and of the extra columns. Both files that hold
+    per-condition points are written here, so their values read alike."""
+    columns = (*_POINT_COLUMNS, *extra)
+    _write_csv(path, ("label", *columns),
+               [(label, *(values[c] for c in columns)) for label, values in rows])
 
 
 def _report_label(path: Path) -> str:
@@ -277,7 +290,7 @@ def cmd_report(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.frontier:
-            _write_frontier(stats, args.axis, out_dir / "frontier.csv")
+            _write_frontier(stats, out_dir / "frontier.csv")
         if args.histogram:
             _write_histogram(interventions, out_dir / "histogram.csv")
         if args.confusion:
@@ -293,18 +306,12 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _write_frontier(stats: dict, axis: str, path: Path) -> None:
-    points = []
-    for label, s in stats.items():
-        cost = float(s.cost_usd) if axis == "cost" else s.energy_joules
-        points.append(analysis.ConfigPoint(label, cost, s.performance))
-    frontier = analysis.pareto_frontier(points)
-    _write_csv(
-        path,
-        ("label", "axis", "cost", "performance"),
-        [[point.label, axis, point.cost, point.performance] for point in frontier],
-    )
-    print(f"frontier written to {path} ({len(frontier)} of {len(points)} points)")
+def _write_frontier(stats: dict, path: Path) -> None:
+    on_frontier = analysis.pareto_frontier(
+        [(s.cost_usd, s.energy_joules, s.performance) for s in stats.values()])
+    _write_points(path, [(label, dict(asdict(s), on_frontier=on))
+                         for (label, s), on in zip(stats.items(), on_frontier)], ("on_frontier",))
+    print(f"frontier written to {path} ({sum(on_frontier)} of {len(stats)} points)")
 
 
 def _write_histogram(interventions: Sequence[int], path: Path) -> None:
@@ -390,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--confusion", action="store_true", help="verifier confusion CSV (audit runs)")
     report_p.add_argument("--overlap", action="store_true", help="solve-set overlap CSV (2-3 runs)")
     report_p.add_argument("--kv-growth", dest="kv_growth", action="store_true", help="KV-cache growth CSV")
-    report_p.add_argument("--axis", choices=("cost", "energy"), default="cost",
-                          help="cost axis for the frontier")
     report_p.add_argument("--out", default=".", help="directory for report CSVs")
     report_p.set_defaults(func=cmd_report)
     return parser

@@ -3,7 +3,8 @@ program: logs/ and the run summaries in reports/run.txt by `hybridmas run`
 on each architecture's config, logs_with_memory/ from logs/ by putting back
 what the earlier format stored (see with_memory), and the report CSVs that
 tests/test_golden.py checks by `hybridmas report` over logs_with_memory/.
-Prints each file whose bytes changed, or that none did.
+Deletes any other file under reports/. Prints each file whose bytes
+changed or that was deleted, or that none did.
 
 Run from the repository root after a deliberate change of the golden runs:
 
@@ -20,7 +21,7 @@ from hybridmas.cli import main
 from hybridmas.core import ARCHITECTURES as FAMILIES
 from hybridmas.core import AUDIT_ARCHITECTURES, INTERVENE, record_from_dict
 from hybridmas.prompting import format_memory, parse_eva_verdict, parse_pevr_verdict
-from test_golden import ARCHITECTURES, GOLDEN, REPORTS
+from test_golden import ARCHITECTURES, GOLDEN, REPORTS, golden_reports
 
 
 def with_memory(line: str) -> str:
@@ -95,8 +96,12 @@ def main_regenerate() -> None:
                 write_golden(GOLDEN / "reports" / golden, (out / written).read_bytes(), changed)
     write_golden(GOLDEN / "reports" / "run.txt",
                  ("\n".join(summaries) + "\n").encode("utf-8"), changed)
+    for path in sorted((GOLDEN / "reports").iterdir()):
+        if path.name not in golden_reports():
+            path.unlink()
+            changed.append(path)
     for path in changed:
-        print(f"changed {path.relative_to(GOLDEN)}")
+        print(f"{'changed' if path.exists() else 'deleted'} {path.relative_to(GOLDEN)}")
     if not changed:
         print("no golden file changed")
 

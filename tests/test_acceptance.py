@@ -10,7 +10,6 @@ check (criterion 14) is credential-gated and skipped by default.
 import json
 import os
 import random
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from decimal import Decimal
@@ -21,7 +20,7 @@ import yaml
 
 from hybridmas import analysis
 from hybridmas.accounting import api_cost_usd, energy_joules, kv_cache_bytes
-from hybridmas.analysis import ConfigPoint, pareto_frontier, verifier_confusion
+from hybridmas.analysis import pareto_frontier, verifier_confusion
 from hybridmas.backends import HttpChatBackend, ScriptedBackend, whitespace_token_count
 from hybridmas.cli import main
 from hybridmas.core import RunConfig, TaskInstance, TokenUsage, ToolCall
@@ -299,16 +298,13 @@ def test_acceptance_08_wikienv_oracle():
         assert corpus.digest() == digest
 
 
-def _numpy_frontier(points):
-    if not points:
-        return []
-    cost = np.array([p.cost for p in points])
-    perf = np.array([p.performance for p in points])
-    le = cost[None, :] <= cost[:, None]
-    ge = perf[None, :] >= perf[:, None]
-    strict = (cost[None, :] < cost[:, None]) | (perf[None, :] > perf[:, None])
-    dominated = (le & ge & strict).any(axis=1)
-    return [p for p, d in zip(points, dominated) if not d]
+def _numpy_frontier(cost, energy, perf):
+    """Whether each point is undominated, by brute force over all pairs."""
+    no_worse = ((cost[None, :] <= cost[:, None]) & (energy[None, :] <= energy[:, None])
+                & (perf[None, :] >= perf[:, None]))
+    better = ((cost[None, :] < cost[:, None]) | (energy[None, :] < energy[:, None])
+              | (perf[None, :] > perf[:, None]))
+    return (~(no_worse & better).any(axis=1)).tolist()
 
 
 def test_acceptance_09_pareto_equivalence():
@@ -316,14 +312,14 @@ def test_acceptance_09_pareto_equivalence():
         rng = np.random.default_rng(9)
         for i in range(1000):
             n = int(rng.integers(500, 1001)) if i % 50 == 0 else int(rng.integers(0, 301))
-            costs = rng.integers(0, 25, n)
+            cents = rng.integers(0, 25, n)
+            energies = rng.integers(0, 25, n) / 4
             perfs = rng.integers(0, 21, n) / 20
-            points = [
-                ConfigPoint(f"p{j}", float(costs[j]), float(perfs[j])) for j in range(n)
-            ]
-            ours = Counter((p.label, p.cost, p.performance) for p in pareto_frontier(points))
-            brute = Counter((p.label, p.cost, p.performance) for p in _numpy_frontier(points))
-            assert ours == brute
+            # Dollars as exact Decimals; the oracle compares the whole cents,
+            # which order the same.
+            points = [(Decimal(int(c)).scaleb(-2), float(e), float(p))
+                      for c, e, p in zip(cents, energies, perfs)]
+            assert pareto_frontier(points) == _numpy_frontier(cents, energies, perfs)
 
 
 def test_acceptance_10_metric_checks():

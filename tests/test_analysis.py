@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from hybridmas.analysis import (
     ArityUnsupportedError,
-    ConfigPoint,
     NoGoldError,
     NonAuditRecordError,
     condition_stats,
@@ -204,78 +203,95 @@ class TestConditionStats:
 
 
 def brute_force_frontier(points):
-    kept = []
-    for p in points:
-        dominated = any(
-            q.cost <= p.cost
-            and q.performance >= p.performance
-            and (q.cost < p.cost or q.performance > p.performance)
-            for q in points
+    """Whether each (cost, energy, performance) point is undominated: no
+    other point is no worse in all three and better in one."""
+    return [
+        not any(
+            q[0] <= p[0] and q[1] <= p[1] and q[2] >= p[2] and q != p for q in points
         )
-        if not dominated:
-            kept.append(p)
-    return kept
+        for p in points
+    ]
 
 
 def numpy_frontier(points):
     if not points:
         return []
-    cost = np.array([p.cost for p in points])
-    perf = np.array([p.performance for p in points])
-    le = cost[None, :] <= cost[:, None]
-    ge = perf[None, :] >= perf[:, None]
-    strict = (cost[None, :] < cost[:, None]) | (perf[None, :] > perf[:, None])
-    dominated = (le & ge & strict).any(axis=1)
-    return [p for p, d in zip(points, dominated) if not d]
+    cost, energy, perf = (np.array(column) for column in zip(*points))
+    no_worse = ((cost[None, :] <= cost[:, None]) & (energy[None, :] <= energy[:, None])
+                & (perf[None, :] >= perf[:, None]))
+    better = ((cost[None, :] < cost[:, None]) | (energy[None, :] < energy[:, None])
+              | (perf[None, :] > perf[:, None]))
+    return (~(no_worse & better).any(axis=1)).tolist()
 
 
-def as_multiset(points):
-    from collections import Counter
-
-    return Counter((p.label, p.cost, p.performance) for p in points)
+def random_points(rng, n, costs=12, energies=12, perfs=10):
+    """n points on a small grid, so ties and exact duplicates are common;
+    costs are Decimals, as condition_stats sums them."""
+    return [
+        (Decimal(rng.randint(0, costs)).scaleb(-2), rng.randint(0, energies) / 4,
+         rng.randint(0, perfs) / perfs)
+        for _ in range(n)
+    ]
 
 
 class TestParetoFrontier:
+    """The frontier over (cost, energy, performance). The cases with one
+    energy throughout are the two-axis cost/performance frontier."""
+
     def test_basic(self):
-        points = [ConfigPoint("a", 1, 0.5), ConfigPoint("b", 2, 0.7), ConfigPoint("c", 3, 0.6)]
-        assert [p.label for p in pareto_frontier(points)] == ["a", "b"]
+        points = [(1, 0.0, 0.5), (2, 0.0, 0.7), (3, 0.0, 0.6)]
+        assert pareto_frontier(points) == [True, True, False]
 
     def test_single_point(self):
-        point = ConfigPoint("only", 1.0, 0.3)
-        assert pareto_frontier([point]) == [point]
+        assert pareto_frontier([(1.0, 2.0, 0.3)]) == [True]
+
+    def test_empty(self):
+        assert pareto_frontier([]) == []
 
     def test_duplicates_retained(self):
-        points = [ConfigPoint("a", 1, 0.5), ConfigPoint("b", 1, 0.5)]
-        assert len(pareto_frontier(points)) == 2
+        points = [(1, 2.0, 0.5), (1, 2.0, 0.5)]
+        assert pareto_frontier(points) == [True, True]
 
     def test_equal_performance_higher_cost_dominated(self):
-        points = [ConfigPoint("a", 1, 0.5), ConfigPoint("b", 2, 0.5)]
-        assert [p.label for p in pareto_frontier(points)] == ["a"]
+        points = [(1, 0.0, 0.5), (2, 0.0, 0.5)]
+        assert pareto_frontier(points) == [True, False]
+
+    def test_equal_cost_and_performance_higher_energy_dominated(self):
+        # The golden pevr and pevr_audit conditions: one price, one
+        # performance, and pevr spends more joules.
+        points = [(Decimal("0.0114525"), 25.424, 2 / 3), (Decimal("0.0114525"), 24.94, 2 / 3)]
+        assert pareto_frontier(points) == [False, True]
+
+    def test_each_objective_alone_keeps_a_point(self):
+        points = [(0, 9.0, 0.1), (9, 0.0, 0.1), (9, 9.0, 1.0), (9, 9.0, 0.1)]
+        assert pareto_frontier(points) == [True, True, True, False]
+
+    def test_cost_is_compared_as_an_exact_decimal(self):
+        # Equal as floats, so only the Decimal comparison tells them apart.
+        cheap, dear = Decimal("0.3"), Decimal("0.30000000000000001")
+        assert float(cheap) == float(dear)
+        assert pareto_frontier([(dear, 1.0, 0.5), (cheap, 1.0, 0.5)]) == [False, True]
 
     def test_sorted_by_cost(self):
-        points = [ConfigPoint("b", 3, 0.9), ConfigPoint("a", 1, 0.2), ConfigPoint("c", 2, 0.5)]
-        frontier = pareto_frontier(points)
-        assert [p.cost for p in frontier] == sorted(p.cost for p in frontier)
+        """The points in cost order or in any other order get the same
+        flags, each at its own point's index."""
+        rng = random.Random(2)
+        points = sorted(random_points(rng, 40))
+        flags = dict(zip(points, pareto_frontier(points)))
+        for _ in range(20):
+            rng.shuffle(points)
+            assert pareto_frontier(points) == [flags[p] for p in points]
 
     def test_matches_brute_force_on_random_sets(self):
         rng = random.Random(0)
         for _ in range(150):
-            n = rng.randint(0, 60)
-            points = [
-                ConfigPoint(f"p{i}", rng.randint(0, 12), rng.randint(0, 10) / 10)
-                for i in range(n)
-            ]
-            assert as_multiset(pareto_frontier(points)) == as_multiset(
-                brute_force_frontier(points)
-            )
+            points = random_points(rng, rng.randint(0, 60))
+            assert pareto_frontier(points) == brute_force_frontier(points)
 
     def test_matches_numpy_oracle_on_large_set(self):
         rng = random.Random(1)
-        points = [
-            ConfigPoint(f"p{i}", rng.randint(0, 40), rng.randint(0, 20) / 20)
-            for i in range(1000)
-        ]
-        assert as_multiset(pareto_frontier(points)) == as_multiset(numpy_frontier(points))
+        points = random_points(rng, 1000, costs=40, energies=40, perfs=20)
+        assert pareto_frontier(points) == numpy_frontier(points)
 
 
 def audit_record(task_id, verdicts, architecture="eva_audit"):
@@ -408,8 +424,11 @@ class TestSolveOverlap:
             solve_overlap({"A": set()})
 
 
-@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=40))
-def test_pareto_property_no_dominated_survivor(pairs):
-    points = [ConfigPoint(f"p{i}", c, p / 8) for i, (c, p) in enumerate(pairs)]
-    frontier = pareto_frontier(points)
-    assert as_multiset(frontier) == as_multiset(brute_force_frontier(points))
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)),
+                max_size=40).flatmap(
+    lambda drawn: st.permutations(drawn + drawn[: len(drawn) // 3])))
+def test_pareto_property_no_dominated_survivor(drawn):
+    """Small grids draw ties in every objective; the repeated third of the
+    draw adds exact duplicates."""
+    points = [(Decimal(c).scaleb(-2), e / 4, p / 8) for c, e, p in drawn]
+    assert pareto_frontier(points) == numpy_frontier(points) == brute_force_frontier(points)

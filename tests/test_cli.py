@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import weakref
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import yaml
 
 from hybridmas import cli
 from hybridmas import config as config_module
-from hybridmas.analysis import condition_stats
+from hybridmas.analysis import condition_stats, pareto_frontier
 from hybridmas.backends import ScriptEntry
 from hybridmas.cli import main
 from hybridmas.core import read_trajectories, record_to_json_line
@@ -1110,6 +1111,20 @@ def audit_config(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["report", "eva-tv1.jsonl", "--frontier", "--axis", "energy"],
+     "unrecognized arguments: --axis energy"),
+    (["run", "--out", "out"], "the following arguments are required: --config"),
+], ids=["removed-axis-flag", "no-config"])
+def test_a_command_line_argparse_refuses_exits_2_with_its_usage(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hybridmas ")
+    assert f": error: {message}\n" in err
+
+
 class TestCmdReport:
     @pytest.fixture
     def run_logs(self, tmp_path):
@@ -1121,21 +1136,31 @@ class TestCmdReport:
 
     def test_frontier(self, run_logs, tmp_path):
         out = tmp_path / "reports"
-        assert main(["report", *run_logs, "--frontier", "--out", str(out)]) == 0
+        assert main(["report", *run_logs[::-1], "--frontier", "--out", str(out)]) == 0
         with open(out / "frontier.csv", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows
-        costs = [float(r["cost"]) for r in rows]
-        assert costs == sorted(costs)
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "label", "cost_usd", "energy_joules", "performance", "on_frontier"]
+        assert [r["label"] for r in rows] == ["eva-tv2", "eva-tv1"]
+        points = [(Decimal(r["cost_usd"]), float(r["energy_joules"]), float(r["performance"]))
+                  for r in rows]
+        assert [r["on_frontier"] for r in rows] == [str(f) for f in pareto_frontier(points)]
 
-    def test_energy_axis(self, run_logs, tmp_path):
-        out = tmp_path / "reports_energy"
-        assert main(
-            ["report", *run_logs, "--frontier", "--axis", "energy", "--out", str(out)]
-        ) == 0
-        with open(out / "frontier.csv", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        assert all(r["axis"] == "energy" for r in rows)
+    def test_frontier_values_equal_the_sweep_points(self, run_logs, tmp_path):
+        """Both files write one condition's values alike, to the character."""
+        out = tmp_path / "reports"
+        assert main(["report", *run_logs, "--frontier", "--out", str(out)]) == 0
+        tables = {}
+        for path in (out / "frontier.csv", tmp_path / "out" / "sweep_points.csv"):
+            with open(path, encoding="utf-8") as fh:
+                tables[path.name] = {row["label"]: row for row in csv.DictReader(fh)}
+        columns = ("cost_usd", "energy_joules", "performance")
+        assert list(tables["frontier.csv"]) == list(tables["sweep_points.csv"]) == [
+            "eva-tv1", "eva-tv2"]
+        for label, row in tables["frontier.csv"].items():
+            assert [row[c] for c in columns] == [tables["sweep_points.csv"][label][c]
+                                                 for c in columns]
 
     def test_histogram(self, run_logs, tmp_path):
         out = tmp_path / "reports"

@@ -7,6 +7,7 @@ CSVs computed from them."""
 import copy
 import json
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,11 @@ from hybridmas.backends import ChatRequest
 from hybridmas import cli
 from hybridmas.cli import main
 from hybridmas.config import load_config
+from hybridmas.environments import load_tasks
 from hybridmas.core import read_trajectories, record_from_dict, record_to_json_line
 from hybridmas.prompting import format_memory
 from loopback import _PlannedHandler, _ok_body, _serve
+from replay import replay_lines
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 ARCHITECTURES = ("monolithic", "pevr", "eva", "eva_nosummary", "pevr_audit", "eva_audit")
@@ -219,10 +222,42 @@ REPORTS = [
     (["--frontier", "--histogram", "--kv-growth"], ARCHITECTURES,
      {"frontier.csv": "frontier.csv", "histogram.csv": "histogram.csv",
       "kv_growth.csv": "kv_growth.csv"}),
-    (["--frontier", "--axis", "energy"], ARCHITECTURES, {"frontier.csv": "frontier_energy.csv"}),
     (["--confusion"], ("pevr_audit", "eva_audit"), {"confusion.csv": "confusion.csv"}),
     (["--overlap"], ("monolithic", "pevr", "eva"), {"overlap.csv": "overlap.csv"}),
 ]
+
+
+def _replay_golden(architecture, lines):
+    cfg = load_config(GOLDEN / f"{architecture}.yaml")
+    return replay_lines(cfg, {task.id: task for task in load_tasks(cfg.dataset)}, lines)
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_every_golden_record_replays_to_its_own_line(architecture):
+    """Each record, re-run through run_trajectory on the replies and
+    observations that it holds, writes its own line, byte for byte."""
+    lines = (GOLDEN / "logs" / f"{architecture}.jsonl").read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert _replay_golden(architecture, lines) == lines
+
+
+def test_a_golden_record_with_an_edited_cost_does_not_replay():
+    line = (GOLDEN / "logs" / "pevr.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    record = record_from_dict(json.loads(line))
+    record.totals.cost_usd += Decimal("0.000001")
+    edited = record_to_json_line(record)
+    assert edited != line
+    assert _replay_golden("pevr", [edited]) == [line]
+
+
+def golden_reports() -> set[str]:
+    """The files of reports/: the run summaries and each REPORTS output."""
+    return {"run.txt", *(golden for _, _, outputs in REPORTS for golden in outputs.values())}
+
+
+def test_reports_holds_exactly_the_written_files():
+    """A report dropped from REPORTS leaves no stale golden file behind."""
+    assert {path.name for path in (GOLDEN / "reports").iterdir()} == golden_reports()
 
 
 @pytest.mark.parametrize("form", LOG_FORMS)
