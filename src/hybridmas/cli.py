@@ -11,7 +11,9 @@ Commands
 Exit codes: 0 success, 1 configuration error (including a missing or
 malformed dataset or corpus line and a backend that cannot be built),
 2 runtime error, and also a command line that argparse refuses (an unknown
-flag, a missing --config), with its usage on stderr.
+flag, a missing --config), with its usage on stderr. main alone maps a
+command's outcome to its exit code: a command returns nothing, and raises
+ConfigError for exit 1 and any other exception for exit 2.
 
 Output layout: <output>/<architecture>-tv<interval>/trajectories.jsonl.
 Records are appended as each task ends, in task order: a record that ends
@@ -168,38 +170,29 @@ def _print_summary(summary: dict) -> None:
     )
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     """run: one condition at the configured verification interval. sweep:
     one condition per interval of the config's sweep list, then
     sweep_points.csv over them. The tasks and the environment factory (and
     so a wiki corpus) are loaded once and shared by every condition."""
     sweep = args.command == "sweep"
+    cfg = _load_with_overrides(args)
+    if sweep and not cfg.sweep:
+        raise ConfigError("sweep requires a non-empty sweep list in the config")
     try:
-        cfg = _load_with_overrides(args)
-        if sweep and not cfg.sweep:
-            raise ConfigError("sweep requires a non-empty sweep list in the config")
-        try:
-            tasks = load_tasks(cfg.dataset)
-            env_factory = build_environment_factory(cfg)
-        except SchemaViolationError as exc:  # a bad input line; a bad log line is exit 2
-            raise ConfigError(str(exc)) from None
-        summaries = []
-        for interval in cfg.sweep if sweep else [cfg.run.verify_interval]:
-            summaries.append(execute_condition(cfg, interval, tasks, env_factory))
-            _print_summary(summaries[-1])
-        if sweep:
-            points_path = cfg.output / "sweep_points.csv"
-            _write_points(points_path, [(f"{s['architecture']}-tv{s['verify_interval']}", s)
-                                        for s in summaries], ("architecture", "verify_interval"))
-            print(f"sweep points written to {points_path}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # noqa: BLE001 - runtime boundary for exit code 2
-        logger.exception("%s failed", args.command)
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+        tasks = load_tasks(cfg.dataset)
+        env_factory = build_environment_factory(cfg)
+    except SchemaViolationError as exc:  # a bad input line; a bad log line is exit 2
+        raise ConfigError(str(exc)) from None
+    points = []  # (label, summary); a label is the name report gives the condition's log
+    for interval in cfg.sweep if sweep else [cfg.run.verify_interval]:
+        summary = execute_condition(cfg, interval, tasks, env_factory)
+        _print_summary(summary)
+        points.append((_condition_dir(cfg, interval).name, summary))
+    if sweep:
+        points_path = cfg.output / "sweep_points.csv"
+        _write_points(points_path, points, ("architecture", "verify_interval"))
+        print(f"sweep points written to {points_path}")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -226,7 +219,7 @@ def _report_label(path: Path) -> str:
     return path.parent.name if path.name == "trajectories.jsonl" else path.stem
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     """Read the logs one at a time, in argument order, and reduce each to
     the small values the requested CSVs need before reading the next. Make
     the output directory and write the CSVs once every log has been read
@@ -238,22 +231,17 @@ def cmd_report(args) -> int:
     paths = [Path(p) for p in args.paths]
     for path in paths:
         if not path.is_file():
-            print(f"config error: no such trajectory file: {path}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"no such trajectory file: {path}")
     if not any((args.frontier, args.histogram, args.confusion, args.overlap, args.kv_growth)):
-        print("config error: select at least one analysis flag", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("select at least one analysis flag")
     labeled: dict[str, Path] = {}
     for path in paths:
         label = _report_label(path)
         if label in labeled:
-            print(f"config error: {labeled[label]} and {path} both have the report label "
-                  f"{label}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"{labeled[label]} and {path} both have the report label {label}")
         labeled[label] = path
     if args.overlap and len(labeled) not in analysis.OVERLAP_SET_COUNTS:
-        print(f"config error: --overlap needs 2 or 3 logs, got {len(labeled)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--overlap needs 2 or 3 logs, got {len(labeled)}")
     stats: dict[str, analysis.ConditionStats] = {}  # non-empty logs only
     architectures: dict[str, str] = {}  # each non-empty log's first record's
     interventions: list[int] = []
@@ -261,49 +249,43 @@ def cmd_report(args) -> int:
     confusion = analysis.ConfusionReport(0, 0, 0, 0)
     unlabeled: Optional[str] = None
     non_audit: Optional[analysis.NonAuditRecordError] = None
-    try:
-        for label, path in labeled.items():
-            records = read_trajectories(path)
-            if records and (args.frontier or args.kv_growth):
-                stats[label] = analysis.condition_stats(records)
-                architectures[label] = records[0].architecture
-            if args.histogram:
-                interventions.extend(r.applied_interventions() for r in records)
-            if args.overlap:
-                solve_sets[label] = {r.task_id for r in records if r.success}
-            if args.confusion and unlabeled is None:
-                unlabeled = next((r.task_id for r in records if r.success is None), None)
-                if unlabeled is None and non_audit is None:
-                    try:
-                        report = analysis.verifier_confusion([(r, r.success) for r in records])
-                        confusion = analysis.ConfusionReport(
-                            *map(sum, zip(astuple(confusion), astuple(report))))
-                    except analysis.NonAuditRecordError as exc:
-                        # Its traceback would keep this log's records alive.
-                        non_audit = exc.with_traceback(None)
-            del records
-        if unlabeled is not None:
-            raise ValueError(f"record {unlabeled} has no success label; "
-                             "run against a dataset with gold answers first")
-        if non_audit is not None:
-            raise non_audit
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.frontier:
-            _write_frontier(stats, out_dir / "frontier.csv")
+    for label, path in labeled.items():
+        records = read_trajectories(path)
+        if records and (args.frontier or args.kv_growth):
+            stats[label] = analysis.condition_stats(records)
+            architectures[label] = records[0].architecture
         if args.histogram:
-            _write_histogram(interventions, out_dir / "histogram.csv")
-        if args.confusion:
-            _write_confusion(confusion, out_dir / "confusion.csv")
+            interventions.extend(r.applied_interventions() for r in records)
         if args.overlap:
-            _write_overlap(solve_sets, out_dir / "overlap.csv")
-        if args.kv_growth:
-            _write_kv_growth(stats, architectures, out_dir / "kv_growth.csv")
-    except Exception as exc:  # noqa: BLE001
-        logger.exception("report failed")
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+            solve_sets[label] = {r.task_id for r in records if r.success}
+        if args.confusion and unlabeled is None:
+            unlabeled = next((r.task_id for r in records if r.success is None), None)
+            if unlabeled is None and non_audit is None:
+                try:
+                    report = analysis.verifier_confusion([(r, r.success) for r in records])
+                    confusion = analysis.ConfusionReport(
+                        *map(sum, zip(astuple(confusion), astuple(report))))
+                except analysis.NonAuditRecordError as exc:
+                    # Its traceback would keep this log's records alive.
+                    non_audit = exc.with_traceback(None)
+        del records
+    if unlabeled is not None:
+        raise ValueError(f"record {unlabeled} has no success label; "
+                         "run against a dataset with gold answers first")
+    if non_audit is not None:
+        raise non_audit
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.frontier:
+        _write_frontier(stats, out_dir / "frontier.csv")
+    if args.histogram:
+        _write_histogram(interventions, out_dir / "histogram.csv")
+    if args.confusion:
+        _write_confusion(confusion, out_dir / "confusion.csv")
+    if args.overlap:
+        _write_overlap(solve_sets, out_dir / "overlap.csv")
+    if args.kv_growth:
+        _write_kv_growth(stats, architectures, out_dir / "kv_growth.csv")
 
 
 def _write_frontier(stats: dict, path: Path) -> None:
@@ -405,7 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except Exception as exc:  # noqa: BLE001 - the one runtime boundary, exit code 2
+        logger.exception("%s failed", args.command)
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ stripped, else it is refused with its number in json.loads' own words.
 A trajectory record stores only what cannot be derived from it: an
 intervention was applied exactly when its turn is in resets, its handoff
 is parsed again from the supervisor's reply, and the largest executor
-context is computed from the turns. A record's resets must be strictly
-increasing turns of its INTERVENE calls, and empty in audit.
+context is computed from the turns. A record's resets must be the turns of
+its INTERVENE calls, all of them and in order, and empty in audit: outside
+audit every parsed INTERVENE is applied at once.
 
 Token lengths everywhere are backend-reported counts, never produced by a
 local tokenizer. Out-of-context is a terminal trajectory state, never a
@@ -328,16 +329,11 @@ class TrajectoryRecord:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.termination not in TERMINATIONS:
             raise ValueError(f"unknown termination {self.termination!r}")
-        if self.resets:
-            if self.architecture in AUDIT_ARCHITECTURES:
-                raise ValueError(f"{self.architecture} applies no intervention, "
-                                 f"but resets are {self.resets}")
-            intervened = {c.at_turn for c in self.supervisor_calls
-                          if c.decision.verdict == INTERVENE}
-            if (not intervened.issuperset(self.resets)
-                    or any(a >= b for a, b in zip(self.resets, self.resets[1:]))):
-                raise ValueError(f"resets {self.resets} are not strictly increasing turns "
-                                 "of INTERVENE calls")
+        applied = [] if self.architecture in AUDIT_ARCHITECTURES else [
+            c.at_turn for c in self.supervisor_calls if c.decision.verdict == INTERVENE]
+        if self.resets != applied:
+            raise ValueError(f"resets {self.resets} are not {applied}, the turns of the "
+                             f"INTERVENE calls that {self.architecture} applies")
 
     def applied_interventions(self) -> int:
         return len(self.resets)

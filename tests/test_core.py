@@ -179,20 +179,22 @@ class TestSerialization:
                                              rf"trajectory record: .*{re.escape(repr(value))}"):
             read_trajectories(path)
 
-    # Each case would count an intervention that was never applied.
+    # Each case would miscount the interventions that were applied: outside
+    # audit every INTERVENE is applied, and in audit none is.
     @pytest.mark.parametrize(
-        "changes, message",
+        "changes",
         [
-            ({"resets": [3]}, "not strictly increasing turns of INTERVENE calls"),
-            ({"resets": [5]}, "not strictly increasing turns of INTERVENE calls"),
-            ({"resets": [2, 2]}, "not strictly increasing turns of INTERVENE calls"),
-            ({"architecture": "pevr_audit"}, "applies no intervention"),
+            {"resets": [3]},
+            {"resets": [5]},
+            {"resets": [2, 2]},
+            {"architecture": "pevr_audit"},
+            {"resets": []},
+            {"resets": ""},
         ],
-        ids=["continue-turn", "no-call-turn", "repeated", "audit"],
+        ids=["continue-turn", "no-call-turn", "repeated", "audit", "intervene-without-reset",
+             "empty-string"],
     )
-    def test_resets_that_no_intervention_explains_are_a_malformed_record(
-        self, tmp_path, changes, message
-    ):
+    def test_resets_that_no_intervention_explains_are_a_malformed_record(self, tmp_path, changes):
         broken = {**json.loads(record_to_json_line(make_full_record())), **changes}
         path = tmp_path / "trajectories.jsonl"
         path.write_text(
@@ -200,7 +202,8 @@ class TestSerialization:
             encoding="utf-8",
         )
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: malformed "
-                                             rf"trajectory record: .*{message}"):
+                                             r"trajectory record: resets .* are not .*, the "
+                                             r"turns of the INTERVENE calls that"):
             read_trajectories(path)
 
     def test_resets_subset_of_intervene_turns(self):
@@ -326,13 +329,12 @@ _supervisor_calls = st.builds(SupervisorCallRecord, _big_ints, _decisions, _usag
 
 @st.composite
 def _records(draw):
-    """A record whose resets are a subsequence of its own INTERVENE calls'
-    turns, in increasing order, and empty in audit."""
+    """A record whose resets are its own INTERVENE calls' turns, in order,
+    and empty in audit."""
     architecture = draw(st.sampled_from(tuple(ARCHITECTURES)))
     calls = draw(st.lists(_supervisor_calls, max_size=3))
-    intervened = sorted({c.at_turn for c in calls if c.decision.verdict == "intervene"})
-    if architecture in AUDIT_ARCHITECTURES:
-        intervened = []
+    intervened = [] if architecture in AUDIT_ARCHITECTURES else [
+        c.at_turn for c in calls if c.decision.verdict == "intervene"]
     return draw(st.builds(
         TrajectoryRecord,
         task_id=_texts,
@@ -341,7 +343,7 @@ def _records(draw):
         turns=st.lists(_turns, max_size=3),
         supervisor_calls=st.just(calls),
         initial_plan=st.none() | st.builds(InitialPlanRecord, _texts, _usages()),
-        resets=st.just([t for t in intervened if draw(st.booleans())]),
+        resets=st.just(intervened),
         final_answer=st.none() | _texts,
         termination=st.sampled_from(TERMINATIONS),
         success=st.none() | st.booleans(),

@@ -5,14 +5,20 @@ and a task that escapes with an exception keeps the records before it.
 The endpoint answers each task by the number in its question ("Q7 ...")
 and counts the requests of each task, so every fault is tied to a task and
 repeats identically after a resume. No assertion bounds a time.
+
+Kill points: a finished scripted log cut at any byte offset (where a kill
+could leave it) resumes to the fresh run's log, byte for byte.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from decimal import Decimal
@@ -20,6 +26,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from hybridmas import cli
 from hybridmas.accounting import api_cost_usd
@@ -261,3 +268,108 @@ def test_escaped_exception_at_parallelism_2(tmp_path, fault_server, monkeypatch,
     # Two workers: besides the failing task, at most the two tasks its
     # workers took up next had started when the rest were cancelled.
     assert set(started) <= set(ids[: failing + 3])
+
+
+# --- kill points -------------------------------------------------------------
+
+KILL_POINT_TASKS = 5
+EDGE_MODEL = {
+    "placement": "edge",
+    "param_count": 4.0e9,
+    "layers": 36,
+    "kv_heads": 8,
+    "head_dim": 128,
+    "bytes_per_activation": 2,
+    "efficiency": 1.5e12,
+    "context_cap": 32768,
+}
+
+
+def _kill_point_config(tmp_path) -> Path:
+    """An eva run over scripted backends whose every entry matches its
+    task's marker ("Q3:"), so a resumed run serves each rerun task its own
+    replies whichever tasks it skips. Each task searches, is verified (an
+    INTERVENE for odd tasks) and finishes."""
+    tasks, executor, supervisor = [], [], []
+    for i in range(KILL_POINT_TASKS):
+        marker = f"Q{i}:"
+        tasks.append({"id": f"t{i}", "question": f"{marker} what is item {i}?",
+                      "answers": [f"a{i}"]})
+        executor += [{"match": marker, "response": f"Looking.\nTool call: search[item {i}]"},
+                     {"match": marker, "response": f"Tool call: finish[a{i}]"}]
+        supervisor.append({"match": marker, "response": (
+            f"INTERVENE\n<SUMMARY>item {i} searched</SUMMARY>\n<ADVICE>answer a{i}</ADVICE>"
+            if i % 2 else "CONTINUE")})
+    (tmp_path / "tasks.jsonl").write_text(
+        "".join(json.dumps(task) + "\n" for task in tasks), encoding="utf-8"
+    )
+    config = {
+        "run": {
+            "architecture": "eva",
+            "max_turns": 4,
+            "verify_interval": 1,
+            "executor": {"model": "edge", "backend": "executor"},
+            "supervisor": {"model": "cloud", "backend": "supervisor"},
+        },
+        "models": {"edge": EDGE_MODEL, "cloud": CLOUD_MODEL},
+        "backends": {"executor": {"type": "script", "script": executor},
+                     "supervisor": {"type": "script", "script": supervisor}},
+        "dataset": "tasks.jsonl",
+        "environment": {"type": "scripted", "default": "item found"},
+        "output": "out",
+    }
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    return path
+
+
+def _run(config: Path, out: Path) -> tuple[bytes, Decimal]:
+    """Run config into out; return its log and the run's printed total cost."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    total = re.search(r"total_cost_usd=(\S+)", stdout.getvalue()).group(1)
+    return (out / "eva-tv1" / "trajectories.jsonl").read_bytes(), Decimal(total)
+
+
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """The kill-point config and what one uninterrupted run of it wrote."""
+    root = tmp_path_factory.mktemp("kill_points")
+    config = _kill_point_config(root)
+    log, total = _run(config, root / "fresh")
+    records = [record_from_dict(json.loads(line)) for line in log.splitlines()]
+    assert [r.task_id for r in records] == [f"t{i}" for i in range(KILL_POINT_TASKS)]
+    assert sum(r.applied_interventions() for r in records) == KILL_POINT_TASKS // 2
+    assert total == sum((r.totals.cost_usd for r in records), Decimal(0)) > 0
+    return root, config, log, total
+
+
+def _resume_from_cut(fresh_run, offset: int) -> None:
+    """Resume a copy of the fresh log cut at offset: every task is in the
+    log once, the log is the fresh run's byte for byte, and the resumed
+    run's total cost is the fresh run's exact Decimal sum."""
+    root, config, fresh_log, fresh_total = fresh_run
+    with tempfile.TemporaryDirectory(dir=root) as out:
+        log = Path(out) / "eva-tv1" / "trajectories.jsonl"
+        log.parent.mkdir()
+        log.write_bytes(fresh_log[:offset])
+        resumed_log, resumed_total = _run(config, Path(out))
+    assert [r.task_id for r in map(record_from_dict, map(json.loads, resumed_log.splitlines()))
+            ] == [f"t{i}" for i in range(KILL_POINT_TASKS)]
+    assert resumed_log == fresh_log
+    assert resumed_total == fresh_total
+
+
+@pytest.mark.parametrize("cut", ["empty", "mid-first-line", "whole-log"])
+def test_a_log_cut_at_a_named_point_resumes_to_the_fresh_log(fresh_run, cut):
+    log = fresh_run[2]
+    first_line = log.index(b"\n") + 1
+    offset = {"empty": 0, "mid-first-line": first_line // 2, "whole-log": len(log)}[cut]
+    _resume_from_cut(fresh_run, offset)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_log_cut_at_any_byte_resumes_to_the_fresh_log(fresh_run, data):
+    _resume_from_cut(fresh_run, data.draw(st.integers(0, len(fresh_run[2])), label="offset"))

@@ -5,6 +5,7 @@ tool-call memory (logs_with_memory/), plus the run summaries and report
 CSVs computed from them."""
 
 import copy
+import importlib.util
 import json
 import re
 from decimal import Decimal
@@ -24,6 +25,7 @@ from loopback import _PlannedHandler, _ok_body, _serve
 from replay import replay_lines
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 ARCHITECTURES = ("monolithic", "pevr", "eva", "eva_nosummary", "pevr_audit", "eva_audit")
 LOG_FORMS = ("logs", "logs_with_memory")
 
@@ -250,6 +252,25 @@ def test_a_golden_record_with_an_edited_cost_does_not_replay():
     edited = record_to_json_line(record)
     assert edited != line
     assert _replay_golden("pevr", [edited]) == [line]
+
+
+def test_a_tiny_long_horizon_run_replays_to_itself(tmp_path):
+    """Every record of a scripted run of the benchmark's tiny long-horizon
+    inputs, generated here, replays to its own line."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    manifest = gen.generate("long-horizon-scripted", 7, tmp_path / "inputs", size="tiny")
+    for condition in manifest["conditions"]:
+        config = tmp_path / "inputs" / condition["config"]
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        log = tmp_path / "out" / condition["label"] / "trajectories.jsonl"
+        lines = log.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == len(manifest["expected"][condition["label"]])
+        cfg = load_config(config)
+        tasks = {task.id: task for task in load_tasks(cfg.dataset)}
+        assert replay_lines(cfg, tasks, lines) == lines
 
 
 def golden_reports() -> set[str]:

@@ -49,6 +49,7 @@ from hybridmas.prompting import (
 )
 from conftest import EDGE_PROFILE, make_run_config, unconsumed
 from loopback import _PlannedHandler, _WindowHandler, _ok_body, _serve
+from replay import replay
 
 TASK = TaskInstance("task-1", "Did Richard Feynman win a Nobel Prize?", ("yes",), "hotpotqa")
 
@@ -1087,7 +1088,7 @@ def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, pla
     failed, and a call whose first attempt failed leaves no record. Every
     verify request and resume seed is its text rebuilt from the record: a
     pevr verify request carries the replan of the latest reset before its
-    turn, else the initial plan."""
+    turn, else the initial plan. The record replays to itself."""
     family, audit = ARCHITECTURES[architecture], architecture in AUDIT_ARCHITECTURES
     max_turns = 4
     verified = list(range(interval, max_turns + 1, interval))
@@ -1108,6 +1109,10 @@ def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, pla
     record = run_trajectory(TASK, config, executor, supervisor, env)
     assert supervisor.script == []
     assert record.termination == termination
+    # Unscored, as run_trajectory leaves it.
+    unscored = replace(TASK, gold_answers=())
+    assert record_to_json_line(replay(record, config, unscored, ScriptedEnvironment)) == (
+        record_to_json_line(record))
     assert len(record.turns) == (calls[-1][0] if termination != "turn_budget_exhausted"
                                  else max_turns)
 
