@@ -26,9 +26,7 @@ configuration (its config_digest differs) is refused with exit 2 and
 nothing is appended to it (a torn final line is still dropped), so one log
 never mixes two conditions.
 
-Report CSVs (stable column names; frontier.csv's were label,axis,cost,
-performance until the --axis flag was dropped for one frontier over all
-three objectives):
+Report CSVs (stable column names):
     frontier.csv    label,cost_usd,energy_joules,performance,on_frontier
                     (one row per non-empty log, in argument order)
     histogram.csv   intervention_count,frequency

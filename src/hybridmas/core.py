@@ -409,16 +409,21 @@ def _decode_decimal(v) -> Decimal:
 def _codec(tp) -> tuple[Callable, Optional[Callable]]:
     """(encode, decode) for values declared as tp: encode returns a value's
     JSON text, decode builds the value from its parsed JSON and is None
-    where that is the value itself."""
+    where that is the value itself. A list decodes only from a JSON list
+    and a dataclass only from a JSON object; any other value is refused."""
     if tp is Decimal:
         return (lambda v: _json_value(str(v))), _decode_decimal
     args = get_args(tp)
     if get_origin(tp) is list:
         enc, dec = _codec(args[0])
-        return (
-            lambda v: "[" + ",".join(map(enc, v)) + "]",
-            list if dec is None else (lambda v: [dec(x) for x in v]),
-        )
+        what = f"a list of {args[0].__name__}"
+
+        def decode_list(v):
+            if v.__class__ is not list:
+                raise TypeError(f"{what} must be a JSON list, not {v!r}")
+            return list(v) if dec is None else [dec(x) for x in v]
+
+        return (lambda v: "[" + ",".join(map(enc, v)) + "]"), decode_list
     if get_origin(tp) is Union:  # Optional[X]
         enc, dec = _codec(next(a for a in args if a is not type(None)))
         return (
@@ -432,7 +437,8 @@ def _codec(tp) -> tuple[Callable, Optional[Callable]]:
 
 def _dataclass_codec(cls) -> tuple[Callable, Callable]:
     """Encode and decode functions generated from the field list, shaped
-    like hand-written ones: one f-string and one constructor call."""
+    like hand-written ones: one f-string, and one type check before one
+    constructor call."""
     hints = get_type_hints(cls)
     namespace = {"cls": cls}
     items, args = [], []
@@ -448,7 +454,10 @@ def _dataclass_codec(cls) -> tuple[Callable, Callable]:
     text = "{{" + ",".join(items) + "}}"
     exec(
         f"def encode(obj): return f{text!r}\n"
-        f"def decode(data): return cls({', '.join(args)})",
+        f"def decode(data):\n"
+        f"    if data.__class__ is not dict:\n"
+        f"        raise TypeError(f'a {cls.__name__} must be a JSON object, not {{data!r}}')\n"
+        f"    return cls({', '.join(args)})",
         namespace,
     )
     return namespace["encode"], namespace["decode"]

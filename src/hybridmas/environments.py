@@ -12,9 +12,7 @@ raise: the agent must see them, so every failure becomes an observation.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 import re
 from array import array
 from collections import Counter, defaultdict
@@ -116,16 +114,6 @@ class WikiCorpus:
 
     def __len__(self) -> int:
         return len(self._pages)
-
-    def digest(self) -> str:
-        canonical = json.dumps(
-            sorted(
-                (key, title, split_sentences(text))
-                for key, (title, text) in self._pages.items()
-            ),
-            ensure_ascii=False,
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def similar_titles(self, query: str, k: int = 5) -> list[str]:
         """Titles ranked by shared normalized-token count with the query,

@@ -80,6 +80,16 @@ def make_corpus() -> WikiCorpus:
     )
 
 
+def corpus_snapshot(corpus: WikiCorpus) -> tuple[list, list]:
+    """What a corpus serves: each title with its sentences, in load order,
+    and the similar titles of a few fixed queries. Equal snapshots mean the
+    same pages, read and searched the same way."""
+    pages = [(title, corpus.sentences(title)) for title in corpus.titles()]
+    searches = [corpus.similar_titles(query)
+                for query in ("Richard Feynman", "marie", "Nobel Prize", "zzz")]
+    return pages, searches
+
+
 @pytest.fixture
 def edge_profile() -> ModelProfile:
     return EDGE_PROFILE

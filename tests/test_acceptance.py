@@ -34,7 +34,8 @@ from hybridmas.prompting import (
     parse_tool_call,
     render,
 )
-from conftest import CLOUD_PROFILE, EDGE_PROFILE, FEYNMAN_SENTENCES, make_corpus, unconsumed
+from conftest import (CLOUD_PROFILE, EDGE_PROFILE, FEYNMAN_SENTENCES, corpus_snapshot, make_corpus,
+                      unconsumed)
 
 
 @contextmanager
@@ -286,7 +287,7 @@ def test_acceptance_08_wikienv_oracle():
             assert obs == f"(Result {i} / {len(matches)}) {sentence}"
         assert env.step(ToolCall("lookup", "Nobel Prize")) == NO_MORE_RESULTS
 
-        digest = corpus.digest()
+        snapshot = corpus_snapshot(corpus)
         rng = random.Random(8)
         titles = corpus.titles()
         for _ in range(100):
@@ -295,7 +296,7 @@ def test_acceptance_08_wikienv_oracle():
                 tool = rng.choice(["search", "lookup", "unknown"])
                 argument = rng.choice(titles + ["Nobel Prize", "physics", "algorithm", "zzz"])
                 episode_env.step(ToolCall(tool, argument))
-        assert corpus.digest() == digest
+        assert corpus_snapshot(corpus) == snapshot
 
 
 def _numpy_frontier(cost, energy, perf):

@@ -189,10 +189,8 @@ class TestSerialization:
             {"resets": [2, 2]},
             {"architecture": "pevr_audit"},
             {"resets": []},
-            {"resets": ""},
         ],
-        ids=["continue-turn", "no-call-turn", "repeated", "audit", "intervene-without-reset",
-             "empty-string"],
+        ids=["continue-turn", "no-call-turn", "repeated", "audit", "intervene-without-reset"],
     )
     def test_resets_that_no_intervention_explains_are_a_malformed_record(self, tmp_path, changes):
         broken = {**json.loads(record_to_json_line(make_full_record())), **changes}
@@ -205,6 +203,32 @@ class TestSerialization:
                                              r"trajectory record: resets .* are not .*, the "
                                              r"turns of the INTERVENE calls that"):
             read_trajectories(path)
+
+    # A list reads only from a JSON list and a dataclass only from a JSON
+    # object: lost turns must not read as a task with no turns.
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("resets", "", "a list of int must be a JSON list, not ''"),
+            ("turns", {}, "a list of TurnRecord must be a JSON list, not {}"),
+            ("supervisor_calls", "", "a list of SupervisorCallRecord must be a JSON list, not ''"),
+            ("totals", [], "a TrajectoryTotals must be a JSON object, not []"),
+        ],
+        ids=["resets-empty-string", "turns-object", "supervisor-calls-empty-string",
+             "totals-list"],
+    )
+    def test_container_of_another_json_type_is_a_malformed_record(
+        self, tmp_path, key, value, message
+    ):
+        broken = {**json.loads(record_to_json_line(make_full_record())), key: value}
+        path = tmp_path / "trajectories.jsonl"
+        path.write_text(
+            record_to_json_line(make_full_record()) + "\n" + json.dumps(broken) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as exc_info:
+            read_trajectories(path)
+        assert str(exc_info.value) == f"{path}: line 2: malformed trajectory record: {message}"
 
     def test_resets_subset_of_intervene_turns(self):
         record = make_full_record()

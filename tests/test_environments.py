@@ -1,5 +1,6 @@
 """Wiki environment semantics, the scripted environment, and task loading."""
 
+import hashlib
 import json
 import random
 
@@ -21,7 +22,7 @@ from hybridmas.environments import (
     split_sentences,
     truncate_observation,
 )
-from conftest import CURIE_SENTENCES, FEYNMAN_SENTENCES, make_corpus
+from conftest import CURIE_SENTENCES, FEYNMAN_SENTENCES, corpus_snapshot, make_corpus
 
 
 class TestSentenceSegmentation:
@@ -182,7 +183,7 @@ class TestEnvStep:
         assert "search[entity]" in obs
 
     def test_corpus_read_only_under_random_episodes(self, corpus):
-        digest = corpus.digest()
+        snapshot = corpus_snapshot(corpus)
         rng = random.Random(0)
         titles = corpus.titles()
         for _ in range(100):
@@ -191,7 +192,7 @@ class TestEnvStep:
                 tool = rng.choice(["search", "lookup", "bogus"])
                 arg = rng.choice(titles + ["Nobel Prize", "physics", "zzz"])
                 env.step(ToolCall(tool, arg))
-        assert corpus.digest() == digest
+        assert corpus_snapshot(corpus) == snapshot
 
     def test_deterministic_given_state(self, corpus):
         outputs = []
@@ -321,7 +322,7 @@ class TestCorpusLoading:
         corpus = WikiCorpus.load(path)
         assert len(corpus) == 2
         assert corpus.sentences("richard feynman") == FEYNMAN_SENTENCES
-        assert corpus.digest() == WikiCorpus.load(path).digest()
+        assert corpus_snapshot(corpus) == corpus_snapshot(WikiCorpus.load(path))
 
     def test_segmentation_applied_at_load(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -398,7 +399,8 @@ _page_texts = st.one_of(
     st.text(max_size=40),
 )
 
-# WikiCorpus.digest() of make_corpus(): when a page is split must not change it.
+# The SHA-256 of make_corpus()'s pages, each as its normalized title, title
+# and sentences: when a page is split must not change it.
 MAKE_CORPUS_DIGEST = "794b6ef35a7eb4f8439a2ef1119f88299718cedc8de5a08496bbbef9fced8942"
 
 
@@ -420,7 +422,10 @@ class TestLazyPages:
         assert WikiCorpus.load(path).sentences("t") == sentences
 
     def test_digest_is_unchanged(self):
-        assert make_corpus().digest() == MAKE_CORPUS_DIGEST
+        corpus = make_corpus()
+        pages = sorted((normalize_title(t), t, corpus.sentences(t)) for t in corpus.titles())
+        canonical = json.dumps(pages, ensure_ascii=False).encode("utf-8")
+        assert hashlib.sha256(canonical).hexdigest() == MAKE_CORPUS_DIGEST
 
     def test_load_splits_no_page(self, tmp_path, monkeypatch):
         calls = []
