@@ -98,9 +98,9 @@ def execute_condition(
 ) -> dict:
     """Run every pending task of tasks for one (architecture, interval)
     condition, each in a fresh environment from env_factory, appending each
-    record to its log once it and every earlier task have ended. Backends
-    are built here, for this condition alone: a scripted one is consumed by
-    its run. Returns summary stats over the complete log."""
+    scored record to its log once it and every earlier task have ended.
+    Backends are built here, for this condition alone: a scripted one is
+    consumed by its run. Returns summary stats over the complete log."""
     run_config = replace(cfg.run, verify_interval=verify_interval)
     executor = build_backend(cfg.backend_specs[cfg.executor_backend_name])
     supervisor = None
@@ -134,11 +134,7 @@ def execute_condition(
         parallelism = 1
 
     def run_one(task) -> TrajectoryRecord:
-        record = run_trajectory(task, run_config, executor, supervisor, env_factory())
-        if task.gold_answers:
-            record.score = analysis.trajectory_score(task.benchmark_tag, record, task.gold_answers)
-            record.success = analysis.task_success(task.benchmark_tag, record.score)
-        return record
+        return run_trajectory(task, run_config, executor, supervisor, env_factory())
 
     # Both maps yield in task order, so the log's order does not depend on
     # the parallelism. The built-in map runs each task on this thread; the

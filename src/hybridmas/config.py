@@ -3,7 +3,8 @@ model profiles, backend bindings, the environment, dataset/corpus paths,
 and sweep values.
 
 Each section's keys are the parameters of what it builds (RunConfig,
-SamplingParams, ModelProfile, Pricing, HttpChatBackend, WikiEnvironment or
+SamplingParams, ModelProfile, Pricing, HttpChatBackend, ScriptEntry for a
+script entry that is not a plain string, WikiEnvironment or
 ScriptedEnvironment, and ToolCall plus its observation text for a table
 entry), each converted by its declared type; any other key is a
 ConfigError, and so is a value the constructor refuses. 0, false, "" and
@@ -233,11 +234,11 @@ def parse_model_profile(name: str, raw: dict) -> ModelProfile:
 
 
 def _load_script(name: str, spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
-    """The script of backends.<name>, each entry checked: a plain string is
-    kept as it is, and only a {match, response} mapping, whose response is a
-    string and whose match is a string or null, becomes a ScriptEntry. A
-    mapping with any other key is a bad entry: a misspelled match would
-    answer any request. A script_file resolves against base_dir."""
+    """The script of backends.<name>: a plain string entry is kept as it
+    is, and any other entry is read as the parameters of a ScriptEntry,
+    located as backends.<name>.script[<i>], so that a misspelled match,
+    which would answer any request, is an unknown key. A script_file
+    resolves against base_dir."""
     if "script" in spec:
         raw_entries = spec["script"]
     else:
@@ -253,16 +254,9 @@ def _load_script(name: str, spec: dict, base_dir: Path) -> list[str | ScriptEntr
                 raise ConfigError(f"invalid JSON in {path}: {exc}")
     if not isinstance(raw_entries, list) or not raw_entries:
         raise ConfigError("backend script must be a non-empty list")
-    entries = []
-    for item in raw_entries:
-        if (isinstance(item, dict) and item.keys() <= {"match", "response"}
-                and isinstance(item.get("response"), str)
-                and isinstance(item.get("match", ""), (str, type(None)))):
-            item = ScriptEntry(item["response"], item.get("match"))
-        elif not isinstance(item, str):
-            raise ConfigError(f"bad script entry: {item!r}")
-        entries.append(item)
-    return entries
+    return [item if isinstance(item, str)
+            else _construct(ScriptEntry, item, f"backends.{name}.script[{i}].")
+            for i, item in enumerate(raw_entries)]
 
 
 def _backend(name: str, spec: Any, base_dir: Path) -> Callable[[], object]:

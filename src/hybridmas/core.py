@@ -355,8 +355,9 @@ class TrajectoryRecord:
 # same fields as a dict. A str longer than _LONG_STR chars (an observation
 # that many turns return, say) gets its JSON text from a small cache of the
 # last _LONG_STRS such strs, so that a log escapes it once. Reading
-# requires every declared key, ignores unknown ones and constructs each
-# dataclass, so its __post_init__ validation runs.
+# requires every declared key, ignores unknown ones, reads each leaf (a
+# str, int, bool or float) only from its own JSON class and constructs
+# each dataclass, so its __post_init__ validation runs.
 
 # The bytes a JSON string must escape, besides any non-ASCII character.
 _ESCAPED = bytes(range(0x20)) + b'"\\'
@@ -435,28 +436,51 @@ def _codec(tp) -> tuple[Callable, Optional[Callable]]:
     return _json_value, None
 
 
+# The JSON classes a leaf of each type reads from, and the type's name: a
+# float may be written as an int, and a bool is no int.
+_LEAVES = {str: ((str,), "a str"), bool: ((bool,), "a bool"), int: ((int,), "an int"),
+           float: ((float, int), "a float")}
+
+
 def _dataclass_codec(cls) -> tuple[Callable, Callable]:
     """Encode and decode functions generated from the field list, shaped
-    like hand-written ones: one f-string, and one type check before one
-    constructor call."""
+    like hand-written ones: one f-string, and class checks of the object
+    and of each leaf field before one constructor call."""
     hints = get_type_hints(cls)
     namespace = {"cls": cls}
-    items, args = [], []
+    items, checks, args = [], [], []
     for f in fields(cls):
-        encode, decode = _codec(hints[f.name])
+        tp = hints[f.name]
+        encode, decode = _codec(tp)
         namespace[f"encode_{f.name}"] = encode
         items.append(f"{_json_value(f.name)}:{{encode_{f.name}(obj.{f.name})}}")
-        if decode is None:
-            args.append(f"data[{f.name!r}]")
-        else:
+        value = f"data[{f.name!r}]"
+        if decode is not None:
             namespace[f"decode_{f.name}"] = decode
-            args.append(f"decode_{f.name}(data[{f.name!r}])")
+            value = f"decode_{f.name}({value})"
+        # A leaf, an Optional leaf (null too) or a list of leaves (each item,
+        # once decode has read a JSON list) is checked by its class.
+        leaf = next((arg for arg in get_args(tp) if arg is not type(None)), tp)
+        if leaf in _LEAVES:
+            namespace[f"leaf_{f.name}"], name = _LEAVES[leaf]
+            v = f"v_{f.name}"
+            test = f"{v}.__class__ not in leaf_{f.name}"
+            if get_origin(tp) is list:
+                test = f"any(x.__class__ not in leaf_{f.name} for x in {v})"
+                name = f"a list of {leaf.__name__}"
+            elif leaf is not tp:
+                test, name = f"{v} is not None and {test}", f"{name} or null"
+            checks.append(f"    {v} = {value}\n    if {test}:\n"
+                          f"        raise TypeError(f'{f.name} must be {name}, not {{{v}!r}}')\n")
+            value = v
+        args.append(value)
     text = "{{" + ",".join(items) + "}}"
     exec(
         f"def encode(obj): return f{text!r}\n"
         f"def decode(data):\n"
         f"    if data.__class__ is not dict:\n"
         f"        raise TypeError(f'a {cls.__name__} must be a JSON object, not {{data!r}}')\n"
+        f"{''.join(checks)}"
         f"    return cls({', '.join(args)})",
         namespace,
     )

@@ -1,6 +1,7 @@
 """Execution state machines: the monolithic ReAct baseline, the
 plan-supervised and advice-supervised hybrid architectures, and their
-no-restart audit variants.
+no-restart audit variants. run_trajectory returns a task's log line,
+billed and, where the task has gold answers, scored.
 
 Turn indices are 1-based. The loop owns finish[answer]: each reply is
 parsed against the environment's tools plus FINISH_TOOL, and a finish call
@@ -48,7 +49,7 @@ import logging
 from dataclasses import asdict
 from typing import Optional
 
-from . import accounting
+from . import accounting, analysis
 from .backends import BackendError, ChatRequest, ContextOverflowError
 from .core import (
     CONTINUE,
@@ -330,6 +331,12 @@ def run_trajectory(
     supervisor_backend,
     env,
 ) -> TrajectoryRecord:
-    """Execute one task under the configured architecture. Each trajectory
-    needs a fresh env: an environment keeps its state from step to step."""
-    return _Episode(task, config, executor_backend, supervisor_backend, env).run()
+    """Execute one task under the configured architecture: its log line,
+    scored where the task has gold answers and unscored otherwise. Each
+    trajectory needs a fresh env: an environment keeps its state from step
+    to step."""
+    record = _Episode(task, config, executor_backend, supervisor_backend, env).run()
+    if task.gold_answers:
+        record.score = analysis.trajectory_score(task.benchmark_tag, record, task.gold_answers)
+        record.success = analysis.task_success(task.benchmark_tag, record.score)
+    return record

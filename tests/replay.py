@@ -1,10 +1,10 @@
 """Replay a trajectory record: rebuild, from the line alone, the replies
-its calls got and the observations its environment returned, run them
-through run_trajectory, and score the result as a run does. A line replays
-to itself when it is byte for byte what this code makes of the replies it
-stores: its totals are the bill of its usage under the config's profiles,
-its resets and termination follow from its verdicts, and no state outside
-the line steered the episode.
+its calls got and the observations its environment returned, and run them
+through run_trajectory, which scores the result as a run does. A line
+replays to itself when it is byte for byte what this code makes of the
+replies it stores: its totals are the bill of its usage under the config's
+profiles, its resets and termination follow from its verdicts, and no state
+outside the line steered the episode.
 
 What a record holds, as replies:
 - each executor turn answers its reasoning, then "\\nTool call: " and its
@@ -28,7 +28,6 @@ corpus: the environment's tools and tool prompt are class attributes.
 
 import json
 
-from hybridmas import analysis
 from hybridmas.backends import BackendError, ChatResponse, ContextOverflowError
 from hybridmas.core import (ARCHITECTURES, FINISH_TOOL, TokenUsage, record_from_dict,
                             record_to_json_line)
@@ -86,8 +85,8 @@ def _supervisor_replies(record):
 
 def replay(record, run_config, task, env_class):
     """The record that run_trajectory makes of the replies and observations
-    that record holds, under run_config for task, scored as a run scores
-    it. Every reply and observation must be consumed."""
+    that record holds, under run_config for task. Every reply and
+    observation must be consumed."""
     executor = _Replies(
         [ChatResponse(t.reasoning + (f"\nTool call: {t.action.render()}" if t.action else ""),
                       t.usage, t.wall_time_ms) for t in record.turns],
@@ -98,9 +97,6 @@ def replay(record, run_config, task, env_class):
     replayed = run_trajectory(task, run_config, executor,
                               supervisor if run_config.family != "monolithic" else None, env)
     assert executor.replies == supervisor.replies == env.observations == [], "unconsumed"
-    if task.gold_answers:
-        replayed.score = analysis.trajectory_score(task.benchmark_tag, replayed, task.gold_answers)
-        replayed.success = analysis.task_success(task.benchmark_tag, replayed.score)
     return replayed
 
 

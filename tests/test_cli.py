@@ -325,7 +325,7 @@ MALFORMED_VALUES = {
     "backend-not-mapping": ({"backends": {"executor": "typewriter"}}, "backend spec"),
     "script-response-int": (
         {"backends": {"executor": {"type": "script", "script": [{"response": 5}]}}},
-        "bad script entry: ",
+        "config error: backends.executor.script[0].response must be a string, not 5",
     ),
     "environment-not-mapping": ({"environment": "scripted"}, "environment must be a mapping"),
     # A type that is no string: a list was unhashable (exit 2).
@@ -761,7 +761,7 @@ def test_unreferenced_spec_beside_the_golden_config_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("script, message", [
     ({"script": 5}, "backend script must be a non-empty list"),
-    ({"script": [{"response": 5}]}, "bad script entry: {'response': 5}"),
+    ({"script": [{"response": 5}]}, "backends.spare.script[0].response must be a string, not 5"),
     ({"script_file": "empty.json"}, "backend script must be a non-empty list"),
 ], ids=["not-a-list", "bad-entry", "file-not-a-list"])
 def test_unreferenced_script_beside_the_golden_config_exits_1(tmp_path, capsys, script,

@@ -159,22 +159,36 @@ def test_null_match_is_a_match_free_entry(tmp_path):
     assert built._entries == [ScriptEntry("x")]
 
 
+BAD_SCRIPT_ENTRIES = {
+    "int": (5, "backends.executor.script[1] must be a mapping, not 5"),
+    "mapping-without-response": (
+        {"match": "Q1"}, "missing key 'response' in backends.executor.script[1]"),
+    "null": (None, "backends.executor.script[1] must be a mapping, not None"),
+    "list": (["a"], "backends.executor.script[1] must be a mapping, not ['a']"),
+    "response-int": (
+        {"response": 5}, "backends.executor.script[1].response must be a string, not 5"),
+    "match-int": ({"match": 5, "response": "x"},
+                  "backends.executor.script[1].match must be a string, not 5"),
+    "misspelled-match": ({"response": "x", "matc": "Q1"},
+                         "unknown key 'matc' in backends.executor.script[1]"),
+}
+
+
 @pytest.mark.parametrize(
-    "entry",
-    [5, {"match": "Q1"}, None, ["a"], {"response": 5}, {"match": 5, "response": "x"},
-     {"response": "x", "matc": "Q1"}],
-    ids=["int", "mapping-without-response", "null", "list", "response-int", "match-int",
-         "misspelled-match"],
+    "entry, message", list(BAD_SCRIPT_ENTRIES.values()), ids=list(BAD_SCRIPT_ENTRIES)
 )
 @pytest.mark.parametrize("source", ["script", "script_file"])
-def test_bad_script_entry_is_config_error(tmp_path, entry, source):
+def test_bad_script_entry_is_config_error(tmp_path, entry, message, source):
+    """An entry that is no plain string is read through ScriptEntry's
+    declaration and refused with its location, from either source."""
     script = ["fine", entry]
     spec = {"script": script}
     if source == "script_file":
         (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
         spec = {"script_file": "script.json"}
-    with pytest.raises(config.ConfigError, match="^bad script entry: "):
+    with pytest.raises(config.ConfigError) as refused:
         _script_backend(tmp_path, **spec)
+    assert str(refused.value) == message
 
 
 def test_the_readme_config_example_loads(tmp_path):

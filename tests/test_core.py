@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import fields, is_dataclass, replace
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,13 @@ class TestTypeInvariants:
             TaskInstance("", "q")
         with pytest.raises(ValueError):
             TaskInstance("id", "")
+
+
+def _set(data, path, value):
+    """Set the item at path, a sequence of keys and indices, in data."""
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
 
 
 def make_full_record() -> TrajectoryRecord:
@@ -153,10 +161,7 @@ class TestSerialization:
         self, tmp_path, path, value, message
     ):
         broken = json.loads(record_to_json_line(make_full_record()))
-        parent = broken
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
+        _set(broken, path, value)
         log = tmp_path / "trajectories.jsonl"
         log.write_text(
             record_to_json_line(make_full_record()) + "\n" + json.dumps(broken) + "\n",
@@ -229,6 +234,40 @@ class TestSerialization:
         with pytest.raises(ValueError) as exc_info:
             read_trajectories(path)
         assert str(exc_info.value) == f"{path}: line 2: malformed trajectory record: {message}"
+
+    # A leaf reads only from a value of its declared type's JSON class: the
+    # reader took each of these, and wrote resets [2.0] back as [2.0].
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("final_answer",), 5, "final_answer must be a str or null, not 5"),
+            (("task_id",), 5, "task_id must be a str, not 5"),
+            (("config_digest",), 5, "config_digest must be a str, not 5"),
+            (("success",), "true", "success must be a bool or null, not 'true'"),
+            (("score",), "1.0", "score must be a float or null, not '1.0'"),
+            (("totals", "energy_joules"), "12.5", "energy_joules must be a float, not '12.5'"),
+            (("turns", 0, "reasoning"), ["x"], "reasoning must be a str, not ['x']"),
+            (("turns", 0, "wall_time_ms"), 1.5, "wall_time_ms must be an int, not 1.5"),
+            (("turns", 0, "observation"), None, "observation must be a str, not None"),
+            (("turns", 0, "t"), True, "t must be an int, not True"),
+            (("resets",), [2.0], "resets must be a list of int, not [2.0]"),
+        ],
+        ids=["final-answer-int", "task-id-int", "config-digest-int", "success-str", "score-str",
+             "energy-str", "reasoning-list", "wall-time-float", "observation-null", "t-true",
+             "resets-float"],
+    )
+    def test_leaf_of_another_json_type_is_a_malformed_record(self, tmp_path, path, value,
+                                                             message):
+        broken = json.loads(record_to_json_line(make_full_record()))
+        _set(broken, path, value)
+        log = tmp_path / "trajectories.jsonl"
+        log.write_text(
+            record_to_json_line(make_full_record()) + "\n" + json.dumps(broken) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as exc_info:
+            read_trajectories(log)
+        assert str(exc_info.value) == f"{log}: line 2: malformed trajectory record: {message}"
 
     def test_resets_subset_of_intervene_turns(self):
         record = make_full_record()
@@ -427,3 +466,50 @@ def test_long_strs_are_written_as_json_dumps_writes_them(pool, data):
         line = record_to_json_line(record)
         assert line == json.dumps(reference_dict(record), ensure_ascii=False, separators=(",", ":"))
         assert record_from_dict(json.loads(line)) == record
+
+
+# --- every leaf reads only from its own JSON class --------------------------
+
+# The JSON classes a leaf of each declared type reads from: a float may be
+# written as an int, a bool is no int, and a Decimal is a string.
+_READS_FROM = {str: {str}, int: {int}, bool: {bool}, float: {int, float}, Decimal: {str}}
+# One value of each JSON class.
+_JSON_VALUES = [None, True, 0, 0.5, "s", [], {}]
+
+
+def _leaves(value, tp, path=()):
+    """(path, the classes its JSON value may have) of each leaf of value,
+    declared as tp, in its JSON form: a list's items and a set Optional
+    dataclass are walked into."""
+    if get_origin(tp) is Union:  # Optional[X]
+        (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+        if tp in _READS_FROM:
+            yield path, _READS_FROM[tp] | {type(None)}
+            return
+        if value is None:
+            return
+    if tp in _READS_FROM:
+        yield path, _READS_FROM[tp]
+    elif get_origin(tp) is list:
+        for i, item in enumerate(value):
+            yield from _leaves(item, get_args(tp)[0], path + (i,))
+    else:
+        hints = get_type_hints(tp)
+        for f in fields(tp):
+            yield from _leaves(getattr(value, f.name), hints[f.name], path + (f.name,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_records().filter(lambda r: not any(map(math.isnan, (r.totals.energy_joules,
+                                                             r.score or 0.0)))),
+       st.data())
+def test_a_record_round_trips_and_a_leaf_of_another_json_type_is_refused(record, data):
+    line = record_to_json_line(record)
+    read = record_from_dict(json.loads(line))
+    assert read == record and record_to_json_line(read) == line
+    path, classes = data.draw(st.sampled_from(list(_leaves(record, TrajectoryRecord))))
+    broken = json.loads(line)
+    _set(broken, path, data.draw(st.sampled_from(
+        [value for value in _JSON_VALUES if value.__class__ not in classes])))
+    with pytest.raises((TypeError, ValueError)):
+        record_from_dict(broken)

@@ -25,9 +25,17 @@ from loopback import _PlannedHandler, _ok_body, _serve
 from replay import replay_lines
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 ARCHITECTURES = ("monolithic", "pevr", "eva", "eva_nosummary", "pevr_audit", "eva_audit")
 LOG_FORMS = ("logs", "logs_with_memory")
+
+
+def _perfbench(name: str):
+    """The benchmark's module perfbench/<name>.py, loaded by its path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
@@ -257,10 +265,8 @@ def test_a_golden_record_with_an_edited_cost_does_not_replay():
 def test_a_tiny_long_horizon_run_replays_to_itself(tmp_path):
     """Every record of a scripted run of the benchmark's tiny long-horizon
     inputs, generated here, replays to its own line."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    manifest = gen.generate("long-horizon-scripted", 7, tmp_path / "inputs", size="tiny")
+    manifest = _perfbench("gen").generate("long-horizon-scripted", 7, tmp_path / "inputs",
+                                          size="tiny")
     for condition in manifest["conditions"]:
         config = tmp_path / "inputs" / condition["config"]
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
@@ -271,6 +277,40 @@ def test_a_tiny_long_horizon_run_replays_to_itself(tmp_path):
         cfg = load_config(config)
         tasks = {task.id: task for task in load_tasks(cfg.dataset)}
         assert replay_lines(cfg, tasks, lines) == lines
+
+
+def test_qa_http_logs_do_not_depend_on_the_parallelism(tmp_path):
+    """The benchmark's full-size qa-http inputs, generated here, served by
+    its stub endpoint at 0 ms with fresh counters for each run: every
+    condition writes the same log at parallelism 1, 4 and 16, once
+    wall_time_ms is zeroed, and each task ends as the inputs script it."""
+    inputs = tmp_path / "inputs"
+    manifest = _perfbench("gen").generate("qa-http", 7, inputs)
+    stub = _perfbench("stub")
+    for condition in manifest["conditions"]:
+        label = condition["label"]
+        text = (inputs / condition["config"]).read_text(encoding="utf-8")
+        logs = set()
+        for parallelism in (1, 4, 16):
+            server = _serve(stub.make_handler(stub.StubState(manifest["script"], 0.0)))
+            url = f"http://127.0.0.1:{server.server_port}"
+            try:
+                config = inputs / f"{label}-p{parallelism}.yaml"
+                config.write_text(text.replace("STUB_URL", url), encoding="utf-8")
+                out = tmp_path / f"p{parallelism}"
+                assert main(["run", "--config", str(config), "--out", str(out),
+                             "--parallelism", str(parallelism)]) == 0
+            finally:
+                server.shutdown()
+                server.server_close()
+            log = out / label / "trajectories.jsonl"
+            logs.add(re.sub(rb'"wall_time_ms":\d+', b'"wall_time_ms":0', log.read_bytes()))
+        assert len(logs) == 1
+        expected = manifest["expected"][label]
+        assert [(r.task_id, r.termination, r.resets, r.final_answer)
+                for r in read_trajectories(log)] == [
+            (task_id, e["termination"], e["resets"], e["final_answer"])
+            for task_id, e in expected.items()]
 
 
 def golden_reports() -> set[str]:

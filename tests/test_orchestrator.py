@@ -139,6 +139,27 @@ class TestMonolithic:
         assert executor.requests[0] == expected
 
 
+class TestScoring:
+    """run_trajectory returns the task's log line: scored against the gold
+    answers where the task has them, and unscored otherwise."""
+
+    @pytest.mark.parametrize("replies, scored", [
+        (["Tool call: finish[yes]"], (1.0, True)),
+        (["Tool call: finish[no]"], (0.0, False)),
+        (search_turns(2), (0.0, False)),
+    ], ids=["right", "wrong", "unfinished"])
+    def test_a_task_with_gold_answers_is_scored(self, replies, scored):
+        record, _, _ = run_scripted("monolithic", replies, max_turns=2)
+        assert (record.score, record.success) == scored
+
+    def test_a_task_without_gold_answers_is_left_unscored(self):
+        record = run_trajectory(replace(TASK, gold_answers=()), make_run_config("monolithic"),
+                                ScriptedBackend(["Tool call: finish[yes]"]), None,
+                                ScriptedEnvironment(default="obs"))
+        assert record.termination == "finished"
+        assert (record.score, record.success) == (None, None)
+
+
 class TestPevr:
     def test_verification_schedule(self):
         record, _, supervisor = run_scripted(
@@ -1109,9 +1130,7 @@ def test_a_stored_decision_is_the_parse_of_its_reply(architecture, interval, pla
     record = run_trajectory(TASK, config, executor, supervisor, env)
     assert supervisor.script == []
     assert record.termination == termination
-    # Unscored, as run_trajectory leaves it.
-    unscored = replace(TASK, gold_answers=())
-    assert record_to_json_line(replay(record, config, unscored, ScriptedEnvironment)) == (
+    assert record_to_json_line(replay(record, config, TASK, ScriptedEnvironment)) == (
         record_to_json_line(record))
     assert len(record.turns) == (calls[-1][0] if termination != "turn_budget_exhausted"
                                  else max_turns)
