@@ -263,15 +263,17 @@ def _parse_usage(block) -> TokenUsage:
     """Token counts from a chat-completions usage block, with cached tokens
     capped at the prompt. A block that is absent, not a mapping, lacks
     prompt_tokens or completion_tokens, or holds a count that is not a
-    non-negative integer raises UsageMissingError; absent cached-token
-    details mean 0 cached tokens."""
+    non-negative integer raises UsageMissingError. Only absent or null
+    cached-token details, or an absent or null count in them, mean 0 cached
+    tokens: a false, empty or 0.0 value is as malformed as any other."""
     if not block:
         raise UsageMissingError("endpoint returned no usage block")
     try:
-        details = block.get("prompt_tokens_details") or {}
+        details = block.get("prompt_tokens_details")
+        cached = None if details is None else details.get("cached_tokens")
         counts = (
             block.get("prompt_tokens"),
-            details.get("cached_tokens") or 0,
+            0 if cached is None else cached,
             block.get("completion_tokens"),
         )
         well_formed = all(type(count) is int and count >= 0 for count in counts)

@@ -3,15 +3,16 @@ model profiles, backend bindings, the environment, dataset/corpus paths,
 and sweep values.
 
 Each section's keys are the parameters of what it builds (RunConfig,
-SamplingParams, ModelProfile, Pricing, HttpChatBackend, ScriptEntry for a
-script entry that is not a plain string, WikiEnvironment or
-ScriptedEnvironment, and ToolCall plus its observation text for a table
+SamplingParams, ModelProfile, Pricing, HttpChatBackend, ScriptedBackend,
+ScriptEntry for a script entry that is not a plain string, WikiEnvironment
+or ScriptedEnvironment, and ToolCall plus its observation text for a table
 entry), each converted by its declared type; any other key is a
-ConfigError, and so is a value the constructor refuses. 0, false, "" and
-[] are values, checked as such, never a stand-in for a default.
-load_config is the one reader of the file: every backend spec is checked
-at load, whether or not a role references it, and every script is read
-there, once. A backend and the environment are kept as builders that
+ConfigError, and so is a value the constructor refuses. A script
+backend's script_file, the path of a file holding its script, stands in
+for the script. 0, false, "" and [] are values, checked as such, never a
+stand-in for a default. load_config is the one reader of the file: every
+backends.<name> is checked at load, whether or not a role references it,
+and every script is read there, once. A backend and the environment are kept as builders that
 construct objects only. A sweep lists each interval once.
 Credentials are never stored in config, only the names of environment
 variables holding them. Relative paths resolve against the config file's
@@ -23,6 +24,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache, partial
@@ -163,9 +165,20 @@ def _table(value: Any, where: str) -> dict[ToolCall, str]:
     return table
 
 
+def _script(value: Any, where: str) -> list[ScriptEntry | str]:
+    """A backend's script: a plain string entry is kept as it is, and any
+    other entry is read as the parameters of a ScriptEntry, located as
+    where[<i>], so that a misspelled match, which would answer any request,
+    is an unknown key."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of entries, not {value!r}")
+    return [item if isinstance(item, str) else _construct(ScriptEntry, item, f"{where}[{i}].")
+            for i, item in enumerate(value)]
+
+
 # The converter of each type a config key may be declared with.
 _CONVERTERS = {int: _integer, float: _float, str: _string, Decimal: _decimal,
-               Mapping[ToolCall, str]: _table}
+               Mapping[ToolCall, str]: _table, Sequence[ScriptEntry | str]: _script}
 
 
 def _known(raw: Any, keys: tuple, section: str) -> dict:
@@ -233,48 +246,37 @@ def parse_model_profile(name: str, raw: dict) -> ModelProfile:
     return _construct(ModelProfile, raw, where, ("pricing",), name=name, pricing=pricing)
 
 
-def _load_script(name: str, spec: dict, base_dir: Path) -> list[str | ScriptEntry]:
-    """The script of backends.<name>: a plain string entry is kept as it
-    is, and any other entry is read as the parameters of a ScriptEntry,
-    located as backends.<name>.script[<i>], so that a misspelled match,
-    which would answer any request, is an unknown key. A script_file
-    resolves against base_dir."""
-    if "script" in spec:
-        raw_entries = spec["script"]
-    else:
-        path = base_dir.absolute() / _path(spec["script_file"], f"backends.{name}.script_file")
+def _backend(name: str, spec: Any, base_dir: Path) -> Callable[[], object]:
+    """A zero-argument builder of the backend that backends.<name> describes:
+    its type picks the constructor, whose declaration reads the other keys,
+    and the backend is built once here to check their values. A script
+    spec's script_file, resolved against base_dir, stands in for its script,
+    which is read here, once, and shared by every build (ScriptedBackend
+    never mutates it)."""
+    where = f"backends.{name}."
+    section = where[:-1]
+    kind = _string(_require(spec, "type", section), where + "type")
+    build = {"script": ScriptedBackend, "http": HttpChatBackend}.get(kind)
+    if build is None:
+        raise ConfigError(f"{section}: unknown backend type {kind!r}")
+    config_only = ("type",)
+    if build is ScriptedBackend and "script_file" in spec:
+        if "script" in spec:
+            raise ConfigError(f"{section}: give script or script_file, not both")
+        path = base_dir.absolute() / _path(spec["script_file"], where + "script_file")
         if not path.is_file():
             raise ConfigError(f"script file not found: {path}")
         if path.suffix in (".yaml", ".yml"):
-            raw_entries = _load_yaml(path)
+            script = _load_yaml(path)
         else:
             try:
-                raw_entries = json.loads(path.read_text(encoding="utf-8"))
+                script = json.loads(path.read_text(encoding="utf-8"))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid JSON in {path}: {exc}")
-    if not isinstance(raw_entries, list) or not raw_entries:
-        raise ConfigError("backend script must be a non-empty list")
-    return [item if isinstance(item, str)
-            else _construct(ScriptEntry, item, f"backends.{name}.script[{i}].")
-            for i, item in enumerate(raw_entries)]
-
-
-def _backend(name: str, spec: Any, base_dir: Path) -> Callable[[], object]:
-    """A zero-argument builder of the backend that backends.<name> describes,
-    its every key and value checked: a script spec's script is read here,
-    once (every build shares the list, which ScriptedBackend never
-    mutates), and an http spec is built once to check its values."""
-    kind = _require(spec, "type", "backend spec")
-    if kind == "script":
-        spec = _known(spec, ("type", "script", "script_file"), "script backend")
-        if "script" not in spec and "script_file" not in spec:
-            raise ConfigError("scripted backends need a script or script_file key")
-        return partial(ScriptedBackend, _load_script(name, spec, base_dir))
-    if kind == "http":
-        keywords = _keywords(HttpChatBackend, spec, "http backend ", ("type",))
-        _build(HttpChatBackend, "http backend", keywords)
-        return partial(HttpChatBackend, **keywords)
-    raise ConfigError(f"unknown backend type {kind!r}")
+        spec, config_only = {**spec, "script": script}, ("type", "script_file")
+    keywords = _keywords(build, spec, where, config_only)
+    _build(build, section, keywords)
+    return partial(build, **keywords)
 
 
 def build_backend(spec: Callable[[], object], base_dir: Optional[Path] = None):

@@ -74,7 +74,6 @@ from .prompting import (
     parse_plan,
     parse_tool_call,
     render,
-    template_placeholders,
 )
 
 logger = logging.getLogger(__name__)
@@ -184,16 +183,16 @@ class _Episode:
         parts += block
 
     def _render(self, template: str) -> tuple:
-        """Render template, binding each placeholder to the value of that
-        name that the supervisor last handed over, or else the episode's."""
-        values = {
+        """Render template, each placeholder taking the value of its name
+        that the supervisor last handed over, or else the episode's; render
+        reads only the values that the template names."""
+        return render(template, {
             "user_query": self.task.query,
             "available_tools": self.env.tool_prompt,
             "executor_context": self._log,
             "memory": self._memory,
             **self._handoff,
-        }
-        return render(template, {name: values[name] for name in template_placeholders(template)})
+        })
 
     def _call(self, role, backend, prompt, t=0, parse=None, record=None):
         """Send prompt to backend for one model call in the given role

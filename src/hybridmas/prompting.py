@@ -40,18 +40,6 @@ class UnknownTemplateError(PromptError):
     pass
 
 
-class MissingBindingError(PromptError):
-    def __init__(self, name: str):
-        super().__init__(f"missing binding for placeholder {name!r}")
-        self.name = name
-
-
-class UnexpectedBindingError(PromptError):
-    def __init__(self, name: str):
-        super().__init__(f"binding {name!r} matches no placeholder in the template")
-        self.name = name
-
-
 class MalformedPlanError(PromptError):
     pass
 
@@ -89,11 +77,6 @@ def _template_pieces(template_id: str) -> tuple[tuple[str, str | None], ...]:
     return tuple(zip(split[::2], names))
 
 
-@lru_cache(maxsize=None)
-def template_placeholders(template_id: str) -> frozenset[str]:
-    return frozenset(name for _, name in _template_pieces(template_id) if name is not None)
-
-
 def render(
     template_id: str, bindings: Mapping[str, str | Sequence[str]]
 ) -> tuple[str | tuple[str, ...], ...]:
@@ -104,18 +87,12 @@ def render(
     (backends.join_parts): the template's literal spans (the same str
     objects on every call) with each binding in its place as one part, a
     str as itself and a sequence of str as a group, the tuple of its strs.
-    Bindings must cover exactly the template's placeholders.
+    Each placeholder is looked up in bindings, so a placeholder without a
+    binding is a KeyError that names it, and a binding that names no
+    placeholder is not read.
     """
-    pieces = _template_pieces(template_id)
-    placeholders = template_placeholders(template_id)
-    for name in bindings:
-        if name not in placeholders:
-            raise UnexpectedBindingError(name)
-    for name in placeholders:
-        if name not in bindings:
-            raise MissingBindingError(name)
     parts: list[str | tuple[str, ...]] = []
-    for literal, name in pieces:
+    for literal, name in _template_pieces(template_id):
         if literal:
             parts.append(literal)
         if name is not None:

@@ -3,6 +3,7 @@ mock server."""
 
 import base64
 import datetime
+import http.client
 import ipaddress
 import json
 import re
@@ -520,6 +521,13 @@ class TestHttpBackend:
         response = backend.complete(ChatRequest("hi"))
         assert response.usage.cached_tokens == 40
 
+    @pytest.mark.parametrize("details", [None, {}, {"cached_tokens": None}],
+                             ids=["null-details", "absent-count", "null-count"])
+    def test_absent_or_null_cached_count_is_zero(self, mock_server, details):
+        usage = {"prompt_tokens": 12, "completion_tokens": 3, "prompt_tokens_details": details}
+        mock_server.plan = [(200, {"choices": [{"message": {"content": "x"}}], "usage": usage})]
+        assert _backend(mock_server).complete(ChatRequest("hi")).usage.cached_tokens == 0
+
     def test_wire_format(self, mock_server):
         mock_server.plan = [(200, _ok_body())]
         backend = _backend(mock_server)
@@ -602,6 +610,13 @@ class TestHttpBackend:
             {"prompt_tokens": 12, "completion_tokens": 3, "prompt_tokens_details": [1]},
             {"prompt_tokens": 12, "completion_tokens": 3,
              "prompt_tokens_details": {"cached_tokens": "4"}},
+            # Falsy values that are no count: only an absent key or a null
+            # means 0 cached tokens.
+            *({"prompt_tokens": 12, "completion_tokens": 3,
+               "prompt_tokens_details": {"cached_tokens": cached}}
+              for cached in (False, "", [], {}, 0.0)),
+            *({"prompt_tokens": 12, "completion_tokens": 3, "prompt_tokens_details": details}
+              for details in ("", [], 0, False)),
         ],
     )
     def test_malformed_usage_is_not_retried(self, mock_server, usage):
@@ -1249,3 +1264,126 @@ class TestReplyReader:
         with pytest.raises(TransportError, match=f"request failed: .*{error}"):
             backend.complete(ChatRequest("hi"))
         assert server.connections == 1
+
+
+# --- valid replies read by the reader and by http.client -------------------
+
+
+def _cased(name: str):
+    """name with each letter in a drawn case: field names are case-insensitive."""
+    return st.lists(st.booleans(), min_size=len(name), max_size=len(name)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(name, upper)))
+
+
+_OWS = st.sampled_from(["", " ", "\t", "  "])
+_REASON = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz \t-", max_size=12)
+
+
+@st.composite
+def _field(draw, name, value, trailing_ows=True):
+    """A field line (RFC 9112 §5) of name in a drawn case, with drawn OWS
+    around value; http.client keeps trailing OWS in a Transfer-Encoding
+    value and then misses the coding, so that one takes none."""
+    after = draw(_OWS) if trailing_ows else ""
+    return f"{draw(_cased(name))}:{draw(_OWS)}{value}{after}\r\n"
+
+
+@st.composite
+def _chunked(draw, body: bytes) -> bytes:
+    """body as chunks (RFC 9112 §7.1) of drawn sizes, each size in hex of
+    either case with leading zeros and an optional extension, then the
+    last chunk and trailer fields."""
+    def size_line(n):
+        digits = draw(st.sampled_from(["%x", "%X", "00%x"])) % n
+        extension = draw(st.sampled_from(["", ";name", " ; name=value", ';q="a;b"']))
+        return f"{digits}{extension}\r\n".encode()
+
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(body) - 1, 1)), max_size=3)))
+    pieces = [body[i:j] for i, j in zip([0, *cuts], [*cuts, len(body)]) if body[i:j]]
+    trailers = draw(st.lists(_field("X-Trailer", "t"), max_size=2))
+    return (b"".join(size_line(len(piece)) + piece + b"\r\n" for piece in pieces)
+            + size_line(0) + "".join(trailers).encode() + b"\r\n")
+
+
+@st.composite
+def _valid_replies(draw):
+    """(wire bytes, the same reply as http.client is given, status, body,
+    reusable) of one valid reply: interim 100 replies, a status line with
+    or without a reason, duplicate and case-varied fields, and a body
+    framed by Content-Length, a list of one length included, or by chunks.
+    http.client reads a Content-Length list as no length, so it is given
+    each list's one value."""
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    status = draw(st.sampled_from([200, 201, 204, 304, 400, 404, 429, 500, 503]))
+    body = b"" if status in (204, 304) else draw(st.binary(max_size=48))
+    connection = draw(st.sampled_from([None, "close", "Close", "keep-alive", "Keep-Alive"]))
+    reusable = (connection is not None and connection.lower() == "keep-alive"
+                if version == "HTTP/1.0" else connection is None or connection.lower() != "close")
+    fields = [draw(_field(name, value)) for name, value in draw(st.lists(st.sampled_from(
+        [("X-Request-Id", "abc"), ("Content-Type", "application/json"), ("Server", "s")]),
+        max_size=3))]
+    if connection is not None:
+        fields.append(draw(_field("Connection", connection)))
+    chunked = status not in (204, 304) and version == "HTTP/1.1" and draw(st.booleans())
+    oracle_fields = list(fields)
+    if chunked:
+        fields.append(draw(_field("Transfer-Encoding", "chunked", trailing_ows=False)))
+        oracle_fields.append(fields[-1])
+        body_bytes = draw(_chunked(body))
+    elif status not in (204, 304):
+        for repeats in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)):
+            fields.append(draw(_field("Content-Length", ", ".join([str(len(body))] * repeats))))
+            oracle_fields.append(fields[-1].replace(f", {len(body)}", ""))
+        body_bytes = body
+    else:
+        body_bytes = b""
+    order = draw(st.permutations(range(len(fields))))
+    interim = "".join("HTTP/1.1 100 Continue\r\n" + "".join(draw(st.lists(
+        _field("X-Hint", "h"), max_size=1))) + "\r\n" for _ in range(draw(st.integers(0, 2))))
+    head = f"{interim}{version} {status} {draw(_REASON)}\r\n"
+
+    def wire(lines):
+        return (head + "".join(lines[i] for i in order) + "\r\n").encode() + body_bytes
+
+    return wire(fields), wire(oracle_fields), status, body, reusable
+
+
+def _read_both(replies):
+    """What _read_reply and http.client.HTTPResponse each read of the
+    replies sent one after the other on one socket, each sent once the last
+    was read, up to the first that leaves the connection not reusable: a
+    (status, body, reusable) per reply read."""
+    reads = {}
+    for reader in ("reader", "http.client"):
+        server, client = socket.socketpair()
+        with server, client:
+            client.settimeout(5)
+            reads[reader] = []
+            for wire, oracle, *_ in replies:
+                if reader == "reader":
+                    server.sendall(wire)
+                    status, _, body, reusable = backends._read_reply(client, time.monotonic() + 5)
+                else:
+                    server.sendall(oracle)
+                    response = http.client.HTTPResponse(client)
+                    response.begin()
+                    status, body = response.status, response.read()
+                    reusable = not response.will_close
+                reads[reader].append((status, body, reusable))
+                if not reusable:
+                    break
+    return reads["reader"], reads["http.client"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_replies(), _valid_replies())
+def test_valid_replies_read_as_http_client_reads_them(first, second):
+    """Both readers agree on each valid reply's status, body and reuse, and
+    read a second reply intact whenever the first left the connection
+    reusable."""
+    ours, theirs = _read_both([first, second])
+    assert ours == theirs
+    expected = [reply[2:] for reply in (first, second)][:len(ours)]
+    assert ours == expected
+    assert len(ours) == (2 if first[4] else 1)
+

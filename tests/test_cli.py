@@ -288,41 +288,43 @@ MALFORMED_VALUES = {
     ),
     "max_retries": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "max_retries": "few"}}},
-        "http backend max_retries",
+        "backends.executor.max_retries",
     ),
     "backoff_s": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "backoff_s": "soon"}}},
-        "http backend backoff_s",
+        "backends.executor.backoff_s",
     ),
     "backoff_cap_s": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "backoff_cap_s": None}}},
-        "http backend backoff_cap_s",
+        "backends.executor.backoff_cap_s",
     ),
     "timeout_s": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "timeout_s": [1]}}},
-        "http backend timeout_s",
+        "backends.executor.timeout_s",
     ),
     "max_retries-negative": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "max_retries": -2}}},
-        "http backend: max_retries must be >= 0",
+        "backends.executor: max_retries must be >= 0",
     ),
     "backoff_s-negative": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "backoff_s": -1}}},
-        "http backend: backoff_s must be >= 0",
+        "backends.executor: backoff_s must be >= 0",
     ),
     "backoff_cap_s-negative": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "backoff_cap_s": -0.5}}},
-        "http backend: backoff_cap_s must be >= 0",
+        "backends.executor: backoff_cap_s must be >= 0",
     ),
     "timeout_s-zero": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "timeout_s": 0}}},
-        "http backend: timeout_s must be > 0",
+        "backends.executor: timeout_s must be > 0",
     ),
     "timeout_s-negative": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "timeout_s": -1}}},
-        "http backend: timeout_s must be > 0",
+        "backends.executor: timeout_s must be > 0",
     ),
-    "backend-not-mapping": ({"backends": {"executor": "typewriter"}}, "backend spec"),
+    "backend-not-mapping": (
+        {"backends": {"executor": "typewriter"}}, "backends.executor must be a mapping"
+    ),
     "script-response-int": (
         {"backends": {"executor": {"type": "script", "script": [{"response": 5}]}}},
         "config error: backends.executor.script[0].response must be a string, not 5",
@@ -357,7 +359,7 @@ MALFORMED_VALUES = {
     ),
     "max_retries-float": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "max_retries": 2.5}}},
-        "http backend max_retries",
+        "backends.executor.max_retries",
     ),
     "context_cap-float": (
         {"models": {"edge": {**EDGE_MODEL, "context_cap": 32768.5}, "cloud": CLOUD_MODEL}},
@@ -398,15 +400,15 @@ MALFORMED_VALUES = {
     ),
     "timeout_s-inf": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "timeout_s": float("inf")}}},
-        "http backend timeout_s",
+        "backends.executor.timeout_s",
     ),
     "backoff_s-nan": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "backoff_s": "nan"}}},
-        "http backend backoff_s",
+        "backends.executor.backoff_s",
     ),
     "base_url-no-scheme": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "base_url": "127.0.0.1:9"}}},
-        "http backend: base_url must be an http or https URL",
+        "backends.executor: base_url must be an http or https URL",
     ),
     # A scripted environment has the wiki environment's tools; tools is no key.
     "tools-str": (
@@ -497,15 +499,15 @@ MALFORMED_VALUES = {
     ),
     "base_url-int": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "base_url": 5}}},
-        "http backend base_url must be a string",
+        "backends.executor.base_url must be a string",
     ),
     "http-model-list": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "model": ["m"]}}},
-        "http backend model must be a string",
+        "backends.executor.model must be a string",
     ),
     "credential_env-list": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "credential_env": ["X"]}}},
-        "http backend credential_env must be a string",
+        "backends.executor.credential_env must be a string",
     ),
     # A misspelled key, which ran the defaults' condition in its place.
     "verify_interval-misspelled": (
@@ -531,12 +533,12 @@ MALFORMED_VALUES = {
     ),
     "http-misspelled": (
         {"backends": {"executor": {**HTTP_EXECUTOR, "max_retry": 5}}},
-        "unknown key 'max_retry' in http backend",
+        "unknown key 'max_retry' in backends.executor",
     ),
     "script-misspelled": (
         {"backends": {"executor": {"type": "script", "script": finish_script(),
                                    "scirpt_file": "more.json"}}},
-        "unknown key 'scirpt_file' in script backend",
+        "unknown key 'scirpt_file' in backends.executor",
     ),
     "environment-misspelled": (
         {"environment": {**SCRIPTED_ENV, "observation_limt": 10}},
@@ -682,7 +684,7 @@ UNCHECKED_SPECS = {
     "unreferenced-http": (
         {"executor": {"type": "script", "script": finish_script()},
          "spare": {**HTTP_EXECUTOR, "max_retry": 5}},
-        "unknown key 'max_retry' in http backend",
+        "unknown key 'max_retry' in backends.spare",
     ),
     "unreferenced-script-file": (
         {"executor": {"type": "script", "script": finish_script()},
@@ -691,32 +693,32 @@ UNCHECKED_SPECS = {
     ),
     "unreferenced-type": (
         {"executor": {"type": "script", "script": finish_script()}, "spare": {"type": "grpc"}},
-        "unknown backend type 'grpc'",
+        "backends.spare: unknown backend type 'grpc'",
     ),
     # A value that only the constructor checks, of a spec no role references.
     "unreferenced-max_retries": (
         {"executor": {"type": "script", "script": finish_script()},
          "spare": {**HTTP_EXECUTOR, "max_retries": -1}},
-        "http backend: max_retries must be >= 0",
+        "backends.spare: max_retries must be >= 0",
     ),
     "unreferenced-base_url": (
         {"executor": {"type": "script", "script": finish_script()},
          "spare": {**HTTP_EXECUTOR, "base_url": "ftp://x"}},
-        "http backend: base_url must be an http or https URL",
+        "backends.spare: base_url must be an http or https URL",
     ),
     "unreferenced-timeout_s": (
         {"executor": {"type": "script", "script": finish_script()},
          "spare": {**HTTP_EXECUTOR, "timeout_s": 0}},
-        "http backend: timeout_s must be > 0",
+        "backends.spare: timeout_s must be > 0",
     ),
     # A referenced spec was checked only once the tasks and the corpus were read.
     "referenced-http": (
         {"executor": {**HTTP_EXECUTOR, "max_retry": 5}},
-        "unknown key 'max_retry' in http backend",
+        "unknown key 'max_retry' in backends.executor",
     ),
     "referenced-timeout_s": (
         {"executor": {**HTTP_EXECUTOR, "timeout_s": 0}},
-        "http backend: timeout_s must be > 0",
+        "backends.executor: timeout_s must be > 0",
     ),
 }
 
@@ -755,19 +757,50 @@ def _golden_config_with_spare(tmp_path, spare):
 def test_unreferenced_spec_beside_the_golden_config_exits_1(tmp_path, capsys):
     config = _golden_config_with_spare(tmp_path, {**HTTP_EXECUTOR, "max_retry": 5})
     assert main(["run", "--config", str(config)]) == 1
-    assert "unknown key 'max_retry' in http backend" in capsys.readouterr().err
+    assert "unknown key 'max_retry' in backends.spare" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("script, message", [
-    ({"script": 5}, "backend script must be a non-empty list"),
-    ({"script": [{"response": 5}]}, "backends.spare.script[0].response must be a string, not 5"),
-    ({"script_file": "empty.json"}, "backend script must be a non-empty list"),
-], ids=["not-a-list", "bad-entry", "file-not-a-list"])
-def test_unreferenced_script_beside_the_golden_config_exits_1(tmp_path, capsys, script,
+# One spare spec of each kind of refusal, each named in its full message.
+SPARE_SPECS = {
+    "missing-type": ({"script": ["a"]}, "missing key 'type' in backends.spare"),
+    "unknown-type": ({"type": "grpc"}, "backends.spare: unknown backend type 'grpc'"),
+    "type-list": ({"type": ["script"]}, "backends.spare.type must be a string, not ['script']"),
+    "not-a-mapping": ("typewriter", "backends.spare must be a mapping, not 'typewriter'"),
+    "http-unknown-key": ({**HTTP_EXECUTOR, "max_retry": 5},
+                         "unknown key 'max_retry' in backends.spare"),
+    "script-unknown-key": ({"type": "script", "script": ["a"], "scirpt_file": "x.json"},
+                           "unknown key 'scirpt_file' in backends.spare"),
+    "http-script_file": ({**HTTP_EXECUTOR, "script_file": "empty.json"},
+                         "unknown key 'script_file' in backends.spare"),
+    "neither-key": ({"type": "script"}, "missing key 'script' in backends.spare"),
+    # The inline script silently won, and the file was never read.
+    "both-keys": ({"type": "script", "script": ["a"], "script_file": "does-not-exist.json"},
+                  "backends.spare: give script or script_file, not both"),
+    "empty-script": ({"type": "script", "script": []},
+                     "backends.spare: script must be non-empty"),
+    "empty-file": ({"type": "script", "script_file": "empty-list.json"},
+                   "backends.spare: script must be non-empty"),
+    "not-a-list": ({"type": "script", "script": 5},
+                   "backends.spare.script must be a list of entries, not 5"),
+    "file-not-a-list": ({"type": "script", "script_file": "empty.json"},
+                        "backends.spare.script must be a list of entries, not {}"),
+    "bad-entry": ({"type": "script", "script": [{"response": 5}]},
+                  "backends.spare.script[0].response must be a string, not 5"),
+    "converter": ({**HTTP_EXECUTOR, "max_retries": "few"},
+                  "backends.spare.max_retries: invalid literal for int() with base 10: 'few'"),
+    "constructor": ({**HTTP_EXECUTOR, "timeout_s": 0},
+                    "backends.spare: timeout_s must be > 0, not 0.0"),
+}
+
+
+@pytest.mark.parametrize("spare, message", list(SPARE_SPECS.values()), ids=list(SPARE_SPECS))
+def test_unreferenced_script_beside_the_golden_config_exits_1(tmp_path, capsys, spare,
                                                               message):
+    """A refused spare spec, script or http, exits 1 with its location."""
     (tmp_path / "empty.json").write_text("{}", encoding="utf-8")
-    config = _golden_config_with_spare(tmp_path, {"type": "script", **script})
+    (tmp_path / "empty-list.json").write_text("[]", encoding="utf-8")
+    config = _golden_config_with_spare(tmp_path, spare)
     assert main(["run", "--config", str(config)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -865,7 +898,7 @@ def test_local_http_fault_exits_1_before_any_task(
     config = write_config(tmp_path, backends={"executor": {**HTTP_EXECUTOR, **backend}})
     assert main(["run", "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: http backend: ") and message in err
+    assert err.startswith("config error: backends.executor: ") and message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1031,15 +1064,15 @@ class TestCmdSweep:
 
         for name in ("load_config", "load_tasks", "build_environment_factory", "build_backend"):
             counted(cli, name)
-        counted(config_module, "_load_script")
+        counted(config_module, "_backend")
         assert main(["sweep", "--config", str(config)]) == 0
-        # Each script is read once, at load. Each role's backend is built per
-        # interval: a scripted one is consumed by its run.
+        # Each spec is read once, at load, its script with it. Each role's
+        # backend is built per interval: a scripted one is consumed by its run.
         roles = {spec: role for role, spec in loaded[0].backend_specs.items()}
         calls = [(call[0], roles[call[1]]) if isinstance(call, tuple) else call
                  for call in calls]
         per_interval = [("build_backend", "executor"), ("build_backend", "supervisor")]
-        assert calls == ["load_config", "_load_script", "_load_script", "load_tasks",
+        assert calls == ["load_config", "_backend", "_backend", "load_tasks",
                          "build_environment_factory", *per_interval * 3]
         for tv in (1, 2, 3):
             log = tmp_path / "out" / f"eva-tv{tv}" / "trajectories.jsonl"

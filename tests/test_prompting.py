@@ -11,9 +11,7 @@ from hybridmas.prompting import (
     TEMPLATE_IDS,
     MalformedPlanError,
     MalformedVerdictError,
-    MissingBindingError,
     NoToolCallError,
-    UnexpectedBindingError,
     UnknownTemplateError,
     format_memory,
     parse_eva_verdict,
@@ -21,7 +19,6 @@ from hybridmas.prompting import (
     parse_plan,
     parse_tool_call,
     render,
-    template_placeholders,
     template_text,
 )
 
@@ -31,7 +28,7 @@ WIKI_TOOLS = ("search", "lookup", "finish")
 
 
 def full_bindings(template_id: str) -> dict:
-    return {name: f"<<{name}>>" for name in template_placeholders(template_id)}
+    return {name: f"<<{name}>>" for name in PLACEHOLDER_RE.findall(template_text(template_id))}
 
 
 class TestRender:
@@ -42,13 +39,23 @@ class TestRender:
         assert "{{" not in text
 
     def test_missing_binding(self):
-        with pytest.raises(MissingBindingError) as exc_info:
+        """A placeholder without a binding is a KeyError that names it."""
+        with pytest.raises(KeyError) as exc_info:
             render("plan", {"user_query": "Q"})
-        assert exc_info.value.name == "available_tools"
+        assert exc_info.value.args == ("available_tools",)
 
     def test_unexpected_binding(self):
-        with pytest.raises(UnexpectedBindingError):
-            render("plan", {"user_query": "Q", "available_tools": "T", "bogus": "B"})
+        """A binding that names no placeholder is not read."""
+        class Bindings(dict):
+            def __getitem__(self, name):
+                read.append(name)
+                return super().__getitem__(name)
+
+        read = []
+        bindings = Bindings(user_query="Q", available_tools="T", bogus="B")
+        assert render("plan", bindings) == render("plan", {"user_query": "Q",
+                                                          "available_tools": "T"})
+        assert "bogus" not in read and set(read) == {"user_query", "available_tools"}
 
     def test_unknown_template(self):
         with pytest.raises(UnknownTemplateError):
